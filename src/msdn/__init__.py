@@ -20,14 +20,13 @@ from .model import (
     ModelDims,
     ModelParams,
     a2v_forward,
-    class_scores,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
     v2a_forward,
 )
-from .ndmath import Rng, grad_check, matmul, rng_uniform, softmax_stable
+from .ndmath import Rng, grad_check, softmax_stable
 from .training import TrainConfig, TrainResult, make_batches, rmsprop_step, train
 from .zsl_eval import EvalReport, PredictConfig, evaluate, harmonic_mean, predict
 
@@ -47,7 +46,6 @@ __all__ = [
     "ModelDims",
     "ModelParams",
     "a2v_forward",
-    "class_scores",
     "forward",
     "init_params",
     "load_checkpoint",
@@ -55,8 +53,6 @@ __all__ = [
     "v2a_forward",
     "Rng",
     "grad_check",
-    "matmul",
-    "rng_uniform",
     "softmax_stable",
     "TrainConfig",
     "TrainResult",

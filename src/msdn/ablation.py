@@ -17,9 +17,10 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ArgumentError
-from .losses import LossBreakdown, acec_loss
+from .losses import LossBreakdown, LossConfig, acec_loss
+from .model import _glorot
 from .ndmath import Rng
-from .training import OptState, TrainConfig, make_batches, rmsprop_step, train
+from .training import OptState, TrainConfig, TrainResult, make_batches, rmsprop_step, train
 from .zsl_eval import (
     EvalReport,
     PredictConfig,
@@ -37,11 +38,6 @@ class AblationResult:
     acc: float
     H: float
     history: list[LossBreakdown]
-
-
-def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, rows, cols)
 
 
 def _train_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, list[LossBreakdown]]:
@@ -118,16 +114,24 @@ def run_ablation(
     alpha1: float = 0.9,
     alpha2: float = 0.1,
 ) -> list[AblationResult]:
-    """Train and score all eight variants with a shared seed and config."""
+    """Train and score all eight variants with a shared seed and config.
+
+    Variants that share a loss config are trained once and scored with
+    each of their predict configs.
+    """
     cfg.validate()
     results: list[AblationResult] = []
+    trained: dict[LossConfig, TrainResult] = {}
 
     w_pool, base_history = _train_baseline(ds, cfg)
     base_acc, base_h = _evaluate_baseline(ds, w_pool)
     results.append(AblationResult("baseline", base_acc, base_h, base_history))
 
     for name, overrides, pcfg in _variant_table(alpha1, alpha2):
-        outcome = train(ds, cfg, loss_cfg=cfg.loss_config(**overrides))
+        lcfg = cfg.loss_config(**overrides)
+        if lcfg not in trained:
+            trained[lcfg] = train(ds, cfg, loss_cfg=lcfg)
+        outcome = trained[lcfg]
         report: EvalReport = evaluate(outcome.params, ds, pcfg)
         results.append(AblationResult(name, report.acc, report.H, outcome.history))
     return results

@@ -177,8 +177,10 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
         chunks.append(name_bytes)
         chunks.append(struct.pack("<BB", code, payload.ndim))
         chunks.append(struct.pack(f"<{payload.ndim}I", *payload.shape))
-        chunks.append(payload.tobytes(order="C"))
-    Path(path).write_bytes(b"".join(chunks))
+        chunks.append(payload)
+    # Payloads go to the file as they are: no joined copy of the whole file.
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:

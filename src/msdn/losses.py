@@ -223,15 +223,15 @@ def total_loss_raw(
     exactly ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
     cfg.validate()
+    if region_stacks.ndim != 3:
+        raise ShapeError(f"region_stacks must be (batch, R, d_v), got {region_stacks.shape}")
     batch = region_stacks.shape[0]
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
 
-    traces = [model_mod.forward(region_stacks[i], attrs, params) for i in range(batch)]
-    psi_batch = np.stack([t.psi for t in traces])
-    Psi_batch = np.stack([t.Psi for t in traces])
-    scores1 = psi_batch @ class_semantics.T             # (batch, C)
-    scores2 = Psi_batch @ class_semantics.T
+    trace = model_mod.forward(region_stacks, attrs, params)
+    scores1 = trace.psi @ class_semantics.T             # (batch, C)
+    scores2 = trace.Psi @ class_semantics.T
 
     g_scores1 = np.zeros_like(scores1)
     g_scores2 = np.zeros_like(scores2)
@@ -255,16 +255,8 @@ def total_loss_raw(
     if not breakdown.is_finite():
         raise NumericError(f"non-finite loss: {breakdown}")
 
-    grads = model_mod.zero_grads(params)
-    d_psi_batch = g_scores1 @ class_semantics           # (batch, K)
-    d_Psi_batch = g_scores2 @ class_semantics
-    for i in range(batch):
-        per_image = model_mod.backward(
-            region_stacks[i], attrs, params, traces[i],
-            d_psi_batch[i], d_Psi_batch[i],
-        )
-        for name in grads:
-            grads[name] += per_image[name]
+    grads = model_mod.backward(region_stacks, attrs, params, trace,
+                               g_scores1 @ class_semantics, g_scores2 @ class_semantics)
     return breakdown, grads
 
 

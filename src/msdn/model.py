@@ -11,11 +11,16 @@ per-region semantic features S, a W4 mapping to per-region scores
 psi_bar, and a final bilinear projection through W_att that turns the
 R-dimensional psi_bar into the K-dimensional embedding Psi so both
 sub-nets score classes in the same attribute space.
+
+Forward and backward run on a (B, R, d_v) stack of images folded into
+(B*R, d_v) matrices, so each product is one GEMM per batch and the
+image-independent products (A W1, A W2, W3 A^T, W_att A^T) are formed
+once per batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,15 +68,25 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything one image's forward pass produces."""
+    """Everything a forward pass produces.
+
+    Shapes are per image.  The trace of a (B, R, d_v) stack carries a
+    leading batch axis on every field; ``image(i)`` drops it.
+    """
 
     beta: np.ndarray     # (K, R) attention over attributes, per region
-    F: np.ndarray        # (K, d_v) attribute-based visual features
     psi: np.ndarray      # (K,) attribute confidences, first sub-net
     tau: np.ndarray      # (R, K) attention over regions, per attribute
     S: np.ndarray        # (R, d_a) visual-based attribute features
     psi_bar: np.ndarray  # (R,) per-region scores, second sub-net
     Psi: np.ndarray      # (K,) attribute confidences, second sub-net
+    # Kept for the backward pass.
+    match: np.ndarray    # (R, K) v_r^T W2^T a_k; psi_k = sum_r beta[k, r] match[r, k]
+    att: np.ndarray      # (R, K) v_r^T W_att a_k; Psi = psi_bar @ att
+    readout: np.ndarray  # (R, d_a) V @ W4; psi_bar = rowsum(readout * S)
+
+    def image(self, i: int) -> "ForwardTrace":
+        return ForwardTrace(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
 
 
 def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -98,81 +113,77 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
     return init_params_from_rng(dims, Rng(seed))
 
 
-def _check_inputs(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> None:
-    if regions.ndim != 2 or attrs.ndim != 2:
+def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Check a (B, R, d_v) stack against the model; return it as (B*R, d_v)."""
+    if regions.ndim != 3 or attrs.ndim != 2:
         raise ShapeError(
-            f"expected 2-D region/attribute matrices, got {regions.shape} and {attrs.shape}"
+            f"expected a 3-D region stack and a 2-D attribute matrix, "
+            f"got {regions.shape} and {attrs.shape}"
         )
     d_v, d_a = params.dims.visual_dim, params.dims.attr_dim
-    if regions.shape[1] != d_v:
-        raise ShapeError(f"region features have width {regions.shape[1]}, model expects {d_v}")
+    if regions.shape[2] != d_v:
+        raise ShapeError(f"region features have width {regions.shape[2]}, model expects {d_v}")
     if attrs.shape[1] != d_a:
         raise ShapeError(f"attribute vectors have width {attrs.shape[1]}, model expects {d_a}")
+    return regions.reshape(-1, d_v)
 
 
 def a2v_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attribute->visual pass: returns (beta, F, psi).
+    """Attribute->visual pass over a (B, R, d_v) stack: (beta, match, psi).
 
-    beta[k, r] softmax-normalizes the bilinear scores over attributes k
-    within each region r; F_k pools regions under beta; psi_k is the
-    bilinear match of attribute k with F_k through W2.
+    beta[b, k, r] softmax-normalizes the bilinear scores over attributes
+    k within each region r.  psi_k is the bilinear match of attribute k
+    through W2 with the beta-pooled regions, summed here over regions
+    so the pooled (B, K, d_v) features are never formed.
     """
-    _check_inputs(regions, attrs, params)
-    logits = attrs @ params.W1 @ regions.T          # (K, R)
-    beta = softmax_stable(logits, axis=0)
-    F = beta @ regions                              # (K, d_v)
-    psi = ((attrs @ params.W2) * F).sum(axis=1)     # (K,)
-    return beta, F, psi
+    V = _folded(regions, attrs, params)
+    batch, num_regions = regions.shape[:2]
+    logits = V @ (attrs @ params.W1).T                               # (B*R, K)
+    beta = softmax_stable(logits.reshape(batch, num_regions, -1), axis=2)
+    match = (V @ (attrs @ params.W2).T).reshape(batch, num_regions, -1)
+    psi = (beta * match).sum(axis=1)                                 # (B, K)
+    return beta.transpose(0, 2, 1), match, psi
 
 
 def v2a_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Visual->attribute pass: returns (tau, S, psi_bar, Psi).
+) -> tuple[np.ndarray, ...]:
+    """Visual->attribute pass over a (B, R, d_v) stack.
 
-    tau[r, k] softmax-normalizes the bilinear scores over regions r
-    within each attribute k; S_r pools attribute vectors under tau;
-    psi_bar_r matches region r against S_r through W4; Psi projects
-    psi_bar into attribute space via the bilinear region-attribute
-    compatibility through W_att.
+    Returns (tau, S, psi_bar, Psi, att, readout).  tau[b, r, k]
+    softmax-normalizes the bilinear scores over regions r within each
+    attribute k; S_r pools attribute vectors under tau; psi_bar_r
+    matches region r against S_r through W4; Psi projects psi_bar into
+    attribute space via the bilinear region-attribute compatibility
+    ``att`` through W_att.
     """
-    _check_inputs(regions, attrs, params)
-    logits = regions @ params.W3 @ attrs.T          # (R, K)
-    tau = softmax_stable(logits, axis=0)
-    S = tau @ attrs                                 # (R, d_a)
-    psi_bar = ((regions @ params.W4) * S).sum(axis=1)  # (R,)
-    att = regions @ params.W_att @ attrs.T          # (R, K)
-    Psi = psi_bar @ att                             # (K,)
-    return tau, S, psi_bar, Psi
+    V = _folded(regions, attrs, params)
+    batch, num_regions = regions.shape[:2]
+    logits = V @ (params.W3 @ attrs.T)                               # (B*R, K)
+    tau = softmax_stable(logits.reshape(batch, num_regions, -1), axis=1)
+    S = tau.reshape(V.shape[0], -1) @ attrs                          # (B*R, d_a)
+    readout = V @ params.W4                                          # (B*R, d_a)
+    psi_bar = (readout * S).sum(axis=1).reshape(batch, num_regions)
+    att = (V @ (params.W_att @ attrs.T)).reshape(batch, num_regions, -1)
+    Psi = (psi_bar[:, :, None] * att).sum(axis=1)                    # (B, K)
+    return (tau, S.reshape(batch, num_regions, -1), psi_bar, Psi, att,
+            readout.reshape(batch, num_regions, -1))
 
 
 def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
-    """Run both sub-nets on one image."""
-    beta, F, psi = a2v_forward(regions, attrs, params)
-    tau, S, psi_bar, Psi = v2a_forward(regions, attrs, params)
-    return ForwardTrace(beta=beta, F=F, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi)
+    """Run both sub-nets on a (B, R, d_v) stack of images.
 
-
-def class_scores(embedding: np.ndarray, class_semantics: np.ndarray) -> np.ndarray:
-    """Compatibility of a K-dim embedding with every class semantic vector."""
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.ndim != 1 or class_semantics.ndim != 2:
-        raise ShapeError(
-            f"expected vector and matrix, got {embedding.shape} and {class_semantics.shape}"
-        )
-    if class_semantics.shape[1] != embedding.shape[0]:
-        raise ShapeError(
-            f"embedding length {embedding.shape[0]} != class semantic width "
-            f"{class_semantics.shape[1]}"
-        )
-    return class_semantics @ embedding
-
-
-def _softmax_cols_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
-    # probs = softmax over axis 0, column by column
-    return probs * (d_probs - (probs * d_probs).sum(axis=0, keepdims=True))
+    A single (R, d_v) image runs as a batch of one, and its trace comes
+    back without the batch axis.
+    """
+    stack = regions[None] if regions.ndim == 2 else regions
+    beta, match, psi = a2v_forward(stack, attrs, params)
+    tau, S, psi_bar, Psi, att, readout = v2a_forward(stack, attrs, params)
+    trace = ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
+                         match=match, att=att, readout=readout)
+    return trace.image(0) if regions.ndim == 2 else trace
 
 
 def backward(
@@ -185,38 +196,33 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. the five parameter matrices.
 
-    ``d_psi`` and ``d_Psi`` are the loss gradients w.r.t. the two
-    embeddings of this image.
+    ``regions`` is the (B, R, d_v) stack that produced ``trace``;
+    ``d_psi`` and ``d_Psi`` are the (B, K) loss gradients w.r.t. the two
+    embeddings.  Gradients are summed over the batch.
     """
-    # first sub-net: psi = rowsum((A @ W2) * F), F = beta @ V
-    m = attrs @ params.W2
-    d_m = d_psi[:, None] * trace.F
-    d_F = d_psi[:, None] * m
-    g_W2 = attrs.T @ d_m
-    d_beta = d_F @ regions.T
-    d_logits1 = _softmax_cols_backward(trace.beta, d_beta)
-    g_W1 = attrs.T @ d_logits1 @ regions
+    V = _folded(regions, attrs, params)
+    rows = V.shape[0]
 
-    # second sub-net: Psi = psi_bar @ (V @ W_att @ A^T)
-    att = regions @ params.W_att @ attrs.T
-    d_psi_bar = att @ d_Psi
-    d_att = np.outer(trace.psi_bar, d_Psi)
-    g_W_att = regions.T @ d_att @ attrs
+    # first sub-net: psi[b, k] = sum_r beta[b, r, k] * match[b, r, k]
+    beta = trace.beta.transpose(0, 2, 1)                 # (B, R, K)
+    d_match = (d_psi[:, None, :] * beta).reshape(rows, -1)
+    d_beta = d_psi[:, None, :] * trace.match
+    d_logits1 = beta * (d_beta - (beta * d_beta).sum(axis=2, keepdims=True))
+    g_W2 = attrs.T @ (d_match.T @ V)
+    g_W1 = attrs.T @ (d_logits1.reshape(rows, -1).T @ V)
 
-    # psi_bar = rowsum((V @ W4) * S), S = tau @ A
-    nmat = regions @ params.W4
-    d_n = d_psi_bar[:, None] * trace.S
-    d_S = d_psi_bar[:, None] * nmat
-    g_W4 = regions.T @ d_n
-    d_tau = d_S @ attrs.T
-    d_logits2 = _softmax_cols_backward(trace.tau, d_tau)
-    g_W3 = regions.T @ d_logits2 @ attrs
+    # second sub-net: Psi[b] = psi_bar[b] @ att[b]
+    d_psi_bar = (trace.att * d_Psi[:, None, :]).sum(axis=2).reshape(rows, 1)
+    d_att = (trace.psi_bar[:, :, None] * d_Psi[:, None, :]).reshape(rows, -1)
+    g_W_att = (V.T @ d_att) @ attrs
+
+    # psi_bar = rowsum(readout * S), readout = V @ W4, S = tau @ A
+    g_W4 = V.T @ (d_psi_bar * trace.S.reshape(rows, -1))
+    d_tau = ((d_psi_bar * trace.readout.reshape(rows, -1)) @ attrs.T).reshape(trace.tau.shape)
+    d_logits2 = trace.tau * (d_tau - (trace.tau * d_tau).sum(axis=1, keepdims=True))
+    g_W3 = (V.T @ d_logits2.reshape(rows, -1)) @ attrs
 
     return {"W1": g_W1, "W2": g_W2, "W3": g_W3, "W4": g_W4, "W_att": g_W_att}
-
-
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
 
 
 # --------------------------------------------------------------------------
@@ -260,4 +266,6 @@ def load_checkpoint(path) -> ModelParams:
             raise ContainerFormatError(
                 f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {shape}"
             )
+        if not np.isfinite(tensors[name]).all():
+            raise ContainerFormatError(f"checkpoint tensor {name} has non-finite entries")
     return ModelParams(dims=dims, **{name: tensors[name] for name in PARAM_NAMES})

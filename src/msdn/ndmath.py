@@ -118,35 +118,6 @@ class Rng:
         return len(weights) - 1  # target landed on accumulated rounding slack
 
 
-def rng_uniform(rng: Rng, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
-    """Functional spelling of :meth:`Rng.uniform`."""
-    return rng.uniform(lo, hi, rows, cols)
-
-
-def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting other ranks."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {out.shape}")
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation.
-
-    Raises :class:`ShapeError` naming both shapes when the inner
-    dimensions disagree.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} times "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax along ``axis``; each slice sums to one.
 

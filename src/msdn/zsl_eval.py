@@ -21,6 +21,8 @@ from .errors import ArgumentError, DatasetValidationError, ShapeError
 from .model import ForwardTrace, ModelParams, forward
 
 MODES = ("czsl", "gzsl")
+# Test images forwarded per model call; bounds the size of one call's trace.
+EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,20 @@ def calibrated_scores(
     unseen_classes: np.ndarray,
     cfg: PredictConfig,
 ) -> np.ndarray:
-    """Fused class scores with the +1 unseen / -1 seen offset applied."""
+    """Fused class scores with the +1 unseen / -1 seen offset applied.
+
+    A one-image trace gives (C,) scores, a batch trace (B, C).
+    """
     cfg.validate()
     fused = cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi
-    if class_semantics.shape[1] != fused.shape[0]:
+    if class_semantics.shape[1] != fused.shape[-1]:
         raise ShapeError(
-            f"embedding length {fused.shape[0]} != class semantic width "
+            f"embedding length {fused.shape[-1]} != class semantic width "
             f"{class_semantics.shape[1]}"
         )
-    scores = class_semantics @ fused
+    scores = (class_semantics @ fused.T).T
     offset = np.full(class_semantics.shape[0], -1.0)
     offset[np.asarray(unseen_classes, dtype=np.int64)] = 1.0
-    offset[np.asarray(seen_classes, dtype=np.int64)] = -1.0
     return scores + offset
 
 
@@ -85,8 +89,11 @@ def predict(
     seen_classes: np.ndarray,
     unseen_classes: np.ndarray,
     cfg: PredictConfig,
-) -> int:
-    """Predicted class index; ties resolve to the smallest class index."""
+) -> int | np.ndarray:
+    """Predicted class index, or one per image of a batch trace.
+
+    Ties resolve to the smallest class index.
+    """
     scores = calibrated_scores(trace, class_semantics, seen_classes, unseen_classes, cfg)
     if cfg.mode == "czsl":
         candidates = np.sort(np.asarray(unseen_classes, dtype=np.int64))
@@ -94,7 +101,7 @@ def predict(
         candidates = np.arange(class_semantics.shape[0], dtype=np.int64)
     if candidates.size == 0:
         raise ArgumentError("prediction requires a non-empty candidate set")
-    return int(candidates[np.argmax(scores[candidates])])
+    return candidates[np.argmax(scores[..., candidates], axis=-1)]
 
 
 def per_class_accuracy(
@@ -129,10 +136,14 @@ def evaluate(
 ) -> EvalReport:
     """Full metric suite over the dataset's test splits.
 
+    Each test split is forwarded once, ``EVAL_CHUNK`` images per model
+    call, and every mode is scored from the same traces.
     ``predict_fn(trace, mode)`` can replace the default predictor (used
-    by tests to inject an oracle).  The report's ``acc`` uses CZSL
-    predictions on the unseen test split; U and S use GZSL predictions
-    on the unseen and seen test splits.
+    by tests to inject an oracle); it gets one image's trace per call,
+    first for every unseen test image in CZSL mode, then in GZSL mode,
+    then for every seen test image in GZSL mode.  The report's ``acc``
+    uses CZSL predictions on the unseen test split; U and S use GZSL
+    predictions on the unseen and seen test splits.
     """
     cfg.validate()
     violations = validate_dataset(ds)
@@ -143,30 +154,28 @@ def evaluate(
     if ds.test_seen_idx.size == 0:
         raise ArgumentError("test_seen_idx is empty; nothing to evaluate")
 
-    def default_predict(trace: ForwardTrace, mode: str) -> int:
-        mode_cfg = PredictConfig(alpha1=cfg.alpha1, alpha2=cfg.alpha2, mode=mode)
-        return predict(trace, ds.class_semantics, ds.seen_classes,
-                       ds.unseen_classes, mode_cfg)
-
-    predictor = predict_fn if predict_fn is not None else default_predict
-
-    def run_split(idx: np.ndarray, mode: str) -> np.ndarray:
-        preds = np.empty(idx.size, dtype=np.int64)
-        for i, sample in enumerate(idx):
-            trace = forward(ds.features[int(sample)], ds.attributes, params)
-            preds[i] = predictor(trace, mode)
-        return preds
+    def run_split(idx: np.ndarray, modes: tuple[str, ...]) -> list[np.ndarray]:
+        """Predictions of one split in each of ``modes``."""
+        chunks = (forward(ds.features[idx[i:i + EVAL_CHUNK]], ds.attributes, params)
+                  for i in range(0, idx.size, EVAL_CHUNK))
+        if predict_fn is not None:
+            images = [chunk.image(i) for chunk in chunks for i in range(chunk.psi.shape[0])]
+            return [np.asarray([predict_fn(image, mode) for image in images], dtype=np.int64)
+                    for mode in modes]
+        configs = [PredictConfig(alpha1=cfg.alpha1, alpha2=cfg.alpha2, mode=mode)
+                   for mode in modes]
+        per_chunk = [[predict(chunk, ds.class_semantics, ds.seen_classes,
+                              ds.unseen_classes, c) for c in configs] for chunk in chunks]
+        return [np.concatenate(preds) for preds in zip(*per_chunk)]
 
     unseen_labels = ds.labels[ds.test_unseen_idx]
     seen_labels = ds.labels[ds.test_seen_idx]
 
-    czsl_preds = run_split(ds.test_unseen_idx, "czsl")
+    czsl_preds, gzsl_unseen_preds = run_split(ds.test_unseen_idx, ("czsl", "gzsl"))
+    (gzsl_seen_preds,) = run_split(ds.test_seen_idx, ("gzsl",))
     acc, _ = per_class_accuracy(unseen_labels, czsl_preds, ds.unseen_classes)
-
-    gzsl_unseen_preds = run_split(ds.test_unseen_idx, "gzsl")
     u, unseen_table = per_class_accuracy(unseen_labels, gzsl_unseen_preds,
                                          ds.unseen_classes)
-    gzsl_seen_preds = run_split(ds.test_seen_idx, "gzsl")
     s, seen_table = per_class_accuracy(seen_labels, gzsl_seen_preds, ds.seen_classes)
 
     per_class = [(c, "seen", a) for c, a in sorted(seen_table.items())]

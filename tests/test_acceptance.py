@@ -90,7 +90,8 @@ def test_oracle_equivalence():
         trace = forward(regions[0], attrs, params)
 
         ob, of, op = oracles.a2v_forward(regions[0], attrs, params.W1, params.W2)
-        for got, want in ((trace.beta, ob), (trace.F, of), (trace.psi, op)):
+        for got, want in ((trace.beta, ob), (trace.beta @ regions[0], of),
+                          (trace.psi, op)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         ot, os_, obar, obig = oracles.v2a_forward(
@@ -184,9 +185,10 @@ def test_calibration_behavior():
     # seen leads by 1.5 raw; the +/-1 offsets hand the argmax to unseen
     margin_semantics = np.array([[5.0], [3.5]])
     margin_trace = ForwardTrace(
-        beta=np.ones((1, 1)), F=np.ones((1, 1)), psi=np.array([1.0]),
+        beta=np.ones((1, 1)), psi=np.array([1.0]),
         tau=np.ones((1, 1)), S=np.ones((1, 1)), psi_bar=np.array([1.0]),
-        Psi=np.array([0.0]),
+        Psi=np.array([0.0]), match=np.ones((1, 1)), att=np.ones((1, 1)),
+        readout=np.ones((1, 1)),
     )
     flipped = predict(margin_trace, margin_semantics, np.array([0]), np.array([1]),
                       PredictConfig(alpha1=1.0, alpha2=0.0, mode="gzsl"))

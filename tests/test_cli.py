@@ -7,7 +7,7 @@ from conftest import TINY_SPEC
 from msdn import cli
 from msdn.configfile import format_kv
 from msdn.data_io import load_container
-from msdn.model import forward, load_checkpoint
+from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig
 
 FAST_TRAIN = TrainConfig(epochs=2, batch_size=8, seed=3)
@@ -268,6 +268,28 @@ class TestExportAttention:
                        "--checkpoint", str(checkpoint_file),
                        "--image", "999", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.fixture()
+    def nan_checkpoint(self, tmp_path, checkpoint_file):
+        params = load_checkpoint(checkpoint_file)
+        path = tmp_path / "nan.zsld"
+        save_checkpoint(params.with_updates({"W2": np.full_like(params.W2, np.nan)}), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "export-attention"])
+    def test_exits_3_with_one_error_line(self, tmp_path, data_file, nan_checkpoint,
+                                         capsys, command):
+        out = tmp_path / "out"
+        extra = ["--image", "0"] if command == "export-attention" else []
+        rc = cli.main([command, "--data", str(data_file), "--checkpoint",
+                       str(nan_checkpoint), "--out", str(out), *extra])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestUsage:

@@ -223,6 +223,25 @@ class TestTotalLoss:
                              grads[name].reshape(-1))
             assert err <= 1e-5, f"{name}: {err}"
 
+    def test_batched_gradients_pass_grad_check_with_distinct_labels(self):
+        params, regions, attrs, semantics, _, seen, unseen = random_instance(
+            46, k=5, r=4, d_v=8, d_a=6, c_seen=3, c_unseen=2, batch=4)
+        labels = np.array([2, 0, 1, 2])
+        assert not np.array_equal(regions[0], regions[1])
+        cfg = LossConfig(lambda_distill=0.5)
+        _, grads = total_loss_raw(
+            params, regions, labels, attrs, semantics, seen, unseen, cfg)
+        for name in PARAM_NAMES:
+            def f(flat, _n=name):
+                candidate = params.with_updates(
+                    {_n: flat.reshape(getattr(params, _n).shape)})
+                out, _ = total_loss_raw(
+                    candidate, regions, labels, attrs, semantics, seen, unseen, cfg)
+                return out.total
+            err = grad_check(f, getattr(params, name).reshape(-1),
+                             grads[name].reshape(-1))
+            assert err <= 1e-5, f"{name}: {err}"
+
     def test_inactive_branch_gets_zero_gradient(self):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(45)
         cfg = LossConfig(use_v2a=False)

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_instance
+from conftest import embedding_trace, random_instance
 from msdn.errors import ContainerFormatError, ShapeError
 from msdn.model import (
     ModelDims,
     ModelParams,
     a2v_forward,
     backward,
-    class_scores,
     forward,
     init_params,
     load_checkpoint,
@@ -19,6 +18,7 @@ from msdn.model import (
     v2a_forward,
 )
 from msdn.ndmath import Rng, grad_check
+from msdn.zsl_eval import PredictConfig, calibrated_scores
 
 DIMS = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
 
@@ -60,75 +60,90 @@ class TestA2VForward:
     def test_zero_w1_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
         params = init_params(DIMS, 2).with_updates({"W1": np.zeros((3, 4))})
-        beta, feats, _ = a2v_forward(regions, attrs, params)
-        np.testing.assert_allclose(beta, 1.0 / DIMS.num_attributes, atol=1e-15)
+        beta, _, _ = a2v_forward(regions[None], attrs, params)
+        np.testing.assert_allclose(beta[0], 1.0 / DIMS.num_attributes, atol=1e-15)
         expected = np.tile(regions.mean(axis=0) * DIMS.num_regions / DIMS.num_attributes,
                            (DIMS.num_attributes, 1))
-        np.testing.assert_allclose(feats, expected, atol=1e-12)
+        np.testing.assert_allclose(beta[0] @ regions, expected, atol=1e-12)
 
     def test_single_attribute_sums_regions(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=1, num_regions=3)
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 3, 4)
         attrs = rng.uniform(-1, 1, 1, 3)
-        beta, feats, _ = a2v_forward(regions, attrs, init_params(dims, 0))
+        beta, _, _ = a2v_forward(regions[None], attrs, init_params(dims, 0))
         np.testing.assert_allclose(beta, 1.0)
-        np.testing.assert_allclose(feats[0], regions.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose((beta[0] @ regions)[0], regions.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
         for seed in range(5):
             params = init_params(dims, seed)
             regions, attrs = tiny_inputs(seed + 100, dims)
-            beta, feats, psi = a2v_forward(regions, attrs, params)
+            beta, _, psi = a2v_forward(regions[None], attrs, params)
             ob, of, op = oracles.a2v_forward(regions, attrs, params.W1, params.W2)
-            np.testing.assert_allclose(beta, ob, atol=1e-12)
-            np.testing.assert_allclose(feats, of, atol=1e-12)
-            np.testing.assert_allclose(psi, op, atol=1e-12)
+            np.testing.assert_allclose(beta[0], ob, atol=1e-12)
+            # the pooled features F = beta @ V are never formed by the model
+            np.testing.assert_allclose(beta[0] @ regions, of, atol=1e-12)
+            np.testing.assert_allclose(psi[0], op, atol=1e-12)
 
     def test_shape_mismatch(self):
         regions, attrs = tiny_inputs()
         with pytest.raises(ShapeError):
-            a2v_forward(regions[:, :2], attrs, init_params(DIMS, 0))
+            a2v_forward(regions[None, :, :2], attrs, init_params(DIMS, 0))
+        with pytest.raises(ShapeError):
+            a2v_forward(regions, attrs, init_params(DIMS, 0))
 
 
 class TestV2AForward:
     def test_zero_w3_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
         params = init_params(DIMS, 2).with_updates({"W3": np.zeros((4, 3))})
-        tau, sem, _, _ = v2a_forward(regions, attrs, params)
+        tau, sem, *_ = v2a_forward(regions[None], attrs, params)
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
         expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions,
                            (DIMS.num_regions, 1))
-        np.testing.assert_allclose(sem, expected, atol=1e-12)
+        np.testing.assert_allclose(sem[0], expected, atol=1e-12)
 
     def test_single_region_sums_attributes(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=1)
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 1, 4)
         attrs = rng.uniform(-1, 1, 3, 3)
-        tau, sem, _, _ = v2a_forward(regions, attrs, init_params(dims, 0))
+        tau, sem, *_ = v2a_forward(regions[None], attrs, init_params(dims, 0))
         np.testing.assert_allclose(tau, 1.0)
-        np.testing.assert_allclose(sem[0], attrs.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(sem[0, 0], attrs.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         for seed in range(5):
             params = init_params(DIMS, seed)
             regions, attrs = tiny_inputs(seed + 200)
-            tau, sem, psi_bar, big_psi = v2a_forward(regions, attrs, params)
+            tau, sem, psi_bar, big_psi, _, _ = v2a_forward(regions[None], attrs, params)
             ot, os_, ob, op = oracles.v2a_forward(
                 regions, attrs, params.W3, params.W4, params.W_att
             )
-            np.testing.assert_allclose(tau, ot, atol=1e-12)
-            np.testing.assert_allclose(sem, os_, atol=1e-12)
-            np.testing.assert_allclose(psi_bar, ob, atol=1e-12)
-            np.testing.assert_allclose(big_psi, op, atol=1e-12)
+            np.testing.assert_allclose(tau[0], ot, atol=1e-12)
+            np.testing.assert_allclose(sem[0], os_, atol=1e-12)
+            np.testing.assert_allclose(psi_bar[0], ob, atol=1e-12)
+            np.testing.assert_allclose(big_psi[0], op, atol=1e-12)
+
+
+def class_scores(embedding, semantics):
+    """Raw class scores: a psi-only ``calibrated_scores`` minus its offset."""
+    num_classes = semantics.shape[0]
+    unseen = np.array([num_classes - 1])
+    scores = calibrated_scores(embedding_trace(embedding, np.zeros(len(embedding))),
+                               semantics, np.arange(num_classes - 1), unseen,
+                               PredictConfig(alpha1=1.0, alpha2=0.0))
+    return scores - np.where(np.arange(num_classes) == unseen[0], 1.0, -1.0)
 
 
 class TestClassScores:
+    """Class scoring now lives in ``zsl_eval.calibrated_scores``."""
+
     def test_orthogonal_rows_recover_argmax(self):
         semantics = np.eye(4) * 2.0
-        scores = class_scores(semantics[2] , semantics)
+        scores = class_scores(semantics[2], semantics)
         assert int(np.argmax(scores)) == 2
 
     def test_zero_embedding(self):
@@ -174,24 +189,23 @@ class TestAttentionInvariants:
     def test_region_scaling_changes_beta(self):
         regions, attrs = tiny_inputs(5)
         params = init_params(DIMS, 5)
-        beta1, _, _ = a2v_forward(regions, attrs, params)
-        beta2, _, _ = a2v_forward(2.0 * regions, attrs, params)
+        beta1, _, _ = a2v_forward(regions[None], attrs, params)
+        beta2, _, _ = a2v_forward(2.0 * regions[None], attrs, params)
         assert not np.allclose(beta1, beta2)
 
 
 class TestBackward:
     def test_gradients_of_random_functional(self):
-        # random linear functional of (psi, Psi): gradients for all five
-        # matrices must agree with central differences
-        params, regions_batch, attrs, _, _, _, _ = random_instance(31)
-        regions = regions_batch[0]
+        # random linear functional of (psi, Psi) over a stack of images:
+        # gradients for all five matrices must agree with central differences
+        params, regions, attrs, _, _, _, _ = random_instance(31, batch=3)
         rng = Rng(99)
-        w_psi = rng.uniform(-1, 1, 1, params.dims.num_attributes)[0]
-        w_big = rng.uniform(-1, 1, 1, params.dims.num_attributes)[0]
+        w_psi = rng.uniform(-1, 1, 3, params.dims.num_attributes)
+        w_big = rng.uniform(-1, 1, 3, params.dims.num_attributes)
 
         def value(p: ModelParams) -> float:
             trace = forward(regions, attrs, p)
-            return float(w_psi @ trace.psi + w_big @ trace.Psi)
+            return float((w_psi * trace.psi).sum() + (w_big * trace.Psi).sum())
 
         trace = forward(regions, attrs, params)
         grads = backward(regions, attrs, params, trace, w_psi, w_big)
@@ -200,6 +214,37 @@ class TestBackward:
                 return value(params.with_updates({_n: flat.reshape(grad.shape)}))
             err = grad_check(f, getattr(params, name).reshape(-1), grad.reshape(-1))
             assert err <= 1e-6, f"{name}: {err}"
+
+
+class TestBatchedForward:
+    def test_each_row_matches_scalar_oracle(self):
+        # three distinct images in one stack; every row of the batch trace
+        # must equal the scalar-loop oracle run on that image alone
+        dims = ModelDims(visual_dim=5, attr_dim=4, num_attributes=3, num_regions=4)
+        params = init_params(dims, 17)
+        rng = Rng(170)
+        regions = np.stack([rng.uniform(-1.0, 1.0, 4, 5) for _ in range(3)])
+        attrs = rng.uniform(-1.0, 1.0, 3, 4)
+        assert not np.array_equal(regions[0], regions[1])
+        trace = forward(regions, attrs, params)
+        assert trace.psi.shape == (3, 3) and trace.beta.shape == (3, 3, 4)
+        for b in range(3):
+            row = trace.image(b)
+            ob, of, op = oracles.a2v_forward(regions[b], attrs, params.W1, params.W2)
+            ot, os_, obar, obig = oracles.v2a_forward(
+                regions[b], attrs, params.W3, params.W4, params.W_att)
+            for got, want in ((row.beta, ob), (row.beta @ regions[b], of), (row.psi, op),
+                              (row.tau, ot), (row.S, os_), (row.psi_bar, obar),
+                              (row.Psi, obig)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_single_image_is_a_batch_of_one(self):
+        regions, attrs = tiny_inputs(4)
+        params = init_params(DIMS, 4)
+        single = forward(regions, attrs, params)
+        stacked = forward(regions[None], attrs, params).image(0)
+        for name in ("beta", "psi", "tau", "S", "psi_bar", "Psi"):
+            assert np.array_equal(getattr(single, name), getattr(stacked, name))
 
 
 class TestCheckpoint:
@@ -226,4 +271,14 @@ class TestCheckpoint:
         path = tmp_path / "broken.zsld"
         write_container(path, [("W1", np.zeros((3, 4), dtype=np.float32))])
         with pytest.raises(ContainerFormatError, match="missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        params = init_params(DIMS, 12)
+        w2 = params.W2.copy()
+        w2[1, 2] = bad
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(params.with_updates({"W2": w2}), path)
+        with pytest.raises(ContainerFormatError, match="W2.*non-finite"):
             load_checkpoint(path)

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_instance
+from conftest import embedding_trace, random_instance
 from msdn.errors import ArgumentError, DatasetValidationError
-from msdn.model import ForwardTrace, forward
+from msdn.model import forward
 from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
+from msdn import zsl_eval
 from msdn.zsl_eval import (
     EvalReport,
     PredictConfig,
@@ -20,15 +23,6 @@ from msdn.zsl_eval import (
     write_per_class_csv,
     write_report_csv,
 )
-
-
-def trace_from(psi, big_psi):
-    k = len(psi)
-    return ForwardTrace(
-        beta=np.zeros((k, 1)), F=np.zeros((k, 1)), psi=np.asarray(psi, dtype=float),
-        tau=np.zeros((1, k)), S=np.zeros((1, k)), psi_bar=np.zeros(1),
-        Psi=np.asarray(big_psi, dtype=float),
-    )
 
 
 class TestHarmonicMean:
@@ -70,8 +64,8 @@ class TestPredict:
         seen, unseen = np.arange(3), np.arange(3, 5)
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0, mode="gzsl")
         psi = np.array([2.0, -1.0, 0.5])
-        a = predict(trace_from(psi, np.zeros(3)), semantics, seen, unseen, cfg)
-        b = predict(trace_from(psi, np.full(3, 9.0)), semantics, seen, unseen, cfg)
+        a = predict(embedding_trace(psi, np.zeros(3)), semantics, seen, unseen, cfg)
+        b = predict(embedding_trace(psi, np.full(3, 9.0)), semantics, seen, unseen, cfg)
         assert a == b
 
     def test_indicator_margin_flips_to_unseen(self):
@@ -79,7 +73,7 @@ class TestPredict:
         semantics = np.array([[5.0], [4.5]])
         seen, unseen = np.array([0]), np.array([1])
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0, mode="gzsl")
-        trace = trace_from([1.0], [0.0])
+        trace = embedding_trace([1.0], [0.0])
         assert predict(trace, semantics, seen, unseen, cfg) == 1
 
     def test_indicator_exact_offsets(self):
@@ -124,7 +118,7 @@ class TestPredict:
         semantics = np.zeros((4, 2))
         seen, unseen = np.arange(2), np.arange(2, 4)
         cfg = PredictConfig(mode="gzsl")
-        trace = trace_from([0.0, 0.0], [0.0, 0.0])
+        trace = embedding_trace([0.0, 0.0], [0.0, 0.0])
         # all raw scores zero: unseen classes tie at +1, seen at -1
         assert predict(trace, semantics, seen, unseen, cfg) == 2
 
@@ -132,7 +126,7 @@ class TestPredict:
         semantics = np.ones((2, 2))
         cfg = PredictConfig(mode="czsl")
         with pytest.raises(ArgumentError, match="candidate"):
-            predict(trace_from([1, 1], [1, 1]), semantics,
+            predict(embedding_trace([1, 1], [1, 1]), semantics,
                     np.array([0, 1]), np.array([], dtype=int), cfg)
 
     def test_alpha_validation(self):
@@ -183,6 +177,43 @@ class TestEvaluate:
         report = evaluate(trained, tiny_dataset, PredictConfig(),
                           predict_fn=oracle_predict)
         assert report.acc == report.U == report.S == report.H == 1.0
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    def test_one_forward_per_split_chunk(self, tiny_dataset, trained, monkeypatch, chunk):
+        calls = []
+
+        def counting_forward(regions, attrs, params):
+            calls.append(regions.shape[0])
+            return forward(regions, attrs, params)
+
+        monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", chunk)
+        monkeypatch.setattr(zsl_eval, "forward", counting_forward)
+        ds = tiny_dataset
+        expected = (math.ceil(ds.test_unseen_idx.size / chunk)
+                    + math.ceil(ds.test_seen_idx.size / chunk))
+        report = evaluate(trained, ds, PredictConfig())
+        assert len(calls) == expected
+        assert sum(calls) == ds.test_unseen_idx.size + ds.test_seen_idx.size
+        calls.clear()
+        evaluate(trained, ds, PredictConfig(), predict_fn=lambda trace, mode: 0)
+        assert len(calls) == expected
+        monkeypatch.setattr(zsl_eval, "forward", forward)
+        monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
+        assert evaluate(trained, ds, PredictConfig()) == report
+
+    def test_predictor_order_spans_chunks(self, tiny_dataset, trained, monkeypatch):
+        monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 2)
+        seen_calls = []
+
+        def recording_predict(trace, mode):
+            seen_calls.append((mode, trace.psi.shape))
+            return 0
+
+        evaluate(trained, tiny_dataset, PredictConfig(), predict_fn=recording_predict)
+        n_unseen = tiny_dataset.test_unseen_idx.size
+        k = tiny_dataset.num_attributes
+        assert seen_calls == ([("czsl", (k,))] * n_unseen + [("gzsl", (k,))] * n_unseen
+                              + [("gzsl", (k,))] * tiny_dataset.test_seen_idx.size)
 
     def test_report_invariants(self, tiny_dataset, trained):
         report = evaluate(trained, tiny_dataset, PredictConfig())
