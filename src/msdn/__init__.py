@@ -26,8 +26,8 @@ from .model import (
     save_checkpoint,
     v2a_forward,
 )
-from .ndmath import Rng, grad_check, softmax_stable
-from .training import TrainConfig, TrainResult, make_batches, rmsprop_step, train
+from .ndmath import Rng, softmax_stable
+from .training import TrainConfig, TrainResult, fit, train
 from .zsl_eval import EvalReport, PredictConfig, evaluate, harmonic_mean, predict
 
 __all__ = [
@@ -52,12 +52,10 @@ __all__ = [
     "save_checkpoint",
     "v2a_forward",
     "Rng",
-    "grad_check",
     "softmax_stable",
     "TrainConfig",
     "TrainResult",
-    "make_batches",
-    "rmsprop_step",
+    "fit",
     "train",
     "EvalReport",
     "PredictConfig",

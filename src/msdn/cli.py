@@ -122,7 +122,7 @@ def cmd_eval(args) -> int:
     ds = data_io.load_container(args.data)
     params = model.load_checkpoint(args.checkpoint)
     _check_dims(params, ds)
-    cfg = zsl_eval.PredictConfig(alpha1=args.alpha1, alpha2=args.alpha2, mode=args.mode)
+    cfg = zsl_eval.PredictConfig(alpha1=args.alpha1, alpha2=args.alpha2)
     report = zsl_eval.evaluate(params, ds, cfg)
     zsl_eval.write_report_csv(report, args.out)
     if args.per_class:

@@ -208,7 +208,11 @@ def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
     names = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        raw_name = take(name_len, "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerFormatError(f"tensor name {raw_name!r} is not UTF-8: {exc}") from exc
         if name in names:
             raise ContainerFormatError(f"duplicate tensor name {name!r}")
         names.add(name)
@@ -222,8 +226,13 @@ def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
         else:
             raise ContainerFormatError(f"unknown dtype code {code} for tensor {name!r}")
         payload = take(4 * n_elems, f"payload of {name!r}")
-        arr = np.frombuffer(payload, dtype=raw_dtype).reshape(dims).astype(out_dtype)
-        items.append((name, arr))
+        try:
+            arr = np.frombuffer(payload, dtype=raw_dtype).reshape(dims)
+        except ValueError as exc:  # over numpy's rank limit, or a too-big empty shape
+            raise ContainerFormatError(f"tensor {name!r} of shape {dims}: {exc}") from exc
+        # Signalling NaNs widen to NaN; validation rejects them, so no warning.
+        with np.errstate(invalid="ignore"):
+            items.append((name, arr.astype(out_dtype)))
     if pos != len(blob):
         raise ContainerFormatError(f"{len(blob) - pos} trailing bytes after last tensor")
     return items
@@ -274,22 +283,28 @@ def validate_dataset(ds: Dataset) -> list[str]:
     """Return a list of invariant violations; empty means the dataset is valid."""
     out: list[str] = []
 
-    ranks = {
-        "features": (ds.features, 3),
-        "attributes": (ds.attributes, 2),
-        "class_semantics": (ds.class_semantics, 2),
-        "labels": (ds.labels, 1),
-        "seen_classes": (ds.seen_classes, 1),
-        "unseen_classes": (ds.unseen_classes, 1),
-        "train_idx": (ds.train_idx, 1),
-        "test_seen_idx": (ds.test_seen_idx, 1),
-        "test_unseen_idx": (ds.test_unseen_idx, 1),
+    # name: (tensor, rank, allowed numpy dtype kinds)
+    layout = {
+        "features": (ds.features, 3, "f"),
+        "attributes": (ds.attributes, 2, "f"),
+        "class_semantics": (ds.class_semantics, 2, "f"),
+        "labels": (ds.labels, 1, "iu"),
+        "seen_classes": (ds.seen_classes, 1, "iu"),
+        "unseen_classes": (ds.unseen_classes, 1, "iu"),
+        "train_idx": (ds.train_idx, 1, "iu"),
+        "test_seen_idx": (ds.test_seen_idx, 1, "iu"),
+        "test_unseen_idx": (ds.test_unseen_idx, 1, "iu"),
     }
-    for name, (arr, rank) in ranks.items():
+    for name, (arr, rank, kinds) in layout.items():
         if arr.ndim != rank:
             out.append(f"{name} must have rank {rank}, got shape {arr.shape}")
+        elif arr.dtype.kind not in kinds:
+            kind = "float" if kinds == "f" else "integer"
+            out.append(f"{name} must have a {kind} dtype, got {arr.dtype}")
+        elif kinds == "f" and 0 in arr.shape:
+            out.append(f"{name} has an empty axis, shape {arr.shape}")
     if out:
-        return out  # shapes are broken; deeper checks would be misleading
+        return out  # shapes or dtypes are broken; deeper checks would be misleading
 
     n = ds.num_samples
     c = ds.num_classes

@@ -107,16 +107,17 @@ def acec_loss(
 
     seen = np.sort(np.asarray(seen_classes, dtype=np.int64))
     unseen = np.sort(np.asarray(unseen_classes, dtype=np.int64))
-    seen_pos = {int(c): i for i, c in enumerate(seen)}
-    bad_labels = sorted({int(v) for v in labels} - set(seen_pos))
-    if bad_labels:
+    label_pos = np.searchsorted(seen, labels)           # position among seen classes
+    known = label_pos < seen.size
+    known[known] = seen[label_pos[known]] == labels[known]
+    if not known.all():
+        bad_labels = sorted({int(v) for v in labels[~known]})
         raise ArgumentError(f"labels outside the seen classes: {bad_labels}")
 
     grad = np.zeros_like(scores)
 
     # supervised term over seen-class scores only
     seen_scores = scores[:, seen]                       # (batch, C_s)
-    label_pos = np.asarray([seen_pos[int(l)] for l in labels])
     log_norm = log_sum_exp(seen_scores, axis=1)
     loss = float(np.mean(log_norm - seen_scores[np.arange(batch), label_pos]))
     p_seen = softmax_stable(seen_scores, axis=1)

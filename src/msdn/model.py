@@ -251,8 +251,9 @@ def load_checkpoint(path) -> ModelParams:
     if missing:
         raise ContainerFormatError(f"checkpoint missing tensors: {', '.join(missing)}")
     dims_vec = tensors["dims"]
-    if dims_vec.shape != (4,):
-        raise ContainerFormatError(f"checkpoint dims must have 4 entries, got {dims_vec.shape}")
+    if dims_vec.shape != (4,) or dims_vec.dtype.kind not in "iu":
+        raise ContainerFormatError(
+            f"checkpoint dims must be 4 integers, got {dims_vec.dtype} {dims_vec.shape}")
     dims = ModelDims(*(int(v) for v in dims_vec))
     expected = {
         "W1": (dims.attr_dim, dims.visual_dim),

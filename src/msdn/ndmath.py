@@ -187,12 +187,3 @@ def grad_check_detail(
             worst = GradCheckResult(rel, i, float(g[i]), numeric)
     return worst
 
-
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    point: np.ndarray,
-    analytic: np.ndarray,
-    step: float = DEFAULT_GRAD_STEP,
-) -> float:
-    """Max relative error between ``analytic`` and central differences of ``f``."""
-    return grad_check_detail(f, point, analytic, step).max_rel_error

@@ -16,6 +16,7 @@ parameter init and the per-epoch shuffles.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,6 +141,46 @@ class TrainResult:
     history: list[LossBreakdown] = field(default_factory=list)
 
 
+def fit(
+    weights: dict[str, np.ndarray],
+    loss_fn: Callable[[dict[str, np.ndarray], np.ndarray],
+                      tuple[LossBreakdown, dict[str, np.ndarray]]],
+    train_idx: np.ndarray,
+    cfg: TrainConfig,
+    rng: Rng,
+) -> tuple[dict[str, np.ndarray], list[LossBreakdown]]:
+    """RMSProp over ``cfg.epochs`` shuffled passes of ``train_idx``.
+
+    ``loss_fn(weights, idx)`` returns the loss breakdown and the weight
+    gradients for the samples ``idx``.  Each epoch draws one shuffle
+    from ``rng`` and records the sample-weighted mean breakdown; the
+    weights must stay finite.  Returns the final weights and the history.
+    """
+    state = OptState.zeros_like(weights)
+    history: list[LossBreakdown] = []
+    n_train = int(train_idx.size)
+    for epoch in range(cfg.epochs):
+        sums = np.zeros(4)
+        for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
+            try:
+                breakdown, grads = loss_fn(weights, train_idx[batch])
+            except NumericError as exc:
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
+                ) from exc
+            weights, state = rmsprop_step(weights, grads, state, cfg)
+            weight = len(batch)
+            sums += weight * np.asarray(
+                [breakdown.acec_a2v, breakdown.acec_v2a, breakdown.distill, breakdown.total]
+            )
+        for name, arr in weights.items():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
+        mean = sums / n_train
+        history.append(LossBreakdown(*(float(v) for v in mean)))
+    return weights, history
+
+
 def train(
     ds: Dataset,
     cfg: TrainConfig,
@@ -160,34 +201,15 @@ def train(
     lcfg.validate()
 
     rng = Rng(cfg.seed)
-    params = init_params_from_rng(ModelDims.for_dataset(ds), rng)
-    param_dict = params.as_dict()
-    state = OptState.zeros_like(param_dict)
-    history: list[LossBreakdown] = []
+    dims = ModelDims.for_dataset(ds)
 
-    n_train = int(ds.train_idx.size)
-    for epoch in range(cfg.epochs):
-        sums = np.zeros(4)
-        for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
-            idx = ds.train_idx[batch]
-            try:
-                breakdown, grads = total_loss(params, ds, idx, lcfg)
-            except NumericError as exc:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
-                ) from exc
-            param_dict, state = rmsprop_step(param_dict, grads, state, cfg)
-            params = params.with_updates(param_dict)
-            weight = len(batch)
-            sums += weight * np.asarray(
-                [breakdown.acec_a2v, breakdown.acec_v2a, breakdown.distill, breakdown.total]
-            )
-        for name, arr in param_dict.items():
-            if not np.isfinite(arr).all():
-                raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
-        mean = sums / n_train
-        history.append(LossBreakdown(*(float(v) for v in mean)))
-    return TrainResult(params=params, history=history)
+    def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
+        return total_loss(ModelParams(dims=dims, **weights), ds, idx, lcfg)
+
+    # The initial weights get no name here, so fit's first step frees them.
+    weights, history = fit(init_params_from_rng(dims, rng).as_dict(), loss_fn,
+                           ds.train_idx, cfg, rng)
+    return TrainResult(params=ModelParams(dims=dims, **weights), history=history)
 
 
 def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:

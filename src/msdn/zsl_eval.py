@@ -29,15 +29,16 @@ EVAL_CHUNK = 64
 class PredictConfig:
     alpha1: float = 0.9
     alpha2: float = 0.1
-    mode: str = "gzsl"
 
     def validate(self) -> None:
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ArgumentError("fusion coefficients must be non-negative")
         if self.alpha1 == 0 and self.alpha2 == 0:
             raise ArgumentError("fusion coefficients must not both be zero")
-        if self.mode not in MODES:
-            raise ArgumentError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+    def fuse(self, trace: ForwardTrace) -> np.ndarray:
+        """The embedding that scores classes: alpha1 * psi + alpha2 * Psi."""
+        return self.alpha1 * trace.psi + self.alpha2 * trace.Psi
 
 
 @dataclass(frozen=True)
@@ -60,42 +61,40 @@ def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:
 
 
 def calibrated_scores(
-    trace: ForwardTrace,
+    embedding: np.ndarray,
     class_semantics: np.ndarray,
-    seen_classes: np.ndarray,
     unseen_classes: np.ndarray,
-    cfg: PredictConfig,
 ) -> np.ndarray:
-    """Fused class scores with the +1 unseen / -1 seen offset applied.
+    """Class scores of a fused embedding with the +1 unseen / -1 seen offset.
 
-    A one-image trace gives (C,) scores, a batch trace (B, C).
+    A (K,) embedding gives (C,) scores, a (B, K) batch (B, C).
     """
-    cfg.validate()
-    fused = cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi
-    if class_semantics.shape[1] != fused.shape[-1]:
+    if class_semantics.shape[1] != embedding.shape[-1]:
         raise ShapeError(
-            f"embedding length {fused.shape[-1]} != class semantic width "
+            f"embedding length {embedding.shape[-1]} != class semantic width "
             f"{class_semantics.shape[1]}"
         )
-    scores = (class_semantics @ fused.T).T
+    scores = (class_semantics @ embedding.T).T
     offset = np.full(class_semantics.shape[0], -1.0)
     offset[np.asarray(unseen_classes, dtype=np.int64)] = 1.0
     return scores + offset
 
 
 def predict(
-    trace: ForwardTrace,
+    embedding: np.ndarray,
     class_semantics: np.ndarray,
-    seen_classes: np.ndarray,
     unseen_classes: np.ndarray,
-    cfg: PredictConfig,
+    mode: str,
 ) -> int | np.ndarray:
-    """Predicted class index, or one per image of a batch trace.
+    """Predicted class index of a (K,) embedding, or one per row of (B, K).
 
-    Ties resolve to the smallest class index.
+    CZSL ranks the unseen classes only, GZSL all classes.  Ties resolve
+    to the smallest class index.
     """
-    scores = calibrated_scores(trace, class_semantics, seen_classes, unseen_classes, cfg)
-    if cfg.mode == "czsl":
+    if mode not in MODES:
+        raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
+    scores = calibrated_scores(embedding, class_semantics, unseen_classes)
+    if mode == "czsl":
         candidates = np.sort(np.asarray(unseen_classes, dtype=np.int64))
     else:
         candidates = np.arange(class_semantics.shape[0], dtype=np.int64)
@@ -128,59 +127,62 @@ def per_class_accuracy(
     return float(np.mean(list(table.values()))), table
 
 
-def evaluate(
-    params: ModelParams,
-    ds: Dataset,
-    cfg: PredictConfig,
-    predict_fn=None,
-) -> EvalReport:
-    """Full metric suite over the dataset's test splits.
-
-    Each test split is forwarded once, ``EVAL_CHUNK`` images per model
-    call, and every mode is scored from the same traces.
-    ``predict_fn(trace, mode)`` can replace the default predictor (used
-    by tests to inject an oracle); it gets one image's trace per call,
-    first for every unseen test image in CZSL mode, then in GZSL mode,
-    then for every seen test image in GZSL mode.  The report's ``acc``
-    uses CZSL predictions on the unseen test split; U and S use GZSL
-    predictions on the unseen and seen test splits.
-    """
-    cfg.validate()
+def check_test_splits(ds: Dataset) -> None:
+    """Raise unless ``ds`` is a valid dataset with two non-empty test splits."""
     violations = validate_dataset(ds)
     if violations:
         raise DatasetValidationError(violations)
-    if ds.test_unseen_idx.size == 0:
-        raise ArgumentError("test_unseen_idx is empty; nothing to evaluate")
-    if ds.test_seen_idx.size == 0:
-        raise ArgumentError("test_seen_idx is empty; nothing to evaluate")
+    for name in ("test_unseen_idx", "test_seen_idx"):
+        if getattr(ds, name).size == 0:
+            raise ArgumentError(f"{name} is empty; nothing to evaluate")
 
-    def run_split(idx: np.ndarray, modes: tuple[str, ...]) -> list[np.ndarray]:
-        """Predictions of one split in each of ``modes``."""
-        chunks = (forward(ds.features[idx[i:i + EVAL_CHUNK]], ds.attributes, params)
-                  for i in range(0, idx.size, EVAL_CHUNK))
-        if predict_fn is not None:
-            images = [chunk.image(i) for chunk in chunks for i in range(chunk.psi.shape[0])]
-            return [np.asarray([predict_fn(image, mode) for image in images], dtype=np.int64)
-                    for mode in modes]
-        configs = [PredictConfig(alpha1=cfg.alpha1, alpha2=cfg.alpha2, mode=mode)
-                   for mode in modes]
-        per_chunk = [[predict(chunk, ds.class_semantics, ds.seen_classes,
-                              ds.unseen_classes, c) for c in configs] for chunk in chunks]
-        return [np.concatenate(preds) for preds in zip(*per_chunk)]
+
+def report(
+    ds: Dataset,
+    unseen_embedding: np.ndarray,
+    seen_embedding: np.ndarray,
+) -> EvalReport:
+    """Score the fused (n, K) embeddings of the two test splits in both modes.
+
+    Rows follow ``ds.test_unseen_idx`` and ``ds.test_seen_idx``.  The
+    report's ``acc`` uses CZSL predictions on the unseen test split; U
+    and S use GZSL predictions on the unseen and seen test splits.
+    """
+    def split_preds(embedding: np.ndarray, mode: str) -> np.ndarray:
+        return predict(embedding, ds.class_semantics, ds.unseen_classes, mode)
 
     unseen_labels = ds.labels[ds.test_unseen_idx]
     seen_labels = ds.labels[ds.test_seen_idx]
-
-    czsl_preds, gzsl_unseen_preds = run_split(ds.test_unseen_idx, ("czsl", "gzsl"))
-    (gzsl_seen_preds,) = run_split(ds.test_seen_idx, ("gzsl",))
-    acc, _ = per_class_accuracy(unseen_labels, czsl_preds, ds.unseen_classes)
-    u, unseen_table = per_class_accuracy(unseen_labels, gzsl_unseen_preds,
+    acc, _ = per_class_accuracy(unseen_labels, split_preds(unseen_embedding, "czsl"),
+                                ds.unseen_classes)
+    u, unseen_table = per_class_accuracy(unseen_labels,
+                                         split_preds(unseen_embedding, "gzsl"),
                                          ds.unseen_classes)
-    s, seen_table = per_class_accuracy(seen_labels, gzsl_seen_preds, ds.seen_classes)
+    s, seen_table = per_class_accuracy(seen_labels, split_preds(seen_embedding, "gzsl"),
+                                       ds.seen_classes)
 
     per_class = [(c, "seen", a) for c, a in sorted(seen_table.items())]
     per_class += [(c, "unseen", a) for c, a in sorted(unseen_table.items())]
     return EvalReport(acc=acc, U=u, S=s, H=harmonic_mean(s, u), per_class=per_class)
+
+
+def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:
+    """Full metric suite of the model over the dataset's test splits.
+
+    Each test split is forwarded once, ``EVAL_CHUNK`` images per model
+    call; each chunk's trace is fused right away and only the (n, K)
+    embeddings are kept for :func:`report`.
+    """
+    cfg.validate()
+    check_test_splits(ds)
+
+    def embed(idx: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            cfg.fuse(forward(ds.features[idx[i:i + EVAL_CHUNK]], ds.attributes, params))
+            for i in range(0, idx.size, EVAL_CHUNK)
+        ])
+
+    return report(ds, embed(ds.test_unseen_idx), embed(ds.test_seen_idx))
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:

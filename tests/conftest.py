@@ -39,19 +39,6 @@ def fresh_tiny_dataset() -> Dataset:
     )
 
 
-def embedding_trace(psi, big_psi):
-    """One-image trace that carries only the two embeddings (all else zero)."""
-    from msdn.model import ForwardTrace
-
-    k = len(psi)
-    return ForwardTrace(
-        beta=np.zeros((k, 1)), psi=np.asarray(psi, dtype=float),
-        tau=np.zeros((1, k)), S=np.zeros((1, 1)), psi_bar=np.zeros(1),
-        Psi=np.asarray(big_psi, dtype=float),
-        match=np.zeros((1, k)), att=np.zeros((1, k)), readout=np.zeros((1, 1)),
-    )
-
-
 def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):
     """Random tiny problem instance shared by oracle-equivalence tests."""
     from msdn.model import ModelDims, init_params_from_rng

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_SPEC
 from msdn import cli
 from msdn.configfile import format_kv
-from msdn.data_io import load_container
+from msdn.data_io import load_container, read_container, write_container
 from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig
 
@@ -290,6 +295,97 @@ class TestNonFiniteCheckpoint:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: ") and "non-finite" in captured.err
         assert captured.out == "" and not out.exists()
+
+
+def _retyped(blob_path, out_path, name, convert):
+    """Copy a container with tensor ``name`` replaced by ``convert(tensor)``."""
+    write_container(out_path, [(n, convert(a) if n == name else a)
+                               for n, a in read_container(blob_path)])
+
+
+def _rank_65(data_file, out_path):
+    # one f32 tensor of rank 65, dims 0,1,...,1: an empty payload numpy cannot shape
+    out_path.write_bytes(b"ZSLD" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
+                         + struct.pack("<BB", 1, 65) + struct.pack("<65I", 0, *[1] * 64))
+
+
+_MALFORMED = {
+    "non_utf8_name": lambda src, out: out.write_bytes(
+        src.read_bytes().replace(b"features", b"\xff" * 8, 1)),
+    "rank_65": _rank_65,
+    "float_train_idx": lambda src, out: _retyped(
+        src, out, "train_idx", lambda a: a.astype(np.float32)),
+    "float_labels": lambda src, out: _retyped(
+        src, out, "labels", lambda a: a.astype(np.float32)),
+    "integer_features": lambda src, out: _retyped(
+        src, out, "features", lambda a: np.rint(a).astype(np.int32)),
+    "zero_regions": lambda src, out: _retyped(
+        src, out, "features", lambda a: a[:, :0, :]),
+}
+
+
+class TestMalformedData:
+    @pytest.mark.parametrize("probe", sorted(_MALFORMED))
+    def test_exits_3_with_one_error_line(self, tmp_path, data_file, train_cfg_file,
+                                         capsys, probe):
+        bad = tmp_path / "bad.zsld"
+        _MALFORMED[probe](data_file, bad)
+        rc = cli.main(["train", "--data", str(bad), "--config", str(train_cfg_file),
+                       "--out", str(tmp_path / "m.zsld")])
+        captured = capsys.readouterr()
+        assert rc == 3, captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A tiny dataset container and a checkpoint trained on it, as bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec, data, cfg, ckpt = (root / n for n in ("spec.cfg", "data.zsld",
+                                                 "train.cfg", "model.zsld"))
+    spec.write_text(format_kv(TINY_SPEC))
+    cfg.write_text(format_kv(FAST_TRAIN))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--spec", str(spec), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(ckpt)]) == 0
+    return root, {"data": data.read_bytes(), "checkpoint": ckpt.read_bytes()}
+
+
+class TestFuzzedFiles:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(draw=st.data())
+    def test_eval_exits_typed(self, valid_files, draw):
+        root, blobs = valid_files
+        target = draw.draw(st.sampled_from(sorted(blobs)), label="target")
+        other = blobs["checkpoint" if target == "data" else "data"]
+        blob = bytearray(blobs[target])
+        kind = draw.draw(st.sampled_from(["truncate", "flip", "splice"]), label="kind")
+        if kind == "truncate":
+            del blob[draw.draw(st.integers(0, len(blob) - 1)):]
+        elif kind == "flip":
+            for _ in range(draw.draw(st.integers(1, 4))):
+                blob[draw.draw(st.integers(0, len(blob) - 1))] ^= 1 << draw.draw(
+                    st.integers(0, 7))
+        else:
+            start = draw.draw(st.integers(0, len(blob)))
+            end = draw.draw(st.integers(start, len(blob)))
+            src = draw.draw(st.integers(0, len(other)))
+            blob[start:end] = other[src:draw.draw(st.integers(src, len(other)))]
+        paths = {name: root / f"{name}.zsld" for name in blobs}
+        for name, content in blobs.items():
+            paths[name].write_bytes(bytes(blob) if name == target else content)
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["eval", "--data", str(paths["data"]), "--checkpoint",
+                           str(paths["checkpoint"]), "--out", str(root / "metrics.csv")])
+        assert rc in (0, 2, 3, 4, 5)
+        if rc != 0:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ class TestContainerErrors:
         path.write_bytes(body)
         with pytest.raises(ContainerFormatError, match="dtype code 7"):
             read_container(path)
+
+    def test_signalling_nan_payload_widens_without_warning(self, tmp_path):
+        path = tmp_path / "nan.zsld"
+        body = (b"ZSLD" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
+                + struct.pack("<BB", 1, 1) + struct.pack("<I", 1)
+                + struct.pack("<I", 0x7F800001))
+        path.write_bytes(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((name, arr),) = read_container(path)
+        assert name == "x" and np.isnan(arr).all()
 
     def test_missing_required_tensor(self, tmp_path):
         path = tmp_path / "e.zsld"

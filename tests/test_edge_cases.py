@@ -12,7 +12,7 @@ from msdn.configfile import format_kv, parse_kv_file
 from msdn.data_io import write_container
 from msdn.errors import ArgumentError, ContainerFormatError, ShapeError
 from msdn.model import ModelDims, init_params, save_checkpoint, load_checkpoint
-from msdn.ndmath import Rng, grad_check
+from msdn.ndmath import Rng, grad_check_detail
 from msdn.training import TrainConfig, train
 
 
@@ -33,7 +33,7 @@ class TestRngArguments:
 class TestGradCheckArguments:
     def test_analytic_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            grad_check(lambda x: float(x.sum()), np.zeros(3), np.zeros(2))
+            grad_check_detail(lambda x: float(x.sum()), np.zeros(3), np.zeros(2))
 
 
 class TestCheckpointValidation:
@@ -64,6 +64,18 @@ class TestCheckpointValidation:
                  for n, a in read_container(path)]
         write_container(path, items)
         with pytest.raises(ContainerFormatError, match="dims"):
+            load_checkpoint(path)
+
+    def test_float_dims_vector_rejected(self, tmp_path):
+        from msdn.data_io import read_container
+
+        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
+        path = tmp_path / "ckpt.zsld"
+        save_checkpoint(init_params(dims, 1), path)
+        items = [(n, (np.array([4.0, 3.0, np.nan, 2.0]) if n == "dims" else a))
+                 for n, a in read_container(path)]
+        write_container(path, items)
+        with pytest.raises(ContainerFormatError, match="dims must be 4 integers"):
             load_checkpoint(path)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import embedding_trace, random_instance
+from conftest import random_instance
 from msdn.errors import ContainerFormatError, ShapeError
 from msdn.model import (
     ModelDims,
@@ -17,8 +17,8 @@ from msdn.model import (
     save_checkpoint,
     v2a_forward,
 )
-from msdn.ndmath import Rng, grad_check
-from msdn.zsl_eval import PredictConfig, calibrated_scores
+from msdn.ndmath import Rng, grad_check_detail
+from msdn.zsl_eval import calibrated_scores
 
 DIMS = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
 
@@ -129,12 +129,10 @@ class TestV2AForward:
 
 
 def class_scores(embedding, semantics):
-    """Raw class scores: a psi-only ``calibrated_scores`` minus its offset."""
+    """Raw class scores: ``calibrated_scores`` minus its offset."""
     num_classes = semantics.shape[0]
     unseen = np.array([num_classes - 1])
-    scores = calibrated_scores(embedding_trace(embedding, np.zeros(len(embedding))),
-                               semantics, np.arange(num_classes - 1), unseen,
-                               PredictConfig(alpha1=1.0, alpha2=0.0))
+    scores = calibrated_scores(np.asarray(embedding, dtype=float), semantics, unseen)
     return scores - np.where(np.arange(num_classes) == unseen[0], 1.0, -1.0)
 
 
@@ -212,7 +210,8 @@ class TestBackward:
         for name, grad in grads.items():
             def f(flat, _n=name):
                 return value(params.with_updates({_n: flat.reshape(grad.shape)}))
-            err = grad_check(f, getattr(params, name).reshape(-1), grad.reshape(-1))
+            err = grad_check_detail(f, getattr(params, name).reshape(-1),
+                                    grad.reshape(-1)).max_rel_error
             assert err <= 1e-6, f"{name}: {err}"
 
 

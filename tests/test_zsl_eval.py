@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import embedding_trace, random_instance
+from conftest import random_instance
 from msdn.errors import ArgumentError, DatasetValidationError
 from msdn.model import forward
-from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
 from msdn import zsl_eval
 from msdn.zsl_eval import (
@@ -60,38 +60,35 @@ class TestHarmonicMean:
 
 class TestPredict:
     def test_alpha1_only_depends_on_psi(self):
-        semantics = Rng(1).uniform(0, 1, 5, 3)
-        seen, unseen = np.arange(3), np.arange(3, 5)
-        cfg = PredictConfig(alpha1=1.0, alpha2=0.0, mode="gzsl")
-        psi = np.array([2.0, -1.0, 0.5])
-        a = predict(embedding_trace(psi, np.zeros(3)), semantics, seen, unseen, cfg)
-        b = predict(embedding_trace(psi, np.full(3, 9.0)), semantics, seen, unseen, cfg)
-        assert a == b
+        params, regions, attrs, semantics, _, _, unseen = random_instance(60)
+        trace = forward(regions[0], attrs, params)
+        cfg = PredictConfig(alpha1=1.0, alpha2=0.0)
+        other = dataclasses.replace(trace, Psi=np.full_like(trace.Psi, 9.0))
+        np.testing.assert_array_equal(cfg.fuse(trace), cfg.fuse(other))
+        assert (predict(cfg.fuse(trace), semantics, unseen, "gzsl")
+                == predict(cfg.fuse(other), semantics, unseen, "gzsl"))
 
     def test_indicator_margin_flips_to_unseen(self):
         # raw scores: seen class 5.0, unseen 4.5; offsets make 4.5+1 > 5.0-1
         semantics = np.array([[5.0], [4.5]])
-        seen, unseen = np.array([0]), np.array([1])
-        cfg = PredictConfig(alpha1=1.0, alpha2=0.0, mode="gzsl")
-        trace = embedding_trace([1.0], [0.0])
-        assert predict(trace, semantics, seen, unseen, cfg) == 1
+        assert predict(np.array([1.0]), semantics, np.array([1]), "gzsl") == 1
 
     def test_indicator_exact_offsets(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
         trace = forward(regions[0], attrs, params)
-        cfg = PredictConfig(mode="gzsl")
-        scores = calibrated_scores(trace, semantics, seen, unseen, cfg)
+        cfg = PredictConfig()
+        scores = calibrated_scores(cfg.fuse(trace), semantics, unseen)
         raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
         np.testing.assert_array_equal(scores[seen], raw[seen] - 1.0)
         np.testing.assert_array_equal(scores[unseen], raw[unseen] + 1.0)
 
     def test_matches_brute_force_oracle(self):
+        cfg = PredictConfig(alpha1=0.7, alpha2=0.3)
         for seed in range(30):
             params, regions, attrs, semantics, _, seen, unseen = random_instance(seed)
             trace = forward(regions[0], attrs, params)
             for mode in ("czsl", "gzsl"):
-                cfg = PredictConfig(alpha1=0.7, alpha2=0.3, mode=mode)
-                got = predict(trace, semantics, seen, unseen, cfg)
+                got = predict(cfg.fuse(trace), semantics, unseen, mode)
                 expected = oracles.predict(trace.psi, trace.Psi, semantics,
                                            seen, unseen, 0.7, 0.3, mode)
                 assert got == expected
@@ -100,9 +97,9 @@ class TestPredict:
         # constant +1 over the unseen candidate set cannot change the argmax
         params, regions, attrs, semantics, _, seen, unseen = random_instance(62)
         trace = forward(regions[0], attrs, params)
-        cfg = PredictConfig(mode="czsl")
-        pred = predict(trace, semantics, seen, unseen, cfg)
-        fused = cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi
+        cfg = PredictConfig()
+        fused = cfg.fuse(trace)
+        pred = predict(fused, semantics, unseen, "czsl")
         raw = semantics @ fused
         unseen_sorted = np.sort(unseen)
         assert pred == int(unseen_sorted[np.argmax(raw[unseen_sorted])])
@@ -110,32 +107,26 @@ class TestPredict:
     def test_constant_shift_invariance(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(63)
         trace = forward(regions[0], attrs, params)
-        cfg = PredictConfig(mode="gzsl")
-        scores = calibrated_scores(trace, semantics, seen, unseen, cfg)
+        scores = calibrated_scores(PredictConfig().fuse(trace), semantics, unseen)
         assert int(np.argmax(scores + 123.0)) == int(np.argmax(scores))
 
     def test_tie_breaks_to_smallest_class(self):
         semantics = np.zeros((4, 2))
-        seen, unseen = np.arange(2), np.arange(2, 4)
-        cfg = PredictConfig(mode="gzsl")
-        trace = embedding_trace([0.0, 0.0], [0.0, 0.0])
         # all raw scores zero: unseen classes tie at +1, seen at -1
-        assert predict(trace, semantics, seen, unseen, cfg) == 2
+        assert predict(np.zeros(2), semantics, np.arange(2, 4), "gzsl") == 2
 
     def test_empty_candidates_rejected(self):
         semantics = np.ones((2, 2))
-        cfg = PredictConfig(mode="czsl")
         with pytest.raises(ArgumentError, match="candidate"):
-            predict(embedding_trace([1, 1], [1, 1]), semantics,
-                    np.array([0, 1]), np.array([], dtype=int), cfg)
+            predict(np.ones(2), semantics, np.array([], dtype=int), "czsl")
 
     def test_alpha_validation(self):
         with pytest.raises(ArgumentError):
             PredictConfig(alpha1=0.0, alpha2=0.0).validate()
         with pytest.raises(ArgumentError):
             PredictConfig(alpha1=-1.0, alpha2=0.5).validate()
-        with pytest.raises(ArgumentError):
-            PredictConfig(mode="both").validate()
+        with pytest.raises(ArgumentError, match="mode"):
+            predict(np.ones(2), np.ones((3, 2)), np.array([2]), "both")
 
 
 class TestPerClassAccuracy:
@@ -163,19 +154,23 @@ def trained(tiny_dataset):
 
 class TestEvaluate:
 
-    def test_injected_oracle_predictor_scores_one(self, tiny_dataset, trained):
-        labels = {int(i): int(l) for i, l in enumerate(tiny_dataset.labels)}
-        queue = []
+    def test_injected_oracle_predictor_scores_one(self, tiny_dataset, trained,
+                                                   monkeypatch):
+        ds = tiny_dataset
+        cfg = PredictConfig()
 
-        def oracle_predict(trace, mode):
-            return queue.pop(0)
+        def fused(idx):
+            return cfg.fuse(forward(ds.features[idx], ds.attributes, trained))
 
-        # evaluate walks test_unseen (czsl), test_unseen (gzsl), test_seen (gzsl)
-        order = (list(tiny_dataset.test_unseen_idx) * 2
-                 + list(tiny_dataset.test_seen_idx))
-        queue.extend(labels[int(i)] for i in order)
-        report = evaluate(trained, tiny_dataset, PredictConfig(),
-                          predict_fn=oracle_predict)
+        splits = [(fused(ds.test_unseen_idx), ds.labels[ds.test_unseen_idx]),
+                  (fused(ds.test_seen_idx), ds.labels[ds.test_seen_idx])]
+
+        def oracle_predict(embedding, class_semantics, unseen_classes, mode):
+            (labels,) = [lab for emb, lab in splits if np.array_equal(emb, embedding)]
+            return labels
+
+        monkeypatch.setattr(zsl_eval, "predict", oracle_predict)
+        report = evaluate(trained, ds, cfg)
         assert report.acc == report.U == report.S == report.H == 1.0
 
     @pytest.mark.parametrize("chunk", [2, 64])
@@ -194,26 +189,29 @@ class TestEvaluate:
         report = evaluate(trained, ds, PredictConfig())
         assert len(calls) == expected
         assert sum(calls) == ds.test_unseen_idx.size + ds.test_seen_idx.size
-        calls.clear()
-        evaluate(trained, ds, PredictConfig(), predict_fn=lambda trace, mode: 0)
-        assert len(calls) == expected
         monkeypatch.setattr(zsl_eval, "forward", forward)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
         assert evaluate(trained, ds, PredictConfig()) == report
 
-    def test_predictor_order_spans_chunks(self, tiny_dataset, trained, monkeypatch):
+    def test_matches_per_image_oracle(self, tiny_dataset, trained, monkeypatch):
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 2)
-        seen_calls = []
+        ds = tiny_dataset
 
-        def recording_predict(trace, mode):
-            seen_calls.append((mode, trace.psi.shape))
-            return 0
+        def oracle_preds(idx, mode):
+            traces = [forward(ds.features[int(i)], ds.attributes, trained) for i in idx]
+            return np.asarray([oracles.predict(t.psi, t.Psi, ds.class_semantics,
+                                               ds.seen_classes, ds.unseen_classes,
+                                               0.9, 0.1, mode) for t in traces])
 
-        evaluate(trained, tiny_dataset, PredictConfig(), predict_fn=recording_predict)
-        n_unseen = tiny_dataset.test_unseen_idx.size
-        k = tiny_dataset.num_attributes
-        assert seen_calls == ([("czsl", (k,))] * n_unseen + [("gzsl", (k,))] * n_unseen
-                              + [("gzsl", (k,))] * tiny_dataset.test_seen_idx.size)
+        unseen_labels = ds.labels[ds.test_unseen_idx]
+        acc, _ = per_class_accuracy(unseen_labels, oracle_preds(ds.test_unseen_idx, "czsl"),
+                                    ds.unseen_classes)
+        u, _ = per_class_accuracy(unseen_labels, oracle_preds(ds.test_unseen_idx, "gzsl"),
+                                  ds.unseen_classes)
+        s, _ = per_class_accuracy(ds.labels[ds.test_seen_idx],
+                                  oracle_preds(ds.test_seen_idx, "gzsl"), ds.seen_classes)
+        report = evaluate(trained, ds, PredictConfig(alpha1=0.9, alpha2=0.1))
+        assert (report.acc, report.U, report.S) == (acc, u, s)
 
     def test_report_invariants(self, tiny_dataset, trained):
         report = evaluate(trained, tiny_dataset, PredictConfig())
