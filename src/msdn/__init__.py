@@ -21,7 +21,6 @@ from .model import (
     ModelParams,
     a2v_forward,
     forward,
-    init_params,
     load_checkpoint,
     save_checkpoint,
     v2a_forward,
@@ -47,7 +46,6 @@ __all__ = [
     "ModelParams",
     "a2v_forward",
     "forward",
-    "init_params",
     "load_checkpoint",
     "save_checkpoint",
     "v2a_forward",

@@ -2,7 +2,7 @@
 
 One ``key = value`` pair per line; blank lines and ``#`` comments are
 ignored.  Keys mirror dataclass field names, so any config dataclass can
-be round-tripped through text.
+be read from text.
 """
 
 from __future__ import annotations
@@ -65,11 +65,3 @@ def dataclass_from_kv(cls, pairs: dict[str, str]):
             )
         kwargs[key] = _convert(value, fields[key], key)
     return cls(**kwargs)
-
-
-def format_kv(obj) -> str:
-    """Serialize a config dataclass as one key=value pair per line."""
-    lines = [
-        f"{f.name} = {getattr(obj, f.name)}" for f in dataclasses.fields(obj)
-    ]
-    return "\n".join(lines) + "\n"

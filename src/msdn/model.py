@@ -109,10 +109,6 @@ def init_params_from_rng(dims: ModelDims, rng: Rng) -> ModelParams:
     )
 
 
-def init_params(dims: ModelDims, seed: int) -> ModelParams:
-    return init_params_from_rng(dims, Rng(seed))
-
-
 def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.ndarray:
     """Check a (B, R, d_v) stack against the model; return it as (B*R, d_v)."""
     if regions.ndim != 3 or attrs.ndim != 2:

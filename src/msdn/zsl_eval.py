@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import Dataset, validate_dataset
-from .errors import ArgumentError, DatasetValidationError, ShapeError
+from .errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from .model import ForwardTrace, ModelParams, forward
 
 MODES = ("czsl", "gzsl")
@@ -67,17 +67,21 @@ def calibrated_scores(
 ) -> np.ndarray:
     """Class scores of a fused embedding with the +1 unseen / -1 seen offset.
 
-    A (K,) embedding gives (C,) scores, a (B, K) batch (B, C).
+    A (K,) embedding gives (C,) scores, a (B, K) batch (B, C).  Raises
+    :class:`NumericError` if a score is not finite, since an argmax over
+    NaN would silently pick class 0.
     """
     if class_semantics.shape[1] != embedding.shape[-1]:
         raise ShapeError(
             f"embedding length {embedding.shape[-1]} != class semantic width "
             f"{class_semantics.shape[1]}"
         )
-    scores = (class_semantics @ embedding.T).T
     offset = np.full(class_semantics.shape[0], -1.0)
     offset[np.asarray(unseen_classes, dtype=np.int64)] = 1.0
-    return scores + offset
+    scores = (class_semantics @ embedding.T).T + offset
+    if not np.isfinite(scores).all():
+        raise NumericError("class scores are not finite; the model parameters overflow")
+    return scores
 
 
 def predict(

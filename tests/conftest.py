@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ TINY_SPEC = SynthSpec(
     noise_std=0.05,
     seed=11,
 )
+
+
+def format_kv(obj) -> str:
+    """A config dataclass as the key = value lines that configfile parses."""
+    return "".join(f"{f.name} = {getattr(obj, f.name)}\n" for f in dataclasses.fields(obj))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,16 @@ import math
 import numpy as np
 
 
+def uniform(rng, lo, hi, rows, cols):
+    """rows x cols uniforms drawn one ``next_f64`` call at a time, row-major."""
+    span = hi - lo
+    out = np.empty((rows, cols), dtype=np.float64)
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = lo + span * rng.next_f64()
+    return out
+
+
 def matmul(a, b):
     n, k = len(a), len(a[0])
     k2, m = len(b), len(b[0])

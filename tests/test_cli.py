@@ -8,9 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, format_kv
 from msdn import cli
-from msdn.configfile import format_kv
 from msdn.data_io import load_container, read_container, write_container
 from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig

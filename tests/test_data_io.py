@@ -5,8 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC
-from msdn.configfile import format_kv
+from conftest import TINY_SPEC, format_kv
 from msdn.ndmath import Rng
 from msdn.data_io import (
     GEN_REGION_ATTRIBUTE,

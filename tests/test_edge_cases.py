@@ -6,12 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, format_kv
 from msdn import cli
-from msdn.configfile import format_kv, parse_kv_file
+from msdn.configfile import parse_kv_file
 from msdn.data_io import write_container
 from msdn.errors import ArgumentError, ContainerFormatError, ShapeError
-from msdn.model import ModelDims, init_params, save_checkpoint, load_checkpoint
+from msdn.model import ModelDims, init_params_from_rng, save_checkpoint, load_checkpoint
 from msdn.ndmath import Rng, grad_check_detail
 from msdn.training import TrainConfig, train
 
@@ -39,7 +39,7 @@ class TestGradCheckArguments:
 class TestCheckpointValidation:
     def test_wrong_tensor_shape_rejected(self, tmp_path):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
-        params = init_params(dims, 1)
+        params = init_params_from_rng(dims, Rng(1))
         path = tmp_path / "ckpt.zsld"
         save_checkpoint(params, path)
         # corrupt: swap W1's declared payload with a wrong-shaped tensor
@@ -59,7 +59,7 @@ class TestCheckpointValidation:
 
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(init_params(dims, 1), path)
+        save_checkpoint(init_params_from_rng(dims, Rng(1)), path)
         items = [(n, (np.arange(3, dtype=np.int32) if n == "dims" else a))
                  for n, a in read_container(path)]
         write_container(path, items)
@@ -71,7 +71,7 @@ class TestCheckpointValidation:
 
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(init_params(dims, 1), path)
+        save_checkpoint(init_params_from_rng(dims, Rng(1)), path)
         items = [(n, (np.array([4.0, 3.0, np.nan, 2.0]) if n == "dims" else a))
                  for n, a in read_container(path)]
         write_container(path, items)

@@ -12,7 +12,7 @@ from msdn.model import (
     a2v_forward,
     backward,
     forward,
-    init_params,
+    init_params_from_rng,
     load_checkpoint,
     save_checkpoint,
     v2a_forward,
@@ -32,23 +32,23 @@ def tiny_inputs(seed=1, dims=DIMS):
 
 class TestInit:
     def test_same_seed_identical(self):
-        a, b = init_params(DIMS, 4), init_params(DIMS, 4)
+        a, b = init_params_from_rng(DIMS, Rng(4)), init_params_from_rng(DIMS, Rng(4))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seeds_differ(self):
-        a, b = init_params(DIMS, 4), init_params(DIMS, 5)
+        a, b = init_params_from_rng(DIMS, Rng(4)), init_params_from_rng(DIMS, Rng(5))
         assert not np.array_equal(a.W1, b.W1)
 
     def test_entries_bounded_by_glorot_limit(self):
-        params = init_params(DIMS, 9)
+        params = init_params_from_rng(DIMS, Rng(9))
         limit = np.sqrt(6.0 / (DIMS.visual_dim + DIMS.attr_dim))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             arr = getattr(params, name)
             assert np.abs(arr).max() <= limit
 
     def test_shapes(self):
-        params = init_params(DIMS, 0)
+        params = init_params_from_rng(DIMS, Rng(0))
         assert params.W1.shape == (3, 4)
         assert params.W2.shape == (3, 4)
         assert params.W3.shape == (4, 3)
@@ -59,7 +59,7 @@ class TestInit:
 class TestA2VForward:
     def test_zero_w1_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
-        params = init_params(DIMS, 2).with_updates({"W1": np.zeros((3, 4))})
+        params = init_params_from_rng(DIMS, Rng(2)).with_updates({"W1": np.zeros((3, 4))})
         beta, _, _ = a2v_forward(regions[None], attrs, params)
         np.testing.assert_allclose(beta[0], 1.0 / DIMS.num_attributes, atol=1e-15)
         expected = np.tile(regions.mean(axis=0) * DIMS.num_regions / DIMS.num_attributes,
@@ -71,14 +71,14 @@ class TestA2VForward:
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 3, 4)
         attrs = rng.uniform(-1, 1, 1, 3)
-        beta, _, _ = a2v_forward(regions[None], attrs, init_params(dims, 0))
+        beta, _, _ = a2v_forward(regions[None], attrs, init_params_from_rng(dims, Rng(0)))
         np.testing.assert_allclose(beta, 1.0)
         np.testing.assert_allclose((beta[0] @ regions)[0], regions.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
         for seed in range(5):
-            params = init_params(dims, seed)
+            params = init_params_from_rng(dims, Rng(seed))
             regions, attrs = tiny_inputs(seed + 100, dims)
             beta, _, psi = a2v_forward(regions[None], attrs, params)
             ob, of, op = oracles.a2v_forward(regions, attrs, params.W1, params.W2)
@@ -90,15 +90,15 @@ class TestA2VForward:
     def test_shape_mismatch(self):
         regions, attrs = tiny_inputs()
         with pytest.raises(ShapeError):
-            a2v_forward(regions[None, :, :2], attrs, init_params(DIMS, 0))
+            a2v_forward(regions[None, :, :2], attrs, init_params_from_rng(DIMS, Rng(0)))
         with pytest.raises(ShapeError):
-            a2v_forward(regions, attrs, init_params(DIMS, 0))
+            a2v_forward(regions, attrs, init_params_from_rng(DIMS, Rng(0)))
 
 
 class TestV2AForward:
     def test_zero_w3_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
-        params = init_params(DIMS, 2).with_updates({"W3": np.zeros((4, 3))})
+        params = init_params_from_rng(DIMS, Rng(2)).with_updates({"W3": np.zeros((4, 3))})
         tau, sem, *_ = v2a_forward(regions[None], attrs, params)
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
         expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions,
@@ -110,13 +110,13 @@ class TestV2AForward:
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 1, 4)
         attrs = rng.uniform(-1, 1, 3, 3)
-        tau, sem, *_ = v2a_forward(regions[None], attrs, init_params(dims, 0))
+        tau, sem, *_ = v2a_forward(regions[None], attrs, init_params_from_rng(dims, Rng(0)))
         np.testing.assert_allclose(tau, 1.0)
         np.testing.assert_allclose(sem[0, 0], attrs.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         for seed in range(5):
-            params = init_params(DIMS, seed)
+            params = init_params_from_rng(DIMS, Rng(seed))
             regions, attrs = tiny_inputs(seed + 200)
             tau, sem, psi_bar, big_psi, _, _ = v2a_forward(regions[None], attrs, params)
             ot, os_, ob, op = oracles.v2a_forward(
@@ -170,7 +170,7 @@ class TestAttentionInvariants:
     def test_normalization(self, seed, k, r, d_v, d_a):
         dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
         rng = Rng(seed)
-        params = init_params(dims, seed + 1)
+        params = init_params_from_rng(dims, Rng(seed + 1))
         regions = rng.uniform(-3, 3, r, d_v)
         attrs = rng.uniform(-3, 3, k, d_a)
         trace = forward(regions, attrs, params)
@@ -179,14 +179,14 @@ class TestAttentionInvariants:
 
     def test_forward_deterministic(self):
         regions, attrs = tiny_inputs(3)
-        params = init_params(DIMS, 3)
+        params = init_params_from_rng(DIMS, Rng(3))
         a = forward(regions, attrs, params)
         b = forward(regions, attrs, params)
         assert np.array_equal(a.psi, b.psi) and np.array_equal(a.Psi, b.Psi)
 
     def test_region_scaling_changes_beta(self):
         regions, attrs = tiny_inputs(5)
-        params = init_params(DIMS, 5)
+        params = init_params_from_rng(DIMS, Rng(5))
         beta1, _, _ = a2v_forward(regions[None], attrs, params)
         beta2, _, _ = a2v_forward(2.0 * regions[None], attrs, params)
         assert not np.allclose(beta1, beta2)
@@ -220,7 +220,7 @@ class TestBatchedForward:
         # three distinct images in one stack; every row of the batch trace
         # must equal the scalar-loop oracle run on that image alone
         dims = ModelDims(visual_dim=5, attr_dim=4, num_attributes=3, num_regions=4)
-        params = init_params(dims, 17)
+        params = init_params_from_rng(dims, Rng(17))
         rng = Rng(170)
         regions = np.stack([rng.uniform(-1.0, 1.0, 4, 5) for _ in range(3)])
         attrs = rng.uniform(-1.0, 1.0, 3, 4)
@@ -239,7 +239,7 @@ class TestBatchedForward:
 
     def test_single_image_is_a_batch_of_one(self):
         regions, attrs = tiny_inputs(4)
-        params = init_params(DIMS, 4)
+        params = init_params_from_rng(DIMS, Rng(4))
         single = forward(regions, attrs, params)
         stacked = forward(regions[None], attrs, params).image(0)
         for name in ("beta", "psi", "tau", "S", "psi_bar", "Psi"):
@@ -248,7 +248,7 @@ class TestBatchedForward:
 
 class TestCheckpoint:
     def test_round_trip_values(self, tmp_path):
-        params = init_params(DIMS, 12)
+        params = init_params_from_rng(DIMS, Rng(12))
         path = tmp_path / "ckpt.zsld"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
@@ -258,7 +258,7 @@ class TestCheckpoint:
             assert np.array_equal(getattr(loaded, name), expected)
 
     def test_resave_byte_exact(self, tmp_path):
-        params = init_params(DIMS, 12)
+        params = init_params_from_rng(DIMS, Rng(12))
         a, b = tmp_path / "a.zsld", tmp_path / "b.zsld"
         save_checkpoint(params, a)
         save_checkpoint(load_checkpoint(a), b)
@@ -274,7 +274,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, tmp_path, bad):
-        params = init_params(DIMS, 12)
+        params = init_params_from_rng(DIMS, Rng(12))
         w2 = params.W2.copy()
         w2[1, 2] = bad
         path = tmp_path / "nan.ckpt"

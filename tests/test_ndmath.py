@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from msdn.errors import ArgumentError, NumericError, ShapeError
-from msdn.model import ModelDims, forward, init_params
+from msdn.model import ModelDims, forward, init_params_from_rng
 from msdn.ndmath import (
     Rng,
     grad_check_detail,
@@ -37,8 +37,8 @@ class TestMatmul:
 
     def test_shape_mismatch_names_both_shapes(self):
         # the model checks its operands before any product is formed
-        params = init_params(ModelDims(visual_dim=2, attr_dim=3, num_attributes=4,
-                                       num_regions=1), 0)
+        params = init_params_from_rng(ModelDims(visual_dim=2, attr_dim=3, num_attributes=4,
+                                                num_regions=1), Rng(0))
         with pytest.raises(ShapeError, match=r"width 3, model expects 2"):
             forward(np.zeros((1, 3)), np.zeros((4, 3)), params)
         with pytest.raises(ShapeError, match=r"width 2, model expects 3"):
@@ -143,10 +143,26 @@ class TestRng:
     def test_stream_pinned(self):
         # Regression pin for the documented xorshift64* stream.
         rng = Rng(0)
-        first = [rng.next_u64() for _ in range(3)]
-        rng2 = Rng(0)
-        assert first == [rng2.next_u64() for _ in range(3)]
-        assert all(0 <= v < 2**64 for v in first)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD, 0xB3C638353C668C91]
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (3, 7), (17, 1), (10, 16),
+                                            (613, 1009)])
+    def test_uniform_matches_scalar_oracle(self, rows, cols):
+        # Bulk draws must reproduce the per-element next_f64 stream bit for
+        # bit and leave the generator where the scalar loop leaves it.
+        bulk, scalar = Rng(rows * cols), Rng(rows * cols)
+        lo, hi = -np.sqrt(6.0 / (rows + cols)), np.sqrt(6.0 / (rows + cols))
+        got = bulk.uniform(lo, hi, rows, cols)
+        want = oracles.uniform(scalar, lo, hi, rows, cols)
+        assert got.shape == (rows, cols)
+        assert got.tobytes() == want.tobytes()
+        assert bulk.next_u64() == scalar.next_u64()
+        items_bulk, items_scalar = np.arange(20), np.arange(20)
+        bulk.shuffle(items_bulk)
+        scalar.shuffle(items_scalar)
+        assert items_bulk.tolist() == items_scalar.tolist()
+        assert bulk.next_below(1000) == scalar.next_below(1000)
 
     def test_uniform_mean_law_of_large_numbers(self):
         values = Rng(123).uniform(0.0, 1.0, 100, 100)

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC
-from msdn.configfile import format_kv
+from conftest import TINY_SPEC, format_kv
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
-from msdn.model import ModelDims, init_params
+from msdn.model import ModelDims, init_params_from_rng
 from msdn.ndmath import Rng
 from msdn.training import (
     HISTORY_HEADER,
@@ -91,7 +90,7 @@ class TestTrain:
     def test_zero_epochs_returns_initial_params(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=0)
         outcome = train(tiny_dataset, cfg)
-        reference = init_params(ModelDims.for_dataset(tiny_dataset), cfg.seed)
+        reference = init_params_from_rng(ModelDims.for_dataset(tiny_dataset), Rng(cfg.seed))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.array_equal(getattr(outcome.params, name),
                                   getattr(reference, name))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_instance
-from msdn.errors import ArgumentError, DatasetValidationError
+from msdn.errors import ArgumentError, DatasetValidationError, NumericError
 from msdn.model import forward
 from msdn.training import TrainConfig, train
 from msdn import zsl_eval
@@ -222,6 +222,16 @@ class TestEvaluate:
         unseen_rows = [r for r in report.per_class if r[1] == "unseen"]
         assert len(seen_rows) == len(tiny_dataset.seen_classes)
         assert len(unseen_rows) == len(tiny_dataset.unseen_classes)
+
+    def test_overflowing_params_raise_numeric_error(self, tiny_dataset, trained):
+        # float64 weights this large overflow Psi to +-inf and the scores to
+        # NaN, where argmax would report class 0.  The CLI cannot get here:
+        # checkpoints hold finite f32 weights.
+        huge = trained.with_updates({"W4": trained.W4 * 1e200,
+                                     "W_att": trained.W_att * 1e200})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite"):
+                evaluate(huge, tiny_dataset, PredictConfig())
 
     def test_empty_test_split_rejected(self, fresh_tiny_dataset, trained):
         ds = fresh_tiny_dataset
