@@ -21,8 +21,9 @@ from .errors import ArgumentError
 from .losses import LossBreakdown, LossConfig, acec_loss
 from .model import _glorot
 from .ndmath import Rng
-from .training import TrainConfig, TrainResult, fit, train
-from .zsl_eval import EvalReport, PredictConfig, check_test_splits, evaluate, report
+from .training import TrainConfig, fit, train
+from .zsl_eval import (EvalReport, PredictConfig, check_test_splits, forward_test_splits,
+                       report)
 
 ABLATION_CSV_HEADER = ("variant", "acc", "H")
 
@@ -57,8 +58,7 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossB
     return scored, history
 
 
-def _variant_table(alpha1: float, alpha2: float):
-    both = PredictConfig(alpha1=alpha1, alpha2=alpha2)
+def _variant_table(both: PredictConfig):
     a2v_only_eval = PredictConfig(alpha1=1.0, alpha2=0.0)
     v2a_only_eval = PredictConfig(alpha1=0.0, alpha2=1.0)
     return [
@@ -76,29 +76,30 @@ def _variant_table(alpha1: float, alpha2: float):
 def run_ablation(
     ds: Dataset,
     cfg: TrainConfig,
-    alpha1: float = 0.9,
-    alpha2: float = 0.1,
+    predict_cfg: PredictConfig = PredictConfig(),
 ) -> list[AblationResult]:
     """Train and score all eight variants with a shared seed and config.
 
-    Variants that share a loss config are trained once and scored with
-    each of their predict configs.
+    ``predict_cfg`` fuses the rows that score both sub-nets.  Variants
+    that share a loss config are trained once, and that model's test
+    splits are forwarded once and fused with each variant's predict config.
     """
-    cfg.validate()
     check_test_splits(ds)
     results: list[AblationResult] = []
-    trained: dict[LossConfig, TrainResult] = {}
+    # loss config -> (history, test-split embeddings) of its trained model
+    trained: dict[LossConfig, tuple] = {}
 
     base, base_history = _run_baseline(ds, cfg)
     results.append(AblationResult("baseline", base.acc, base.H, base_history))
 
-    for name, overrides, pcfg in _variant_table(alpha1, alpha2):
+    for name, overrides, pcfg in _variant_table(predict_cfg):
         lcfg = cfg.loss_config(**overrides)
         if lcfg not in trained:
-            trained[lcfg] = train(ds, cfg, loss_cfg=lcfg)
-        outcome = trained[lcfg]
-        scored = evaluate(outcome.params, ds, pcfg)
-        results.append(AblationResult(name, scored.acc, scored.H, outcome.history))
+            outcome = train(ds, cfg, loss_cfg=lcfg)
+            trained[lcfg] = outcome.history, forward_test_splits(outcome.params, ds)
+        history, (unseen, seen) = trained[lcfg]
+        scored = report(ds, pcfg.fuse(*unseen), pcfg.fuse(*seen))
+        results.append(AblationResult(name, scored.acc, scored.H, history))
     return results
 
 

@@ -1,13 +1,15 @@
-"""Flat key=value configuration files.
+"""Flat key=value configuration files and the rule every config obeys.
 
 One ``key = value`` pair per line; blank lines and ``#`` comments are
 ignored.  Keys mirror dataclass field names, so any config dataclass can
-be read from text.
+be read from text.  Config dataclasses check their fields in
+``__post_init__``, so a config that exists is a valid one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from pathlib import Path
 
@@ -15,6 +17,14 @@ from .errors import ArgumentError
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+
+
+def require_finite(cfg) -> None:
+    """Raise :class:`ArgumentError` if a float field of ``cfg`` is nan or inf."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArgumentError(f"{type(cfg).__name__}.{f.name} must be finite, got {value}")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:

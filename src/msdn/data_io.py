@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configfile import dataclass_from_kv, parse_kv_file
+from .configfile import dataclass_from_kv, parse_kv_file, require_finite
 from .errors import (
     ArgumentError,
     BadMagicError,
@@ -115,17 +115,11 @@ class SynthSpec:
     seed: int = 1
     active_attributes: int = 0
 
-    def validate(self) -> None:
-        counts = {
-            "num_seen": self.num_seen,
-            "num_unseen": self.num_unseen,
-            "num_attributes": self.num_attributes,
-            "num_regions": self.num_regions,
-            "visual_dim": self.visual_dim,
-            "attr_dim": self.attr_dim,
-            "samples_per_class": self.samples_per_class,
-        }
-        for name, value in counts.items():
+    def __post_init__(self) -> None:
+        require_finite(self)
+        for name in ("num_seen", "num_unseen", "num_attributes", "num_regions",
+                     "visual_dim", "attr_dim", "samples_per_class"):
+            value = getattr(self, name)
             if value < 1:
                 raise ArgumentError(f"SynthSpec.{name} must be >= 1, got {value}")
         if self.noise_std < 0:
@@ -144,9 +138,7 @@ class SynthSpec:
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
     """Read a SynthSpec from a flat key=value file."""
-    spec = dataclass_from_kv(SynthSpec, parse_kv_file(path))
-    spec.validate()
-    return spec
+    return dataclass_from_kv(SynthSpec, parse_kv_file(path))
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +397,6 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     Float tensors are rounded through f32 so that container round-trips are
     bit-exact.
     """
-    spec.validate()
     rng = Rng(spec.seed)
 
     num_classes = spec.num_seen + spec.num_unseen

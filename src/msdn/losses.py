@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
+from .configfile import require_finite
 from .data_io import Dataset
 from .errors import ArgumentError, NumericError, ShapeError
 from .ndmath import log_sum_exp, softmax_stable
@@ -44,7 +45,8 @@ class LossConfig:
     use_a2v: bool = True
     use_v2a: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.lambda_cal < 0 or self.lambda_distill < 0:
             raise ArgumentError("loss weights must be non-negative")
         if not 0.0 < self.epsilon_kl <= 1e-3:
@@ -96,7 +98,6 @@ def acec_loss(
     log-probabilities; its sign follows ``cfg.calibration_sign``.
     Returns the loss and its gradient w.r.t. ``scores``.
     """
-    cfg.validate()
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be (batch, classes), got {scores.shape}")
@@ -164,7 +165,6 @@ def distill_loss(
     [epsilon_kl, 1], and renormalized before comparison.  Returns the
     mean per-sample loss and gradients w.r.t. both score sets.
     """
-    cfg.validate()
     scores1 = np.asarray(scores1, dtype=np.float64)
     scores2 = np.asarray(scores2, dtype=np.float64)
     if scores1.shape != scores2.shape or scores1.ndim != 2:
@@ -223,7 +223,6 @@ def total_loss_raw(
     compares the two seen-class score blocks.  The reported total is
     exactly ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
-    cfg.validate()
     if region_stacks.ndim != 3:
         raise ShapeError(f"region_stacks must be (batch, R, d_v), got {region_stacks.shape}")
     batch = region_stacks.shape[0]

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .configfile import dataclass_from_kv, parse_kv_file
+from .configfile import dataclass_from_kv, parse_kv_file, require_finite
 from .data_io import Dataset, validate_dataset
 from .errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from .losses import LossBreakdown, LossConfig, total_loss
@@ -47,7 +47,8 @@ class TrainConfig:
     rms_decay: float = 0.99
     epsilon_opt: float = 1e-8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.learning_rate <= 0:
             raise ArgumentError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
@@ -62,24 +63,18 @@ class TrainConfig:
             raise ArgumentError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epsilon_opt <= 0:
             raise ArgumentError(f"epsilon_opt must be > 0, got {self.epsilon_opt}")
-        self.loss_config().validate()
+        self.loss_config()  # raises unless the loss fields form a valid LossConfig
 
     def loss_config(self, **overrides) -> LossConfig:
-        kwargs = {
-            "lambda_cal": self.lambda_cal,
-            "lambda_distill": self.lambda_distill,
-            "calibration_sign": self.calibration_sign,
-            "epsilon_kl": self.epsilon_kl,
-        }
-        kwargs.update(overrides)
-        return LossConfig(**kwargs)
+        """The LossConfig of this config's same-named fields, then ``overrides``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(LossConfig)
+                  if hasattr(self, f.name)}
+        return LossConfig(**{**shared, **overrides})
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
     """Read a TrainConfig from a flat key=value file."""
-    cfg = dataclass_from_kv(TrainConfig, parse_kv_file(path))
-    cfg.validate()
-    return cfg
+    return dataclass_from_kv(TrainConfig, parse_kv_file(path))
 
 
 @dataclass
@@ -88,7 +83,6 @@ class OptState:
 
     square_avg: dict[str, np.ndarray]
     momentum_buf: dict[str, np.ndarray]
-    step: int = 0
 
     @staticmethod
     def zeros_like(params: dict[str, np.ndarray]) -> "OptState":
@@ -120,8 +114,7 @@ def rmsprop_step(
         new_params[name] = param - cfg.learning_rate * buf
         new_sq[name] = sq
         new_buf[name] = buf
-    return new_params, OptState(square_avg=new_sq, momentum_buf=new_buf,
-                                step=state.step + 1)
+    return new_params, OptState(square_avg=new_sq, momentum_buf=new_buf)
 
 
 def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
@@ -191,14 +184,12 @@ def train(
     ``loss_cfg`` overrides the loss settings derived from ``cfg`` (used by
     the ablation grid to switch sub-nets and distillation terms).
     """
-    cfg.validate()
     violations = validate_dataset(ds)
     if violations:
         raise DatasetValidationError(violations)
     if ds.train_idx.size == 0:
         raise ArgumentError("dataset has an empty train split")
     lcfg = loss_cfg if loss_cfg is not None else cfg.loss_config()
-    lcfg.validate()
 
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from .configfile import require_finite
 from .data_io import Dataset, validate_dataset
 from .errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
-from .model import ForwardTrace, ModelParams, forward
+from .model import ModelParams, forward
 
 MODES = ("czsl", "gzsl")
 # Test images forwarded per model call; bounds the size of one call's trace.
@@ -30,15 +32,16 @@ class PredictConfig:
     alpha1: float = 0.9
     alpha2: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ArgumentError("fusion coefficients must be non-negative")
         if self.alpha1 == 0 and self.alpha2 == 0:
             raise ArgumentError("fusion coefficients must not both be zero")
 
-    def fuse(self, trace: ForwardTrace) -> np.ndarray:
+    def fuse(self, psi: np.ndarray, Psi: np.ndarray) -> np.ndarray:
         """The embedding that scores classes: alpha1 * psi + alpha2 * Psi."""
-        return self.alpha1 * trace.psi + self.alpha2 * trace.Psi
+        return self.alpha1 * psi + self.alpha2 * Psi
 
 
 @dataclass(frozen=True)
@@ -170,23 +173,30 @@ def report(
     return EvalReport(acc=acc, U=u, S=s, H=harmonic_mean(s, u), per_class=per_class)
 
 
-def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:
-    """Full metric suite of the model over the dataset's test splits.
+def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]:
+    """The (psi, Psi) embeddings of the unseen and of the seen test split.
 
-    Each test split is forwarded once, ``EVAL_CHUNK`` images per model
-    call; each chunk's trace is fused right away and only the (n, K)
-    embeddings are kept for :func:`report`.
+    Each split is forwarded once, ``EVAL_CHUNK`` images per model call;
+    only the two (n, K) embeddings of each chunk's trace are kept, so any
+    number of predict configs can fuse them without another forward.
     """
-    cfg.validate()
     check_test_splits(ds)
 
-    def embed(idx: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            cfg.fuse(forward(ds.features[idx[i:i + EVAL_CHUNK]], ds.attributes, params))
-            for i in range(0, idx.size, EVAL_CHUNK)
-        ])
+    def embed(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # No name holds a chunk or its trace, so each is freed before the next.
+        psi, Psi = zip(*[
+            attrgetter("psi", "Psi")(forward(ds.features[idx[i:i + EVAL_CHUNK]],
+                                             ds.attributes, params))
+            for i in range(0, idx.size, EVAL_CHUNK)])
+        return np.concatenate(psi), np.concatenate(Psi)
 
-    return report(ds, embed(ds.test_unseen_idx), embed(ds.test_seen_idx))
+    return embed(ds.test_unseen_idx), embed(ds.test_seen_idx)
+
+
+def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:
+    """Full metric suite of the model over the dataset's test splits."""
+    unseen, seen = forward_test_splits(params, ds)
+    return report(ds, cfg.fuse(*unseen), cfg.fuse(*seen))
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:

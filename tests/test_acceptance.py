@@ -113,7 +113,7 @@ def test_oracle_equivalence():
         want_distill = oracles.distill_loss(s1, s2, cfg.epsilon_kl)
         worst = max(worst, abs(got_distill - want_distill))
 
-        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace)
+        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi, trace.Psi)
         for mode in ("czsl", "gzsl"):
             got = predict(fused, semantics, unseen, mode)
             want = oracles.predict(trace.psi, trace.Psi, semantics, seen, unseen,
@@ -176,7 +176,7 @@ def test_calibration_behavior():
     params, regions, attrs, semantics, _, seen, unseen = _random_instance(77)
     trace = forward(regions[0], attrs, params)
     cfg = PredictConfig()
-    scores = calibrated_scores(cfg.fuse(trace), semantics, unseen)
+    scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics, unseen)
     raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
     assert np.array_equal(scores[unseen], raw[unseen] + 1.0)
     assert np.array_equal(scores[seen], raw[seen] - 1.0)

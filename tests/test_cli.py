@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_SPEC, format_kv
-from msdn import cli
+from msdn import ablation, cli, losses, training
 from msdn.data_io import load_container, read_container, write_container
 from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig
@@ -205,7 +206,13 @@ class TestGradCheck:
         assert cli.main(["grad-check", "--seed", "2"]) == 0
 
     def test_injected_bug_exits_6(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.GRAD_BUG_ENV, "W2")
+        exact = losses.total_loss_raw
+
+        def w2_gradient_off_by_10_percent(*args):
+            breakdown, grads = exact(*args)
+            return breakdown, {**grads, "W2": grads["W2"] * 1.1}
+
+        monkeypatch.setattr(losses, "total_loss_raw", w2_gradient_off_by_10_percent)
         assert cli.main(["grad-check", "--seed", "0"]) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -213,6 +220,67 @@ class TestGradCheck:
 
     def test_malformed_dims_exit_2(self):
         assert cli.main(["grad-check", "--dims", "1,2,3"]) == 2
+
+
+class TestConfigProbes:
+    """Malformed configs, flags and MSDN_SEED exit 2 before any training."""
+
+    @staticmethod
+    def exits_2_untrained(monkeypatch, capsys, argv):
+        fits = []
+        real_fit = training.fit
+
+        def counted_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        for module in (training, ablation):
+            monkeypatch.setattr(module, "fit", counted_fit)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert fits == []
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "epsilon_opt",
+                                       "lambda_cal", "lambda_distill"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_non_finite_config(self, tmp_path, data_file, monkeypatch, capsys,
+                                     field, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"epochs = 2\nbatch_size = 8\n{field} = {value}\n")
+        self.exits_2_untrained(monkeypatch, capsys, [
+            "train", "--data", data_file, "--config", cfg, "--out", tmp_path / "m.zsld"])
+
+    def test_gen_data_nan_noise(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("noise_std = nan\n")
+        self.exits_2_untrained(monkeypatch, capsys, [
+            "gen-data", "--spec", spec, "--out", tmp_path / "x.zsld"])
+
+    def test_eval_infinite_alpha(self, tmp_path, data_file, checkpoint_file,
+                                 monkeypatch, capsys):
+        self.exits_2_untrained(monkeypatch, capsys, [
+            "eval", "--data", data_file, "--checkpoint", checkpoint_file,
+            "--alpha1", "inf", "--out", tmp_path / "x.csv"])
+
+    def test_ablate_negative_alpha(self, tmp_path, data_file, train_cfg_file,
+                                   monkeypatch, capsys):
+        self.exits_2_untrained(monkeypatch, capsys, [
+            "ablate", "--data", data_file, "--config", train_cfg_file,
+            "--alpha1", "-1", "--out", tmp_path / "x.csv"])
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5"])
+    @pytest.mark.parametrize("command", ["gen-data", "grad-check"])
+    def test_non_integer_env_seed(self, tmp_path, spec_file, monkeypatch, capsys,
+                                  seed, command):
+        monkeypatch.setenv("MSDN_SEED", seed)
+        argv = {"gen-data": ["gen-data", "--spec", spec_file, "--out", tmp_path / "x.zsld"],
+                "grad-check": ["grad-check"]}[command]
+        self.exits_2_untrained(monkeypatch, capsys, argv)
 
 
 class TestAblate:

@@ -2,18 +2,22 @@
 determinism of remaining CLI commands, and aggregate invariants."""
 
 import dataclasses
+import math
+import typing
 
 import numpy as np
 import pytest
 
 from conftest import TINY_SPEC, format_kv
 from msdn import cli
-from msdn.configfile import parse_kv_file
-from msdn.data_io import write_container
+from msdn.configfile import dataclass_from_kv, parse_kv_file
+from msdn.data_io import SynthSpec, write_container
 from msdn.errors import ArgumentError, ContainerFormatError, ShapeError
+from msdn.losses import LossConfig
 from msdn.model import ModelDims, init_params_from_rng, save_checkpoint, load_checkpoint
 from msdn.ndmath import Rng, grad_check_detail
 from msdn.training import TrainConfig, train
+from msdn.zsl_eval import PredictConfig
 
 
 class TestRngArguments:
@@ -108,12 +112,29 @@ class TestKvFile:
             parse_kv_file(path)
 
     def test_bool_parsing(self, tmp_path):
-        from msdn.configfile import dataclass_from_kv
-        from msdn.losses import LossConfig
-
         cfg = dataclass_from_kv(LossConfig, {"distill_jsd": "false",
                                              "distill_l2": "ON"})
         assert cfg.distill_jsd is False and cfg.distill_l2 is True
+
+
+_CONFIGS = (SynthSpec, TrainConfig, LossConfig, PredictConfig)
+_FLOAT_FIELDS = [(cls, f.name) for cls in _CONFIGS for f in dataclasses.fields(cls)
+                 if typing.get_type_hints(cls)[f.name] is float]
+_BUILDERS = {
+    "construct": lambda cls, name, value: cls(**{name: value}),
+    "replace": lambda cls, name, value: dataclasses.replace(cls(), **{name: value}),
+    "from_kv": lambda cls, name, value: dataclass_from_kv(cls, {name: str(value)}),
+}
+
+
+class TestConfigsRejectNonFinite:
+    @pytest.mark.parametrize("cls,name", _FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in _FLOAT_FIELDS])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", sorted(_BUILDERS))
+    def test_every_float_field(self, cls, name, value, build):
+        with pytest.raises(ArgumentError, match=f"{cls.__name__}.{name} must be finite"):
+            _BUILDERS[build](cls, name, value)
 
 
 @pytest.fixture()
@@ -170,4 +191,4 @@ class TestSynthSpecEdge:
 
     def test_active_attributes_bounds_checked(self):
         with pytest.raises(ArgumentError, match="active_attributes"):
-            dataclasses.replace(TINY_SPEC, active_attributes=99).validate()
+            dataclasses.replace(TINY_SPEC, active_attributes=99)

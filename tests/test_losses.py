@@ -273,18 +273,18 @@ class TestTotalLoss:
 class TestLossConfig:
     def test_rejects_negative_weights(self):
         with pytest.raises(ArgumentError):
-            LossConfig(lambda_cal=-0.1).validate()
+            LossConfig(lambda_cal=-0.1)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ArgumentError):
-            LossConfig(epsilon_kl=0.0).validate()
+            LossConfig(epsilon_kl=0.0)
         with pytest.raises(ArgumentError):
-            LossConfig(epsilon_kl=0.01).validate()
+            LossConfig(epsilon_kl=0.01)
 
     def test_rejects_unknown_sign(self):
         with pytest.raises(ArgumentError):
-            LossConfig(calibration_sign="inverted").validate()
+            LossConfig(calibration_sign="inverted")
 
     def test_rejects_no_active_subnet(self):
         with pytest.raises(ArgumentError):
-            LossConfig(use_a2v=False, use_v2a=False).validate()
+            LossConfig(use_a2v=False, use_v2a=False)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -63,10 +62,11 @@ class TestPredict:
         params, regions, attrs, semantics, _, _, unseen = random_instance(60)
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0)
-        other = dataclasses.replace(trace, Psi=np.full_like(trace.Psi, 9.0))
-        np.testing.assert_array_equal(cfg.fuse(trace), cfg.fuse(other))
-        assert (predict(cfg.fuse(trace), semantics, unseen, "gzsl")
-                == predict(cfg.fuse(other), semantics, unseen, "gzsl"))
+        fused = cfg.fuse(trace.psi, trace.Psi)
+        other = cfg.fuse(trace.psi, np.full_like(trace.Psi, 9.0))
+        np.testing.assert_array_equal(fused, other)
+        assert (predict(fused, semantics, unseen, "gzsl")
+                == predict(other, semantics, unseen, "gzsl"))
 
     def test_indicator_margin_flips_to_unseen(self):
         # raw scores: seen class 5.0, unseen 4.5; offsets make 4.5+1 > 5.0-1
@@ -77,7 +77,7 @@ class TestPredict:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig()
-        scores = calibrated_scores(cfg.fuse(trace), semantics, unseen)
+        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics, unseen)
         raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
         np.testing.assert_array_equal(scores[seen], raw[seen] - 1.0)
         np.testing.assert_array_equal(scores[unseen], raw[unseen] + 1.0)
@@ -88,7 +88,7 @@ class TestPredict:
             params, regions, attrs, semantics, _, seen, unseen = random_instance(seed)
             trace = forward(regions[0], attrs, params)
             for mode in ("czsl", "gzsl"):
-                got = predict(cfg.fuse(trace), semantics, unseen, mode)
+                got = predict(cfg.fuse(trace.psi, trace.Psi), semantics, unseen, mode)
                 expected = oracles.predict(trace.psi, trace.Psi, semantics,
                                            seen, unseen, 0.7, 0.3, mode)
                 assert got == expected
@@ -98,7 +98,7 @@ class TestPredict:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(62)
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig()
-        fused = cfg.fuse(trace)
+        fused = cfg.fuse(trace.psi, trace.Psi)
         pred = predict(fused, semantics, unseen, "czsl")
         raw = semantics @ fused
         unseen_sorted = np.sort(unseen)
@@ -107,7 +107,8 @@ class TestPredict:
     def test_constant_shift_invariance(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(63)
         trace = forward(regions[0], attrs, params)
-        scores = calibrated_scores(PredictConfig().fuse(trace), semantics, unseen)
+        scores = calibrated_scores(PredictConfig().fuse(trace.psi, trace.Psi),
+                                   semantics, unseen)
         assert int(np.argmax(scores + 123.0)) == int(np.argmax(scores))
 
     def test_tie_breaks_to_smallest_class(self):
@@ -122,9 +123,9 @@ class TestPredict:
 
     def test_alpha_validation(self):
         with pytest.raises(ArgumentError):
-            PredictConfig(alpha1=0.0, alpha2=0.0).validate()
+            PredictConfig(alpha1=0.0, alpha2=0.0)
         with pytest.raises(ArgumentError):
-            PredictConfig(alpha1=-1.0, alpha2=0.5).validate()
+            PredictConfig(alpha1=-1.0, alpha2=0.5)
         with pytest.raises(ArgumentError, match="mode"):
             predict(np.ones(2), np.ones((3, 2)), np.array([2]), "both")
 
@@ -160,7 +161,8 @@ class TestEvaluate:
         cfg = PredictConfig()
 
         def fused(idx):
-            return cfg.fuse(forward(ds.features[idx], ds.attributes, trained))
+            trace = forward(ds.features[idx], ds.attributes, trained)
+            return cfg.fuse(trace.psi, trace.Psi)
 
         splits = [(fused(ds.test_unseen_idx), ds.labels[ds.test_unseen_idx]),
                   (fused(ds.test_seen_idx), ds.labels[ds.test_seen_idx])]
