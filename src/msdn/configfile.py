@@ -30,7 +30,10 @@ def require_finite(cfg) -> None:
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Read a key=value file into a string-to-string mapping."""
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path}: not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

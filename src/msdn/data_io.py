@@ -2,7 +2,9 @@
 
 A dataset bundles per-image region features, attribute word vectors,
 per-class semantic vectors, labels, the seen/unseen class partition, and
-the train/test split index sets.  On disk everything lives in a little
+the train/test split index sets.  A ``Dataset`` is validated once, when
+it is built (generated or loaded), and its arrays are read-only, so a
+dataset that exists is a valid one.  On disk everything lives in a little
 endian "ZSLD" container; float tensors are stored as f32 and widened to
 f64 in memory (the widening is exact, so save/load round-trips are
 bit-exact for data produced by this module).
@@ -50,9 +52,14 @@ REQUIRED_TENSORS = (
 GEN_REGION_ATTRIBUTE = "gen_region_attribute"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """In-memory dataset; float tensors are float64, index tensors int32."""
+    """In-memory dataset; float tensors are float64, index tensors int32.
+
+    Construction raises :class:`DatasetValidationError` unless
+    :func:`validate_dataset` finds no violation, then marks every tensor
+    read-only in place (no copy).
+    """
 
     features: np.ndarray        # (N, R, d_v)
     attributes: np.ndarray      # (K, d_a)
@@ -64,6 +71,14 @@ class Dataset:
     test_seen_idx: np.ndarray
     test_unseen_idx: np.ndarray
     extras: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        violations = validate_dataset(self)
+        if violations:
+            raise DatasetValidationError(violations)
+        for arr in (*(getattr(self, name) for name in REQUIRED_TENSORS),
+                    *self.extras.values()):
+            arr.flags.writeable = False
 
     @property
     def num_samples(self) -> int:
@@ -178,13 +193,14 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
 def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
     """Read named tensors, widening f32 to float64 and keeping i32 as int32."""
     blob = Path(path).read_bytes()
+    view = memoryview(blob)  # slices of a view share the file's bytes: no payload copies
     pos = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if pos + n > len(blob):
             raise TruncatedFileError(f"file ends inside {what}")
-        chunk = blob[pos:pos + n]
+        chunk = view[pos:pos + n]
         pos += n
         return chunk
 
@@ -200,7 +216,7 @@ def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
     names = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        raw_name = take(name_len, "tensor name")
+        raw_name = bytes(take(name_len, "tensor name"))
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -231,17 +247,14 @@ def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
 
 
 def save_container(ds: Dataset, path: str | Path) -> None:
-    """Validate and write a dataset; extras follow the required tensors."""
-    violations = validate_dataset(ds)
-    if violations:
-        raise DatasetValidationError(violations)
+    """Write a dataset, valid since it was built; extras follow the required tensors."""
     items = [(name, getattr(ds, name)) for name in REQUIRED_TENSORS]
     items.extend(ds.extras.items())
     write_container(path, items)
 
 
 def load_container(path: str | Path) -> Dataset:
-    """Read and validate a dataset; unknown tensors are kept in ``extras``."""
+    """Read a dataset, which validates as it is built; unknown tensors go to ``extras``."""
     tensors = dict(read_container(path))
     missing = [name for name in REQUIRED_TENSORS if name not in tensors]
     if missing:
@@ -249,14 +262,7 @@ def load_container(path: str | Path) -> Dataset:
     extras = {
         name: arr for name, arr in tensors.items() if name not in REQUIRED_TENSORS
     }
-    ds = Dataset(
-        **{name: tensors[name] for name in REQUIRED_TENSORS},
-        extras=extras,
-    )
-    violations = validate_dataset(ds)
-    if violations:
-        raise DatasetValidationError(violations)
-    return ds
+    return Dataset(**{name: tensors[name] for name in REQUIRED_TENSORS}, extras=extras)
 
 
 # --------------------------------------------------------------------------

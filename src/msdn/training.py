@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import dataclass_from_kv, parse_kv_file, require_finite
-from .data_io import Dataset, validate_dataset
-from .errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
+from .data_io import Dataset
+from .errors import ArgumentError, NumericError, ShapeError
 from .losses import LossBreakdown, LossConfig, total_loss
 from .model import ModelDims, ModelParams, init_params_from_rng
 from .ndmath import Rng
@@ -184,9 +184,6 @@ def train(
     ``loss_cfg`` overrides the loss settings derived from ``cfg`` (used by
     the ablation grid to switch sub-nets and distillation terms).
     """
-    violations = validate_dataset(ds)
-    if violations:
-        raise DatasetValidationError(violations)
     if ds.train_idx.size == 0:
         raise ArgumentError("dataset has an empty train split")
     lcfg = loss_cfg if loss_cfg is not None else cfg.loss_config()

@@ -23,27 +23,16 @@ def format_kv(obj) -> str:
     return "".join(f"{f.name} = {getattr(obj, f.name)}\n" for f in dataclasses.fields(obj))
 
 
+def patched(arr: np.ndarray, index, value) -> np.ndarray:
+    """A copy of ``arr`` with ``arr[index] = value``; dataset arrays are read-only."""
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset() -> Dataset:
     return generate_synthetic(TINY_SPEC)
-
-
-@pytest.fixture()
-def fresh_tiny_dataset() -> Dataset:
-    """A private copy for tests that mutate tensors."""
-    ds = generate_synthetic(TINY_SPEC)
-    return Dataset(
-        features=ds.features.copy(),
-        attributes=ds.attributes.copy(),
-        class_semantics=ds.class_semantics.copy(),
-        labels=ds.labels.copy(),
-        seen_classes=ds.seen_classes.copy(),
-        unseen_classes=ds.unseen_classes.copy(),
-        train_idx=ds.train_idx.copy(),
-        test_seen_idx=ds.test_seen_idx.copy(),
-        test_unseen_idx=ds.test_unseen_idx.copy(),
-        extras={k: v.copy() for k, v in ds.extras.items()},
-    )
 
 
 def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):

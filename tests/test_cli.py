@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_SPEC, format_kv
-from msdn import ablation, cli, losses, training
+from msdn import ablation, cli, data_io, losses, training
 from msdn.data_io import load_container, read_container, write_container
 from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig
@@ -244,6 +245,7 @@ class TestConfigProbes:
         assert rc == 2, err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert fits == []
+        return err
 
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "epsilon_opt",
                                        "lambda_cal", "lambda_distill"])
@@ -281,6 +283,44 @@ class TestConfigProbes:
         argv = {"gen-data": ["gen-data", "--spec", spec_file, "--out", tmp_path / "x.zsld"],
                 "grad-check": ["grad-check"]}[command]
         self.exits_2_untrained(monkeypatch, capsys, argv)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_non_utf8_file(self, tmp_path, data_file, monkeypatch, capsys, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"epochs = 2\n\xff\xfe = 1\n")
+        argv = {"gen-data": ["gen-data", "--spec", bad, "--out", tmp_path / "x.zsld"],
+                "train": ["train", "--data", data_file, "--config", bad,
+                          "--out", tmp_path / "m.zsld"]}[command]
+        assert "not UTF-8" in self.exits_2_untrained(monkeypatch, capsys, argv)
+
+
+class TestValidatesOnce:
+    def test_one_validation_per_dataset_built(self, tmp_path, data_file, train_cfg_file,
+                                              monkeypatch):
+        validations, loads = [], []
+        real_validate, real_load = data_io.validate_dataset, data_io.load_container
+
+        def counted_validate(ds):
+            validations.append(ds)
+            return real_validate(ds)
+
+        def counted_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        # Every module that holds the function, so a re-check by any name counts.
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "msdn"
+                    and getattr(module, "validate_dataset", None) is real_validate):
+                monkeypatch.setattr(module, "validate_dataset", counted_validate)
+        monkeypatch.setattr(data_io, "load_container", counted_load)
+        ckpt = tmp_path / "m.zsld"
+        assert cli.main(["train", "--data", str(data_file), "--config",
+                         str(train_cfg_file), "--out", str(ckpt)]) == 0
+        assert cli.main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "metrics.csv")]) == 0
+        assert len(loads) == 2
+        assert len(validations) == len(loads)
 
 
 class TestAblate:

@@ -1,11 +1,12 @@
 import dataclasses
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC, format_kv
+from conftest import TINY_SPEC, format_kv, patched
 from msdn.ndmath import Rng
 from msdn.data_io import (
     GEN_REGION_ATTRIBUTE,
@@ -39,6 +40,13 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
     return all(np.array_equal(a.extras[k], b.extras[k]) for k in a.extras)
 
 
+def violations_of(ds: Dataset, **changes) -> list[str]:
+    """The violations that building ``ds`` with ``changes`` raises."""
+    with pytest.raises(DatasetValidationError) as exc:
+        dataclasses.replace(ds, **changes)
+    return exc.value.violations
+
+
 class TestContainerRoundTrip:
     def test_bit_exact(self, tiny_dataset, tmp_path):
         path = tmp_path / "tiny.zsld"
@@ -52,18 +60,36 @@ class TestContainerRoundTrip:
         save_container(load_container(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_unknown_extra_tensor_preserved(self, fresh_tiny_dataset, tmp_path):
-        fresh_tiny_dataset.extras["custom_debug"] = np.arange(6, dtype=np.int32)
+    def test_unknown_extra_tensor_preserved(self, tiny_dataset, tmp_path):
+        ds = dataclasses.replace(tiny_dataset, extras={
+            **tiny_dataset.extras, "custom_debug": np.arange(6, dtype=np.int32)})
         path = tmp_path / "extra.zsld"
-        save_container(fresh_tiny_dataset, path)
+        save_container(ds, path)
         loaded = load_container(path)
         assert np.array_equal(loaded.extras["custom_debug"], np.arange(6))
         assert GEN_REGION_ATTRIBUTE in loaded.extras
 
-    def test_save_rejects_invalid_dataset(self, fresh_tiny_dataset, tmp_path):
-        fresh_tiny_dataset.labels[0] = 99
-        with pytest.raises(DatasetValidationError):
-            save_container(fresh_tiny_dataset, tmp_path / "bad.zsld")
+    def test_save_rejects_invalid_dataset(self, tiny_dataset, tmp_path):
+        path = tmp_path / "bad.zsld"
+        with pytest.raises(DatasetValidationError) as exc:
+            save_container(dataclasses.replace(
+                tiny_dataset, labels=patched(tiny_dataset.labels, 0, 99)), path)
+        assert any("labels must lie in" in m for m in exc.value.violations)
+        assert not path.exists()
+
+
+    def test_read_makes_no_payload_copy(self, tmp_path):
+        # Peak: the file's bytes plus the float64 tensor, not a third copy.
+        n = 1 << 20
+        path = tmp_path / "big.zsld"
+        write_container(path, [("x", np.zeros(n, dtype=np.float32))])
+        tracemalloc.start()
+        try:
+            read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 + 8 + 1) * n
 
 
 class TestContainerErrors:
@@ -128,10 +154,8 @@ class TestContainerErrors:
         with pytest.raises(ContainerFormatError, match="missing required"):
             load_container(path)
 
-    def test_out_of_range_labels_fail_validation_on_load(
-        self, fresh_tiny_dataset, tmp_path
-    ):
-        ds = fresh_tiny_dataset
+    def test_out_of_range_labels_fail_validation_on_load(self, tiny_dataset, tmp_path):
+        ds = tiny_dataset
         num_classes = ds.num_classes
         path = tmp_path / "f.zsld"
         save_container(ds, path)
@@ -152,39 +176,62 @@ class TestValidateDataset:
     def test_well_formed_is_clean(self, tiny_dataset):
         assert validate_dataset(tiny_dataset) == []
 
-    def test_seen_unseen_overlap_named(self, fresh_tiny_dataset):
-        ds = fresh_tiny_dataset
-        ds.unseen_classes[0] = int(ds.seen_classes[0])
-        messages = validate_dataset(ds)
+    def test_seen_unseen_overlap_named(self, tiny_dataset):
+        ds = tiny_dataset
+        messages = violations_of(
+            ds, unseen_classes=patched(ds.unseen_classes, 0, ds.seen_classes[0]))
         assert any("overlap" in m for m in messages)
 
-    def test_nan_in_features_names_tensor_and_index(self, fresh_tiny_dataset):
-        ds = fresh_tiny_dataset
-        ds.features[2, 1, 3] = np.nan
-        messages = validate_dataset(ds)
+    def test_nan_in_features_names_tensor_and_index(self, tiny_dataset):
+        messages = violations_of(
+            tiny_dataset, features=patched(tiny_dataset.features, (2, 1, 3), np.nan))
         assert any("features" in m and "(2, 1, 3)" in m for m in messages)
 
-    def test_split_overlap_detected(self, fresh_tiny_dataset):
-        ds = fresh_tiny_dataset
-        ds.test_seen_idx[0] = int(ds.train_idx[0])
-        assert any("share indices" in m for m in validate_dataset(ds))
+    def test_split_overlap_detected(self, tiny_dataset):
+        ds = tiny_dataset
+        messages = violations_of(
+            ds, test_seen_idx=patched(ds.test_seen_idx, 0, ds.train_idx[0]))
+        assert any("share indices" in m for m in messages)
 
-    def test_split_out_of_range_detected(self, fresh_tiny_dataset):
-        ds = fresh_tiny_dataset
-        ds.train_idx[0] = ds.num_samples
-        assert any("out-of-range" in m for m in validate_dataset(ds))
+    def test_split_out_of_range_detected(self, tiny_dataset):
+        ds = tiny_dataset
+        messages = violations_of(ds, train_idx=patched(ds.train_idx, 0, ds.num_samples))
+        assert any("out-of-range" in m for m in messages)
 
-    def test_wrong_split_membership_detected(self, fresh_tiny_dataset):
-        ds = fresh_tiny_dataset
+    def test_wrong_split_membership_detected(self, tiny_dataset):
+        ds = tiny_dataset
         # swap a train sample with an unseen-class test sample: index sets
         # stay disjoint, so only the label-membership rules fire
-        ds.train_idx[0], ds.test_unseen_idx[0] = (
-            int(ds.test_unseen_idx[0]),
-            int(ds.train_idx[0]),
+        messages = violations_of(
+            ds,
+            train_idx=patched(ds.train_idx, 0, ds.test_unseen_idx[0]),
+            test_unseen_idx=patched(ds.test_unseen_idx, 0, ds.train_idx[0]),
         )
-        messages = validate_dataset(ds)
         assert any("train_idx" in m and "non-seen" in m for m in messages)
         assert any("test_unseen_idx" in m and "non-unseen" in m for m in messages)
+
+
+class TestDatasetIsImmutable:
+    def test_arrays_are_read_only(self, tiny_dataset):
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_dataset.labels[0] = 1
+        arrays = [getattr(tiny_dataset, f.name) for f in dataclasses.fields(Dataset)
+                  if f.name != "extras"] + list(tiny_dataset.extras.values())
+        assert not any(arr.flags.writeable for arr in arrays)
+
+    def test_fields_cannot_be_assigned(self, tiny_dataset):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_dataset.labels = np.zeros_like(tiny_dataset.labels)
+
+    def test_arrays_are_not_copied(self, tiny_dataset):
+        features = tiny_dataset.features * 2.0
+        assert dataclasses.replace(tiny_dataset, features=features).features is features
+        assert not features.flags.writeable
+
+    def test_invalid_dataset_leaves_arrays_writeable(self, tiny_dataset):
+        labels = patched(tiny_dataset.labels, 0, 99)
+        violations_of(tiny_dataset, labels=labels)
+        assert labels.flags.writeable
 
 
 class TestGenerateSynthetic:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC, format_kv
+from conftest import TINY_SPEC, format_kv, patched
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from msdn.model import ModelDims, init_params_from_rng
@@ -121,16 +121,18 @@ class TestTrain:
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.isfinite(getattr(outcome.params, name)).all()
 
-    def test_invalid_dataset_rejected(self, fresh_tiny_dataset):
-        fresh_tiny_dataset.labels[0] = 99
-        with pytest.raises(DatasetValidationError):
-            train(fresh_tiny_dataset, FAST)
+    def test_invalid_dataset_rejected(self, tiny_dataset):
+        labels = patched(tiny_dataset.labels, 0, 99)
+        with pytest.raises(DatasetValidationError) as exc:
+            train(dataclasses.replace(tiny_dataset, labels=labels), FAST)
+        assert any("labels must lie in" in m for m in exc.value.violations)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_non_finite_loss_reports_epoch_and_batch(self, fresh_tiny_dataset):
-        fresh_tiny_dataset.features *= 1e160  # overflows the bilinear scores
+    def test_non_finite_loss_reports_epoch_and_batch(self, tiny_dataset):
+        # finite features, but they overflow the bilinear scores
+        ds = dataclasses.replace(tiny_dataset, features=tiny_dataset.features * 1e160)
         with pytest.raises(NumericError, match=r"epoch 0, batch 0"):
-            train(fresh_tiny_dataset, FAST)
+            train(ds, FAST)
 
 
 class TestTrainConfigFile:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_instance
+from conftest import patched, random_instance
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError
 from msdn.model import forward
 from msdn.training import TrainConfig, train
@@ -235,16 +236,17 @@ class TestEvaluate:
             with pytest.raises(NumericError, match="not finite"):
                 evaluate(huge, tiny_dataset, PredictConfig())
 
-    def test_empty_test_split_rejected(self, fresh_tiny_dataset, trained):
-        ds = fresh_tiny_dataset
-        ds.test_unseen_idx = np.array([], dtype=np.int32)
+    def test_empty_test_split_rejected(self, tiny_dataset, trained):
+        ds = dataclasses.replace(tiny_dataset, test_unseen_idx=np.array([], dtype=np.int32))
         with pytest.raises(ArgumentError, match="test_unseen_idx"):
             evaluate(trained, ds, PredictConfig())
 
-    def test_invalid_dataset_rejected(self, fresh_tiny_dataset, trained):
-        fresh_tiny_dataset.labels[0] = 77
-        with pytest.raises(DatasetValidationError):
-            evaluate(trained, fresh_tiny_dataset, PredictConfig())
+    def test_invalid_dataset_rejected(self, tiny_dataset, trained):
+        labels = patched(tiny_dataset.labels, 0, 77)
+        with pytest.raises(DatasetValidationError) as exc:
+            evaluate(trained, dataclasses.replace(tiny_dataset, labels=labels),
+                     PredictConfig())
+        assert any("labels must lie in" in m for m in exc.value.violations)
 
 
 class TestReportCsv:
