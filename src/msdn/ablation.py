@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ArgumentError
-from .losses import LossBreakdown, LossConfig, acec_loss
+from .losses import ClassSplit, LossBreakdown, LossConfig, acec_loss
 from .model import _glorot
 from .ndmath import Rng
 from .training import TrainConfig, fit, train
@@ -41,12 +41,12 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossB
     lcfg = cfg.loss_config(lambda_distill=0.0)
     rng = Rng(cfg.seed)
     pooled = ds.features.mean(axis=1)  # (N, d_v)
+    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
         embeddings = pooled[idx] @ weights["W_pool"].T          # (B, K)
         scores = embeddings @ ds.class_semantics.T              # (B, C)
-        loss, g_scores = acec_loss(scores, ds.labels[idx], ds.seen_classes,
-                                   ds.unseen_classes, lcfg)
+        (loss,), g_scores, _ = acec_loss(scores, ds.labels[idx], split, lcfg)
         g_emb = g_scores @ ds.class_semantics                   # (B, K)
         return LossBreakdown(loss, 0.0, 0.0, loss), {"W_pool": g_emb.T @ pooled[idx]}
 

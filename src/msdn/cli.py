@@ -149,18 +149,17 @@ def cmd_grad_check(args) -> int:
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
     labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])
-    seen = np.arange(c_seen)
-    unseen = np.arange(c_seen, c_seen + c_unseen)
+    split = losses.ClassSplit.of(np.arange(c_seen), np.arange(c_seen, c_seen + c_unseen))
     cfg = losses.LossConfig()
 
     def loss_with(name: str, flat: np.ndarray) -> float:
         candidate = params.with_updates({name: flat.reshape(params.as_dict()[name].shape)})
         breakdown, _ = losses.total_loss_raw(
-            candidate, regions, labels, attrs, semantics, seen, unseen, cfg)
+            candidate, regions, labels, attrs, semantics, split, cfg)
         return breakdown.total
 
     _, grads = losses.total_loss_raw(
-        params, regions, labels, attrs, semantics, seen, unseen, cfg)
+        params, regions, labels, attrs, semantics, split, cfg)
     failures = []
     for name in model.PARAM_NAMES:
         detail = grad_check_detail(

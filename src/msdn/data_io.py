@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,7 +60,8 @@ class Dataset:
 
     Construction raises :class:`DatasetValidationError` unless
     :func:`validate_dataset` finds no violation, then marks every tensor
-    read-only in place (no copy).
+    read-only in place (no copy).  ``extras`` becomes a read-only mapping
+    over a copy of the given dict, so no tensor joins it afterwards.
     """
 
     features: np.ndarray        # (N, R, d_v)
@@ -70,9 +73,10 @@ class Dataset:
     train_idx: np.ndarray
     test_seen_idx: np.ndarray
     test_unseen_idx: np.ndarray
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
+    extras: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
         violations = validate_dataset(self)
         if violations:
             raise DatasetValidationError(violations)
@@ -388,6 +392,37 @@ def _holdout_per_class(samples_per_class: int) -> int:
     return 1 if samples_per_class >= 2 else 0
 
 
+def _weighted_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each uniform in ``u``, an index drawn in proportion to ``weights`` >= 0.
+
+    The first index whose running weight sum exceeds ``u * total``, else
+    the last (rounding slack); ``np.cumsum`` adds in index order.
+    """
+    total = float(np.sum(weights))
+    if total <= 0.0 or not math.isfinite(total):
+        raise ArgumentError("weighted pick requires a positive finite weight sum")
+    picks = np.searchsorted(np.cumsum(weights), u * total, side="right")
+    return np.minimum(picks, len(weights) - 1)
+
+
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """Rows of n standard normals from rows of (u1, u2) uniform pairs.
+
+    Pair j gives deviates 2j and 2j + 1; an odd n drops the spare.  The
+    ``math`` log/cos/sin run once per element: numpy's may differ in the
+    last bit (and by CPU), which would change the generated bytes.
+    """
+    def each(fn, x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+    radius = np.sqrt(-2.0 * each(math.log, 1.0 - u[:, 0::2]))  # 1 - u in (0, 1]: finite log
+    theta = (2.0 * math.pi) * u[:, 1::2]
+    out = np.empty(u.shape)
+    out[:, 0::2] = radius * each(math.cos, theta)
+    out[:, 1::2] = radius * each(math.sin, theta)
+    return out[:, :n]
+
+
 def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Deterministic synthetic zero-shot dataset with recoverable attention.
 
@@ -436,23 +471,17 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     vis_map = rng.uniform(-1.0, 1.0, spec.visual_dim, spec.attr_dim)
     prototypes = attributes @ vis_map.T  # (K, d_v): image of each attribute
 
-    features = np.empty((n, spec.num_regions, spec.visual_dim), dtype=np.float64)
-    region_attr = np.empty((n, spec.num_regions), dtype=np.int32)
-    labels = np.empty(n, dtype=np.int32)
-
-    i = 0
+    spc, d_v = spec.samples_per_class, spec.visual_dim
+    features = np.empty((num_classes, spc * spec.num_regions, d_v))
+    region_attr = np.empty((num_classes, spc * spec.num_regions), dtype=np.int32)
     for c in range(num_classes):
-        weights = class_semantics[c]
-        for _ in range(spec.samples_per_class):
-            labels[i] = c
-            for r in range(spec.num_regions):
-                k = rng.choice_weighted(weights)
-                region_attr[i, r] = k
-                noise = rng.normal(spec.visual_dim)
-                features[i, r] = prototypes[k] + spec.noise_std * noise
-            i += 1
+        # One draw per class, not per dataset, to bound memory.  Row i is
+        # region i's attribute-pick uniform, then its Box-Muller pairs:
+        # the order of one pick and one d_v-normal draw per region.
+        u = rng.uniform(0.0, 1.0, spc * spec.num_regions, 1 + 2 * ((d_v + 1) // 2))
+        region_attr[c] = picks = _weighted_picks(class_semantics[c], u[:, 0])
+        features[c] = prototypes[picks] + spec.noise_std * _box_muller(u[:, 1:], d_v)
 
-    spc = spec.samples_per_class
     holdout = _holdout_per_class(spc)
     train, test_seen, test_unseen = [], [], []
     for c in range(num_classes):
@@ -467,14 +496,14 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         return arr.astype(np.float32).astype(np.float64)
 
     return Dataset(
-        features=_f32_exact(features),
+        features=_f32_exact(features.reshape(n, spec.num_regions, d_v)),
         attributes=_f32_exact(attributes),
         class_semantics=_f32_exact(class_semantics),
-        labels=labels,
+        labels=np.repeat(np.arange(num_classes, dtype=np.int32), spc),
         seen_classes=np.arange(spec.num_seen, dtype=np.int32),
         unseen_classes=np.arange(spec.num_seen, num_classes, dtype=np.int32),
         train_idx=np.asarray(train, dtype=np.int32),
         test_seen_idx=np.asarray(test_seen, dtype=np.int32),
         test_unseen_idx=np.asarray(test_unseen, dtype=np.int32),
-        extras={GEN_REGION_ATTRIBUTE: region_attr},
+        extras={GEN_REGION_ATTRIBUTE: region_attr.reshape(n, spec.num_regions)},
     )

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import model as model_mod
 from .configfile import require_finite
-from .data_io import Dataset
 from .errors import ArgumentError, NumericError, ShapeError
 from .ndmath import log_sum_exp, softmax_stable
 
@@ -82,101 +81,116 @@ class LossBreakdown:
         return bool(np.isfinite([self.acec_a2v, self.acec_v2a, self.distill, self.total]).all())
 
 
+@dataclass(frozen=True)
+class ClassSplit:
+    """Sorted seen and unseen classes with their calibration offsets.
+
+    The two lists partition 0..C-1.  Built once per training run, so no
+    batch re-sorts the classes or rebuilds the offsets.
+    """
+
+    seen: np.ndarray
+    unseen: np.ndarray
+    indicator: np.ndarray    # (C,): +1 on unseen classes, -1 on seen ones
+    unseen_mask: np.ndarray  # (C,): 1 on unseen classes, 0 on seen ones
+
+    @classmethod
+    def of(cls, seen_classes: np.ndarray, unseen_classes: np.ndarray) -> "ClassSplit":
+        seen = np.sort(np.asarray(seen_classes, dtype=np.int64))
+        unseen = np.sort(np.asarray(unseen_classes, dtype=np.int64))
+        unseen_mask = np.zeros(seen.size + unseen.size)
+        unseen_mask[unseen] = 1.0
+        return cls(seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask)
+
+
 def acec_loss(
     scores: np.ndarray,
     labels: np.ndarray,
-    seen_classes: np.ndarray,
-    unseen_classes: np.ndarray,
+    split: ClassSplit,
     cfg: LossConfig,
-) -> tuple[float, np.ndarray]:
+) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Attribute-based cross-entropy with self-calibration.
 
-    ``scores`` is (batch, C) over all classes.  The supervised term is
-    the mean negative log softmax over seen-class scores at the true
-    label.  The calibration term offsets every logit by +1 (unseen) or
-    -1 (seen), softmaxes over all classes, and sums the unseen-class
-    log-probabilities; its sign follows ``cfg.calibration_sign``.
-    Returns the loss and its gradient w.r.t. ``scores``.
+    ``scores`` stacks one or more (batch, C) blocks over all classes, one
+    per sub-net, each scored against the same ``labels``.  The supervised
+    term is the mean negative log softmax over seen-class scores at the
+    true label.  The calibration term offsets every logit by +1 (unseen)
+    or -1 (seen), softmaxes over all classes, and sums the unseen-class
+    log-probabilities; its sign follows ``cfg.calibration_sign``.  Every
+    step is row-wise, so a block scores as it would alone.  Returns each
+    block's loss, the gradient w.r.t. ``scores`` and the seen-class
+    softmax of every row (what distillation compares).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ShapeError(f"scores must be (batch, classes), got {scores.shape}")
-    batch, num_classes = scores.shape
     labels = np.asarray(labels)
-    if labels.shape != (batch,):
-        raise ShapeError(f"labels must have shape ({batch},), got {labels.shape}")
+    if scores.ndim != 2 or scores.shape[1] != split.indicator.size:
+        raise ShapeError(f"scores must be (rows, {split.indicator.size}), got {scores.shape}")
+    if labels.ndim != 1 or labels.size == 0 or scores.shape[0] % labels.size:
+        raise ShapeError(f"labels of shape {labels.shape} do not tile {scores.shape[0]} rows")
+    batch = labels.size
+    blocks = scores.shape[0] // batch
 
-    seen = np.sort(np.asarray(seen_classes, dtype=np.int64))
-    unseen = np.sort(np.asarray(unseen_classes, dtype=np.int64))
+    seen, unseen = split.seen, split.unseen
     label_pos = np.searchsorted(seen, labels)           # position among seen classes
     known = label_pos < seen.size
     known[known] = seen[label_pos[known]] == labels[known]
     if not known.all():
         bad_labels = sorted({int(v) for v in labels[~known]})
         raise ArgumentError(f"labels outside the seen classes: {bad_labels}")
+    rows, cols = np.arange(scores.shape[0]), np.tile(label_pos, blocks)
 
     grad = np.zeros_like(scores)
 
     # supervised term over seen-class scores only
-    seen_scores = scores[:, seen]                       # (batch, C_s)
-    log_norm = log_sum_exp(seen_scores, axis=1)
-    loss = float(np.mean(log_norm - seen_scores[np.arange(batch), label_pos]))
+    seen_scores = scores[:, seen]                       # (rows, C_s)
+    per_row = log_sum_exp(seen_scores, axis=1) - seen_scores[rows, cols]
+    losses = [float(np.mean(block)) for block in per_row.reshape(blocks, batch)]
     p_seen = softmax_stable(seen_scores, axis=1)
     g_seen = p_seen.copy()
-    g_seen[np.arange(batch), label_pos] -= 1.0
+    g_seen[rows, cols] -= 1.0
     grad[:, seen] += g_seen / batch
 
     if cfg.lambda_cal > 0 and unseen.size > 0:
-        indicator = np.full(num_classes, -1.0)
-        indicator[unseen] = 1.0
-        shifted = scores + indicator                    # (batch, C)
+        shifted = scores + split.indicator              # (rows, C)
         log_q = shifted - log_sum_exp(shifted, axis=1)[:, None]
         # per-sample cross-entropy mass on the unseen classes
-        cal = float(np.mean(-log_q[:, unseen].sum(axis=1)))
-        q = np.exp(log_q)
-        unseen_mask = np.zeros(num_classes)
-        unseen_mask[unseen] = 1.0
-        g_cal = (unseen.size * q - unseen_mask) / batch
-        if cfg.calibration_sign == "prose":
-            loss += cfg.lambda_cal * cal
-            grad += cfg.lambda_cal * g_cal
-        else:
-            loss -= cfg.lambda_cal * cal
-            grad -= cfg.lambda_cal * g_cal
+        cal_rows = (-log_q[:, unseen].sum(axis=1)).reshape(blocks, batch)
+        g_cal = (unseen.size * np.exp(log_q) - split.unseen_mask) / batch
+        sign = 1.0 if cfg.calibration_sign == "prose" else -1.0
+        for i, block in enumerate(cal_rows):
+            losses[i] += sign * (cfg.lambda_cal * float(np.mean(block)))
+        grad += sign * (cfg.lambda_cal * g_cal)
 
-    return loss, grad
-
-
-def _clamped_rows(scores: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    raw = softmax_stable(scores, axis=1)
-    clamped = np.clip(raw, eps, 1.0)
-    total = clamped.sum(axis=1, keepdims=True)
-    return raw, clamped / total, total
+    return losses, grad, p_seen
 
 
 def distill_loss(
-    scores1: np.ndarray,
-    scores2: np.ndarray,
+    p_seen1: np.ndarray,
+    p_seen2: np.ndarray,
     cfg: LossConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Symmetric-KL plus squared-L2 distance between two score batches.
+    """Symmetric-KL plus squared-L2 distance between two posterior batches.
 
-    Rows are raw seen-class scores; each is softmaxed, clamped to
-    [epsilon_kl, 1], and renormalized before comparison.  Returns the
-    mean per-sample loss and gradients w.r.t. both score sets.
+    Rows are the seen-class softmaxes of two score batches; each is
+    clamped to [epsilon_kl, 1] and renormalized before comparison.
+    Returns the mean per-sample loss and gradients w.r.t. both sets of
+    scores those softmaxes came from.
     """
-    scores1 = np.asarray(scores1, dtype=np.float64)
-    scores2 = np.asarray(scores2, dtype=np.float64)
-    if scores1.shape != scores2.shape or scores1.ndim != 2:
+    if p_seen1.shape != p_seen2.shape or p_seen1.ndim != 2:
         raise ShapeError(
             f"distill_loss expects equal (batch, classes) shapes, "
-            f"got {scores1.shape} and {scores2.shape}"
+            f"got {p_seen1.shape} and {p_seen2.shape}"
         )
-    batch = scores1.shape[0]
+    batch = p_seen1.shape[0]
     eps = cfg.epsilon_kl
 
-    raw1, p, total1 = _clamped_rows(scores1, eps)
-    raw2, q, total2 = _clamped_rows(scores2, eps)
+    def clamped(raw):
+        out = np.clip(raw, eps, 1.0)
+        total = out.sum(axis=1, keepdims=True)
+        return out / total, total
+
+    p, total1 = clamped(p_seen1)
+    q, total2 = clamped(p_seen2)
 
     # log(p) - log(q) rather than log(p/q): subtraction negates exactly,
     # which keeps the loss bit-exactly symmetric under argument swap.
@@ -203,7 +217,7 @@ def distill_loss(
         d_raw = d_clamped * ((raw >= eps) & (raw <= 1.0))
         return raw * (d_raw - (d_raw * raw).sum(axis=1, keepdims=True)) / batch
 
-    return loss, _to_scores(d_p, p, raw1, total1), _to_scores(d_q, q, raw2, total2)
+    return loss, _to_scores(d_p, p, p_seen1, total1), _to_scores(d_q, q, p_seen2, total2)
 
 
 def total_loss_raw(
@@ -212,16 +226,17 @@ def total_loss_raw(
     labels: np.ndarray,
     attrs: np.ndarray,
     class_semantics: np.ndarray,
-    seen_classes: np.ndarray,
-    unseen_classes: np.ndarray,
+    split: ClassSplit,
     cfg: LossConfig,
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Total objective and parameter gradients for one batch of images.
 
-    ``region_stacks`` is (batch, R, d_v).  Cross-entropy is applied
-    independently to each active sub-net's class scores; distillation
-    compares the two seen-class score blocks.  The reported total is
-    exactly ``acec_a2v + acec_v2a + lambda_distill * distill``.
+    ``region_stacks`` is (batch, R, d_v).  Cross-entropy scores the
+    active sub-nets' class scores in one pass over their stacked rows,
+    with a separate mean per sub-net; an inactive sub-net is not scored.
+    Distillation compares the two seen-class posteriors that pass
+    computed.  The reported total is exactly
+    ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
     if region_stacks.ndim != 3:
         raise ShapeError(f"region_stacks must be (batch, R, d_v), got {region_stacks.shape}")
@@ -230,24 +245,20 @@ def total_loss_raw(
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
 
     trace = model_mod.forward(region_stacks, attrs, params)
-    scores1 = trace.psi @ class_semantics.T             # (batch, C)
-    scores2 = trace.Psi @ class_semantics.T
+    active = [emb for emb, on in ((trace.psi, cfg.use_a2v), (trace.Psi, cfg.use_v2a)) if on]
+    scores = np.concatenate([emb @ class_semantics.T for emb in active])  # (rows, C)
+    acec, g_active, p_seen = acec_loss(scores, labels, split, cfg)
 
-    g_scores1 = np.zeros_like(scores1)
-    g_scores2 = np.zeros_like(scores2)
-    acec_a2v = acec_v2a = distill = 0.0
-
-    if cfg.use_a2v:
-        acec_a2v, g = acec_loss(scores1, labels, seen_classes, unseen_classes, cfg)
-        g_scores1 += g
-    if cfg.use_v2a:
-        acec_v2a, g = acec_loss(scores2, labels, seen_classes, unseen_classes, cfg)
-        g_scores2 += g
+    inactive = np.zeros((batch, class_semantics.shape[0]))
+    g_scores1 = g_active[:batch] if cfg.use_a2v else inactive
+    g_scores2 = g_active[-batch:] if cfg.use_v2a else inactive
+    acec_a2v = acec[0] if cfg.use_a2v else 0.0
+    acec_v2a = acec[-1] if cfg.use_v2a else 0.0
+    distill = 0.0
     if cfg.distill_active:
-        seen = np.sort(np.asarray(seen_classes, dtype=np.int64))
-        distill, g1, g2 = distill_loss(scores1[:, seen], scores2[:, seen], cfg)
-        g_scores1[:, seen] += cfg.lambda_distill * g1
-        g_scores2[:, seen] += cfg.lambda_distill * g2
+        distill, g1, g2 = distill_loss(p_seen[:batch], p_seen[batch:], cfg)
+        g_scores1[:, split.seen] += cfg.lambda_distill * g1
+        g_scores2[:, split.seen] += cfg.lambda_distill * g2
 
     total = acec_a2v + acec_v2a + cfg.lambda_distill * distill
     breakdown = LossBreakdown(acec_a2v=acec_a2v, acec_v2a=acec_v2a,
@@ -258,23 +269,3 @@ def total_loss_raw(
     grads = model_mod.backward(region_stacks, attrs, params, trace,
                                g_scores1 @ class_semantics, g_scores2 @ class_semantics)
     return breakdown, grads
-
-
-def total_loss(
-    params: model_mod.ModelParams,
-    ds: Dataset,
-    batch_idx: np.ndarray,
-    cfg: LossConfig,
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Total objective over the dataset samples selected by ``batch_idx``."""
-    batch_idx = np.asarray(batch_idx)
-    return total_loss_raw(
-        params,
-        ds.features[batch_idx],
-        ds.labels[batch_idx],
-        ds.attributes,
-        ds.class_semantics,
-        ds.seen_classes,
-        ds.unseen_classes,
-        cfg,
-    )

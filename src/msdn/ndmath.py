@@ -134,43 +134,11 @@ class Rng:
         states *= np.uint64(_XORSHIFT_MULT)
         return states.T.reshape(-1)[:n]
 
-    def normal(self, n: int) -> np.ndarray:
-        """n i.i.d. standard normals via Box-Muller.
-
-        Draws ceil(n / 2) pairs of uniforms; the spare deviate of an odd
-        request is discarded, so consumption depends only on n.
-        """
-        if n < 0:
-            raise ArgumentError(f"normal requires n >= 0, got {n}")
-        out = np.empty(n, dtype=np.float64)
-        for i in range(0, n, 2):
-            u1 = 1.0 - self.next_f64()  # (0, 1]: keeps log(u1) finite
-            u2 = self.next_f64()
-            radius = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            out[i] = radius * math.cos(theta)
-            if i + 1 < n:
-                out[i + 1] = radius * math.sin(theta)
-        return out
-
     def shuffle(self, items: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice_weighted(self, weights: np.ndarray) -> int:
-        """Index drawn with probability proportional to non-negative weights."""
-        total = float(np.sum(weights))
-        if total <= 0.0 or not math.isfinite(total):
-            raise ArgumentError("choice_weighted requires a positive finite weight sum")
-        target = self.next_f64() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += float(w)
-            if target < acc:
-                return i
-        return len(weights) - 1  # target landed on accumulated rounding slack
 
 
 def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:

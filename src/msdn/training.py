@@ -25,7 +25,7 @@ import numpy as np
 from .configfile import dataclass_from_kv, parse_kv_file, require_finite
 from .data_io import Dataset
 from .errors import ArgumentError, NumericError, ShapeError
-from .losses import LossBreakdown, LossConfig, total_loss
+from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
 from .ndmath import Rng
 
@@ -190,9 +190,11 @@ def train(
 
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
+    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
-        return total_loss(ModelParams(dims=dims, **weights), ds, idx, lcfg)
+        return total_loss_raw(ModelParams(dims=dims, **weights), ds.features[idx],
+                              ds.labels[idx], ds.attributes, ds.class_semantics, split, lcfg)
 
     # The initial weights get no name here, so fit's first step frees them.
     weights, history = fit(init_params_from_rng(dims, rng).as_dict(), loss_fn,

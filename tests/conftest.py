@@ -35,6 +35,22 @@ def tiny_dataset() -> Dataset:
     return generate_synthetic(TINY_SPEC)
 
 
+def acec(scores, labels, seen, unseen, cfg):
+    """ACEC loss and score gradient of a single (batch, C) score block."""
+    from msdn.losses import ClassSplit, acec_loss
+
+    (loss,), grad, _ = acec_loss(scores, labels, ClassSplit.of(seen, unseen), cfg)
+    return loss, grad
+
+
+def distill(scores1, scores2, cfg):
+    """Distillation between the seen-class softmaxes of two score batches."""
+    from msdn.losses import distill_loss
+    from msdn.ndmath import softmax_stable
+
+    return distill_loss(softmax_stable(scores1, axis=1), softmax_stable(scores2, axis=1), cfg)
+
+
 def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):
     """Random tiny problem instance shared by oracle-equivalence tests."""
     from msdn.model import ModelDims, init_params_from_rng

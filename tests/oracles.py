@@ -22,6 +22,80 @@ def uniform(rng, lo, hi, rows, cols):
     return out
 
 
+def normal(rng, n):
+    """n Box-Muller normals, one (u1, u2) pair of ``next_f64`` calls at a time.
+
+    The spare deviate of an odd n is dropped, so consumption depends only on n.
+    """
+    out = np.empty(n, dtype=np.float64)
+    for i in range(0, n, 2):
+        u1 = 1.0 - rng.next_f64()  # (0, 1]: keeps log(u1) finite
+        u2 = rng.next_f64()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        out[i] = radius * math.cos(theta)
+        if i + 1 < n:
+            out[i + 1] = radius * math.sin(theta)
+    return out
+
+
+def choice_weighted(rng, weights):
+    """Index drawn with probability proportional to non-negative weights."""
+    total = float(np.sum(weights))
+    if total <= 0.0 or not math.isfinite(total):
+        raise ValueError("choice_weighted requires a positive finite weight sum")
+    target = rng.next_f64() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += float(w)
+        if target < acc:
+            return i
+    return len(weights) - 1  # target landed on accumulated rounding slack
+
+
+def synthetic(spec):
+    """Scalar-loop ``generate_synthetic``: (class_semantics, features, picks, rng).
+
+    Regions are drawn one at a time, a ``choice_weighted`` pick and then a
+    ``normal(d_v)`` draw each; ``rng`` is left where the whole draw ends.
+    Float tensors are float64, before the generator's rounding through f32.
+    The prototypes are the same ``@`` product the generator forms.
+    """
+    from msdn.ndmath import Rng
+
+    rng = Rng(spec.seed)
+    num_classes = spec.num_seen + spec.num_unseen
+    attributes = uniform(rng, -1.0, 1.0, spec.num_attributes, spec.attr_dim)
+    semantics = uniform(rng, 0.0, 1.0, num_classes, spec.num_attributes)
+    active = spec.resolved_active_attributes()
+    for c in range(spec.num_seen):
+        cutoff = sorted(semantics[c])[-active]
+        for k in range(spec.num_attributes):
+            if semantics[c, k] < cutoff:
+                semantics[c, k] = 0.0
+    for j in range(spec.num_seen, num_classes):
+        first = second = rng.next_below(spec.num_seen)
+        if spec.num_seen > 1:
+            second = rng.next_below(spec.num_seen - 1)
+            second += second >= first
+        weight = 0.3 + 0.4 * rng.next_f64()
+        for k in range(spec.num_attributes):
+            semantics[j, k] = weight * semantics[first, k] + (1.0 - weight) * semantics[second, k]
+    prototypes = attributes @ uniform(rng, -1.0, 1.0, spec.visual_dim, spec.attr_dim).T
+
+    n = num_classes * spec.samples_per_class
+    features = np.empty((n, spec.num_regions, spec.visual_dim))
+    picks = np.empty((n, spec.num_regions), dtype=np.int32)
+    for i in range(n):
+        for r in range(spec.num_regions):
+            k = choice_weighted(rng, semantics[i // spec.samples_per_class])
+            picks[i, r] = k
+            noise = normal(rng, spec.visual_dim)
+            for q in range(spec.visual_dim):
+                features[i, r, q] = prototypes[k, q] + spec.noise_std * noise[q]
+    return semantics, features, picks, rng
+
+
 def matmul(a, b):
     n, k = len(a), len(a[0])
     k2, m = len(b), len(b[0])

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import acec, distill
 from msdn.ablation import run_ablation
 from msdn.data_io import SynthSpec, generate_synthetic, load_container, save_container
-from msdn.losses import LossConfig, acec_loss, distill_loss, total_loss_raw
+from msdn.losses import ClassSplit, LossConfig, total_loss_raw
 from msdn.model import (
     PARAM_NAMES,
     ModelDims,
@@ -63,14 +64,13 @@ def test_gradient_suite():
         params, regions, attrs, semantics, labels, seen, unseen = _random_instance(
             1000 + seed, **GRAD_DIMS)
         cfg = LossConfig()
-        _, grads = total_loss_raw(
-            params, regions, labels, attrs, semantics, seen, unseen, cfg)
+        split = ClassSplit.of(seen, unseen)
+        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
                 candidate = params.with_updates(
                     {_n: flat.reshape(getattr(params, _n).shape)})
-                out, _ = total_loss_raw(
-                    candidate, regions, labels, attrs, semantics, seen, unseen, cfg)
+                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),
                                     grads[name].reshape(-1)).max_rel_error
@@ -103,13 +103,13 @@ def test_oracle_equivalence():
         cfg = LossConfig(lambda_cal=0.1, calibration_sign=sign)
         rng = Rng(seed + 5000)
         scores = rng.uniform(-2.0, 2.0, 2, semantics.shape[0])
-        got_acec, _ = acec_loss(scores, labels, seen, unseen, cfg)
+        got_acec, _ = acec(scores, labels, seen, unseen, cfg)
         want_acec = oracles.acec_loss(scores, labels, seen, unseen, 0.1, sign)
         worst = max(worst, abs(got_acec - want_acec))
 
         s1 = rng.uniform(-3.0, 3.0, 2, len(seen))
         s2 = rng.uniform(-3.0, 3.0, 2, len(seen))
-        got_distill, _, _ = distill_loss(s1, s2, cfg)
+        got_distill, _, _ = distill(s1, s2, cfg)
         want_distill = oracles.distill_loss(s1, s2, cfg.epsilon_kl)
         worst = max(worst, abs(got_distill - want_distill))
 
@@ -160,12 +160,12 @@ def test_distillation_properties():
     for _ in range(1000):
         a = rng.uniform(-4.0, 4.0, 2, 5)
         b = rng.uniform(-4.0, 4.0, 2, 5)
-        loss_ab, _, _ = distill_loss(a, b, cfg)
-        loss_ba, _, _ = distill_loss(b, a, cfg)
+        loss_ab, _, _ = distill(a, b, cfg)
+        loss_ba, _, _ = distill(b, a, cfg)
         assert loss_ab > 0.0  # distinct continuous draws: strictly positive
         assert loss_ab == loss_ba  # bit-exact symmetry
     same = rng.uniform(-4.0, 4.0, 3, 6)
-    loss_same, g1, g2 = distill_loss(same, same.copy(), cfg)
+    loss_same, g1, g2 = distill(same, same.copy(), cfg)
     assert loss_same == 0.0
     assert not g1.any() and not g2.any()
     _report("distillation properties",

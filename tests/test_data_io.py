@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from conftest import TINY_SPEC, format_kv, patched
+from msdn import data_io
 from msdn.ndmath import Rng
 from msdn.data_io import (
     GEN_REGION_ATTRIBUTE,
@@ -232,6 +234,89 @@ class TestDatasetIsImmutable:
         labels = patched(tiny_dataset.labels, 0, 99)
         violations_of(tiny_dataset, labels=labels)
         assert labels.flags.writeable
+
+    def test_extras_cannot_be_mutated(self, tiny_dataset):
+        extra = np.arange(6, dtype=np.int32)
+        with pytest.raises(TypeError):
+            tiny_dataset.extras["custom_debug"] = extra
+        with pytest.raises(TypeError):
+            del tiny_dataset.extras[GEN_REGION_ATTRIBUTE]
+        given = {**tiny_dataset.extras, "custom_debug": extra}
+        ds = dataclasses.replace(tiny_dataset, extras=given)
+        given.pop("custom_debug")  # the dataset keeps its own copy of the dict
+        assert list(ds.extras) == [GEN_REGION_ATTRIBUTE, "custom_debug"]
+        assert not extra.flags.writeable
+
+
+# Specs whose region draws take each shape path: the stock spec, odd and
+# one-wide visual_dim, one region, one sample per class, an explicit
+# active-attribute count below K and all K, and a single seen class.
+ORACLE_SPECS = {
+    "stock": SynthSpec(),
+    "odd_visual_dim": SynthSpec(visual_dim=7, samples_per_class=6),
+    "visual_dim_1": SynthSpec(visual_dim=1, samples_per_class=6),
+    "one_region": SynthSpec(num_regions=1, samples_per_class=6),
+    "one_sample_per_class": SynthSpec(samples_per_class=1),
+    "active_below_k": SynthSpec(active_attributes=5, samples_per_class=6),
+    "active_all_k": SynthSpec(active_attributes=12, samples_per_class=6),
+    "one_seen_class": SynthSpec(num_seen=1, num_unseen=3, samples_per_class=6),
+}
+
+
+class TestGenerateSyntheticOracle:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    def test_matches_scalar_oracle_and_leaves_same_rng_state(self, monkeypatch, spec):
+        made = []
+
+        class RecordedRng(Rng):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(data_io, "Rng", RecordedRng)
+        ds = generate_synthetic(spec)
+        semantics, features, picks, rng = oracles.synthetic(spec)
+        assert ds.features.tobytes() == features.astype(np.float32).astype(np.float64).tobytes()
+        assert ds.class_semantics.tobytes() == (
+            semantics.astype(np.float32).astype(np.float64).tobytes())
+        assert ds.extras[GEN_REGION_ATTRIBUTE].tobytes() == picks.tobytes()
+        assert [r.state for r in made] == [rng.state]
+
+    # 500 x 64 takes 16 000 logs: numpy's log would differ in the last bit on ~30.
+    @pytest.mark.parametrize("rows,n", [(1, 1), (1, 16), (3, 7), (5, 1), (4, 2), (2, 9),
+                                        (500, 64)])
+    def test_box_muller_matches_scalar_normals(self, rows, n):
+        bulk, scalar = Rng(rows * 100 + n), Rng(rows * 100 + n)
+        got = data_io._box_muller(bulk.uniform(0.0, 1.0, rows, 2 * ((n + 1) // 2)), n)
+        want = np.stack([oracles.normal(scalar, n) for _ in range(rows)])
+        assert got.tobytes() == want.tobytes()
+        assert bulk.state == scalar.state
+
+    @pytest.mark.parametrize("weights", [[1.0, 3.0], [0.0, 0.2, 0.0, 0.5, 0.3], [0.1] * 10,
+                                         [0.0, 0.0, 1.0], [2.5]])
+    def test_weighted_picks_match_scalar_choices(self, weights):
+        weights = np.asarray(weights)
+        bulk, scalar = Rng(len(weights)), Rng(len(weights))
+        got = data_io._weighted_picks(weights, bulk.uniform(0.0, 1.0, 500, 1)[:, 0])
+        want = [oracles.choice_weighted(scalar, weights) for _ in range(500)]
+        assert got.tolist() == want
+        assert bulk.state == scalar.state
+
+    def test_weighted_picks_match_at_the_ends_of_the_interval(self):
+        class Fixed:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def next_f64(self):
+                return next(self.values)
+
+        # [0.1] * 10 sums to 1.0 pairwise but its running sum ends below
+        # 1.0, so the largest uniform lands on the rounding slack.
+        ends = [0.0, 1.0 - 2.0 ** -53, 0.5]
+        for weights in (np.full(10, 0.1), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0])):
+            fixed = Fixed(ends)
+            want = [oracles.choice_weighted(fixed, weights) for _ in ends]
+            assert data_io._weighted_picks(weights, np.array(ends)).tolist() == want
 
 
 class TestGenerateSynthetic:

@@ -29,10 +29,6 @@ class TestRngArguments:
         with pytest.raises(ArgumentError):
             Rng(0).next_below(0)
 
-    def test_normal_rejects_negative_count(self):
-        with pytest.raises(ArgumentError):
-            Rng(0).normal(-1)
-
 
 class TestGradCheckArguments:
     def test_analytic_shape_mismatch(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from msdn.data_io import _box_muller, _weighted_picks
 from msdn.errors import ArgumentError, NumericError, ShapeError
 from msdn.model import ModelDims, forward, init_params_from_rng
 from msdn.ndmath import (
@@ -177,14 +178,15 @@ class TestRng:
             Rng(1).uniform(5.0, 5.0, 2, 2)
 
     def test_normal_moments(self):
-        values = Rng(77).normal(20000)
+        values = _box_muller(Rng(77).uniform(0.0, 1.0, 1, 20000), 20000)
         assert abs(values.mean()) < 0.03
         assert abs(values.std() - 1.0) < 0.03
 
     def test_normal_deterministic_and_odd_count_consistent(self):
-        a = Rng(5).normal(7)
-        b = Rng(5).normal(7)
+        a = _box_muller(Rng(5).uniform(0.0, 1.0, 1, 8), 7)
+        b = _box_muller(Rng(5).uniform(0.0, 1.0, 1, 8), 7)
         assert np.array_equal(a, b)
+        assert a.tobytes() == oracles.normal(Rng(5), 7).tobytes()
 
     def test_shuffle_is_permutation(self):
         items = np.arange(40)
@@ -193,15 +195,16 @@ class TestRng:
         assert items.tolist() != list(range(40))
 
     def test_choice_weighted_frequencies(self):
-        rng = Rng(19)
         weights = np.array([1.0, 3.0])
-        draws = [rng.choice_weighted(weights) for _ in range(8000)]
+        draws = _weighted_picks(weights, Rng(19).uniform(0.0, 1.0, 8000, 1)[:, 0])
         share = sum(draws) / len(draws)
         assert 0.72 <= share <= 0.78
+        rng = Rng(19)
+        assert draws.tolist() == [oracles.choice_weighted(rng, weights) for _ in range(8000)]
 
     def test_choice_weighted_rejects_zero_weights(self):
         with pytest.raises(ArgumentError):
-            Rng(1).choice_weighted(np.zeros(3))
+            _weighted_picks(np.zeros(3), np.array([0.5]))
 
 
 @settings(max_examples=30)
