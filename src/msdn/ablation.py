@@ -40,7 +40,7 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossB
     """Mean-pool the regions and map them with one learned K x d_v matrix."""
     lcfg = cfg.loss_config(lambda_distill=0.0)
     rng = Rng(cfg.seed)
-    pooled = ds.features.mean(axis=1)  # (N, d_v)
+    pooled = ds.features.mean(axis=1, dtype=np.float64)  # (N, d_v)
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ablation, data_io, losses, model, training, zsl_eval
+from .configfile import require_seed
 from .errors import ArgumentError, GradientCheckError, MsdnError, ShapeError
 from .ndmath import Rng, grad_check_detail
 
@@ -26,11 +27,12 @@ GRAD_TOLERANCE = 1e-5
 def _resolve_seed(cli_seed: int | None, default: int) -> int:
     env = os.environ.get("MSDN_SEED")
     if env is None:
-        return default if cli_seed is None else cli_seed
+        return default if cli_seed is None else require_seed("--seed", cli_seed)
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ArgumentError(f"MSDN_SEED must be an integer, got {env!r}") from None
+    return require_seed("MSDN_SEED", seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +141,9 @@ def cmd_grad_check(args) -> int:
         k, r, d_v, d_a, c_seen, c_unseen = (int(v) for v in args.dims.split(","))
     except ValueError as exc:
         raise ArgumentError(f"--dims expects six integers, got {args.dims!r}") from exc
+    if min(k, r, d_v, d_a, c_seen) < 1 or c_unseen < 0:
+        raise ArgumentError(
+            f"--dims needs k, r, d_v, d_a, c_seen >= 1 and c_unseen >= 0, got {args.dims!r}")
     seed = _resolve_seed(args.seed, 0)
     rng = Rng(seed)
     dims = model.ModelDims(visual_dim=d_v, attr_dim=d_a,
@@ -201,7 +206,7 @@ def cmd_export_attention(args) -> int:
         raise ArgumentError(
             f"--image {args.image} out of range for {ds.num_samples} samples"
         )
-    trace = model.forward(ds.features[args.image], ds.attributes, params)
+    trace = model.forward(ds.regions(args.image), ds.attributes, params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -27,6 +27,13 @@ def require_finite(cfg) -> None:
             raise ArgumentError(f"{type(cfg).__name__}.{f.name} must be finite, got {value}")
 
 
+def require_seed(what: str, seed: int) -> int:
+    """Return ``seed`` if it is a 64-bit word; ``Rng`` would alias any other."""
+    if not 0 <= seed < 1 << 64:
+        raise ArgumentError(f"{what} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Read a key=value file into a string-to-string mapping."""
     out: dict[str, str] = {}

@@ -5,9 +5,12 @@ per-class semantic vectors, labels, the seen/unseen class partition, and
 the train/test split index sets.  A ``Dataset`` is validated once, when
 it is built (generated or loaded), and its arrays are read-only, so a
 dataset that exists is a valid one.  On disk everything lives in a little
-endian "ZSLD" container; float tensors are stored as f32 and widened to
-f64 in memory (the widening is exact, so save/load round-trips are
-bit-exact for data produced by this module).
+endian "ZSLD" container of f32 and i32 tensors.  Region features stay f32
+in memory (a loaded dataset's are a view of the file's bytes), and the
+compute paths widen each gathered batch to f64; attribute and class
+semantic vectors are widened to f64 when a dataset is built.  Widening
+is exact, and a dataset built from f64 features holds them rounded to
+f32 as its container will, so save/load round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .configfile import dataclass_from_kv, parse_kv_file, require_finite
+from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
 from .errors import (
     ArgumentError,
     BadMagicError,
@@ -36,6 +39,7 @@ _MAGIC = b"ZSLD"
 _VERSION = 1
 _DTYPE_F32 = 1
 _DTYPE_I32 = 3
+_STORED_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_I32: "<i4"}
 
 REQUIRED_TENSORS = (
     "features",
@@ -56,12 +60,15 @@ GEN_REGION_ATTRIBUTE = "gen_region_attribute"
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory dataset; float tensors are float64, index tensors int32.
+    """In-memory dataset: features float32, the other float tensors float64.
 
-    Construction raises :class:`DatasetValidationError` unless
-    :func:`validate_dataset` finds no violation, then marks every tensor
-    read-only in place (no copy).  ``extras`` becomes a read-only mapping
-    over a copy of the given dict, so no tensor joins it afterwards.
+    Construction casts float ``features`` to float32 (the dtype the
+    container stores) and float ``attributes`` and ``class_semantics`` to
+    float64, copying only where the dtype changes.  It then raises
+    :class:`DatasetValidationError` unless :func:`validate_dataset` finds
+    no violation, and marks every tensor read-only in place.  ``extras``
+    becomes a read-only mapping over a copy of the given dict, so no
+    tensor joins it afterwards.
     """
 
     features: np.ndarray        # (N, R, d_v)
@@ -76,6 +83,15 @@ class Dataset:
     extras: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Other kinds pass uncast, for validation to reject.  A value out of
+        # float32 range becomes inf and a signalling NaN a quiet one, which
+        # validation rejects too, so the casts need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, dtype in (("features", np.float32), ("attributes", np.float64),
+                                ("class_semantics", np.float64)):
+                arr = getattr(self, name)
+                if arr.dtype.kind == "f":
+                    object.__setattr__(self, name, arr.astype(dtype, copy=False))
         object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
         violations = validate_dataset(self)
         if violations:
@@ -83,6 +99,10 @@ class Dataset:
         for arr in (*(getattr(self, name) for name in REQUIRED_TENSORS),
                     *self.extras.values()):
             arr.flags.writeable = False
+
+    def regions(self, idx) -> np.ndarray:
+        """The region features of images ``idx``, widened to the float64 the model takes."""
+        return self.features[idx].astype(np.float64)
 
     @property
     def num_samples(self) -> int:
@@ -136,6 +156,7 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_seed("SynthSpec.seed", self.seed)
         for name in ("num_seen", "num_unseen", "num_attributes", "num_regions",
                      "visual_dim", "attr_dim", "samples_per_class"):
             value = getattr(self, name)
@@ -174,9 +195,9 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
         seen_names.add(name)
         data = np.ascontiguousarray(arr)
         if data.dtype.kind == "f":
-            code, payload = _DTYPE_F32, data.astype("<f4")
+            code, payload = _DTYPE_F32, data.astype("<f4", copy=False)
         elif data.dtype.kind in "iu":
-            code, payload = _DTYPE_I32, data.astype("<i4")
+            code, payload = _DTYPE_I32, data.astype("<i4", copy=False)
         else:
             raise ContainerFormatError(
                 f"tensor {name!r} has unsupported dtype {data.dtype}"
@@ -195,7 +216,11 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
 
 
 def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
-    """Read named tensors, widening f32 to float64 and keeping i32 as int32."""
+    """Read named tensors in their stored dtype, ``<f4`` or ``<i4``.
+
+    Each tensor is a read-only view of the file's bytes: no payload is
+    copied or widened.
+    """
     blob = Path(path).read_bytes()
     view = memoryview(blob)  # slices of a view share the file's bytes: no payload copies
     pos = 0
@@ -231,20 +256,13 @@ def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
         code, ndim = struct.unpack("<BB", take(2, "tensor dtype/rank"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"dims of {name!r}"))
         n_elems = math.prod(dims)
-        if code == _DTYPE_F32:
-            raw_dtype, out_dtype = "<f4", np.float64
-        elif code == _DTYPE_I32:
-            raw_dtype, out_dtype = "<i4", np.int32
-        else:
+        if code not in _STORED_DTYPES:
             raise ContainerFormatError(f"unknown dtype code {code} for tensor {name!r}")
         payload = take(4 * n_elems, f"payload of {name!r}")
         try:
-            arr = np.frombuffer(payload, dtype=raw_dtype).reshape(dims)
+            items.append((name, np.frombuffer(payload, _STORED_DTYPES[code]).reshape(dims)))
         except ValueError as exc:  # over numpy's rank limit, or a too-big empty shape
             raise ContainerFormatError(f"tensor {name!r} of shape {dims}: {exc}") from exc
-        # Signalling NaNs widen to NaN; validation rejects them, so no warning.
-        with np.errstate(invalid="ignore"):
-            items.append((name, arr.astype(out_dtype)))
     if pos != len(blob):
         raise ContainerFormatError(f"{len(blob) - pos} trailing bytes after last tensor")
     return items
@@ -435,8 +453,8 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     carries over to unseen ones.  The picked attribute index per region is
     recorded in ``extras["gen_region_attribute"]``.
 
-    Float tensors are rounded through f32 so that container round-trips are
-    bit-exact.
+    Attribute and class semantic vectors are rounded through f32, and the
+    features are held as f32, so container round-trips are bit-exact.
     """
     rng = Rng(spec.seed)
 
@@ -472,12 +490,13 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     prototypes = attributes @ vis_map.T  # (K, d_v): image of each attribute
 
     spc, d_v = spec.samples_per_class, spec.visual_dim
-    features = np.empty((num_classes, spc * spec.num_regions, d_v))
+    features = np.empty((num_classes, spc * spec.num_regions, d_v), dtype=np.float32)
     region_attr = np.empty((num_classes, spc * spec.num_regions), dtype=np.int32)
     for c in range(num_classes):
         # One draw per class, not per dataset, to bound memory.  Row i is
         # region i's attribute-pick uniform, then its Box-Muller pairs:
-        # the order of one pick and one d_v-normal draw per region.
+        # the order of one pick and one d_v-normal draw per region.  The
+        # rows round to f32 as they are stored.
         u = rng.uniform(0.0, 1.0, spc * spec.num_regions, 1 + 2 * ((d_v + 1) // 2))
         region_attr[c] = picks = _weighted_picks(class_semantics[c], u[:, 0])
         features[c] = prototypes[picks] + spec.noise_std * _box_muller(u[:, 1:], d_v)
@@ -496,7 +515,7 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         return arr.astype(np.float32).astype(np.float64)
 
     return Dataset(
-        features=_f32_exact(features.reshape(n, spec.num_regions, d_v)),
+        features=features.reshape(n, spec.num_regions, d_v),
         attributes=_f32_exact(attributes),
         class_semantics=_f32_exact(class_semantics),
         labels=np.repeat(np.arange(num_classes, dtype=np.int32), spc),

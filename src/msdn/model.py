@@ -265,4 +265,5 @@ def load_checkpoint(path) -> ModelParams:
             )
         if not np.isfinite(tensors[name]).all():
             raise ContainerFormatError(f"checkpoint tensor {name} has non-finite entries")
-    return ModelParams(dims=dims, **{name: tensors[name] for name in PARAM_NAMES})
+    return ModelParams(dims=dims, **{name: tensors[name].astype(np.float64)
+                                     for name in PARAM_NAMES})

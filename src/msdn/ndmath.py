@@ -1,7 +1,8 @@
 """Dense float64 math kernels, a portable PRNG, and gradient checking.
 
-Matrices throughout the package are 2-D C-order ``float64`` numpy arrays;
-vectors are 1-D ``float64`` arrays.  Everything here is deterministic:
+Every matrix the package computes with is a 2-D C-order ``float64``
+numpy array and every vector a 1-D ``float64`` array; only a dataset's
+stored region features are float32.  Everything here is deterministic:
 re-running an operation on identical inputs yields bit-identical output,
 and the :class:`Rng` stream depends only on its seed, never on the
 platform.

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configfile import dataclass_from_kv, parse_kv_file, require_finite
+from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
 from .data_io import Dataset
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
@@ -49,6 +49,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_seed("TrainConfig.seed", self.seed)
         if self.learning_rate <= 0:
             raise ArgumentError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
@@ -193,7 +194,7 @@ def train(
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
-        return total_loss_raw(ModelParams(dims=dims, **weights), ds.features[idx],
+        return total_loss_raw(ModelParams(dims=dims, **weights), ds.regions(idx),
                               ds.labels[idx], ds.attributes, ds.class_semantics, split, lcfg)
 
     # The initial weights get no name here, so fit's first step frees them.

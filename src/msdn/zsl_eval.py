@@ -182,7 +182,7 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]
     def embed(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # No name holds a chunk or its trace, so each is freed before the next.
         psi, Psi = zip(*[
-            attrgetter("psi", "Psi")(forward(ds.features[idx[i:i + EVAL_CHUNK]],
+            attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK]),
                                              ds.attributes, params))
             for i in range(0, idx.size, EVAL_CHUNK)])
         return np.concatenate(psi), np.concatenate(Psi)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_SPEC, format_kv
-from msdn import ablation, cli, data_io, losses, training
+from msdn import ablation, cli, data_io, losses, model, training
 from msdn.data_io import load_container, read_container, write_container
 from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig
@@ -222,6 +222,19 @@ class TestGradCheck:
     def test_malformed_dims_exit_2(self):
         assert cli.main(["grad-check", "--dims", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("dims", ["0,4,8,6,3,2", "5,4,8,6,0,2", "5,0,8,6,3,2",
+                                      "5,4,8,6,3,-1"])
+    def test_out_of_range_dims_exit_2(self, capsys, dims):
+        assert cli.main(["grad-check", "--dims", dims]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: --dims ")
+        assert captured.out == ""
+
+    def test_no_unseen_classes_allowed(self, capsys):
+        assert cli.main(["grad-check", "--dims", "5,4,8,6,3,0"]) == 0
+        assert "all gradients ok" in capsys.readouterr().out
+
 
 class TestConfigProbes:
     """Malformed configs, flags and MSDN_SEED exit 2 before any training."""
@@ -275,14 +288,34 @@ class TestConfigProbes:
             "ablate", "--data", data_file, "--config", train_cfg_file,
             "--alpha1", "-1", "--out", tmp_path / "x.csv"])
 
-    @pytest.mark.parametrize("seed", ["abc", "1.5"])
+    # Non-integers, and integers outside [0, 2**64) that Rng would alias.
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "-3", str(2 ** 64)])
     @pytest.mark.parametrize("command", ["gen-data", "grad-check"])
     def test_non_integer_env_seed(self, tmp_path, spec_file, monkeypatch, capsys,
                                   seed, command):
         monkeypatch.setenv("MSDN_SEED", seed)
         argv = {"gen-data": ["gen-data", "--spec", spec_file, "--out", tmp_path / "x.zsld"],
                 "grad-check": ["grad-check"]}[command]
-        self.exits_2_untrained(monkeypatch, capsys, argv)
+        assert "MSDN_SEED" in self.exits_2_untrained(monkeypatch, capsys, argv)
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64 + 7])
+    @pytest.mark.parametrize("command", ["gen-data", "grad-check"])
+    def test_out_of_range_flag_seed(self, tmp_path, monkeypatch, capsys, seed, command):
+        argv = {"gen-data": ["gen-data", "--out", tmp_path / "x.zsld"],
+                "grad-check": ["grad-check"]}[command]
+        assert "--seed" in self.exits_2_untrained(monkeypatch, capsys, [*argv, "--seed", seed])
+        assert not (tmp_path / "x.zsld").exists()
+
+    @pytest.mark.parametrize("seed", [-5, 99999999999999999999999])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_out_of_range_config_seed(self, tmp_path, data_file, monkeypatch, capsys,
+                                      seed, command):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        argv = {"gen-data": ["gen-data", "--spec", cfg, "--out", tmp_path / "x.zsld"],
+                "train": ["train", "--data", data_file, "--config", cfg,
+                          "--out", tmp_path / "m.zsld"]}[command]
+        assert ".seed must lie in" in self.exits_2_untrained(monkeypatch, capsys, argv)
 
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_non_utf8_file(self, tmp_path, data_file, monkeypatch, capsys, command):
@@ -321,6 +354,41 @@ class TestValidatesOnce:
                          "--out", str(tmp_path / "metrics.csv")]) == 0
         assert len(loads) == 2
         assert len(validations) == len(loads)
+
+
+class TestComputesInFloat64:
+    """Features stay float32 in a dataset; every stack the model sees is float64."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "export-attention"])
+    def test_model_gets_float64_stacks(self, tmp_path, data_file, train_cfg_file,
+                                       checkpoint_file, monkeypatch, command):
+        seen = []
+        for name in ("forward", "backward"):
+            real = getattr(model, name)
+
+            def recorded(regions, *args, _real=real, _name=name):
+                seen.append((_name, regions.dtype))
+                return _real(regions, *args)
+
+            # Every module that holds the function, so a call by any name counts.
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "msdn" and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, recorded)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", data_file, "--config", train_cfg_file, "--out", out],
+            "eval": ["eval", "--data", data_file, "--checkpoint", checkpoint_file,
+                     "--out", out],
+            "ablate": ["ablate", "--data", data_file, "--config", train_cfg_file,
+                       "--out", out],
+            "export-attention": ["export-attention", "--data", data_file, "--checkpoint",
+                                 checkpoint_file, "--image", "2", "--out", out],
+        }[command]
+        assert cli.main([str(a) for a in argv]) == 0
+        called = {name for name, _ in seen}
+        assert called == ({"forward", "backward"} if command in ("train", "ablate")
+                          else {"forward"})
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
 
 class TestAblate:

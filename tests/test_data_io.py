@@ -81,7 +81,7 @@ class TestContainerRoundTrip:
 
 
     def test_read_makes_no_payload_copy(self, tmp_path):
-        # Peak: the file's bytes plus the float64 tensor, not a third copy.
+        # Peak: the file's bytes, which the f32 tensor is a view of; no widened copy.
         n = 1 << 20
         path = tmp_path / "big.zsld"
         write_container(path, [("x", np.zeros(n, dtype=np.float32))])
@@ -91,7 +91,57 @@ class TestContainerRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 + 8 + 1) * n
+        assert peak < (4 + 1) * n
+
+
+def same_bits(a: Dataset, b: Dataset) -> bool:
+    """Every tensor of ``a`` and ``b`` has the same dtype, shape and bytes."""
+    pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(Dataset)
+             if f.name != "extras"]
+    if a.extras.keys() != b.extras.keys():
+        return False
+    pairs += [(a.extras[k], b.extras[k]) for k in a.extras]
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in pairs)
+
+
+class TestFeaturesStayFloat32:
+    @staticmethod
+    def assert_dtypes(ds: Dataset) -> None:
+        assert ds.features.dtype == np.float32 and not ds.features.flags.writeable
+        assert ds.attributes.dtype == ds.class_semantics.dtype == np.float64
+
+    def test_generated(self, tiny_dataset):
+        self.assert_dtypes(tiny_dataset)
+
+    def test_loaded_features_are_a_view_of_the_file(self, tiny_dataset, tmp_path):
+        path = tmp_path / "tiny.zsld"
+        save_container(tiny_dataset, path)
+        loaded = load_container(path)
+        self.assert_dtypes(loaded)
+        assert not loaded.features.flags.owndata
+        assert same_bits(loaded, tiny_dataset)
+
+    def test_float64_features_round_trip_bitwise(self, tiny_dataset, tmp_path):
+        features = np.random.default_rng(5).standard_normal(tiny_dataset.features.shape)
+        ds = dataclasses.replace(tiny_dataset, features=features * 1e3)
+        self.assert_dtypes(ds)
+        assert ds.features.tobytes() == (features * 1e3).astype(np.float32).tobytes()
+        path = tmp_path / "f64.zsld"
+        save_container(ds, path)
+        assert same_bits(load_container(path), ds)
+
+    def test_features_beyond_float32_range_fail_validation(self, tiny_dataset):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            messages = violations_of(tiny_dataset, features=np.full(
+                tiny_dataset.features.shape, 1e300))
+        assert any("non-finite value in features" in m for m in messages)
+
+    def test_integer_features_are_not_cast(self, tiny_dataset):
+        messages = violations_of(tiny_dataset, features=np.zeros(
+            tiny_dataset.features.shape, dtype=np.int32))
+        assert any("features must have a float dtype" in m for m in messages)
 
 
 class TestContainerErrors:
@@ -139,7 +189,7 @@ class TestContainerErrors:
         with pytest.raises(ContainerFormatError, match="dtype code 7"):
             read_container(path)
 
-    def test_signalling_nan_payload_widens_without_warning(self, tmp_path):
+    def test_signalling_nan_payload_widens_without_warning(self, tiny_dataset, tmp_path):
         path = tmp_path / "nan.zsld"
         body = (b"ZSLD" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
                 + struct.pack("<BB", 1, 1) + struct.pack("<I", 1)
@@ -148,7 +198,10 @@ class TestContainerErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ((name, arr),) = read_container(path)
-        assert name == "x" and np.isnan(arr).all()
+            assert name == "x" and arr.dtype == np.float32 and np.isnan(arr).all()
+            # A dataset widens its attribute vectors to float64, then rejects the NaN.
+            assert any("non-finite value in attributes" in m for m in violations_of(
+                tiny_dataset, attributes=np.broadcast_to(arr, tiny_dataset.attributes.shape)))
 
     def test_missing_required_tensor(self, tmp_path):
         path = tmp_path / "e.zsld"
@@ -276,7 +329,8 @@ class TestGenerateSyntheticOracle:
         monkeypatch.setattr(data_io, "Rng", RecordedRng)
         ds = generate_synthetic(spec)
         semantics, features, picks, rng = oracles.synthetic(spec)
-        assert ds.features.tobytes() == features.astype(np.float32).astype(np.float64).tobytes()
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == features.astype(np.float32).tobytes()
         assert ds.class_semantics.tobytes() == (
             semantics.astype(np.float32).astype(np.float64).tobytes())
         assert ds.extras[GEN_REGION_ATTRIBUTE].tobytes() == picks.tobytes()
@@ -333,6 +387,11 @@ class TestGenerateSynthetic:
     def test_negative_noise_rejected(self):
         with pytest.raises(ArgumentError, match="noise_std"):
             generate_synthetic(dataclasses.replace(TINY_SPEC, noise_std=-0.1))
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64 + 7])
+    def test_seed_that_rng_would_alias_rejected(self, seed):
+        with pytest.raises(ArgumentError, match=r"SynthSpec.seed must lie in \[0, 2\*\*64\)"):
+            dataclasses.replace(TINY_SPEC, seed=seed)
 
     def test_noiseless_regions_are_shared_prototypes(self):
         spec = dataclasses.replace(TINY_SPEC, noise_std=0.0)

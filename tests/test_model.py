@@ -255,7 +255,8 @@ class TestCheckpoint:
         assert loaded.dims == params.dims
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             expected = getattr(params, name).astype(np.float32).astype(np.float64)
-            assert np.array_equal(getattr(loaded, name), expected)
+            assert getattr(loaded, name).dtype == np.float64
+            assert getattr(loaded, name).tobytes() == expected.tobytes()
 
     def test_resave_byte_exact(self, tmp_path):
         params = init_params_from_rng(DIMS, Rng(12))

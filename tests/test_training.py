@@ -129,8 +129,8 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_reports_epoch_and_batch(self, tiny_dataset):
-        # finite features, but they overflow the bilinear scores
-        ds = dataclasses.replace(tiny_dataset, features=tiny_dataset.features * 1e160)
+        # finite attribute vectors (held as float64), but they overflow the scores
+        ds = dataclasses.replace(tiny_dataset, attributes=tiny_dataset.attributes * 1e160)
         with pytest.raises(NumericError, match=r"epoch 0, batch 0"):
             train(ds, FAST)
 
@@ -184,7 +184,12 @@ class TestTrainConfigValidation:
         ("epochs", -1),
         ("weight_decay", -1e-4),
         ("epsilon_opt", 0.0),
+        ("seed", -1),
+        ("seed", 2 ** 64),
     ])
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ArgumentError):
             dataclasses.replace(TrainConfig(), **{field: value})
+
+    def test_largest_seed_accepted(self):
+        assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
