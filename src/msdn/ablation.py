@@ -50,9 +50,8 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossB
         g_emb = g_scores @ ds.class_semantics                   # (B, K)
         return LossBreakdown(loss, 0.0, 0.0, loss), {"W_pool": g_emb.T @ pooled[idx]}
 
-    weights, history = fit({"W_pool": _glorot(rng, ds.num_attributes, ds.visual_dim)},
-                           loss_fn, ds.train_idx, cfg, rng)
-    w_pool = weights["W_pool"]
+    w_pool = _glorot(rng, ds.num_attributes, ds.visual_dim)
+    history = fit({"W_pool": w_pool}, loss_fn, ds.train_idx, cfg, rng)
     scored = report(ds, pooled[ds.test_unseen_idx] @ w_pool.T,
                     pooled[ds.test_seen_idx] @ w_pool.T)
     return scored, history

@@ -158,7 +158,8 @@ def cmd_grad_check(args) -> int:
     cfg = losses.LossConfig()
 
     def loss_with(name: str, flat: np.ndarray) -> float:
-        candidate = params.with_updates({name: flat.reshape(params.as_dict()[name].shape)})
+        shape = getattr(params, name).shape
+        candidate = dataclasses.replace(params, **{name: flat.reshape(shape)})
         breakdown, _ = losses.total_loss_raw(
             candidate, regions, labels, attrs, semantics, split, cfg)
         return breakdown.total
@@ -169,7 +170,7 @@ def cmd_grad_check(args) -> int:
     for name in model.PARAM_NAMES:
         detail = grad_check_detail(
             lambda flat, _n=name: loss_with(_n, flat),
-            params.as_dict()[name].reshape(-1),
+            getattr(params, name).reshape(-1),
             grads[name].reshape(-1),
         )
         print(f"{name} max_rel_error={detail.max_rel_error:.3e}")

@@ -10,7 +10,8 @@ in memory (a loaded dataset's are a view of the file's bytes), and the
 compute paths widen each gathered batch to f64; attribute and class
 semantic vectors are widened to f64 when a dataset is built.  Widening
 is exact, and a dataset built from f64 features holds them rounded to
-f32 as its container will, so save/load round-trips are bit-exact.
+f32 as its container will, so features round-trip bit-exactly; the
+f64 vectors round-trip bit-exactly only when f32 holds them exactly.
 """
 
 from __future__ import annotations

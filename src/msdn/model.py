@@ -2,8 +2,8 @@
 
 The attribute->visual sub-net scores every (attribute, region) pair with
 a bilinear form through W1, normalizes over attributes within each
-region, pools regions into per-attribute visual features F, and maps
-them through W2 to a per-attribute confidence vector psi.
+region, and sums each attribute's W2 bilinear matches with the regions
+under that attention into a per-attribute confidence vector psi.
 
 The visual->attribute sub-net mirrors it: bilinear scores through W3
 normalized over regions within each attribute, attribute pooling into
@@ -20,7 +20,7 @@ once per batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class ModelParams:
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def with_updates(self, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        return replace(self, **arrays)
 
 
 @dataclass(frozen=True)

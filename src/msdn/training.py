@@ -8,7 +8,9 @@ The optimizer update, per parameter and elementwise, is
     param -= learning_rate * buf
 
 i.e. classic RMSProp with momentum applied to the preconditioned
-gradient and coupled L2 weight decay.  Training is a pure function of
+gradient and coupled L2 weight decay.  The update runs in place: a run
+holds one set each of parameters, square averages and momentum buffers,
+and each step consumes its gradients.  Training is a pure function of
 (dataset, config): one PRNG seeded from the config drives both the
 parameter init and the per-epoch shuffles.
 """
@@ -78,44 +80,30 @@ def load_train_config(path: str | Path) -> TrainConfig:
     return dataclass_from_kv(TrainConfig, parse_kv_file(path))
 
 
-@dataclass
-class OptState:
-    """Per-parameter RMSProp buffers."""
-
-    square_avg: dict[str, np.ndarray]
-    momentum_buf: dict[str, np.ndarray]
-
-    @staticmethod
-    def zeros_like(params: dict[str, np.ndarray]) -> "OptState":
-        return OptState(
-            square_avg={k: np.zeros_like(v) for k, v in params.items()},
-            momentum_buf={k: np.zeros_like(v) for k, v in params.items()},
-        )
-
-
 def rmsprop_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    state: OptState,
+    square_avg: dict[str, np.ndarray],
+    momentum_buf: dict[str, np.ndarray],
     cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], OptState]:
-    """One optimizer step; returns fresh params and state."""
-    new_params: dict[str, np.ndarray] = {}
-    new_sq: dict[str, np.ndarray] = {}
-    new_buf: dict[str, np.ndarray] = {}
+) -> None:
+    """One optimizer step, in place on ``params`` and both buffers.
+
+    Consumes ``grads``: each gradient is popped and overwritten, so none
+    outlives the step.
+    """
     for name, param in params.items():
-        grad = grads[name]
-        if grad.shape != param.shape:
-            raise ShapeError(
-                f"gradient for {name} has shape {grad.shape}, parameter {param.shape}"
-            )
-        g = grad + cfg.weight_decay * param
-        sq = cfg.rms_decay * state.square_avg[name] + (1.0 - cfg.rms_decay) * g * g
-        buf = cfg.momentum * state.momentum_buf[name] + g / (np.sqrt(sq) + cfg.epsilon_opt)
-        new_params[name] = param - cfg.learning_rate * buf
-        new_sq[name] = sq
-        new_buf[name] = buf
-    return new_params, OptState(square_avg=new_sq, momentum_buf=new_buf)
+        g = grads.pop(name)
+        if g.shape != param.shape:
+            raise ShapeError(f"gradient for {name} has shape {g.shape}, parameter {param.shape}")
+        g += cfg.weight_decay * param
+        sq = square_avg[name]
+        sq *= cfg.rms_decay
+        sq += (1.0 - cfg.rms_decay) * g * g
+        buf = momentum_buf[name]
+        buf *= cfg.momentum
+        buf += g / (np.sqrt(sq) + cfg.epsilon_opt)
+        param -= cfg.learning_rate * buf
 
 
 def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
@@ -142,17 +130,21 @@ def fit(
     train_idx: np.ndarray,
     cfg: TrainConfig,
     rng: Rng,
-) -> tuple[dict[str, np.ndarray], list[LossBreakdown]]:
+) -> list[LossBreakdown]:
     """RMSProp over ``cfg.epochs`` shuffled passes of ``train_idx``.
 
     ``loss_fn(weights, idx)`` returns the loss breakdown and the weight
-    gradients for the samples ``idx``.  Each epoch draws one shuffle
-    from ``rng`` and records the sample-weighted mean breakdown; the
-    weights must stay finite.  Returns the final weights and the history.
+    gradients for the samples ``idx``.  ``weights`` are updated in place.
+    Each epoch draws one shuffle from ``rng`` and records the
+    sample-weighted mean breakdown; the weights must stay finite.
+    Returns the history.
     """
-    state = OptState.zeros_like(weights)
-    history: list[LossBreakdown] = []
     n_train = int(train_idx.size)
+    if n_train == 0:
+        raise ArgumentError("dataset has an empty train split")
+    square_avg = {k: np.zeros_like(v) for k, v in weights.items()}
+    momentum_buf = {k: np.zeros_like(v) for k, v in weights.items()}
+    history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(4)
         for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
@@ -162,7 +154,7 @@ def fit(
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
                 ) from exc
-            weights, state = rmsprop_step(weights, grads, state, cfg)
+            rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
             weight = len(batch)
             sums += weight * np.asarray(
                 [breakdown.acec_a2v, breakdown.acec_v2a, breakdown.distill, breakdown.total]
@@ -172,7 +164,7 @@ def fit(
                 raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
         mean = sums / n_train
         history.append(LossBreakdown(*(float(v) for v in mean)))
-    return weights, history
+    return history
 
 
 def train(
@@ -185,8 +177,6 @@ def train(
     ``loss_cfg`` overrides the loss settings derived from ``cfg`` (used by
     the ablation grid to switch sub-nets and distillation terms).
     """
-    if ds.train_idx.size == 0:
-        raise ArgumentError("dataset has an empty train split")
     lcfg = loss_cfg if loss_cfg is not None else cfg.loss_config()
 
     rng = Rng(cfg.seed)
@@ -197,10 +187,9 @@ def train(
         return total_loss_raw(ModelParams(dims=dims, **weights), ds.regions(idx),
                               ds.labels[idx], ds.attributes, ds.class_semantics, split, lcfg)
 
-    # The initial weights get no name here, so fit's first step frees them.
-    weights, history = fit(init_params_from_rng(dims, rng).as_dict(), loss_fn,
-                           ds.train_idx, cfg, rng)
-    return TrainResult(params=ModelParams(dims=dims, **weights), history=history)
+    params = init_params_from_rng(dims, rng)
+    history = fit(params.as_dict(), loss_fn, ds.train_idx, cfg, rng)
+    return TrainResult(params=params, history=history)
 
 
 def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:

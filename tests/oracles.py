@@ -272,3 +272,23 @@ def harmonic_mean(s, u):
     if s + u == 0:
         return 0.0
     return 2.0 * s * u / (s + u)
+
+
+def rmsprop_step(params, grads, square_avg, momentum_buf, cfg):
+    """The RMSProp update on fresh arrays, one element at a time.
+
+    Returns new (params, square_avg, momentum_buf) dicts; the inputs are
+    left untouched.
+    """
+    new_params, new_sq, new_buf = {}, {}, {}
+    for name, param in params.items():
+        p, sq, buf = param.copy(), square_avg[name].copy(), momentum_buf[name].copy()
+        for idx in np.ndindex(param.shape):
+            g = float(grads[name][idx]) + cfg.weight_decay * float(param[idx])
+            s = cfg.rms_decay * float(sq[idx]) + (1.0 - cfg.rms_decay) * g * g
+            b = cfg.momentum * float(buf[idx]) + g / (math.sqrt(s) + cfg.epsilon_opt)
+            p[idx] = float(param[idx]) - cfg.learning_rate * b
+            sq[idx] = s
+            buf[idx] = b
+        new_params[name], new_sq[name], new_buf[name] = p, sq, buf
+    return new_params, new_sq, new_buf

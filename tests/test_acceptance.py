@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Thresholds and tolerances are fixed here and must not be loosened.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -68,8 +69,8 @@ def test_gradient_suite():
         _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
-                candidate = params.with_updates(
-                    {_n: flat.reshape(getattr(params, _n).shape)})
+                candidate = dataclasses.replace(
+                    params, **{_n: flat.reshape(getattr(params, _n).shape)})
                 out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),

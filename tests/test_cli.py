@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import struct
 import sys
@@ -418,6 +419,16 @@ class TestAblate:
                       str(cfg), "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_train_split_exits_2_with_one_error_line(self, tmp_path, data_file,
+                                                           train_cfg_file, capsys):
+        bad = tmp_path / "no_train.zsld"
+        _retyped(data_file, bad, "train_idx", lambda a: a[:0])
+        rc = cli.main(["ablate", "--data", str(bad), "--config", str(train_cfg_file),
+                       "--out", str(tmp_path / "ablation.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2, captured.err
+        assert captured.err.splitlines() == ["error: dataset has an empty train split"]
+
 
 class TestExportAttention:
     def test_exports_normalized_attention(self, tmp_path, data_file, checkpoint_file):
@@ -455,7 +466,7 @@ class TestNonFiniteCheckpoint:
     def nan_checkpoint(self, tmp_path, checkpoint_file):
         params = load_checkpoint(checkpoint_file)
         path = tmp_path / "nan.zsld"
-        save_checkpoint(params.with_updates({"W2": np.full_like(params.W2, np.nan)}), path)
+        save_checkpoint(dataclasses.replace(params, W2=np.full_like(params.W2, np.nan)), path)
         return path
 
     @pytest.mark.parametrize("command", ["eval", "export-attention"])

@@ -219,10 +219,8 @@ class TestTotalLoss:
     def test_zero_embeddings_give_zero_distill(self):
         # W2 = W_att = 0 forces psi == Psi == 0, the zero-distance case
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(43)
-        params = params.with_updates({
-            "W2": np.zeros_like(params.W2),
-            "W_att": np.zeros_like(params.W_att),
-        })
+        params = dataclasses.replace(
+            params, W2=np.zeros_like(params.W2), W_att=np.zeros_like(params.W_att))
         breakdown, _ = total_loss_raw(
             params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen), LossConfig())
         assert breakdown.distill == 0.0
@@ -235,8 +233,8 @@ class TestTotalLoss:
         _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
-                candidate = params.with_updates(
-                    {_n: flat.reshape(getattr(params, _n).shape)})
+                candidate = dataclasses.replace(
+                    params, **{_n: flat.reshape(getattr(params, _n).shape)})
                 out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),
@@ -253,8 +251,8 @@ class TestTotalLoss:
         _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
-                candidate = params.with_updates(
-                    {_n: flat.reshape(getattr(params, _n).shape)})
+                candidate = dataclasses.replace(
+                    params, **{_n: flat.reshape(getattr(params, _n).shape)})
                 out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),

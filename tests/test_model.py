@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,7 +61,7 @@ class TestInit:
 class TestA2VForward:
     def test_zero_w1_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
-        params = init_params_from_rng(DIMS, Rng(2)).with_updates({"W1": np.zeros((3, 4))})
+        params = replace(init_params_from_rng(DIMS, Rng(2)), W1=np.zeros((3, 4)))
         beta, _, _ = a2v_forward(regions[None], attrs, params)
         np.testing.assert_allclose(beta[0], 1.0 / DIMS.num_attributes, atol=1e-15)
         expected = np.tile(regions.mean(axis=0) * DIMS.num_regions / DIMS.num_attributes,
@@ -98,7 +100,7 @@ class TestA2VForward:
 class TestV2AForward:
     def test_zero_w3_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
-        params = init_params_from_rng(DIMS, Rng(2)).with_updates({"W3": np.zeros((4, 3))})
+        params = replace(init_params_from_rng(DIMS, Rng(2)), W3=np.zeros((4, 3)))
         tau, sem, *_ = v2a_forward(regions[None], attrs, params)
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
         expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions,
@@ -209,7 +211,7 @@ class TestBackward:
         grads = backward(regions, attrs, params, trace, w_psi, w_big)
         for name, grad in grads.items():
             def f(flat, _n=name):
-                return value(params.with_updates({_n: flat.reshape(grad.shape)}))
+                return value(replace(params, **{_n: flat.reshape(grad.shape)}))
             err = grad_check_detail(f, getattr(params, name).reshape(-1),
                                     grad.reshape(-1)).max_rel_error
             assert err <= 1e-6, f"{name}: {err}"
@@ -279,6 +281,6 @@ class TestCheckpoint:
         w2 = params.W2.copy()
         w2[1, 2] = bad
         path = tmp_path / "nan.ckpt"
-        save_checkpoint(params.with_updates({"W2": w2}), path)
+        save_checkpoint(replace(params, W2=w2), path)
         with pytest.raises(ContainerFormatError, match="W2.*non-finite"):
             load_checkpoint(path)

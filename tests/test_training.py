@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import TINY_SPEC, format_kv, patched
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
@@ -11,7 +13,6 @@ from msdn.model import ModelDims, init_params_from_rng
 from msdn.ndmath import Rng
 from msdn.training import (
     HISTORY_HEADER,
-    OptState,
     TrainConfig,
     load_train_config,
     make_batches,
@@ -23,44 +24,89 @@ from msdn.training import (
 FAST = TrainConfig(epochs=3, batch_size=8, seed=2)
 
 
+def _zeros(params):
+    return {name: np.zeros_like(arr) for name, arr in params.items()}
+
+
+def _weights(rng, shapes):
+    return {f"w{i}": rng.uniform(-1, 1, *shape) for i, shape in enumerate(shapes)}
+
+
 class TestRmspropStep:
     def test_fixed_point_at_zero_gradient(self):
         cfg = TrainConfig(weight_decay=0.0)
         params = {"w": np.array([[1.5, -2.0]])}
-        grads = {"w": np.zeros((1, 2))}
-        state = OptState.zeros_like(params)
-        new_params, _ = rmsprop_step(params, grads, state, cfg)
-        assert np.array_equal(new_params["w"], params["w"])
+        rmsprop_step(params, {"w": np.zeros((1, 2))}, _zeros(params), _zeros(params), cfg)
+        assert np.array_equal(params["w"], [[1.5, -2.0]])
 
     def test_scalar_hand_evaluated_update(self):
         cfg = TrainConfig()  # lr 1e-4, momentum 0.9, wd 1e-4, rho 0.99, eps 1e-8
         params = {"w": np.array([[1.0]])}
-        grads = {"w": np.array([[1.0]])}
-        state = OptState.zeros_like(params)
-        new_params, new_state = rmsprop_step(params, grads, state, cfg)
+        square_avg = _zeros(params)
+        rmsprop_step(params, {"w": np.array([[1.0]])}, square_avg, _zeros(params), cfg)
         # independent scalar evaluation of the documented rule
         g = 1.0 + 1e-4 * 1.0
         sq = 0.99 * 0.0 + 0.01 * g * g
         buf = 0.9 * 0.0 + g / (math.sqrt(sq) + 1e-8)
         expected = 1.0 - 1e-4 * buf
-        assert new_params["w"][0, 0] == pytest.approx(expected, abs=1e-15)
-        assert new_state.square_avg["w"][0, 0] == pytest.approx(sq, abs=1e-15)
+        assert params["w"][0, 0] == pytest.approx(expected, abs=1e-15)
+        assert square_avg["w"][0, 0] == pytest.approx(sq, abs=1e-15)
 
     def test_bit_identical_reruns(self):
         cfg = TrainConfig()
-        params = {"w": Rng(1).uniform(-1, 1, 3, 4)}
-        grads = {"w": Rng(2).uniform(-1, 1, 3, 4)}
-        state = OptState.zeros_like(params)
-        a, _ = rmsprop_step(params, grads, state, cfg)
-        b, _ = rmsprop_step(params, grads, OptState.zeros_like(params), cfg)
-        assert np.array_equal(a["w"], b["w"])
+        runs = []
+        for _ in range(2):
+            params = {"w": Rng(1).uniform(-1, 1, 3, 4)}
+            grads = {"w": Rng(2).uniform(-1, 1, 3, 4)}
+            rmsprop_step(params, grads, _zeros(params), _zeros(params), cfg)
+            runs.append(params["w"])
+        assert np.array_equal(*runs)
 
     def test_shape_mismatch(self):
         cfg = TrainConfig()
         params = {"w": np.zeros((2, 2))}
         grads = {"w": np.zeros((2, 3))}
         with pytest.raises(ShapeError):
-            rmsprop_step(params, grads, OptState.zeros_like(params), cfg)
+            rmsprop_step(params, grads, _zeros(params), _zeros(params), cfg)
+
+    def test_steps_match_fresh_array_oracle(self):
+        cfg = TrainConfig(learning_rate=1e-2, momentum=0.9, weight_decay=1e-2)
+        rng = Rng(5)
+        params = _weights(rng, [(3, 4), (5, 2)])
+        square_avg, momentum_buf = _zeros(params), _zeros(params)
+        want = ({k: v.copy() for k, v in params.items()}, _zeros(params), _zeros(params))
+        for _ in range(4):
+            grads = {name: rng.uniform(-1, 1, *arr.shape) for name, arr in params.items()}
+            want_params, want_sq, want_buf = want
+            want = oracles.rmsprop_step(want_params, grads, want_sq, want_buf, cfg)
+            rmsprop_step(params, grads, square_avg, momentum_buf, cfg)
+            for got, expected in zip((params, square_avg, momentum_buf), want):
+                for name in params:
+                    assert np.array_equal(got[name], expected[name]), name
+
+    def test_updates_in_place_and_consumes_grads(self):
+        params = _weights(Rng(6), [(3, 4), (4, 3)])
+        square_avg, momentum_buf = _zeros(params), _zeros(params)
+        held = [dict(d) for d in (params, square_avg, momentum_buf)]
+        grads = _weights(Rng(7), [(3, 4), (4, 3)])
+        rmsprop_step(params, grads, square_avg, momentum_buf, TrainConfig())
+        for now, before in zip((params, square_avg, momentum_buf), held):
+            assert now.keys() == before.keys()
+            assert all(now[name] is before[name] for name in now)
+        assert grads == {}
+
+    def test_step_allocates_less_than_one_weight_set(self):
+        params = _weights(Rng(8), [(64, 128)] * 5)
+        square_avg, momentum_buf = _zeros(params), _zeros(params)
+        grads = _weights(Rng(9), [(64, 128)] * 5)
+        weight_set = sum(arr.nbytes for arr in params.values())
+        tracemalloc.start()
+        try:
+            rmsprop_step(params, grads, square_avg, momentum_buf, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weight_set
 
 
 class TestMakeBatches:

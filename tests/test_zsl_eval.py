@@ -230,8 +230,8 @@ class TestEvaluate:
         # float64 weights this large overflow Psi to +-inf and the scores to
         # NaN, where argmax would report class 0.  The CLI cannot get here:
         # checkpoints hold finite f32 weights.
-        huge = trained.with_updates({"W4": trained.W4 * 1e200,
-                                     "W_att": trained.W_att * 1e200})
+        huge = dataclasses.replace(trained, W4=trained.W4 * 1e200,
+                                   W_att=trained.W_att * 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="not finite"):
                 evaluate(huge, tiny_dataset, PredictConfig())
