@@ -14,8 +14,10 @@ sub-nets score classes in the same attribute space.
 
 Forward and backward run on a (B, R, d_v) stack of images folded into
 (B*R, d_v) matrices, so each product is one GEMM per batch and the
-image-independent products (A W1, A W2, W3 A^T, W_att A^T) are formed
-once per batch.
+image-independent products (A W1, A W2, W3 A^T) are formed once per
+batch.  Psi = sum_r psi_bar_r v_r^T W_att A^T = (psi_bar^T V) W_att A^T
+is rank-one per image, so it is computed from the psi_bar-pooled
+(B, d_v) features and no (B, R, K) region-attribute map is formed.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class ForwardTrace:
     Psi: np.ndarray      # (K,) attribute confidences, second sub-net
     # Kept for the backward pass.
     match: np.ndarray    # (R, K) v_r^T W2^T a_k; psi_k = sum_r beta[k, r] match[r, k]
-    att: np.ndarray      # (R, K) v_r^T W_att a_k; Psi = psi_bar @ att
+    pooled: np.ndarray   # (d_v,) psi_bar @ V; Psi = pooled @ W_att @ A^T
     readout: np.ndarray  # (R, d_a) V @ W4; psi_bar = rowsum(readout * S)
 
     def image(self, i: int) -> "ForwardTrace":
@@ -145,12 +147,12 @@ def v2a_forward(
 ) -> tuple[np.ndarray, ...]:
     """Visual->attribute pass over a (B, R, d_v) stack.
 
-    Returns (tau, S, psi_bar, Psi, att, readout).  tau[b, r, k]
+    Returns (tau, S, psi_bar, Psi, pooled, readout).  tau[b, r, k]
     softmax-normalizes the bilinear scores over regions r within each
     attribute k; S_r pools attribute vectors under tau; psi_bar_r
     matches region r against S_r through W4; Psi projects psi_bar into
-    attribute space via the bilinear region-attribute compatibility
-    ``att`` through W_att.
+    attribute space through W_att, as the bilinear match of the
+    psi_bar-pooled regions with every attribute vector.
     """
     V = _folded(regions, attrs, params)
     batch, num_regions = regions.shape[:2]
@@ -159,9 +161,9 @@ def v2a_forward(
     S = tau.reshape(V.shape[0], -1) @ attrs                          # (B*R, d_a)
     readout = V @ params.W4                                          # (B*R, d_a)
     psi_bar = (readout * S).sum(axis=1).reshape(batch, num_regions)
-    att = (V @ (params.W_att @ attrs.T)).reshape(batch, num_regions, -1)
-    Psi = (psi_bar[:, :, None] * att).sum(axis=1)                    # (B, K)
-    return (tau, S.reshape(batch, num_regions, -1), psi_bar, Psi, att,
+    pooled = (psi_bar[:, None, :] @ regions)[:, 0]                   # (B, d_v)
+    Psi = (pooled @ params.W_att) @ attrs.T                          # (B, K)
+    return (tau, S.reshape(batch, num_regions, -1), psi_bar, Psi, pooled,
             readout.reshape(batch, num_regions, -1))
 
 
@@ -173,9 +175,9 @@ def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> Forw
     """
     stack = regions[None] if regions.ndim == 2 else regions
     beta, match, psi = a2v_forward(stack, attrs, params)
-    tau, S, psi_bar, Psi, att, readout = v2a_forward(stack, attrs, params)
+    tau, S, psi_bar, Psi, pooled, readout = v2a_forward(stack, attrs, params)
     trace = ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
-                         match=match, att=att, readout=readout)
+                         match=match, pooled=pooled, readout=readout)
     return trace.image(0) if regions.ndim == 2 else trace
 
 
@@ -204,10 +206,11 @@ def backward(
     g_W2 = attrs.T @ (d_match.T @ V)
     g_W1 = attrs.T @ (d_logits1.reshape(rows, -1).T @ V)
 
-    # second sub-net: Psi[b] = psi_bar[b] @ att[b]
-    d_psi_bar = (trace.att * d_Psi[:, None, :]).sum(axis=2).reshape(rows, 1)
-    d_att = (trace.psi_bar[:, :, None] * d_Psi[:, None, :]).reshape(rows, -1)
-    g_W_att = (V.T @ d_att) @ attrs
+    # second sub-net: Psi[b] = (psi_bar[b] @ V[b]) @ W_att @ A^T
+    d_Psi_A = d_Psi @ attrs                                          # (B, d_a)
+    g_W_att = trace.pooled.T @ d_Psi_A
+    d_pooled = d_Psi_A @ params.W_att.T                              # (B, d_v)
+    d_psi_bar = (regions @ d_pooled[:, :, None]).reshape(rows, 1)
 
     # psi_bar = rowsum(readout * S), readout = V @ W4, S = tau @ A
     g_W4 = V.T @ (d_psi_bar * trace.S.reshape(rows, -1))

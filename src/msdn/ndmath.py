@@ -181,7 +181,8 @@ def grad_check_detail(
 
     For every coordinate i the relative error is
     ``|analytic_i - numeric_i| / max(1, |analytic_i|, |numeric_i|)`` with
-    ``numeric_i = (f(x + step e_i) - f(x - step e_i)) / (2 step)``.
+    ``numeric_i = (f(x + step e_i) - f(x - step e_i)) / (2 step)``; a
+    non-finite ``analytic_i`` counts as an infinite relative error.
     Returns the worst coordinate; raises :class:`NumericError` if ``f``
     evaluates non-finite at any probe point.
     """
@@ -206,8 +207,12 @@ def grad_check_detail(
                 f"grad_check: f is non-finite near coordinate {i}"
             )
         numeric = (f_plus - f_minus) / (2.0 * step)
-        rel = abs(g[i] - numeric) / max(1.0, abs(g[i]), abs(numeric))
+        analytic_i = float(g[i])
+        if math.isfinite(analytic_i):
+            rel = abs(analytic_i - numeric) / max(1.0, abs(analytic_i), abs(numeric))
+        else:
+            rel = math.inf
         if rel > worst.max_rel_error:
-            worst = GradCheckResult(rel, i, float(g[i]), numeric)
+            worst = GradCheckResult(rel, i, analytic_i, numeric)
     return worst
 

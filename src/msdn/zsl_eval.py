@@ -173,21 +173,24 @@ def report(
 def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]:
     """The (psi, Psi) embeddings of the unseen and of the seen test split.
 
-    Each split is forwarded once, ``EVAL_CHUNK`` images per model call;
-    only the two (n, K) embeddings of each chunk's trace are kept, so any
-    number of predict configs can fuse them without another forward.
+    Both splits are forwarded in one pass over ``[test_unseen_idx;
+    test_seen_idx]``, ``EVAL_CHUNK`` images per model call, so a chunk
+    may hold images of both splits and the image-independent products
+    are formed once per chunk.  Only the two (n, K) embeddings of each
+    chunk's trace are kept, and their rows are split back at the number
+    of unseen test images, so any number of predict configs can fuse
+    them without another forward.
     """
     check_test_splits(ds)
-
-    def embed(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # No name holds a chunk or its trace, so each is freed before the next.
-        psi, Psi = zip(*[
-            attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK]),
-                                             ds.attributes, params))
-            for i in range(0, idx.size, EVAL_CHUNK)])
-        return np.concatenate(psi), np.concatenate(Psi)
-
-    return embed(ds.test_unseen_idx), embed(ds.test_seen_idx)
+    idx = np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])
+    # No name holds a chunk or its trace, so each is freed before the next.
+    psi, Psi = zip(*[
+        attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK]),
+                                         ds.attributes, params))
+        for i in range(0, idx.size, EVAL_CHUNK)])
+    psi, Psi = np.concatenate(psi), np.concatenate(Psi)
+    n_unseen = ds.test_unseen_idx.size
+    return (psi[:n_unseen], Psi[:n_unseen]), (psi[n_unseen:], Psi[n_unseen:])
 
 
 def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:

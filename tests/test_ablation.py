@@ -16,8 +16,8 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
 
     monkeypatch.setattr(zsl_eval, "forward", counted_forward)
     rows = {r.variant: r for r in run_ablation(ds, cfg)}
-    # five distinct loss configs; each split fits in one EVAL_CHUNK
-    assert len(forwarded) == 5 * 2
+    # five distinct loss configs; both test splits fit in one EVAL_CHUNK
+    assert len(forwarded) == 5
     assert sum(forwarded) == 5 * (ds.test_unseen_idx.size + ds.test_seen_idx.size)
 
     # rows that share the jointly trained model score it like evaluate does

@@ -220,6 +220,21 @@ class TestGradCheck:
         assert err.startswith("error: ")
         assert "W2" in err and "coordinate" in err
 
+    def test_nan_gradient_exits_6_with_one_error_line(self, monkeypatch, capsys):
+        exact = model.backward
+
+        def nan_at_one_w_att_coordinate(*args):
+            grads = exact(*args)
+            grads["W_att"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(model, "backward", nan_at_one_w_att_coordinate)
+        assert cli.main(["grad-check", "--seed", "0"]) == 6
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and "W_att" in captured.err
+        assert "all gradients ok" not in captured.out
+
     def test_malformed_dims_exit_2(self):
         assert cli.main(["grad-check", "--dims", "1,2,3"]) == 2
 
@@ -451,8 +466,9 @@ class TestExportAttention:
         trace = forward(ds.features[0], ds.attributes, params)
         rows = (out_dir / "scores.csv").read_text().strip().splitlines()
         assert rows[0] == "attribute,psi,Psi"
-        got_psi = np.array([float(r.split(",")[1]) for r in rows[1:]])
-        np.testing.assert_array_equal(got_psi, trace.psi)
+        got = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
+        np.testing.assert_array_equal(got[:, 0], trace.psi)
+        np.testing.assert_array_equal(got[:, 1], trace.Psi)
 
     def test_index_out_of_range_exits_2(self, tmp_path, data_file, checkpoint_file):
         rc = cli.main(["export-attention", "--data", str(data_file),

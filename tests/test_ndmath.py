@@ -126,6 +126,16 @@ class TestGradCheck:
         with pytest.raises(ArgumentError):
             grad_check_detail(lambda x: 0.0, np.array([1.0]), np.array([0.0]), step=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_analytic_entry_is_infinite_error(self, bad):
+        analytic = np.array([2.0, bad, 2.0])
+        detail = grad_check_detail(
+            lambda x: float(np.sum(x ** 2)), np.ones(3), analytic)
+        assert detail.max_rel_error == math.inf and detail.worst_index == 1
+        assert type(detail.max_rel_error) is float
+        assert all(type(v) is float for v in (detail.analytic_at_worst,
+                                               detail.numeric_at_worst))
+
     def test_detail_reports_worst_coordinate(self):
         analytic = np.array([2.0, 100.0])  # second coordinate is wrong
         detail = grad_check_detail(

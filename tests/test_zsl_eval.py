@@ -176,7 +176,9 @@ class TestEvaluate:
         report = evaluate(trained, ds, cfg)
         assert report.acc == report.U == report.S == report.H == 1.0
 
-    @pytest.mark.parametrize("chunk", [2, 64])
+    # 12 unseen + 3 seen test images: chunks of 5 put the last unseen
+    # images and the seen ones in one call.
+    @pytest.mark.parametrize("chunk", [2, 5, 64])
     def test_one_forward_per_split_chunk(self, tiny_dataset, trained, monkeypatch, chunk):
         calls = []
 
@@ -187,12 +189,17 @@ class TestEvaluate:
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", chunk)
         monkeypatch.setattr(zsl_eval, "forward", counting_forward)
         ds = tiny_dataset
-        expected = (math.ceil(ds.test_unseen_idx.size / chunk)
-                    + math.ceil(ds.test_seen_idx.size / chunk))
+        n_unseen, n_seen = ds.test_unseen_idx.size, ds.test_seen_idx.size
         report = evaluate(trained, ds, PredictConfig())
-        assert len(calls) == expected
-        assert sum(calls) == ds.test_unseen_idx.size + ds.test_seen_idx.size
+        assert len(calls) == math.ceil((n_unseen + n_seen) / chunk)
+        assert sum(calls) == n_unseen + n_seen
+
         monkeypatch.setattr(zsl_eval, "forward", forward)
+        unseen, seen = zsl_eval.forward_test_splits(trained, ds)
+        for (psi, Psi), idx in ((unseen, ds.test_unseen_idx), (seen, ds.test_seen_idx)):
+            trace = forward(ds.regions(idx), ds.attributes, trained)
+            np.testing.assert_allclose(psi, trace.psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(Psi, trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
         assert evaluate(trained, ds, PredictConfig()) == report
 
