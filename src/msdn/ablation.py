@@ -38,7 +38,7 @@ class AblationResult:
 
 def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossBreakdown]]:
     """Mean-pool the regions and map them with one learned K x d_v matrix."""
-    lcfg = cfg.loss_config(lambda_distill=0.0)
+    lcfg = cfg.loss_config()
     rng = Rng(cfg.seed)
     pooled = ds.features.mean(axis=1, dtype=np.float64)  # (N, d_v)
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)

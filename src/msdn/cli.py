@@ -242,7 +242,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        # An overflow is reported once, by the finiteness check that meets
+        # it (exit 4), not as a numpy warning per operation beforehand.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handler(args)
     except MsdnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

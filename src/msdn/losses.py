@@ -11,7 +11,7 @@ forwards into all five parameter matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -20,24 +20,19 @@ from .configfile import require_finite
 from .errors import ArgumentError, NumericError, ShapeError
 from .ndmath import log_sum_exp, softmax_stable
 
-CALIBRATION_SIGNS = ("prose", "literal")
-
 
 @dataclass(frozen=True)
 class LossConfig:
     """Loss weights and switches.
 
-    ``calibration_sign`` picks the direction of the self-calibration
-    term: "prose" penalizes low unseen-class probability (the intended
-    behavior); "literal" flips it, kept selectable for fidelity
-    experiments.  ``use_a2v``/``use_v2a`` and the distill term switches
-    exist for the ablation grid; distillation is active only when both
-    sub-nets are.
+    ``lambda_cal`` weighs the self-calibration term, which always moves
+    probability mass toward the unseen classes.  ``use_a2v``/``use_v2a``
+    and the distill term switches exist for the ablation grid;
+    distillation is active only when both sub-nets are.
     """
 
     lambda_cal: float = 0.1
     lambda_distill: float = 0.001
-    calibration_sign: str = "prose"
     epsilon_kl: float = 1e-8
     distill_jsd: bool = True
     distill_l2: bool = True
@@ -51,11 +46,6 @@ class LossConfig:
         if not 0.0 < self.epsilon_kl <= 1e-3:
             raise ArgumentError(
                 f"epsilon_kl must lie in (0, 1e-3], got {self.epsilon_kl}"
-            )
-        if self.calibration_sign not in CALIBRATION_SIGNS:
-            raise ArgumentError(
-                f"calibration_sign must be one of {CALIBRATION_SIGNS}, "
-                f"got {self.calibration_sign!r}"
             )
         if not (self.use_a2v or self.use_v2a):
             raise ArgumentError("at least one sub-net must be active")
@@ -78,15 +68,17 @@ class LossBreakdown:
     total: float
 
     def is_finite(self) -> bool:
-        return bool(np.isfinite([self.acec_a2v, self.acec_v2a, self.distill, self.total]).all())
+        return bool(np.isfinite(astuple(self)).all())
 
 
 @dataclass(frozen=True)
 class ClassSplit:
     """Sorted seen and unseen classes with their calibration offsets.
 
-    The two lists partition 0..C-1.  Built once per training run, so no
-    batch re-sorts the classes or rebuilds the offsets.
+    The two lists partition 0..C-1.  This is the one place that sorts
+    the classes and builds the +1 unseen / -1 seen offset; the loss and
+    the predictor both read it.  Built once per training run or report,
+    so no batch re-sorts the classes or rebuilds the offsets.
     """
 
     seen: np.ndarray
@@ -114,9 +106,9 @@ def acec_loss(
     ``scores`` stacks one or more (batch, C) blocks over all classes, one
     per sub-net, each scored against the same ``labels``.  The supervised
     term is the mean negative log softmax over seen-class scores at the
-    true label.  The calibration term offsets every logit by +1 (unseen)
-    or -1 (seen), softmaxes over all classes, and sums the unseen-class
-    log-probabilities; its sign follows ``cfg.calibration_sign``.  Every
+    true label.  The calibration term offsets every logit by
+    ``split.indicator``, softmaxes over all classes, and penalizes low
+    unseen-class log-probabilities, weighted by ``cfg.lambda_cal``.  Every
     step is row-wise, so a block scores as it would alone.  Returns each
     block's loss, the gradient w.r.t. ``scores`` and the seen-class
     softmax of every row (what distillation compares).
@@ -156,10 +148,9 @@ def acec_loss(
         # per-sample cross-entropy mass on the unseen classes
         cal_rows = (-log_q[:, unseen].sum(axis=1)).reshape(blocks, batch)
         g_cal = (unseen.size * np.exp(log_q) - split.unseen_mask) / batch
-        sign = 1.0 if cfg.calibration_sign == "prose" else -1.0
         for i, block in enumerate(cal_rows):
-            losses[i] += sign * (cfg.lambda_cal * float(np.mean(block)))
-        grad += sign * (cfg.lambda_cal * g_cal)
+            losses[i] += cfg.lambda_cal * float(np.mean(block))
+        grad += cfg.lambda_cal * g_cal
 
     return losses, grad, p_seen
 

@@ -49,6 +49,11 @@ class ModelDims:
             num_regions=ds.num_regions,
         )
 
+    def param_shapes(self) -> dict[str, tuple[int, int]]:
+        """Shape of each weight matrix, in ``PARAM_NAMES`` order."""
+        d_v, d_a = self.visual_dim, self.attr_dim
+        return dict(zip(PARAM_NAMES, [(d_a, d_v)] * 2 + [(d_v, d_a)] * 3))
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -95,17 +100,10 @@ def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
 
 def init_params_from_rng(dims: ModelDims, rng: Rng) -> ModelParams:
     """Glorot-uniform initialization, drawing W1, W2, W3, W4, W_att in order."""
-    d_v, d_a = dims.visual_dim, dims.attr_dim
-    if min(d_v, d_a, dims.num_attributes, dims.num_regions) < 1:
+    if min(dims.visual_dim, dims.attr_dim, dims.num_attributes, dims.num_regions) < 1:
         raise ShapeError(f"model dims must be positive, got {dims}")
-    return ModelParams(
-        dims=dims,
-        W1=_glorot(rng, d_a, d_v),
-        W2=_glorot(rng, d_a, d_v),
-        W3=_glorot(rng, d_v, d_a),
-        W4=_glorot(rng, d_v, d_a),
-        W_att=_glorot(rng, d_v, d_a),
-    )
+    return ModelParams(dims=dims, **{name: _glorot(rng, *shape)
+                                     for name, shape in dims.param_shapes().items()})
 
 
 def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -251,14 +249,7 @@ def load_checkpoint(path) -> ModelParams:
         raise ContainerFormatError(
             f"checkpoint dims must be 4 integers, got {dims_vec.dtype} {dims_vec.shape}")
     dims = ModelDims(*(int(v) for v in dims_vec))
-    expected = {
-        "W1": (dims.attr_dim, dims.visual_dim),
-        "W2": (dims.attr_dim, dims.visual_dim),
-        "W3": (dims.visual_dim, dims.attr_dim),
-        "W4": (dims.visual_dim, dims.attr_dim),
-        "W_att": (dims.visual_dim, dims.attr_dim),
-    }
-    for name, shape in expected.items():
+    for name, shape in dims.param_shapes().items():
         if tensors[name].shape != shape:
             raise ContainerFormatError(
                 f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {shape}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
 from .ndmath import Rng
 
-HISTORY_HEADER = ("epoch", "acec_a2v", "acec_v2a", "distill", "total")
+HISTORY_HEADER = ("epoch", *(f.name for f in fields(LossBreakdown)))
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class TrainConfig:
     seed: int = 1
     lambda_cal: float = 0.1
     lambda_distill: float = 0.001
-    calibration_sign: str = "prose"
     epsilon_kl: float = 1e-8
     rms_decay: float = 0.99
     epsilon_opt: float = 1e-8
@@ -146,7 +145,7 @@ def fit(
     momentum_buf = {k: np.zeros_like(v) for k, v in weights.items()}
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
-        sums = np.zeros(4)
+        sums = np.zeros(len(fields(LossBreakdown)))
         for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
             try:
                 breakdown, grads = loss_fn(weights, train_idx[batch])
@@ -156,9 +155,7 @@ def fit(
                 ) from exc
             rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
             weight = len(batch)
-            sums += weight * np.asarray(
-                [breakdown.acec_a2v, breakdown.acec_v2a, breakdown.distill, breakdown.total]
-            )
+            sums += weight * np.asarray(astuple(breakdown))
         for name, arr in weights.items():
             if not np.isfinite(arr).all():
                 raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
@@ -197,7 +194,4 @@ def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for epoch, row in enumerate(history):
-            writer.writerow(
-                [epoch, repr(row.acec_a2v), repr(row.acec_v2a),
-                 repr(row.distill), repr(row.total)]
-            )
+            writer.writerow([epoch, *(repr(v) for v in astuple(row))])

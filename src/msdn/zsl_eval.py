@@ -2,10 +2,11 @@
 
 Prediction fuses the two sub-net embeddings with coefficients
 (alpha1, alpha2), scores every class by the dot product with its
-semantic vector, and adds a fixed +1/-1 calibration offset that favors
-unseen classes.  Conventional ZSL restricts the argmax to unseen
-classes; generalized ZSL ranks all of them.  Accuracies are per-class
-(macro) top-1, summarized by the harmonic mean H = 2SU / (S + U).
+semantic vector, and adds the +1 unseen / -1 seen calibration offset of
+a ``losses.ClassSplit``, which favors unseen classes.  Conventional ZSL
+restricts the argmax to unseen classes; generalized ZSL ranks all of
+them.  Accuracies are per-class (macro) top-1, summarized by the
+harmonic mean H = 2SU / (S + U).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .configfile import require_finite
 from .data_io import Dataset
 from .errors import ArgumentError, NumericError, ShapeError
+from .losses import ClassSplit
 from .model import ModelParams, forward
 
 MODES = ("czsl", "gzsl")
@@ -66,22 +68,26 @@ def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:
 def calibrated_scores(
     embedding: np.ndarray,
     class_semantics: np.ndarray,
-    unseen_classes: np.ndarray,
+    split: ClassSplit,
 ) -> np.ndarray:
-    """Class scores of a fused embedding with the +1 unseen / -1 seen offset.
+    """Class scores of a fused embedding plus ``split.indicator``.
 
     A (K,) embedding gives (C,) scores, a (B, K) batch (B, C).  Raises
-    :class:`NumericError` if a score is not finite, since an argmax over
-    NaN would silently pick class 0.
+    :class:`ShapeError` unless ``split`` covers the C classes of
+    ``class_semantics``, and :class:`NumericError` if a score is not
+    finite, since an argmax over NaN would silently pick class 0.
     """
     if class_semantics.shape[1] != embedding.shape[-1]:
         raise ShapeError(
             f"embedding length {embedding.shape[-1]} != class semantic width "
             f"{class_semantics.shape[1]}"
         )
-    offset = np.full(class_semantics.shape[0], -1.0)
-    offset[np.asarray(unseen_classes, dtype=np.int64)] = 1.0
-    scores = (class_semantics @ embedding.T).T + offset
+    if split.indicator.size != class_semantics.shape[0]:
+        raise ShapeError(
+            f"class split covers {split.indicator.size} classes, class semantics "
+            f"have {class_semantics.shape[0]} rows"
+        )
+    scores = (class_semantics @ embedding.T).T + split.indicator
     if not np.isfinite(scores).all():
         raise NumericError("class scores are not finite; the model parameters overflow")
     return scores
@@ -90,19 +96,19 @@ def calibrated_scores(
 def predict(
     embedding: np.ndarray,
     class_semantics: np.ndarray,
-    unseen_classes: np.ndarray,
+    split: ClassSplit,
     mode: str,
 ) -> int | np.ndarray:
     """Predicted class index of a (K,) embedding, or one per row of (B, K).
 
-    CZSL ranks the unseen classes only, GZSL all classes.  Ties resolve
-    to the smallest class index.
+    CZSL ranks the unseen classes of ``split`` only, GZSL all classes.
+    Ties resolve to the smallest class index.
     """
     if mode not in MODES:
         raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
-    scores = calibrated_scores(embedding, class_semantics, unseen_classes)
+    scores = calibrated_scores(embedding, class_semantics, split)
     if mode == "czsl":
-        candidates = np.sort(np.asarray(unseen_classes, dtype=np.int64))
+        candidates = split.unseen
     else:
         candidates = np.arange(class_semantics.shape[0], dtype=np.int64)
     if candidates.size == 0:
@@ -152,8 +158,10 @@ def report(
     report's ``acc`` uses CZSL predictions on the unseen test split; U
     and S use GZSL predictions on the unseen and seen test splits.
     """
+    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+
     def split_preds(embedding: np.ndarray, mode: str) -> np.ndarray:
-        return predict(embedding, ds.class_semantics, ds.unseen_classes, mode)
+        return predict(embedding, ds.class_semantics, split, mode)
 
     unseen_labels = ds.labels[ds.test_unseen_idx]
     seen_labels = ds.labels[ds.test_seen_idx]

@@ -206,7 +206,7 @@ def class_scores(embedding, class_semantics):
     return np.asarray(out)
 
 
-def acec_loss(scores, labels, seen, unseen, lambda_cal, sign):
+def acec_loss(scores, labels, seen, unseen, lambda_cal):
     """Scalar-loop calibrated cross-entropy; returns the loss only."""
     batch, num_classes = scores.shape
     seen = sorted(int(c) for c in seen)
@@ -225,7 +225,7 @@ def acec_loss(scores, labels, seen, unseen, lambda_cal, sign):
             cal = 0.0
             for c in unseen:
                 cal += -math.log(q[c])
-            total += lambda_cal * cal if sign == "prose" else -lambda_cal * cal
+            total += lambda_cal * cal
     return total / batch
 
 

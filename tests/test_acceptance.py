@@ -100,12 +100,11 @@ def test_oracle_equivalence():
                           (trace.psi_bar, obar), (trace.Psi, obig)):
             worst = max(worst, float(np.abs(got - want).max()))
 
-        sign = "prose" if seed % 2 == 0 else "literal"
-        cfg = LossConfig(lambda_cal=0.1, calibration_sign=sign)
+        cfg = LossConfig(lambda_cal=0.1)
         rng = Rng(seed + 5000)
         scores = rng.uniform(-2.0, 2.0, 2, semantics.shape[0])
         got_acec, _ = acec(scores, labels, seen, unseen, cfg)
-        want_acec = oracles.acec_loss(scores, labels, seen, unseen, 0.1, sign)
+        want_acec = oracles.acec_loss(scores, labels, seen, unseen, 0.1)
         worst = max(worst, abs(got_acec - want_acec))
 
         s1 = rng.uniform(-3.0, 3.0, 2, len(seen))
@@ -115,8 +114,9 @@ def test_oracle_equivalence():
         worst = max(worst, abs(got_distill - want_distill))
 
         fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi, trace.Psi)
+        split = ClassSplit.of(seen, unseen)
         for mode in ("czsl", "gzsl"):
-            got = predict(fused, semantics, unseen, mode)
+            got = predict(fused, semantics, split, mode)
             want = oracles.predict(trace.psi, trace.Psi, semantics, seen, unseen,
                                    0.9, 0.1, mode)
             assert got == want, f"seed {seed} mode {mode}: {got} != {want}"
@@ -177,14 +177,15 @@ def test_calibration_behavior():
     params, regions, attrs, semantics, _, seen, unseen = _random_instance(77)
     trace = forward(regions[0], attrs, params)
     cfg = PredictConfig()
-    scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics, unseen)
+    scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics,
+                               ClassSplit.of(seen, unseen))
     raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
     assert np.array_equal(scores[unseen], raw[unseen] + 1.0)
     assert np.array_equal(scores[seen], raw[seen] - 1.0)
 
     # seen leads by 1.5 raw; the +/-1 offsets hand the argmax to unseen
     margin_semantics = np.array([[5.0], [3.5]])
-    assert predict(np.array([1.0]), margin_semantics, np.array([1]), "gzsl") == 1
+    assert predict(np.array([1.0]), margin_semantics, ClassSplit.of([0], [1]), "gzsl") == 1
     _report("calibration behavior", "exact +/-1 offsets; 1.5 margin flips")
 
 

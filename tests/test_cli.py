@@ -286,6 +286,12 @@ class TestConfigProbes:
         self.exits_2_untrained(monkeypatch, capsys, [
             "train", "--data", data_file, "--config", cfg, "--out", tmp_path / "m.zsld"])
 
+    def test_train_rejects_calibration_sign(self, tmp_path, data_file, monkeypatch, capsys):
+        cfg = tmp_path / "sign.cfg"
+        cfg.write_text("epochs = 2\nbatch_size = 8\ncalibration_sign = prose\n")
+        assert "'calibration_sign'" in self.exits_2_untrained(monkeypatch, capsys, [
+            "train", "--data", data_file, "--config", cfg, "--out", tmp_path / "m.zsld"])
+
     def test_gen_data_nan_noise(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("noise_std = nan\n")
@@ -475,6 +481,22 @@ class TestExportAttention:
                        "--checkpoint", str(checkpoint_file),
                        "--image", "999", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestNumericFailure:
+    def test_overflowing_learning_rate_exits_4_with_one_error_line(
+            self, tmp_path, data_file, capsys):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("epochs = 3\nbatch_size = 8\nlearning_rate = 1e300\n")
+        out = tmp_path / "m.zsld"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--data", str(data_file), "--config", str(cfg),
+                           "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not out.exists()
 
 
 class TestNonFiniteCheckpoint:

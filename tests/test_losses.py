@@ -46,15 +46,14 @@ class TestAcecLoss:
         loss, _ = acec(scores, np.array([2]), np.arange(3), np.arange(3, 5), cfg)
         assert loss < 1e-8
 
-    @pytest.mark.parametrize("sign", ["prose", "literal"])
-    def test_matches_scalar_oracle(self, sign):
+    def test_matches_scalar_oracle(self):
         rng = Rng(21)
         scores = rng.uniform(-2.0, 2.0, 4, 5)
         labels = np.array([0, 2, 1, 0])
         seen, unseen = np.arange(3), np.arange(3, 5)
-        cfg = LossConfig(lambda_cal=0.1, calibration_sign=sign)
+        cfg = LossConfig(lambda_cal=0.1)
         loss, _ = acec(scores, labels, seen, unseen, cfg)
-        expected = oracles.acec_loss(scores, labels, seen, unseen, 0.1, sign)
+        expected = oracles.acec_loss(scores, labels, seen, unseen, 0.1)
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_zero_lambda_equals_plain_cross_entropy(self):
@@ -63,7 +62,7 @@ class TestAcecLoss:
         labels = np.array([1, 0, 3, 2, 1])
         seen, unseen = np.arange(4), np.arange(4, 7)
         loss, _ = acec(scores, labels, seen, unseen, LossConfig(lambda_cal=0.0))
-        expected = oracles.acec_loss(scores, labels, seen, unseen, 0.0, "prose")
+        expected = oracles.acec_loss(scores, labels, seen, unseen, 0.0)
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_constant_shift_leaves_seen_term_unchanged(self):
@@ -81,26 +80,24 @@ class TestAcecLoss:
         with pytest.raises(ArgumentError, match="outside the seen"):
             acec(np.zeros((1, 4)), np.array([3]), np.arange(3), np.array([3]), cfg)
 
-    @pytest.mark.parametrize("sign", ["prose", "literal"])
-    def test_gradient_matches_finite_differences(self, sign):
+    def test_gradient_matches_finite_differences(self):
         rng = Rng(24)
         scores = rng.uniform(-1.0, 1.0, 3, 6)
         labels = np.array([2, 0, 1])
         seen, unseen = np.arange(4), np.arange(4, 6)
-        cfg = LossConfig(lambda_cal=0.2, calibration_sign=sign)
+        cfg = LossConfig(lambda_cal=0.2)
         _, grad = acec(scores, labels, seen, unseen, cfg)
         numeric = finite_diff_scores(
             lambda s: acec(s, labels, seen, unseen, cfg)[0], scores
         )
         np.testing.assert_allclose(grad, numeric, atol=1e-8)
 
-    @pytest.mark.parametrize("sign", ["prose", "literal"])
-    def test_stacked_blocks_score_as_alone(self, sign):
+    def test_stacked_blocks_score_as_alone(self):
         rng = Rng(25)
         labels = np.array([3, 0, 2])
         seen, unseen = np.arange(4), np.arange(4, 6)
         blocks = [rng.uniform(-2.0, 2.0, 3, 6) for _ in range(2)]
-        cfg = LossConfig(lambda_cal=0.2, calibration_sign=sign)
+        cfg = LossConfig(lambda_cal=0.2)
         stacked = np.concatenate(blocks)
         losses, grad, p_seen = acec_loss(stacked, labels, ClassSplit.of(seen, unseen), cfg)
         alone = [acec(block, labels, seen, unseen, cfg) for block in blocks]
@@ -329,10 +326,6 @@ class TestLossConfig:
             LossConfig(epsilon_kl=0.0)
         with pytest.raises(ArgumentError):
             LossConfig(epsilon_kl=0.01)
-
-    def test_rejects_unknown_sign(self):
-        with pytest.raises(ArgumentError):
-            LossConfig(calibration_sign="inverted")
 
     def test_rejects_no_active_subnet(self):
         with pytest.raises(ArgumentError):

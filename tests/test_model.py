@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_instance
 from msdn.errors import ContainerFormatError, ShapeError
+from msdn.losses import ClassSplit
 from msdn.model import (
     ModelDims,
     ModelParams,
@@ -56,6 +57,15 @@ class TestInit:
         assert params.W3.shape == (4, 3)
         assert params.W4.shape == (4, 3)
         assert params.W_att.shape == (4, 3)
+
+    def test_draws_glorot_matrices_in_param_order(self):
+        params = init_params_from_rng(DIMS, Rng(6))
+        rng = Rng(6)
+        d_v, d_a = DIMS.visual_dim, DIMS.attr_dim
+        limit = np.sqrt(6.0 / (d_v + d_a))
+        for name, shape in (("W1", (d_a, d_v)), ("W2", (d_a, d_v)), ("W3", (d_v, d_a)),
+                            ("W4", (d_v, d_a)), ("W_att", (d_v, d_a))):
+            assert np.array_equal(getattr(params, name), rng.uniform(-limit, limit, *shape))
 
 
 class TestA2VForward:
@@ -133,9 +143,9 @@ class TestV2AForward:
 def class_scores(embedding, semantics):
     """Raw class scores: ``calibrated_scores`` minus its offset."""
     num_classes = semantics.shape[0]
-    unseen = np.array([num_classes - 1])
-    scores = calibrated_scores(np.asarray(embedding, dtype=float), semantics, unseen)
-    return scores - np.where(np.arange(num_classes) == unseen[0], 1.0, -1.0)
+    split = ClassSplit.of(np.arange(num_classes - 1), [num_classes - 1])
+    scores = calibrated_scores(np.asarray(embedding, dtype=float), semantics, split)
+    return scores - np.where(np.arange(num_classes) == num_classes - 1, 1.0, -1.0)
 
 
 class TestClassScores:
@@ -273,6 +283,14 @@ class TestCheckpoint:
         path = tmp_path / "broken.zsld"
         write_container(path, [("W1", np.zeros((3, 4), dtype=np.float32))])
         with pytest.raises(ContainerFormatError, match="missing"):
+            load_checkpoint(path)
+
+    def test_transposed_weight_rejected(self, tmp_path):
+        params = init_params_from_rng(DIMS, Rng(12))
+        path = tmp_path / "transposed.ckpt"
+        save_checkpoint(replace(params, W3=params.W3.T), path)
+        with pytest.raises(ContainerFormatError,
+                           match=r"W3 has shape \(3, 4\), expected \(4, 3\)"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -12,7 +12,6 @@ from msdn.errors import ArgumentError, DatasetValidationError, NumericError, Sha
 from msdn.model import ModelDims, init_params_from_rng
 from msdn.ndmath import Rng
 from msdn.training import (
-    HISTORY_HEADER,
     TrainConfig,
     load_train_config,
     make_batches,
@@ -183,8 +182,7 @@ class TestTrain:
 
 class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = TrainConfig(epochs=17, seed=3, lambda_cal=0.25,
-                          calibration_sign="literal")
+        cfg = TrainConfig(epochs=17, seed=3, lambda_cal=0.25, lambda_distill=0.5)
         path = tmp_path / "train.cfg"
         path.write_text(format_kv(cfg))
         assert load_train_config(path) == cfg
@@ -214,7 +212,7 @@ class TestHistoryCsv:
         path = tmp_path / "history.csv"
         write_history_csv(outcome.history, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(HISTORY_HEADER)
+        assert lines[0] == "epoch,acec_a2v,acec_v2a,distill,total"
         assert len(lines) == 1 + FAST.epochs
         first = lines[1].split(",")
         assert first[0] == "0"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import patched, random_instance
-from msdn.errors import ArgumentError, DatasetValidationError, NumericError
+from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
+from msdn.losses import ClassSplit
 from msdn.model import forward
 from msdn.training import TrainConfig, train
 from msdn import zsl_eval
@@ -60,25 +61,27 @@ class TestHarmonicMean:
 
 class TestPredict:
     def test_alpha1_only_depends_on_psi(self):
-        params, regions, attrs, semantics, _, _, unseen = random_instance(60)
+        params, regions, attrs, semantics, _, seen, unseen = random_instance(60)
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0)
         fused = cfg.fuse(trace.psi, trace.Psi)
         other = cfg.fuse(trace.psi, np.full_like(trace.Psi, 9.0))
         np.testing.assert_array_equal(fused, other)
-        assert (predict(fused, semantics, unseen, "gzsl")
-                == predict(other, semantics, unseen, "gzsl"))
+        split = ClassSplit.of(seen, unseen)
+        assert (predict(fused, semantics, split, "gzsl")
+                == predict(other, semantics, split, "gzsl"))
 
     def test_indicator_margin_flips_to_unseen(self):
         # raw scores: seen class 5.0, unseen 4.5; offsets make 4.5+1 > 5.0-1
         semantics = np.array([[5.0], [4.5]])
-        assert predict(np.array([1.0]), semantics, np.array([1]), "gzsl") == 1
+        assert predict(np.array([1.0]), semantics, ClassSplit.of([0], [1]), "gzsl") == 1
 
     def test_indicator_exact_offsets(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig()
-        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics, unseen)
+        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics,
+                                   ClassSplit.of(seen, unseen))
         raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
         np.testing.assert_array_equal(scores[seen], raw[seen] - 1.0)
         np.testing.assert_array_equal(scores[unseen], raw[unseen] + 1.0)
@@ -88,8 +91,9 @@ class TestPredict:
         for seed in range(30):
             params, regions, attrs, semantics, _, seen, unseen = random_instance(seed)
             trace = forward(regions[0], attrs, params)
+            split = ClassSplit.of(seen, unseen)
             for mode in ("czsl", "gzsl"):
-                got = predict(cfg.fuse(trace.psi, trace.Psi), semantics, unseen, mode)
+                got = predict(cfg.fuse(trace.psi, trace.Psi), semantics, split, mode)
                 expected = oracles.predict(trace.psi, trace.Psi, semantics,
                                            seen, unseen, 0.7, 0.3, mode)
                 assert got == expected
@@ -100,7 +104,7 @@ class TestPredict:
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig()
         fused = cfg.fuse(trace.psi, trace.Psi)
-        pred = predict(fused, semantics, unseen, "czsl")
+        pred = predict(fused, semantics, ClassSplit.of(seen, unseen), "czsl")
         raw = semantics @ fused
         unseen_sorted = np.sort(unseen)
         assert pred == int(unseen_sorted[np.argmax(raw[unseen_sorted])])
@@ -109,18 +113,19 @@ class TestPredict:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(63)
         trace = forward(regions[0], attrs, params)
         scores = calibrated_scores(PredictConfig().fuse(trace.psi, trace.Psi),
-                                   semantics, unseen)
+                                   semantics, ClassSplit.of(seen, unseen))
         assert int(np.argmax(scores + 123.0)) == int(np.argmax(scores))
 
     def test_tie_breaks_to_smallest_class(self):
         semantics = np.zeros((4, 2))
         # all raw scores zero: unseen classes tie at +1, seen at -1
-        assert predict(np.zeros(2), semantics, np.arange(2, 4), "gzsl") == 2
+        split = ClassSplit.of(np.arange(2), np.arange(2, 4))
+        assert predict(np.zeros(2), semantics, split, "gzsl") == 2
 
     def test_empty_candidates_rejected(self):
         semantics = np.ones((2, 2))
         with pytest.raises(ArgumentError, match="candidate"):
-            predict(np.ones(2), semantics, np.array([], dtype=int), "czsl")
+            predict(np.ones(2), semantics, ClassSplit.of([0, 1], []), "czsl")
 
     def test_alpha_validation(self):
         with pytest.raises(ArgumentError):
@@ -128,7 +133,17 @@ class TestPredict:
         with pytest.raises(ArgumentError):
             PredictConfig(alpha1=-1.0, alpha2=0.5)
         with pytest.raises(ArgumentError, match="mode"):
-            predict(np.ones(2), np.ones((3, 2)), np.array([2]), "both")
+            predict(np.ones(2), np.ones((3, 2)), ClassSplit.of([0, 1], [2]), "both")
+
+    def test_split_must_cover_every_class(self):
+        # three classes in the split, four rows of class semantics
+        semantics = np.ones((4, 2))
+        split = ClassSplit.of([0, 1], [2])
+        with pytest.raises(ShapeError, match="3 classes"):
+            calibrated_scores(np.ones(2), semantics, split)
+        for mode in ("czsl", "gzsl"):
+            with pytest.raises(ShapeError, match="3 classes"):
+                predict(np.ones(2), semantics, split, mode)
 
 
 class TestPerClassAccuracy:
@@ -168,7 +183,7 @@ class TestEvaluate:
         splits = [(fused(ds.test_unseen_idx), ds.labels[ds.test_unseen_idx]),
                   (fused(ds.test_seen_idx), ds.labels[ds.test_seen_idx])]
 
-        def oracle_predict(embedding, class_semantics, unseen_classes, mode):
+        def oracle_predict(embedding, class_semantics, split, mode):
             (labels,) = [lab for emb, lab in splits if np.array_equal(emb, embedding)]
             return labels
 
