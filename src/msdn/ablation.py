@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, open_output
 from .errors import ArgumentError
 from .losses import ClassSplit, LossBreakdown, LossConfig, acec_loss
 from .model import _glorot
@@ -105,7 +105,7 @@ def run_ablation(
 def write_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
     if not results:
         raise ArgumentError("no ablation results to write")
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATION_CSV_HEADER)
         for row in results:

@@ -212,7 +212,7 @@ def cmd_export_attention(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_grid(path: Path, row_label: str, col_label: str, grid: np.ndarray) -> None:
-        with open(path, "w", newline="") as fh:
+        with data_io.open_output(path) as fh:
             header = [row_label] + [f"{col_label}_{j}" for j in range(grid.shape[1])]
             fh.write(",".join(header) + "\n")
             for i, row in enumerate(grid):
@@ -220,7 +220,7 @@ def cmd_export_attention(args) -> int:
 
     write_grid(out_dir / "beta.csv", "attribute", "region", trace.beta)
     write_grid(out_dir / "tau.csv", "region", "attribute", trace.tau)
-    with open(out_dir / "scores.csv", "w", newline="") as fh:
+    with data_io.open_output(out_dir / "scores.csv") as fh:
         fh.write("attribute,psi,Psi\n")
         for i in range(trace.psi.shape[0]):
             fh.write(f"{i},{float(trace.psi[i])!r},{float(trace.Psi[i])!r}\n")

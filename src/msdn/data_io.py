@@ -12,13 +12,18 @@ semantic vectors are widened to f64 when a dataset is built.  Widening
 is exact, and a dataset built from f64 features holds them rounded to
 f32 as its container will, so features round-trip bit-exactly; the
 f64 vectors round-trip bit-exactly only when f32 holds them exactly.
+Every output of the package, containers and CSVs alike, is written
+through ``open_output``, which replaces a file and never truncates it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -183,6 +188,62 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
 
 
 # --------------------------------------------------------------------------
+# Output files
+# --------------------------------------------------------------------------
+
+def _create_sibling(target: str, path: str | Path) -> tuple[str, int]:
+    """A new hidden file next to ``target``, created with the umask's mode."""
+    head, name = os.path.split(target)
+    while True:
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        except OSError as exc:  # name the output asked for, not the hidden file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
+@contextmanager
+def open_output(path: str | Path, mode: str = "w") -> Iterator:
+    """Open an output file for writing, text (``"w"``) or binary (``"wb"``).
+
+    The bytes go to a new file in the target's directory (symlinks
+    resolved).  Only once it is written and closed is the old file
+    unlinked and the new one renamed onto the free name, so a reader
+    sees the old file, no file, or the new file, never a partial one,
+    and a handle on the old file keeps its bytes.  Truncating a file, or
+    renaming over one, that was written a moment ago can block until its
+    data is flushed (ext4 does); neither happens here.  If the writer
+    raises, the new file is removed and the old one is left as it was.
+    A target that exists but is not a regular file (a device, a FIFO, a
+    directory) is opened in place.  Nothing is fsynced.
+    """
+    text = {} if "b" in mode else {"newline": ""}
+    target = os.path.realpath(path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(target).st_mode)
+    except OSError:
+        in_place = False
+    # A name ending in a separator asks for a directory; open() reports that.
+    if in_place or not os.path.basename(path):
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
+    tmp, fd = _create_sibling(target, path)
+    try:
+        with open(fd, mode, **text) as fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(target)
+        os.rename(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+# --------------------------------------------------------------------------
 # Container file format
 # --------------------------------------------------------------------------
 
@@ -212,7 +273,7 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
         chunks.append(struct.pack(f"<{payload.ndim}I", *payload.shape))
         chunks.append(payload)
     # Payloads go to the file as they are: no joined copy of the whole file.
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.writelines(chunks)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
-from .data_io import Dataset
+from .data_io import Dataset, open_output
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
@@ -190,7 +190,7 @@ def train(
 
 
 def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for epoch, row in enumerate(history):

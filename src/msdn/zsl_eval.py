@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import require_finite
-from .data_io import Dataset
+from .data_io import Dataset, open_output
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import ClassSplit
 from .model import ModelParams, forward
@@ -209,7 +209,7 @@ def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
     """Metric CSV: one metric,value row for acc, U, S, H."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(("metric", "value"))
         for name, value in (("acc", report.acc), ("U", report.U),
@@ -218,7 +218,7 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
 
 
 def write_per_class_csv(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(("class_id", "split", "accuracy"))
         for class_id, split, accuracy in report.per_class:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import struct
 import sys
@@ -104,6 +105,19 @@ class TestTrain:
                       str(train_cfg_file), "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rerun_replaces_checkpoint_not_truncates(
+        self, tmp_path, data_file, train_cfg_file
+    ):
+        path = tmp_path / "model.zsld"
+        runs = []
+        for _ in range(2):
+            assert cli.main(["train", "--data", str(data_file), "--config",
+                             str(train_cfg_file), "--out", str(path)]) == 0
+            runs.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_ino))
+        (digest_a, inode_a), (digest_b, inode_b) = runs
+        assert digest_a == digest_b and inode_a != inode_b
+        assert not list(tmp_path.glob(".*.tmp"))
+
     def test_corrupted_data_exits_3(self, tmp_path, data_file, train_cfg_file, capsys):
         blob = bytearray(data_file.read_bytes())
         blob[:4] = b"XXXX"
@@ -185,6 +199,18 @@ class TestEval:
         rc = cli.main(["eval", "--data", str(other_data), "--checkpoint",
                        str(checkpoint_file), "--out", str(tmp_path / "y.csv")])
         assert rc == 5
+
+    @pytest.mark.parametrize("out", ["missing_dir/m.csv", "a_dir", "m.csv/"])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, data_file, checkpoint_file,
+                                              monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_dir").mkdir()
+        rc = cli.main(["eval", "--data", str(data_file), "--checkpoint",
+                       str(checkpoint_file), "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"'{out}'" in err[0], err
+        assert not list(tmp_path.rglob(".*.tmp"))
 
     def test_per_class_csv(self, tmp_path, data_file, checkpoint_file):
         per_class = tmp_path / "classes.csv"

@@ -1,5 +1,8 @@
 import dataclasses
+import os
+import stat
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -92,6 +95,71 @@ class TestContainerRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < (4 + 1) * n
+
+
+def temp_files(directory) -> list[str]:
+    """The hidden files an interrupted output write would leave behind."""
+    return sorted(p.name for p in directory.glob(".*.tmp"))
+
+
+class TestOpenOutput:
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "out.zsld"
+        write_container(path, [("x", np.arange(6, dtype=np.int32))])
+        old = path.read_bytes()
+        with pytest.raises(RuntimeError, match="partway"):
+            with data_io.open_output(path, "wb") as fh:
+                fh.write(b"ZSLD partial")
+                raise RuntimeError("writer failed partway")
+        assert path.read_bytes() == old
+        assert temp_files(tmp_path) == []
+
+    def test_old_handle_and_hard_link_keep_old_bytes(self, tmp_path):
+        path, link = tmp_path / "out.csv", tmp_path / "old.csv"
+        path.write_text("old\n")
+        os.link(path, link)
+        with open(path, "rb") as reader:
+            with data_io.open_output(path) as fh:
+                fh.write("new\n")
+            assert reader.read() == b"old\n"
+        assert path.read_text() == "new\n" and link.read_text() == "old\n"
+        assert path.stat().st_ino != link.stat().st_ino
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "out.csv"
+        old_umask = os.umask(umask)
+        try:
+            with data_io.open_output(path) as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_symlink_updates_its_target(self, tmp_path):
+        target = tmp_path / "real" / "model.zsld"
+        target.parent.mkdir()
+        target.write_bytes(b"old")
+        link = tmp_path / "model.zsld"
+        link.symlink_to(target)
+        write_container(link, [("x", np.arange(3, dtype=np.int32))])
+        assert link.is_symlink() and link.resolve() == target
+        assert [(n, a.tolist()) for n, a in read_container(target)] == [("x", [0, 1, 2])]
+        assert temp_files(tmp_path) == [] and temp_files(target.parent) == []
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        with data_io.open_output(fifo) as fh:
+            fh.write("a,b\n1,2\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [b"a,b\n1,2\n"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert temp_files(tmp_path) == []
 
 
 def same_bits(a: Dataset, b: Dataset) -> bool:
