@@ -43,6 +43,7 @@ from .ndmath import Rng
 
 _MAGIC = b"ZSLD"
 _VERSION = 1
+_MAX_DIM = 2 ** 32  # each dimension is packed as "<I"
 _DTYPE_F32 = 1
 _DTYPE_I32 = 3
 _STORED_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_I32: "<i4"}
@@ -163,11 +164,19 @@ class SynthSpec:
     def __post_init__(self) -> None:
         require_finite(self)
         require_seed("SynthSpec.seed", self.seed)
-        for name in ("num_seen", "num_unseen", "num_attributes", "num_regions",
-                     "visual_dim", "attr_dim", "samples_per_class"):
-            value = getattr(self, name)
+        sizes = {name: getattr(self, name)
+                 for name in ("num_seen", "num_unseen", "num_attributes", "num_regions",
+                              "visual_dim", "attr_dim", "samples_per_class")}
+        for name, value in sizes.items():
             if value < 1:
                 raise ArgumentError(f"SynthSpec.{name} must be >= 1, got {value}")
+        # rejected here, before generate_synthetic allocates anything
+        sizes["(num_seen + num_unseen) * samples_per_class"] = (
+            (self.num_seen + self.num_unseen) * self.samples_per_class)
+        for name, value in sizes.items():
+            if value >= _MAX_DIM:
+                raise ArgumentError(
+                    f"SynthSpec {name} is {value}; a container dimension must be below 2^32")
         if self.noise_std < 0:
             raise ArgumentError(f"SynthSpec.noise_std must be >= 0, got {self.noise_std}")
         if not 0 <= self.active_attributes <= self.num_attributes:

@@ -11,7 +11,8 @@ forwards into all five parameter matrices.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,15 +61,11 @@ class LossConfig:
         )
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     acec_a2v: float
     acec_v2a: float
     distill: float
     total: float
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(astuple(self)).all())
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ def total_loss_raw(
     total = acec_a2v + acec_v2a + cfg.lambda_distill * distill
     breakdown = LossBreakdown(acec_a2v=acec_a2v, acec_v2a=acec_v2a,
                               distill=distill, total=total)
-    if not breakdown.is_finite():
+    if not np.isfinite(breakdown).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
     grads = model_mod.backward(region_stacks, attrs, params, trace,

@@ -254,6 +254,9 @@ def load_checkpoint(path) -> ModelParams:
             raise ContainerFormatError(
                 f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {shape}"
             )
+        if tensors[name].dtype.kind != "f":
+            raise ContainerFormatError(
+                f"checkpoint tensor {name} must have a float dtype, got {tensors[name].dtype}")
         if not np.isfinite(tensors[name]).all():
             raise ContainerFormatError(f"checkpoint tensor {name} has non-finite entries")
     return ModelParams(dims=dims, **{name: tensors[name].astype(np.float64)

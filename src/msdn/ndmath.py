@@ -1,8 +1,10 @@
 """Dense float64 math kernels, a portable PRNG, and gradient checking.
 
-Every matrix the package computes with is a 2-D C-order ``float64``
-numpy array and every vector a 1-D ``float64`` array; only a dataset's
-stored region features are float32.  Everything here is deterministic:
+The package computes in C-order ``float64`` numpy arrays: vectors,
+matrices, and 3-D stacks such as a batch's (B, R, d_v) region features
+and the attention maps over them.  A dataset holds its region features
+as ``float32``; each gathered batch is widened to ``float64`` before any
+kernel sees it.  Everything here is deterministic:
 re-running an operation on identical inputs yields bit-identical output,
 and the :class:`Rng` stream depends only on its seed, never on the
 platform.

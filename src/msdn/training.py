@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
 from .ndmath import Rng
 
-HISTORY_HEADER = ("epoch", *(f.name for f in fields(LossBreakdown)))
+HISTORY_HEADER = ("epoch", *LossBreakdown._fields)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def fit(
     momentum_buf = {k: np.zeros_like(v) for k, v in weights.items()}
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
-        sums = np.zeros(len(fields(LossBreakdown)))
+        sums = np.zeros(len(LossBreakdown._fields))
         for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
             try:
                 breakdown, grads = loss_fn(weights, train_idx[batch])
@@ -155,12 +155,11 @@ def fit(
                 ) from exc
             rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
             weight = len(batch)
-            sums += weight * np.asarray(astuple(breakdown))
+            sums += weight * np.asarray(breakdown)
         for name, arr in weights.items():
             if not np.isfinite(arr).all():
                 raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
-        mean = sums / n_train
-        history.append(LossBreakdown(*(float(v) for v in mean)))
+        history.append(LossBreakdown(*(sums / n_train).tolist()))
     return history
 
 
@@ -194,4 +193,4 @@ def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for epoch, row in enumerate(history):
-            writer.writerow([epoch, *(repr(v) for v in astuple(row))])
+            writer.writerow([epoch, *map(repr, row)])

@@ -324,6 +324,35 @@ class TestConfigProbes:
         self.exits_2_untrained(monkeypatch, capsys, [
             "gen-data", "--spec", spec, "--out", tmp_path / "x.zsld"])
 
+    # The container packs each dimension as "<I"; the last spec overflows
+    # only in (num_seen + num_unseen) * samples_per_class.
+    @pytest.mark.parametrize("spec_text", [
+        "samples_per_class = 1000000000000\n",
+        f"visual_dim = {2 ** 32}\n",
+        f"num_seen = {2 ** 31}\nnum_unseen = {2 ** 31}\nsamples_per_class = 1\n",
+    ])
+    def test_gen_data_oversized_spec(self, tmp_path, monkeypatch, capsys, spec_text):
+        def no_generation(spec):
+            raise AssertionError("generate_synthetic ran on an oversized spec")
+
+        monkeypatch.setattr(data_io, "generate_synthetic", no_generation)
+        spec = tmp_path / "big.spec"
+        spec.write_text(spec_text)
+        err = self.exits_2_untrained(monkeypatch, capsys, [
+            "gen-data", "--spec", spec, "--out", tmp_path / "big.zsld"])
+        assert "2^32" in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 3.27 PiB", ""])
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys, message):
+        def out_of_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(data_io, "generate_synthetic", out_of_memory)
+        err = self.exits_2_untrained(monkeypatch, capsys, [
+            "gen-data", "--out", tmp_path / "x.zsld"])
+        assert err.startswith("error: out of memory: ")
+        assert not (tmp_path / "x.zsld").exists()
+
     def test_eval_infinite_alpha(self, tmp_path, data_file, checkpoint_file,
                                  monkeypatch, capsys):
         self.exits_2_untrained(monkeypatch, capsys, [

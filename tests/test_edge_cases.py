@@ -78,6 +78,18 @@ class TestCheckpointValidation:
         with pytest.raises(ContainerFormatError, match="dims must be 4 integers"):
             load_checkpoint(path)
 
+    def test_integer_weight_rejected(self, tmp_path):
+        from msdn.data_io import read_container
+
+        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
+        path = tmp_path / "ckpt.zsld"
+        save_checkpoint(init_params_from_rng(dims, Rng(1)), path)
+        items = [(n, (a if n == "dims" else a.astype(np.int32)))
+                 for n, a in read_container(path)]
+        write_container(path, items)
+        with pytest.raises(ContainerFormatError, match="W1 must have a float dtype"):
+            load_checkpoint(path)
+
 
 class TestHistoryBreakdownInvariant:
     def test_epoch_rows_satisfy_total_identity(self, tiny_dataset):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -146,6 +147,14 @@ class TestTrain:
         assert a.history == b.history
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+
+    def test_batch_loop_makes_no_deep_copies(self, tiny_dataset, monkeypatch):
+        def no_deepcopy(*args, **kwargs):
+            raise AssertionError("copy.deepcopy called while training")
+
+        monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+        history = train(tiny_dataset, dataclasses.replace(FAST, epochs=2)).history
+        assert len(history) == 2
 
     def test_loss_decreases_on_tiny_problem(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=25)
