@@ -44,11 +44,12 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossB
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
-        embeddings = pooled[idx] @ weights["W_pool"].T          # (B, K)
-        scores = embeddings @ ds.class_semantics.T              # (B, C)
-        (loss,), g_scores, _ = acec_loss(scores, ds.labels[idx], split, lcfg)
-        g_emb = g_scores @ ds.class_semantics                   # (B, K)
-        return LossBreakdown(loss, 0.0, 0.0, loss), {"W_pool": g_emb.T @ pooled[idx]}
+        # Class-major like total_loss_raw, so acec_loss reduces leading axes.
+        embeddings = weights["W_pool"] @ pooled[idx].T          # (K, B)
+        scores = ds.class_semantics @ embeddings                # (C, B)
+        (loss,), g_scores, _ = acec_loss(scores.T, ds.labels[idx], split, lcfg)
+        g_emb = ds.class_semantics.T @ g_scores.T               # (K, B)
+        return LossBreakdown(loss, 0.0, 0.0, loss), {"W_pool": g_emb @ pooled[idx]}
 
     w_pool = _glorot(rng, ds.num_attributes, ds.visual_dim)
     history = fit({"W_pool": w_pool}, loss_fn, ds.train_idx, cfg, rng)

@@ -108,8 +108,12 @@ class Dataset:
             arr.flags.writeable = False
 
     def regions(self, idx) -> np.ndarray:
-        """The region features of images ``idx``, widened to the float64 the model takes."""
-        return self.features[idx].astype(np.float64)
+        """The region features of images ``idx``, widened to the float64 the model takes.
+
+        A batch comes back as a (B, R, d_v) view of a C-order (R, B, d_v)
+        array, so the model folds it to region-major rows with no copy.
+        """
+        return self.features[idx].swapaxes(0, -2).astype(np.float64, order="C").swapaxes(0, -2)
 
     @property
     def num_samples(self) -> int:
@@ -276,6 +280,10 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
         name_bytes = name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise ContainerFormatError(f"tensor name too long: {name!r}")
+        if max(payload.shape, default=0) >= _MAX_DIM:
+            raise ContainerFormatError(
+                f"tensor {name!r} has shape {payload.shape}; a container dimension must be "
+                f"below 2^32")
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
         chunks.append(struct.pack("<BB", code, payload.ndim))

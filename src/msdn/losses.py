@@ -109,6 +109,11 @@ def acec_loss(
     step is row-wise, so a block scores as it would alone.  Returns each
     block's loss, the gradient w.r.t. ``scores`` and the seen-class
     softmax of every row (what distillation compares).
+
+    The work runs on ``scores.T``, class-major, so every softmax and sum
+    over classes reduces the outermost axis when ``scores`` is a view of
+    a C-order (C, rows) array, as ``total_loss_raw`` passes it.  Both
+    returned arrays are such views.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -126,30 +131,31 @@ def acec_loss(
     if not known.all():
         bad_labels = sorted({int(v) for v in labels[~known]})
         raise ArgumentError(f"labels outside the seen classes: {bad_labels}")
-    rows, cols = np.arange(scores.shape[0]), np.tile(label_pos, blocks)
+    classes_by_row = scores.T                           # (C, rows)
+    label_rows, cols = np.tile(label_pos, blocks), np.arange(scores.shape[0])
 
-    grad = np.zeros_like(scores)
+    grad = np.zeros_like(classes_by_row)
 
     # supervised term over seen-class scores only
-    seen_scores = scores[:, seen]                       # (rows, C_s)
-    per_row = log_sum_exp(seen_scores, axis=1) - seen_scores[rows, cols]
+    seen_scores = classes_by_row[seen]                  # (C_s, rows)
+    per_row = log_sum_exp(seen_scores, axis=0) - seen_scores[label_rows, cols]
     losses = [float(np.mean(block)) for block in per_row.reshape(blocks, batch)]
-    p_seen = softmax_stable(seen_scores, axis=1)
+    p_seen = softmax_stable(seen_scores, axis=0)
     g_seen = p_seen.copy()
-    g_seen[rows, cols] -= 1.0
-    grad[:, seen] += g_seen / batch
+    g_seen[label_rows, cols] -= 1.0
+    grad[seen] += g_seen / batch
 
     if cfg.lambda_cal > 0 and unseen.size > 0:
-        shifted = scores + split.indicator              # (rows, C)
-        log_q = shifted - log_sum_exp(shifted, axis=1)[:, None]
+        shifted = classes_by_row + split.indicator[:, None]
+        log_q = shifted - log_sum_exp(shifted, axis=0)
         # per-sample cross-entropy mass on the unseen classes
-        cal_rows = (-log_q[:, unseen].sum(axis=1)).reshape(blocks, batch)
-        g_cal = (unseen.size * np.exp(log_q) - split.unseen_mask) / batch
+        cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
+        g_cal = (unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch
         for i, block in enumerate(cal_rows):
             losses[i] += cfg.lambda_cal * float(np.mean(block))
         grad += cfg.lambda_cal * g_cal
 
-    return losses, grad, p_seen
+    return losses, grad.T, p_seen.T
 
 
 def distill_loss(
@@ -162,7 +168,8 @@ def distill_loss(
     Rows are the seen-class softmaxes of two score batches; each is
     clamped to [epsilon_kl, 1] and renormalized before comparison.
     Returns the mean per-sample loss and gradients w.r.t. both sets of
-    scores those softmaxes came from.
+    scores those softmaxes came from.  Like ``acec_loss`` it works
+    class-major, on the transposes of its arguments, and returns views.
     """
     if p_seen1.shape != p_seen2.shape or p_seen1.ndim != 2:
         raise ShapeError(
@@ -171,10 +178,11 @@ def distill_loss(
         )
     batch = p_seen1.shape[0]
     eps = cfg.epsilon_kl
+    p_seen1, p_seen2 = p_seen1.T, p_seen2.T             # (classes, batch)
 
     def clamped(raw):
         out = np.clip(raw, eps, 1.0)
-        total = out.sum(axis=1, keepdims=True)
+        total = out.sum(axis=0, keepdims=True)
         return out / total, total
 
     p, total1 = clamped(p_seen1)
@@ -187,23 +195,23 @@ def distill_loss(
     d_p = np.zeros_like(p)
     d_q = np.zeros_like(q)
     if cfg.distill_jsd:
-        kl_pq = (p * log_ratio).sum(axis=1)
-        kl_qp = (q * -log_ratio).sum(axis=1)
+        kl_pq = (p * log_ratio).sum(axis=0)
+        kl_qp = (q * -log_ratio).sum(axis=0)
         per_row += 0.5 * (kl_pq + kl_qp)
         d_p += 0.5 * (log_ratio + 1.0 - q / p)
         d_q += 0.5 * (-log_ratio + 1.0 - p / q)
     if cfg.distill_l2:
         diff = p - q
-        per_row += (diff * diff).sum(axis=1)
+        per_row += (diff * diff).sum(axis=0)
         d_p += 2.0 * diff
         d_q -= 2.0 * diff
     loss = float(np.mean(per_row))
 
     def _to_scores(d_prob, prob, raw, total):
         # renormalization, clamp mask, then the softmax jacobian
-        d_clamped = (d_prob - (d_prob * prob).sum(axis=1, keepdims=True)) / total
+        d_clamped = (d_prob - (d_prob * prob).sum(axis=0, keepdims=True)) / total
         d_raw = d_clamped * ((raw >= eps) & (raw <= 1.0))
-        return raw * (d_raw - (d_raw * raw).sum(axis=1, keepdims=True)) / batch
+        return (raw * (d_raw - (d_raw * raw).sum(axis=0, keepdims=True)) / batch).T
 
     return loss, _to_scores(d_p, p, p_seen1, total1), _to_scores(d_q, q, p_seen2, total2)
 
@@ -219,11 +227,13 @@ def total_loss_raw(
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Total objective and parameter gradients for one batch of images.
 
-    ``region_stacks`` is (batch, R, d_v).  Cross-entropy scores the
-    active sub-nets' class scores in one pass over their stacked rows,
-    with a separate mean per sub-net; an inactive sub-net is not scored.
-    Distillation compares the two seen-class posteriors that pass
-    computed.  The reported total is exactly
+    ``region_stacks`` is (batch, R, d_v), fastest region-major as
+    ``Dataset.regions`` gives it.  Only the active sub-nets run; an
+    inactive one is not scored and gets zero gradients.  Cross-entropy
+    scores the active sub-nets' class scores in one pass over their
+    stacked rows, with a separate mean per sub-net.  Distillation
+    compares the two seen-class posteriors that pass computed.  The
+    reported total is exactly
     ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
     if region_stacks.ndim != 3:
@@ -232,21 +242,21 @@ def total_loss_raw(
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
 
-    trace = model_mod.forward(region_stacks, attrs, params)
-    active = [emb for emb, on in ((trace.psi, cfg.use_a2v), (trace.Psi, cfg.use_v2a)) if on]
-    scores = np.concatenate([emb @ class_semantics.T for emb in active])  # (rows, C)
-    acec, g_active, p_seen = acec_loss(scores, labels, split, cfg)
+    trace = model_mod.forward(region_stacks, attrs, params, cfg.use_a2v, cfg.use_v2a)
+    # Class-major (C, rows) scores: each sub-net's block is a column block.
+    embeddings = np.concatenate(
+        [emb.T for emb, on in ((trace.psi, cfg.use_a2v), (trace.Psi, cfg.use_v2a)) if on], axis=1)
+    acec, g_active, p_seen = acec_loss((class_semantics @ embeddings).T, labels, split, cfg)
 
-    inactive = np.zeros((batch, class_semantics.shape[0]))
-    g_scores1 = g_active[:batch] if cfg.use_a2v else inactive
-    g_scores2 = g_active[-batch:] if cfg.use_v2a else inactive
+    g_scores1 = g_active[:batch].T if cfg.use_a2v else None   # (C, batch)
+    g_scores2 = g_active[-batch:].T if cfg.use_v2a else None
     acec_a2v = acec[0] if cfg.use_a2v else 0.0
     acec_v2a = acec[-1] if cfg.use_v2a else 0.0
     distill = 0.0
     if cfg.distill_active:
         distill, g1, g2 = distill_loss(p_seen[:batch], p_seen[batch:], cfg)
-        g_scores1[:, split.seen] += cfg.lambda_distill * g1
-        g_scores2[:, split.seen] += cfg.lambda_distill * g2
+        g_scores1[split.seen] += cfg.lambda_distill * g1.T
+        g_scores2[split.seen] += cfg.lambda_distill * g2.T
 
     total = acec_a2v + acec_v2a + cfg.lambda_distill * distill
     breakdown = LossBreakdown(acec_a2v=acec_a2v, acec_v2a=acec_v2a,
@@ -254,6 +264,7 @@ def total_loss_raw(
     if not np.isfinite(breakdown).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
-    grads = model_mod.backward(region_stacks, attrs, params, trace,
-                               g_scores1 @ class_semantics, g_scores2 @ class_semantics)
+    d_psi, d_Psi = (None if g is None else (class_semantics.T @ g).T
+                    for g in (g_scores1, g_scores2))
+    grads = model_mod.backward(region_stacks, attrs, params, trace, d_psi, d_Psi)
     return breakdown, grads

@@ -277,6 +277,13 @@ class TestContainerErrors:
         with pytest.raises(ContainerFormatError, match="missing required"):
             load_container(path)
 
+    def test_dimension_beyond_u32_rejected_before_writing(self, tmp_path):
+        # Each dimension is stored as a u32; this array holds no element, so nothing is allocated.
+        path = tmp_path / "wide.zsld"
+        with pytest.raises(ContainerFormatError, match="below 2\\^32"):
+            write_container(path, [("x", np.zeros((2 ** 32, 0), dtype=np.float32))])
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_range_labels_fail_validation_on_load(self, tiny_dataset, tmp_path):
         ds = tiny_dataset
         num_classes = ds.num_classes

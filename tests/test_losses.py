@@ -11,7 +11,7 @@ from conftest import acec, distill, random_instance
 from msdn import losses
 from msdn.errors import ArgumentError, NumericError, ShapeError
 from msdn.losses import ClassSplit, LossConfig, acec_loss, total_loss_raw
-from msdn.model import PARAM_NAMES
+from msdn.model import PARAM_NAMES, ModelDims, init_params_from_rng
 from msdn.ndmath import Rng, grad_check_detail, softmax_stable
 
 
@@ -314,6 +314,53 @@ class TestTotalLoss:
         assert a2v_only.acec_a2v == joint.acec_a2v
         with pytest.raises(NumericError):
             total_loss_raw(params, regions, labels, attrs, semantics, split, LossConfig())
+
+
+class TestMemoryLayout:
+    """Reductions run on region-major batches; the layout never changes a result."""
+
+    CONFIGS = pytest.mark.parametrize(
+        "cfg", [LossConfig(), LossConfig(use_v2a=False), LossConfig(use_a2v=False)],
+        ids=["full", "a2v_only", "v2a_only"])
+
+    @staticmethod
+    def batch(ds):
+        idx = ds.train_idx[::2]
+        params = init_params_from_rng(ModelDims.for_dataset(ds), Rng(7))
+        return params, idx, ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+
+    def test_regions_are_region_major(self, tiny_dataset):
+        ds = tiny_dataset
+        idx = np.array([4, 0, 7])
+        stack = ds.regions(idx)
+        assert stack.shape == (3, ds.num_regions, ds.visual_dim)
+        assert stack.dtype == np.float64
+        assert stack.transpose(1, 0, 2).flags.c_contiguous
+        assert np.array_equal(stack, ds.features[idx])
+
+    @CONFIGS
+    def test_gradients_are_c_contiguous(self, tiny_dataset, cfg):
+        ds = tiny_dataset
+        params, idx, split = self.batch(ds)
+        _, grads = total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
+                                  ds.class_semantics, split, cfg)
+        for name, grad in grads.items():
+            assert grad.shape == getattr(params, name).shape
+            assert grad.flags.c_contiguous, name
+
+    @CONFIGS
+    def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, cfg):
+        ds = tiny_dataset
+        params, idx, split = self.batch(ds)
+        region_major = ds.regions(idx)
+        c_order = np.ascontiguousarray(region_major)
+        assert not region_major.flags.c_contiguous
+        args = (ds.labels[idx], ds.attributes, ds.class_semantics, split, cfg)
+        loss_rm, grads_rm = total_loss_raw(params, region_major, *args)
+        loss_c, grads_c = total_loss_raw(params, c_order, *args)
+        np.testing.assert_allclose(loss_rm, loss_c, rtol=1e-12, atol=0)
+        for name, grad in grads_c.items():
+            assert np.abs(grads_rm[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
 
 
 class TestLossConfig:

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from conftest import TINY_SPEC, format_kv, patched
+from msdn import model
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from msdn.model import ModelDims, init_params_from_rng
@@ -169,6 +170,26 @@ class TestTrain:
         totals = [h.total for h in train(ds, cfg).history]
         for i in range(5, len(totals) - 1):
             assert totals[i + 1] <= totals[i] + 1e-6
+
+    @pytest.mark.parametrize("inactive, names", [("a2v", ("W1", "W2")),
+                                                 ("v2a", ("W3", "W4", "W_att"))],
+                             ids=["a2v", "v2a"])
+    def test_inactive_sub_net_never_runs_and_only_decays(self, tiny_dataset, monkeypatch,
+                                                         inactive, names):
+        def refuse(*args):
+            raise AssertionError(f"the inactive {inactive} sub-net ran")
+
+        monkeypatch.setattr(model, f"{inactive}_forward", refuse)
+        cfg = dataclasses.replace(FAST, epochs=2)
+        outcome = train(tiny_dataset, cfg, loss_cfg=cfg.loss_config(**{f"use_{inactive}": False}))
+        # Its matrices see exact zero gradients, so only weight decay moves them.
+        init = init_params_from_rng(ModelDims.for_dataset(tiny_dataset), Rng(cfg.seed))
+        decayed = {name: getattr(init, name) for name in names}
+        square_avg, momentum_buf = _zeros(decayed), _zeros(decayed)
+        for _ in range(cfg.epochs * math.ceil(tiny_dataset.train_idx.size / cfg.batch_size)):
+            rmsprop_step(decayed, _zeros(decayed), square_avg, momentum_buf, cfg)
+        for name in names:
+            assert np.array_equal(getattr(outcome.params, name), decayed[name])
 
     def test_params_stay_finite(self, tiny_dataset):
         outcome = train(tiny_dataset, dataclasses.replace(FAST, epochs=10))
