@@ -5,7 +5,8 @@ alone, each sub-net trained jointly with distillation but scored alone,
 distillation restricted to its symmetric-KL or L2 term, and the full
 model.  Every variant shares the same seed, the RMSProp loop of
 ``training.fit`` and the calibrated predictor of ``zsl_eval.report``;
-each reports CZSL accuracy and the GZSL harmonic mean.
+each reports CZSL accuracy and the GZSL harmonic mean, and the history
+of the model it scores.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data_io import Dataset, open_output
 from .errors import ArgumentError
-from .losses import ClassSplit, LossBreakdown, LossConfig, acec_loss
+from .losses import ClassSplit, LossBreakdown, acec_loss
 from .model import _glorot
 from .ndmath import Rng
 from .training import TrainConfig, fit, train
@@ -63,8 +64,8 @@ def _variant_table(both: PredictConfig):
     v2a_only_eval = PredictConfig(alpha1=0.0, alpha2=1.0)
     return [
         # (name, loss config overrides, predict config)
-        ("v2a_no_distill", {"use_a2v": False}, v2a_only_eval),
-        ("a2v_no_distill", {"use_v2a": False}, a2v_only_eval),
+        ("v2a_no_distill", {"lambda_distill": 0.0}, v2a_only_eval),
+        ("a2v_no_distill", {"lambda_distill": 0.0}, a2v_only_eval),
         ("v2a_with_distill", {}, v2a_only_eval),
         ("a2v_with_distill", {}, a2v_only_eval),
         ("full_jsd_only", {"distill_l2": False}, both),
@@ -80,24 +81,23 @@ def run_ablation(
 ) -> list[AblationResult]:
     """Train and score all eight variants with a shared seed and config.
 
-    ``predict_cfg`` fuses the rows that score both sub-nets.  Variants
-    that share a loss config are trained once, and that model's test
-    splits are forwarded once and fused with each variant's predict config.
+    The MSDN rows score one model per distinct loss config, trained in
+    lockstep: without distillation, full, JSD-only and L2-only.  Without
+    distillation no gradient crosses between the sub-nets, so the
+    single-branch rows score the halves of that model.  Each model's test
+    splits are forwarded once; ``predict_cfg`` fuses the two-net rows.
     """
     check_test_splits(ds)
-    results: list[AblationResult] = []
-    # loss config -> (history, test-split embeddings) of its trained model
-    trained: dict[LossConfig, tuple] = {}
-
     base, base_history = _run_baseline(ds, cfg)
-    results.append(AblationResult("baseline", base.acc, base.H, base_history))
-
-    for name, overrides, pcfg in _variant_table(predict_cfg):
-        lcfg = cfg.loss_config(**overrides)
-        if lcfg not in trained:
-            outcome = train(ds, cfg, loss_cfg=lcfg)
-            trained[lcfg] = outcome.history, forward_test_splits(outcome.params, ds)
-        history, (unseen, seen) = trained[lcfg]
+    results = [AblationResult("baseline", base.acc, base.H, base_history)]
+    rows = [(name, cfg.loss_config(**o), pcfg) for name, o, pcfg in _variant_table(predict_cfg)]
+    lcfgs = tuple(dict.fromkeys(lcfg for _, lcfg, _ in rows))    # each distinct config once
+    outcome = train(ds, cfg, loss_cfg=lcfgs)
+    trained = [(forward_test_splits(outcome.params.model(p), ds),
+                [LossBreakdown(*(field[p] for field in h)) for h in outcome.history])
+               for p in range(len(lcfgs))]
+    for name, lcfg, pcfg in rows:
+        (unseen, seen), history = trained[lcfgs.index(lcfg)]
         scored = report(ds, pcfg.fuse(*unseen), pcfg.fuse(*seen))
         results.append(AblationResult(name, scored.acc, scored.H, history))
     return results

@@ -150,7 +150,8 @@ def cmd_grad_check(args) -> int:
                            num_attributes=k, num_regions=r)
     params = model.init_params_from_rng(dims, rng)
     batch = 2
-    regions = np.stack([rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)])
+    images = [rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)]
+    regions = np.stack(images, axis=1).transpose(1, 0, 2)   # region-major, as in training
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
     labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])

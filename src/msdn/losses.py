@@ -27,9 +27,8 @@ class LossConfig:
     """Loss weights and switches.
 
     ``lambda_cal`` weighs the self-calibration term, which always moves
-    probability mass toward the unseen classes.  ``use_a2v``/``use_v2a``
-    and the distill term switches exist for the ablation grid;
-    distillation is active only when both sub-nets are.
+    probability mass toward the unseen classes.  The distill term
+    switches exist for the ablation grid.
     """
 
     lambda_cal: float = 0.1
@@ -37,8 +36,6 @@ class LossConfig:
     epsilon_kl: float = 1e-8
     distill_jsd: bool = True
     distill_l2: bool = True
-    use_a2v: bool = True
-    use_v2a: bool = True
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -48,17 +45,6 @@ class LossConfig:
             raise ArgumentError(
                 f"epsilon_kl must lie in (0, 1e-3], got {self.epsilon_kl}"
             )
-        if not (self.use_a2v or self.use_v2a):
-            raise ArgumentError("at least one sub-net must be active")
-
-    @property
-    def distill_active(self) -> bool:
-        return (
-            self.use_a2v
-            and self.use_v2a
-            and self.lambda_distill > 0
-            and (self.distill_jsd or self.distill_l2)
-        )
 
 
 class LossBreakdown(NamedTuple):
@@ -101,9 +87,9 @@ def acec_loss(
     """Attribute-based cross-entropy with self-calibration.
 
     ``scores`` stacks one or more (batch, C) blocks over all classes, one
-    per sub-net, each scored against the same ``labels``.  The supervised
-    term is the mean negative log softmax over seen-class scores at the
-    true label.  The calibration term offsets every logit by
+    per sub-net and model, each scored against the same ``labels``.  The
+    supervised term is the mean negative log softmax over seen-class
+    scores at the true label.  The calibration term offsets every logit by
     ``split.indicator``, softmaxes over all classes, and penalizes low
     unseen-class log-probabilities, weighted by ``cfg.lambda_cal``.  Every
     step is row-wise, so a block scores as it would alone.  Returns each
@@ -139,7 +125,7 @@ def acec_loss(
     # supervised term over seen-class scores only
     seen_scores = classes_by_row[seen]                  # (C_s, rows)
     per_row = log_sum_exp(seen_scores, axis=0) - seen_scores[label_rows, cols]
-    losses = [float(np.mean(block)) for block in per_row.reshape(blocks, batch)]
+    losses = per_row.reshape(blocks, batch).mean(axis=1)
     p_seen = softmax_stable(seen_scores, axis=0)
     g_seen = p_seen.copy()
     g_seen[label_rows, cols] -= 1.0
@@ -150,38 +136,41 @@ def acec_loss(
         log_q = shifted - log_sum_exp(shifted, axis=0)
         # per-sample cross-entropy mass on the unseen classes
         cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
+        losses += cfg.lambda_cal * cal_rows.mean(axis=1)
         g_cal = (unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch
-        for i, block in enumerate(cal_rows):
-            losses[i] += cfg.lambda_cal * float(np.mean(block))
         grad += cfg.lambda_cal * g_cal
 
-    return losses, grad.T, p_seen.T
+    return losses.tolist(), grad.T, p_seen.T
 
 
 def distill_loss(
     p_seen1: np.ndarray,
     p_seen2: np.ndarray,
-    cfg: LossConfig,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    epsilon_kl: float,
+    jsd=True,
+    l2=True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric-KL plus squared-L2 distance between two posterior batches.
 
-    Rows are the seen-class softmaxes of two score batches; each is
-    clamped to [epsilon_kl, 1] and renormalized before comparison.
-    Returns the mean per-sample loss and gradients w.r.t. both sets of
-    scores those softmaxes came from.  Like ``acec_loss`` it works
-    class-major, on the transposes of its arguments, and returns views.
+    The arguments are the seen-class softmaxes of two score batches,
+    class-major: (classes, batch), or (classes, models, batch).  Each
+    column is clamped to [epsilon_kl, 1] and renormalized before
+    comparison.  ``jsd`` and ``l2`` switch the two terms, one switch per
+    model.  Returns each model's mean per-sample loss and the
+    class-major gradients w.r.t. both sets of scores those softmaxes
+    came from.
     """
-    if p_seen1.shape != p_seen2.shape or p_seen1.ndim != 2:
+    if p_seen1.shape != p_seen2.shape or p_seen1.ndim < 2:
         raise ShapeError(
-            f"distill_loss expects equal (batch, classes) shapes, "
+            f"distill_loss expects equal (classes, ..., batch) shapes, "
             f"got {p_seen1.shape} and {p_seen2.shape}"
         )
-    batch = p_seen1.shape[0]
-    eps = cfg.epsilon_kl
-    p_seen1, p_seen2 = p_seen1.T, p_seen2.T             # (classes, batch)
+    batch = p_seen1.shape[-1]
+    jsd, l2 = (np.asarray(on, dtype=np.float64)[..., None] for on in (jsd, l2))
+    half_jsd, two_l2 = 0.5 * jsd, 2.0 * l2
 
     def clamped(raw):
-        out = np.clip(raw, eps, 1.0)
+        out = np.clip(raw, epsilon_kl, 1.0)
         total = out.sum(axis=0, keepdims=True)
         return out / total, total
 
@@ -191,29 +180,25 @@ def distill_loss(
     # log(p) - log(q) rather than log(p/q): subtraction negates exactly,
     # which keeps the loss bit-exactly symmetric under argument swap.
     log_ratio = np.log(p) - np.log(q)
-    per_row = np.zeros(batch)
-    d_p = np.zeros_like(p)
-    d_q = np.zeros_like(q)
-    if cfg.distill_jsd:
-        kl_pq = (p * log_ratio).sum(axis=0)
-        kl_qp = (q * -log_ratio).sum(axis=0)
-        per_row += 0.5 * (kl_pq + kl_qp)
-        d_p += 0.5 * (log_ratio + 1.0 - q / p)
-        d_q += 0.5 * (-log_ratio + 1.0 - p / q)
-    if cfg.distill_l2:
-        diff = p - q
-        per_row += (diff * diff).sum(axis=0)
-        d_p += 2.0 * diff
-        d_q -= 2.0 * diff
-    loss = float(np.mean(per_row))
+    # A switch scales its term's constant by 1 or 0: a term that is on
+    # keeps its bits, and one that is off adds exact zeros.
+    per_row, d_p, d_q = np.zeros(p.shape[1:]), np.zeros_like(p), np.zeros_like(q)
+    per_row += half_jsd * ((p * log_ratio).sum(axis=0) + (q * -log_ratio).sum(axis=0))
+    d_p += half_jsd * (log_ratio + 1.0 - q / p)
+    d_q += half_jsd * (-log_ratio + 1.0 - p / q)
+    diff = p - q
+    per_row += l2 * (diff * diff).sum(axis=0)
+    d_p += two_l2 * diff
+    d_q -= two_l2 * diff
 
     def _to_scores(d_prob, prob, raw, total):
         # renormalization, clamp mask, then the softmax jacobian
         d_clamped = (d_prob - (d_prob * prob).sum(axis=0, keepdims=True)) / total
-        d_raw = d_clamped * ((raw >= eps) & (raw <= 1.0))
-        return (raw * (d_raw - (d_raw * raw).sum(axis=0, keepdims=True)) / batch).T
+        d_raw = d_clamped * ((raw >= epsilon_kl) & (raw <= 1.0))
+        return raw * (d_raw - (d_raw * raw).sum(axis=0, keepdims=True)) / batch
 
-    return loss, _to_scores(d_p, p, p_seen1, total1), _to_scores(d_q, q, p_seen2, total2)
+    return (per_row.mean(axis=-1), _to_scores(d_p, p, p_seen1, total1),
+            _to_scores(d_q, q, p_seen2, total2))
 
 
 def total_loss_raw(
@@ -223,48 +208,54 @@ def total_loss_raw(
     attrs: np.ndarray,
     class_semantics: np.ndarray,
     split: ClassSplit,
-    cfg: LossConfig,
+    cfg: LossConfig | tuple[LossConfig, ...],
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Total objective and parameter gradients for one batch of images.
 
     ``region_stacks`` is (batch, R, d_v), fastest region-major as
-    ``Dataset.regions`` gives it.  Only the active sub-nets run; an
-    inactive one is not scored and gets zero gradients.  Cross-entropy
-    scores the active sub-nets' class scores in one pass over their
-    stacked rows, with a separate mean per sub-net.  Distillation
-    compares the two seen-class posteriors that pass computed.  The
-    reported total is exactly
-    ``acec_a2v + acec_v2a + lambda_distill * distill``.
+    ``Dataset.regions`` gives it.  ``cfg`` is one LossConfig, or one per
+    model for weights stacked on a leading model axis; each breakdown
+    field then lists one value per model.  Cross-entropy scores both
+    sub-nets of every model in one pass over their stacked rows, with a
+    separate mean per sub-net and model.  Distillation compares the two
+    seen-class posteriors that pass computed.  The reported total is
+    exactly ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
     if region_stacks.ndim != 3:
         raise ShapeError(f"region_stacks must be (batch, R, d_v), got {region_stacks.shape}")
     batch = region_stacks.shape[0]
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
+    models = params.W1.shape[:-2]
+    cfgs = (cfg,) if isinstance(cfg, LossConfig) else cfg
+    if len({(c.lambda_cal, c.epsilon_kl) for c in cfgs}) != 1:
+        raise ArgumentError("lockstep models must share lambda_cal and epsilon_kl")
+    # each model's distillation weight and (JSD, L2) switches; no term is on at zero weight
+    lam = np.reshape([c.lambda_distill for c in cfgs], models)   # one per model, or raises
+    on = [(c.distill_jsd, c.distill_l2) if c.lambda_distill > 0 else (False, False) for c in cfgs]
+    terms = np.reshape(on, models + (2,))
+    trace = model_mod.forward(region_stacks, attrs, params)
+    # Class-major (C, rows) scores, rows ordered (model, sub-net, image).
+    scores = class_semantics @ np.concatenate(
+        [trace.psi.swapaxes(-1, -2), trace.Psi.swapaxes(-1, -2)], axis=-1)
+    scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
+    acec, g_rows, p_seen = acec_loss(scores.T, labels, split, cfgs[0])
+    acec = np.array(acec).reshape(models + (2,))           # (..., sub-net)
+    g_scores = g_rows.T.reshape((-1, *models, 2, batch))   # views of the same gradient
 
-    trace = model_mod.forward(region_stacks, attrs, params, cfg.use_a2v, cfg.use_v2a)
-    # Class-major (C, rows) scores: each sub-net's block is a column block.
-    embeddings = np.concatenate(
-        [emb.T for emb, on in ((trace.psi, cfg.use_a2v), (trace.Psi, cfg.use_v2a)) if on], axis=1)
-    acec, g_active, p_seen = acec_loss((class_semantics @ embeddings).T, labels, split, cfg)
+    distill = np.zeros(models)
+    if terms.any():
+        p_pair = p_seen.T.reshape((-1, *models, 2, batch))
+        distill, g1, g2 = distill_loss(p_pair[..., 0, :], p_pair[..., 1, :],
+                                       cfgs[0].epsilon_kl, terms[..., 0], terms[..., 1])
+        g_scores[split.seen, ..., 0, :] += lam[..., None] * g1
+        g_scores[split.seen, ..., 1, :] += lam[..., None] * g2
 
-    g_scores1 = g_active[:batch].T if cfg.use_a2v else None   # (C, batch)
-    g_scores2 = g_active[-batch:].T if cfg.use_v2a else None
-    acec_a2v = acec[0] if cfg.use_a2v else 0.0
-    acec_v2a = acec[-1] if cfg.use_v2a else 0.0
-    distill = 0.0
-    if cfg.distill_active:
-        distill, g1, g2 = distill_loss(p_seen[:batch], p_seen[batch:], cfg)
-        g_scores1[split.seen] += cfg.lambda_distill * g1.T
-        g_scores2[split.seen] += cfg.lambda_distill * g2.T
-
-    total = acec_a2v + acec_v2a + cfg.lambda_distill * distill
-    breakdown = LossBreakdown(acec_a2v=acec_a2v, acec_v2a=acec_v2a,
-                              distill=distill, total=total)
+    a2v, v2a = acec[..., 0], acec[..., 1]
+    breakdown = LossBreakdown(*np.array([a2v, v2a, distill, a2v + v2a + lam * distill]).tolist())
     if not np.isfinite(breakdown).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
-    d_psi, d_Psi = (None if g is None else (class_semantics.T @ g).T
-                    for g in (g_scores1, g_scores2))
-    grads = model_mod.backward(region_stacks, attrs, params, trace, d_psi, d_Psi)
-    return breakdown, grads
+    d_psi, d_Psi = ((class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2)).swapaxes(-1, -2)
+                    for s in (0, 1))
+    return breakdown, model_mod.backward(region_stacks, attrs, params, trace, d_psi, d_Psi)

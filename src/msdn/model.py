@@ -29,12 +29,13 @@ the stock shape.  A region-major stack (``Dataset.regions``) folds with
 no copy; any other stack gives the same numbers after one copy.  The
 trace fields are strided views of these arrays in the shapes
 ``ForwardTrace`` documents, and every gradient is C-contiguous in its
-parameter's shape.
+parameter's shape.  Weights stacked on a leading model axis run every
+model in one pass, each product a stack of one model's products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -81,14 +82,18 @@ class ModelParams:
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
+    def model(self, p: int) -> "ModelParams":
+        """The p-th model of weights stacked on a leading model axis."""
+        return ModelParams(self.dims, **{name: w[p] for name, w in self.as_dict().items()})
+
 
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything a forward pass produces.
 
     Shapes are per image.  The trace of a (B, R, d_v) stack carries a
-    leading batch axis on every field; ``image(i)`` drops it.  The fields
-    of a sub-net that did not run are None.
+    leading batch axis on every field; ``image(i)`` drops it.  Stacked
+    weights put their model axis in front of the batch axis.
     """
 
     beta: np.ndarray     # (K, R) attention over attributes, per region
@@ -103,8 +108,7 @@ class ForwardTrace:
     readout: np.ndarray  # (R, d_a) V @ W4; psi_bar = rowsum(readout * S)
 
     def image(self, i: int) -> "ForwardTrace":
-        return ForwardTrace(**{f.name: None if (v := getattr(self, f.name)) is None else v[i]
-                               for f in fields(self)})
+        return ForwardTrace(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
 
 
 def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -150,12 +154,11 @@ def a2v_forward(
     so the pooled (B, K, d_v) features are never formed.
     """
     V = _folded(regions, attrs, params)
-    batch, num_regions = regions.shape[:2]
-    logits = ((attrs @ params.W1) @ V.T).reshape(-1, num_regions, batch)   # (K, R, B)
-    beta = softmax_stable(logits, axis=0)
-    match = ((attrs @ params.W2) @ V.T).reshape(-1, num_regions, batch)    # (K, R, B)
-    psi = (beta * match).sum(axis=1)                                       # (K, B)
-    return beta.transpose(2, 0, 1), match.transpose(2, 1, 0), psi.T
+    maps = params.W1.shape[:-2] + (-1, *regions.shape[1::-1])              # (…, K, R, B)
+    beta = softmax_stable(((attrs @ params.W1) @ V.T).reshape(maps), axis=-3)
+    match = ((attrs @ params.W2) @ V.T).reshape(maps)
+    psi = (beta * match).sum(axis=-2)                                      # (…, K, B)
+    return beta.swapaxes(-1, -2).swapaxes(-2, -3), match.swapaxes(-1, -3), psi.swapaxes(-1, -2)
 
 
 def v2a_forward(
@@ -171,33 +174,32 @@ def v2a_forward(
     psi_bar-pooled regions with every attribute vector.
     """
     V = _folded(regions, attrs, params)
-    batch, num_regions = regions.shape[:2]
-    logits = (V @ (params.W3 @ attrs.T)).reshape(num_regions, batch, -1)   # (R, B, K)
-    tau = softmax_stable(logits, axis=0)
-    S = attrs.T @ tau.reshape(V.shape[0], -1).T                            # (d_a, R*B)
-    readout = params.W4.T @ V.T                                            # (d_a, R*B)
-    psi_bar = (readout * S).sum(axis=0).reshape(num_regions, batch)        # (R, B)
-    pooled = (psi_bar.T[:, None, :] @ regions)[:, 0]                       # (B, d_v)
-    Psi = attrs @ (pooled @ params.W_att).T                                # (K, B)
+    models, rows = params.W3.shape[:-2], V.shape[0]
+    per_region = models + regions.shape[1::-1]                             # (…, R, B)
+    logits = (V @ (params.W3 @ attrs.T)).reshape(per_region + (-1,))       # (…, R, B, K)
+    tau = softmax_stable(logits, axis=-3)
+    S = attrs.T @ tau.reshape(models + (rows, -1)).swapaxes(-1, -2)        # (…, d_a, R*B)
+    readout = params.W4.swapaxes(-1, -2) @ V.T                             # (…, d_a, R*B)
+    psi_bar = (readout * S).sum(axis=-2).reshape(per_region)               # (…, R, B)
+    pooled = (psi_bar.swapaxes(-1, -2)[..., None, :] @ regions)[..., 0, :]  # (…, B, d_v)
+    Psi = attrs @ (pooled @ params.W_att).swapaxes(-1, -2)                 # (…, K, B)
 
-    def per_image(rows: np.ndarray) -> np.ndarray:                         # (B, R, d_a)
-        return rows.reshape(-1, num_regions, batch).transpose(2, 1, 0)
-    return (tau.transpose(1, 0, 2), per_image(S), psi_bar.T, Psi.T, pooled,
-            per_image(readout))
+    def per_image(flat: np.ndarray) -> np.ndarray:                         # (…, B, R, d_a)
+        return flat.reshape(models + (-1,) + per_region[-2:]).swapaxes(-1, -3)
+    return (tau.swapaxes(-3, -2), per_image(S), psi_bar.swapaxes(-1, -2),
+            Psi.swapaxes(-1, -2), pooled, per_image(readout))
 
 
-def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams,
-            use_a2v: bool = True, use_v2a: bool = True) -> ForwardTrace:
-    """Run the sub-nets on a (B, R, d_v) stack of images.
+def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
+    """Run both sub-nets on a (B, R, d_v) stack of images.
 
-    A sub-net switched off is not run, and its trace fields are None.  A
-    single (R, d_v) image runs as a batch of one, and its trace comes
-    back without the batch axis.
+    Stacked weights run every model in the same pass.  A single (R, d_v)
+    image runs as a batch of one, and its trace comes back without the
+    batch axis.
     """
     stack = regions[None] if regions.ndim == 2 else regions
-    beta, match, psi = a2v_forward(stack, attrs, params) if use_a2v else (None,) * 3
-    tau, S, psi_bar, Psi, pooled, readout = (
-        v2a_forward(stack, attrs, params) if use_v2a else (None,) * 6)
+    beta, match, psi = a2v_forward(stack, attrs, params)
+    tau, S, psi_bar, Psi, pooled, readout = v2a_forward(stack, attrs, params)
     trace = ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
                          match=match, pooled=pooled, readout=readout)
     return trace.image(0) if regions.ndim == 2 else trace
@@ -208,49 +210,52 @@ def backward(
     attrs: np.ndarray,
     params: ModelParams,
     trace: ForwardTrace,
-    d_psi: np.ndarray | None,
-    d_Psi: np.ndarray | None,
+    d_psi: np.ndarray,
+    d_Psi: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. the five parameter matrices.
 
     ``regions`` is the (B, R, d_v) stack that produced ``trace``;
     ``d_psi`` and ``d_Psi`` are the (B, K) loss gradients w.r.t. the two
-    embeddings.  Gradients are summed over the batch, and each comes
-    back C-contiguous.  A sub-net whose ``d_*`` is None gets zero
-    gradients, and its trace fields are not read.
+    embeddings (model axis first for stacked weights).  Gradients are
+    summed over the batch, and each comes back C-contiguous.  Consumes
+    ``trace``: its maps serve as scratch space, with the float operations
+    of the plain expressions, so the pass makes one map-sized temporary.
     """
     V = _folded(regions, attrs, params)
-    rows = V.shape[0]
+    models, rows = params.W1.shape[:-2], V.shape[0]
     grads = {}
 
-    if d_psi is not None:
-        # first sub-net, K-major: psi[k, b] = sum_r beta[k, r, b] * match[k, r, b]
-        beta = trace.beta.transpose(1, 2, 0)                           # (K, R, B)
-        d_psi_k = d_psi.T[:, None, :]                                  # (K, 1, B)
-        d_match = (d_psi_k * beta).reshape(-1, rows)
-        d_beta = d_psi_k * trace.match.transpose(2, 1, 0)
-        d_logits1 = beta * (d_beta - (beta * d_beta).sum(axis=0, keepdims=True))
-        grads["W2"] = attrs.T @ (d_match @ V)
-        grads["W1"] = attrs.T @ (d_logits1.reshape(-1, rows) @ V)
+    # first sub-net, K-major: psi[k, b] = sum_r beta[k, r, b] * match[k, r, b]
+    beta = trace.beta.swapaxes(-3, -2).swapaxes(-2, -1)                    # (…, K, R, B)
+    d_psi_k = d_psi.swapaxes(-1, -2)[..., None, :]                         # (…, K, 1, B)
+    scratch = d_psi_k * beta                                               # d_match
+    grads["W2"] = attrs.T @ (scratch.reshape(models + (-1, rows)) @ V)
+    d_beta = trace.match.swapaxes(-1, -3)                                  # in match's buffer
+    d_beta *= d_psi_k
+    d_beta -= np.multiply(beta, d_beta, out=scratch).sum(axis=-3, keepdims=True)
+    d_beta *= beta                                                         # d_logits1
+    grads["W1"] = attrs.T @ (d_beta.reshape(models + (-1, rows)) @ V)
 
-    if d_Psi is not None:
-        # second sub-net: Psi[b] = (psi_bar[b] @ V[b]) @ W_att @ A^T
-        d_Psi_A = d_Psi @ attrs                                        # (B, d_a)
-        grads["W_att"] = trace.pooled.T @ d_Psi_A
-        d_pooled = d_Psi_A @ params.W_att.T                            # (B, d_v)
-        d_psi_bar = (regions @ d_pooled[:, :, None])[:, :, 0].T.reshape(1, rows)
+    # second sub-net: Psi[b] = (psi_bar[b] @ V[b]) @ W_att @ A^T
+    d_Psi_A = d_Psi @ attrs                                                # (…, B, d_a)
+    grads["W_att"] = trace.pooled.swapaxes(-1, -2) @ d_Psi_A
+    d_pooled = d_Psi_A @ params.W_att.swapaxes(-1, -2)                     # (…, B, d_v)
+    d_psi_bar = (regions @ d_pooled[..., None])[..., 0].swapaxes(-1, -2).reshape(
+        models + (1, rows))
 
-        # d_a-major: psi_bar = colsum(readout * S), readout = W4^T V^T, S = A^T tau^T
-        def rows_of(per_image: np.ndarray) -> np.ndarray:             # (d_a, R*B)
-            return per_image.transpose(2, 1, 0).reshape(-1, rows)
-        grads["W4"] = V.T @ (d_psi_bar * rows_of(trace.S)).T
-        tau = trace.tau.transpose(1, 0, 2)                             # (R, B, K)
-        d_tau = ((d_psi_bar * rows_of(trace.readout)).T @ attrs.T).reshape(tau.shape)
-        d_logits2 = tau * (d_tau - (tau * d_tau).sum(axis=0, keepdims=True))
-        grads["W3"] = (V.T @ d_logits2.reshape(rows, -1)) @ attrs
-
-    return {name: grads[name] if name in grads else np.zeros(shape)
-            for name, shape in params.dims.param_shapes().items()}
+    # d_a-major: psi_bar = colsum(readout * S), readout = W4^T V^T, S = A^T tau^T
+    def rows_of(per_image: np.ndarray) -> np.ndarray:     # (…, d_a, R*B), times d_psi_bar
+        flat = per_image.swapaxes(-1, -3).reshape(models + (-1, rows))
+        return np.multiply(flat, d_psi_bar, out=flat)
+    grads["W4"] = V.T @ rows_of(trace.S).swapaxes(-1, -2)
+    tau = trace.tau.swapaxes(-3, -2)                                       # (…, R, B, K)
+    d_tau = np.matmul(rows_of(trace.readout).swapaxes(-1, -2), attrs.T,   # in d_beta's buffer
+                      out=d_beta.reshape(models + (rows, -1))).reshape(tau.shape)
+    d_tau -= np.multiply(tau, d_tau, out=scratch.reshape(tau.shape)).sum(axis=-3, keepdims=True)
+    d_tau *= tau                                                           # d_logits2
+    grads["W3"] = (V.T @ d_tau.reshape(models + (rows, -1))) @ attrs
+    return {name: grads[name] for name in PARAM_NAMES}
 
 
 # --------------------------------------------------------------------------
@@ -259,18 +264,8 @@ def backward(
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the five matrices plus a dims vector (d_v, d_a, K, R)."""
-    dims = np.asarray(
-        [
-            params.dims.visual_dim,
-            params.dims.attr_dim,
-            params.dims.num_attributes,
-            params.dims.num_regions,
-        ],
-        dtype=np.int32,
-    )
-    items = [(name, getattr(params, name)) for name in PARAM_NAMES]
-    items.append(("dims", dims))
-    data_io.write_container(path, items)
+    dims = np.asarray(astuple(params.dims), dtype=np.int32)   # the order load_checkpoint reads
+    data_io.write_container(path, [*params.as_dict().items(), ("dims", dims)])
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -135,8 +135,8 @@ def fit(
     ``loss_fn(weights, idx)`` returns the loss breakdown and the weight
     gradients for the samples ``idx``.  ``weights`` are updated in place.
     Each epoch draws one shuffle from ``rng`` and records the
-    sample-weighted mean breakdown; the weights must stay finite.
-    Returns the history.
+    sample-weighted mean of each breakdown field (or of each model's
+    value in it); the weights must stay finite.  Returns the history.
     """
     n_train = int(train_idx.size)
     if n_train == 0:
@@ -145,7 +145,7 @@ def fit(
     momentum_buf = {k: np.zeros_like(v) for k, v in weights.items()}
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
-        sums = np.zeros(len(LossBreakdown._fields))
+        sums = 0.0
         for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
             try:
                 breakdown, grads = loss_fn(weights, train_idx[batch])
@@ -166,12 +166,14 @@ def fit(
 def train(
     ds: Dataset,
     cfg: TrainConfig,
-    loss_cfg: LossConfig | None = None,
+    loss_cfg: LossConfig | tuple[LossConfig, ...] | None = None,
 ) -> TrainResult:
     """Train on ``ds.train_idx``; returns final params and per-epoch losses.
 
-    ``loss_cfg`` overrides the loss settings derived from ``cfg`` (used by
-    the ablation grid to switch sub-nets and distillation terms).
+    ``loss_cfg`` overrides the loss settings derived from ``cfg``; a tuple
+    of them trains one model per config in lockstep, each bit for bit as
+    alone, with the weights on a leading model axis and one value per
+    model in each history field.
     """
     lcfg = loss_cfg if loss_cfg is not None else cfg.loss_config()
 
@@ -184,6 +186,9 @@ def train(
                               ds.labels[idx], ds.attributes, ds.class_semantics, split, lcfg)
 
     params = init_params_from_rng(dims, rng)
+    if not isinstance(lcfg, LossConfig):
+        params = ModelParams(dims=dims, **{name: np.repeat(w[None], len(lcfg), axis=0)
+                                           for name, w in params.as_dict().items()})
     history = fit(params.as_dict(), loss_fn, ds.train_idx, cfg, rng)
     return TrainResult(params=params, history=history)
 

@@ -44,11 +44,14 @@ def acec(scores, labels, seen, unseen, cfg):
 
 
 def distill(scores1, scores2, cfg):
-    """Distillation between the seen-class softmaxes of two score batches."""
+    """Distillation between the seen-class softmaxes of two (batch, classes) score batches."""
     from msdn.losses import distill_loss
     from msdn.ndmath import softmax_stable
 
-    return distill_loss(softmax_stable(scores1, axis=1), softmax_stable(scores2, axis=1), cfg)
+    loss, g1, g2 = distill_loss(softmax_stable(scores1, axis=1).T,
+                                softmax_stable(scores2, axis=1).T,
+                                cfg.epsilon_kl, cfg.distill_jsd, cfg.distill_l2)
+    return loss, g1.T, g2.T
 
 
 def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):
@@ -66,3 +69,11 @@ def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, bat
     seen = np.arange(c_seen)
     unseen = np.arange(c_seen, c_seen + c_unseen)
     return params, regions, attrs, semantics, labels, seen, unseen
+
+
+def stacked(models):
+    """The weights of several models stacked on a leading model axis."""
+    from msdn.model import ModelParams
+
+    return ModelParams(models[0].dims, **{name: np.stack([m.as_dict()[name] for m in models])
+                                          for name in models[0].as_dict()})

@@ -233,6 +233,19 @@ class TestGradCheck:
         assert cli.main(["grad-check", "--seed", "1"]) == 0
         assert cli.main(["grad-check", "--seed", "2"]) == 0
 
+    def test_checks_the_region_major_fold_that_training_runs(self, monkeypatch):
+        exact = losses.total_loss_raw
+        stacks = []
+
+        def recorded(params, regions, *args):
+            stacks.append(regions)
+            return exact(params, regions, *args)
+
+        monkeypatch.setattr(losses, "total_loss_raw", recorded)
+        assert cli.main(["grad-check", "--seed", "0"]) == 0
+        # (B, R, d_v) views of C-order (R, B, d_v) arrays, as Dataset.regions gives
+        assert stacks and all(s.transpose(1, 0, 2).flags.c_contiguous for s in stacks)
+
     def test_injected_bug_exits_6(self, monkeypatch, capsys):
         exact = losses.total_loss_raw
 
@@ -655,6 +668,8 @@ class TestFuzzedFiles:
             blob[start:end] = other[src:draw.draw(st.integers(src, len(other)))]
         paths = {name: root / f"{name}.zsld" for name in blobs}
         for name, content in blobs.items():
+            # A fresh file: truncating one written a moment ago waits for writeback.
+            paths[name].unlink(missing_ok=True)
             paths[name].write_bytes(bytes(blob) if name == target else content)
 
         err = io.StringIO()

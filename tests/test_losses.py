@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import acec, distill, random_instance
+from conftest import acec, distill, random_instance, stacked
 from msdn import losses
-from msdn.errors import ArgumentError, NumericError, ShapeError
+from msdn.errors import ArgumentError, ShapeError
 from msdn.losses import ClassSplit, LossConfig, acec_loss, total_loss_raw
 from msdn.model import PARAM_NAMES, ModelDims, init_params_from_rng
 from msdn.ndmath import Rng, grad_check_detail, softmax_stable
+
+# The ablation grid's four models: no distillation, full, JSD only, L2 only.
+LOCKSTEP = (LossConfig(lambda_distill=0.0), LossConfig(), LossConfig(distill_l2=False),
+            LossConfig(distill_jsd=False))
 
 
 def finite_diff_scores(fn, scores, step=1e-6):
@@ -256,18 +260,7 @@ class TestTotalLoss:
                                     grads[name].reshape(-1)).max_rel_error
             assert err <= 1e-5, f"{name}: {err}"
 
-    def test_inactive_branch_gets_zero_gradient(self):
-        params, regions, attrs, semantics, labels, seen, unseen = random_instance(45)
-        cfg = LossConfig(use_v2a=False)
-        breakdown, grads = total_loss_raw(
-            params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen), cfg)
-        assert breakdown.acec_v2a == 0.0 and breakdown.distill == 0.0
-        for name in ("W3", "W4", "W_att"):
-            assert np.array_equal(grads[name], np.zeros_like(grads[name]))
-        assert np.abs(grads["W1"]).max() > 0
-
-    @pytest.mark.parametrize("overrides,rows", [({}, 4), ({"use_v2a": False}, 2),
-                                                ({"use_a2v": False}, 2)])
+    @pytest.mark.parametrize("overrides,rows", [({}, 4)])
     def test_one_acec_pass_over_the_active_subnets(self, monkeypatch, overrides, rows):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(47)
         scored_rows = []
@@ -281,6 +274,61 @@ class TestTotalLoss:
         total_loss_raw(params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen),
                        LossConfig(**overrides))
         assert scored_rows == [rows]
+
+    def test_lockstep_models_equal_their_separate_passes(self):
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(50, batch=3)
+        split = ClassSplit.of(seen, unseen)
+        models = [init_params_from_rng(params.dims, Rng(60 + p)) for p in range(len(LOCKSTEP))]
+        breakdown, grads = total_loss_raw(stacked(models), regions, labels, attrs, semantics,
+                                          split, LOCKSTEP)
+        assert all(len(field) == len(LOCKSTEP) for field in breakdown)
+        for p, (alone_params, cfg) in enumerate(zip(models, LOCKSTEP)):
+            alone, alone_grads = total_loss_raw(alone_params, regions, labels, attrs, semantics,
+                                                split, cfg)
+            assert [field[p] for field in breakdown] == list(alone), p
+            for name in PARAM_NAMES:
+                assert np.array_equal(grads[name][p], alone_grads[name]), (p, name)
+
+    def test_lockstep_scores_every_model_in_one_acec_pass(self, monkeypatch):
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(47)
+        scored_rows = []
+        exact = losses.acec_loss
+
+        def recorded(scores, *args):
+            scored_rows.append(scores.shape[0])
+            return exact(scores, *args)
+
+        monkeypatch.setattr(losses, "acec_loss", recorded)
+        total_loss_raw(stacked([params] * len(LOCKSTEP)), regions, labels, attrs, semantics,
+                       ClassSplit.of(seen, unseen), LOCKSTEP)
+        assert scored_rows == [len(LOCKSTEP) * 2 * labels.size]
+
+    def test_without_distillation_each_sub_net_ignores_the_other(self):
+        # One no-distill model stands in for both single-branch runs of the grid.
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(49)
+        other = random_instance(52)[0]
+        split = ClassSplit.of(seen, unseen)
+        cfg = LossConfig(lambda_distill=0.0)
+        joint, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
+        assert joint.distill == 0.0
+        for mine, swapped, field in ((("W1", "W2"), ("W3", "W4", "W_att"), "acec_a2v"),
+                                     (("W3", "W4", "W_att"), ("W1", "W2"), "acec_v2a")):
+            mixed = dataclasses.replace(params, **{n: getattr(other, n) for n in swapped})
+            alone, alone_grads = total_loss_raw(mixed, regions, labels, attrs, semantics,
+                                                split, cfg)
+            assert getattr(alone, field) == getattr(joint, field), field
+            for name in mine:
+                assert np.array_equal(alone_grads[name], grads[name]), name
+                assert np.abs(grads[name]).max() > 0, name
+
+    def test_lockstep_configs_must_fit_the_models(self):
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(51)
+        args = (regions, labels, attrs, semantics, ClassSplit.of(seen, unseen))
+        with pytest.raises(ValueError):
+            total_loss_raw(stacked([params] * 2), *args, LOCKSTEP)
+        with pytest.raises(ArgumentError, match="lambda_cal"):
+            total_loss_raw(stacked([params] * 2), *args,
+                           (LossConfig(), LossConfig(lambda_cal=0.2)))
 
     def test_one_loss_softmax_serves_acec_and_distillation(self, monkeypatch):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(48)
@@ -297,36 +345,20 @@ class TestTotalLoss:
         assert breakdown.distill > 0.0
         assert len(calls) == 1
 
-    def test_single_branch_equals_its_half_and_ignores_the_other(self, monkeypatch):
-        params, regions, attrs, semantics, labels, seen, unseen = random_instance(49)
-        split = ClassSplit.of(seen, unseen)
-        joint, _ = total_loss_raw(params, regions, labels, attrs, semantics, split,
-                                  LossConfig(lambda_distill=0.0))
-        exact = losses.model_mod.forward
-
-        def nan_psi(*args):
-            trace = exact(*args)
-            return dataclasses.replace(trace, Psi=np.full_like(trace.Psi, np.nan))
-
-        monkeypatch.setattr(losses.model_mod, "forward", nan_psi)
-        a2v_only, _ = total_loss_raw(params, regions, labels, attrs, semantics, split,
-                                     LossConfig(use_v2a=False))
-        assert a2v_only.acec_a2v == joint.acec_a2v
-        with pytest.raises(NumericError):
-            total_loss_raw(params, regions, labels, attrs, semantics, split, LossConfig())
-
 
 class TestMemoryLayout:
     """Reductions run on region-major batches; the layout never changes a result."""
 
     CONFIGS = pytest.mark.parametrize(
-        "cfg", [LossConfig(), LossConfig(use_v2a=False), LossConfig(use_a2v=False)],
-        ids=["full", "a2v_only", "v2a_only"])
+        "cfg", [LossConfig(), LossConfig(lambda_distill=0.0), LOCKSTEP],
+        ids=["full", "no_distill", "lockstep"])
 
     @staticmethod
-    def batch(ds):
+    def batch(ds, cfg):
         idx = ds.train_idx[::2]
         params = init_params_from_rng(ModelDims.for_dataset(ds), Rng(7))
+        if isinstance(cfg, tuple):
+            params = stacked([params] * len(cfg))
         return params, idx, ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     def test_regions_are_region_major(self, tiny_dataset):
@@ -341,7 +373,7 @@ class TestMemoryLayout:
     @CONFIGS
     def test_gradients_are_c_contiguous(self, tiny_dataset, cfg):
         ds = tiny_dataset
-        params, idx, split = self.batch(ds)
+        params, idx, split = self.batch(ds, cfg)
         _, grads = total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
                                   ds.class_semantics, split, cfg)
         for name, grad in grads.items():
@@ -351,7 +383,7 @@ class TestMemoryLayout:
     @CONFIGS
     def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, cfg):
         ds = tiny_dataset
-        params, idx, split = self.batch(ds)
+        params, idx, split = self.batch(ds, cfg)
         region_major = ds.regions(idx)
         c_order = np.ascontiguousarray(region_major)
         assert not region_major.flags.c_contiguous
@@ -374,6 +406,3 @@ class TestLossConfig:
         with pytest.raises(ArgumentError):
             LossConfig(epsilon_kl=0.01)
 
-    def test_rejects_no_active_subnet(self):
-        with pytest.raises(ArgumentError):
-            LossConfig(use_a2v=False, use_v2a=False)

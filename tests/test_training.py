@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import TINY_SPEC, format_kv, patched
-from msdn import model
+from conftest import TINY_SPEC, format_kv, patched, stacked
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
-from msdn.model import ModelDims, init_params_from_rng
+from msdn.losses import ClassSplit, total_loss_raw
+from msdn.model import ModelDims, ModelParams, init_params_from_rng
 from msdn.ndmath import Rng
 from msdn.training import (
     TrainConfig,
+    fit,
     load_train_config,
     make_batches,
     rmsprop_step,
@@ -23,6 +24,8 @@ from msdn.training import (
 )
 
 FAST = TrainConfig(epochs=3, batch_size=8, seed=2)
+# The ablation grid's four models: no distillation, full, JSD only, L2 only.
+LOCKSTEP_OVERRIDES = ({"lambda_distill": 0.0}, {}, {"distill_l2": False}, {"distill_jsd": False})
 
 
 def _zeros(params):
@@ -171,25 +174,47 @@ class TestTrain:
         for i in range(5, len(totals) - 1):
             assert totals[i + 1] <= totals[i] + 1e-6
 
-    @pytest.mark.parametrize("inactive, names", [("a2v", ("W1", "W2")),
-                                                 ("v2a", ("W3", "W4", "W_att"))],
-                             ids=["a2v", "v2a"])
-    def test_inactive_sub_net_never_runs_and_only_decays(self, tiny_dataset, monkeypatch,
-                                                         inactive, names):
-        def refuse(*args):
-            raise AssertionError(f"the inactive {inactive} sub-net ran")
+    def test_lockstep_models_equal_their_separate_runs(self, tiny_dataset):
+        cfg = dataclasses.replace(FAST, epochs=4, lambda_distill=0.5)
+        lcfgs = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES)
+        lockstep = train(tiny_dataset, cfg, loss_cfg=lcfgs)
+        assert len(lockstep.history) == cfg.epochs
+        for p, lcfg in enumerate(lcfgs):
+            alone = train(tiny_dataset, cfg, loss_cfg=lcfg)
+            for name, weights in lockstep.params.model(p).as_dict().items():
+                assert np.array_equal(weights, getattr(alone.params, name)), (p, name)
+            history = [[field[p] for field in epoch] for epoch in lockstep.history]
+            assert np.array_equal(history, alone.history), p
+        # the four models really differ, so the comparisons above are not vacuous
+        firsts = [lockstep.params.W1[p] for p in range(len(lcfgs))]
+        assert all(not np.array_equal(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1:])
 
-        monkeypatch.setattr(model, f"{inactive}_forward", refuse)
-        cfg = dataclasses.replace(FAST, epochs=2)
-        outcome = train(tiny_dataset, cfg, loss_cfg=cfg.loss_config(**{f"use_{inactive}": False}))
-        # Its matrices see exact zero gradients, so only weight decay moves them.
-        init = init_params_from_rng(ModelDims.for_dataset(tiny_dataset), Rng(cfg.seed))
-        decayed = {name: getattr(init, name) for name in names}
-        square_avg, momentum_buf = _zeros(decayed), _zeros(decayed)
-        for _ in range(cfg.epochs * math.ceil(tiny_dataset.train_idx.size / cfg.batch_size)):
-            rmsprop_step(decayed, _zeros(decayed), square_avg, momentum_buf, cfg)
-        for name in names:
-            assert np.array_equal(getattr(outcome.params, name), decayed[name])
+    def test_without_distillation_no_gradient_crosses_the_sub_nets(self, tiny_dataset):
+        # This is what lets one no-distill model stand in for both single-branch runs.
+        ds = tiny_dataset
+        cfg = dataclasses.replace(FAST, lambda_distill=0.5)
+        dims = ModelDims.for_dataset(ds)
+        base = init_params_from_rng(dims, Rng(1))
+        other = init_params_from_rng(dims, Rng(2))
+        a2v, v2a = ("W1", "W2"), ("W3", "W4", "W_att")
+        models = [base, dataclasses.replace(base, **{n: getattr(other, n) for n in v2a}),
+                  dataclasses.replace(base, **{n: getattr(other, n) for n in a2v}), base]
+        # a distilling fourth model puts the three others on the zero-weight distill path
+        cfgs = (cfg.loss_config(lambda_distill=0.0),) * 3 + (cfg.loss_config(),)
+        split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+
+        def loss_fn(weights, idx):
+            return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx), ds.labels[idx],
+                                  ds.attributes, ds.class_semantics, split, cfgs)
+
+        weights = stacked(models).as_dict()
+        fit(weights, loss_fn, ds.train_idx, cfg, Rng(cfg.seed))
+        for name in a2v:
+            assert np.array_equal(weights[name][0], weights[name][1]), name
+            assert not np.array_equal(weights[name][0], base.as_dict()[name]), name
+        for name in v2a:
+            assert np.array_equal(weights[name][0], weights[name][2]), name
+        assert not np.array_equal(weights["W1"][0], weights["W1"][3])
 
     def test_params_stay_finite(self, tiny_dataset):
         outcome = train(tiny_dataset, dataclasses.replace(FAST, epochs=10))
