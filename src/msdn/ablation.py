@@ -5,19 +5,17 @@ alone, each sub-net trained jointly with distillation but scored alone,
 distillation restricted to its symmetric-KL or L2 term, and the full
 model.  Every variant shares the same seed, the RMSProp loop of
 ``training.fit`` and the calibrated predictor of ``zsl_eval.report``;
-each reports CZSL accuracy and the GZSL harmonic mean, and the history
-of the model it scores.
+each reports CZSL accuracy and the GZSL harmonic mean.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import Dataset, open_output
+from .data_io import Dataset, write_table
 from .errors import ArgumentError
 from .losses import ClassSplit, LossBreakdown, acec_loss
 from .model import _glorot
@@ -28,16 +26,26 @@ from .zsl_eval import (EvalReport, PredictConfig, check_test_splits, forward_tes
 
 ABLATION_CSV_HEADER = ("variant", "acc", "H")
 
+# Loss overrides of the four models trained in lockstep: no distillation,
+# full, JSD-only and L2-only.
+MODELS = ({"lambda_distill": 0.0}, {}, {"distill_l2": False}, {"distill_jsd": False})
+# (variant, index into MODELS, fusion), where None fuses with the caller's
+# PredictConfig.  Without distillation no gradient crosses between the
+# sub-nets, so the single-branch rows score the halves of model 0.
+A2V, V2A = PredictConfig(alpha1=1.0, alpha2=0.0), PredictConfig(alpha1=0.0, alpha2=1.0)
+ROWS = (("v2a_no_distill", 0, V2A), ("a2v_no_distill", 0, A2V),
+        ("v2a_with_distill", 1, V2A), ("a2v_with_distill", 1, A2V),
+        ("full_jsd_only", 2, None), ("full_l2_only", 3, None), ("full", 1, None))
+
 
 @dataclass(frozen=True)
 class AblationResult:
     variant: str
     acc: float
     H: float
-    history: list[LossBreakdown]
 
 
-def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossBreakdown]]:
+def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
     """Mean-pool the regions and map them with one learned K x d_v matrix."""
     lcfg = cfg.loss_config()
     rng = Rng(cfg.seed)
@@ -53,25 +61,9 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[EvalReport, list[LossB
         return LossBreakdown(loss, 0.0, 0.0, loss), {"W_pool": g_emb @ pooled[idx]}
 
     w_pool = _glorot(rng, ds.num_attributes, ds.visual_dim)
-    history = fit({"W_pool": w_pool}, loss_fn, ds.train_idx, cfg, rng)
-    scored = report(ds, pooled[ds.test_unseen_idx] @ w_pool.T,
-                    pooled[ds.test_seen_idx] @ w_pool.T)
-    return scored, history
-
-
-def _variant_table(both: PredictConfig):
-    a2v_only_eval = PredictConfig(alpha1=1.0, alpha2=0.0)
-    v2a_only_eval = PredictConfig(alpha1=0.0, alpha2=1.0)
-    return [
-        # (name, loss config overrides, predict config)
-        ("v2a_no_distill", {"lambda_distill": 0.0}, v2a_only_eval),
-        ("a2v_no_distill", {"lambda_distill": 0.0}, a2v_only_eval),
-        ("v2a_with_distill", {}, v2a_only_eval),
-        ("a2v_with_distill", {}, a2v_only_eval),
-        ("full_jsd_only", {"distill_l2": False}, both),
-        ("full_l2_only", {"distill_jsd": False}, both),
-        ("full", {}, both),
-    ]
+    fit({"W_pool": w_pool}, loss_fn, ds.train_idx, cfg, rng)
+    return report(ds, pooled[ds.test_unseen_idx] @ w_pool.T,
+                  pooled[ds.test_seen_idx] @ w_pool.T)
 
 
 def run_ablation(
@@ -81,33 +73,23 @@ def run_ablation(
 ) -> list[AblationResult]:
     """Train and score all eight variants with a shared seed and config.
 
-    The MSDN rows score one model per distinct loss config, trained in
-    lockstep: without distillation, full, JSD-only and L2-only.  Without
-    distillation no gradient crosses between the sub-nets, so the
-    single-branch rows score the halves of that model.  Each model's test
-    splits are forwarded once; ``predict_cfg`` fuses the two-net rows.
+    The ``MODELS`` are trained in one lockstep ``train`` call and each
+    one's test splits are forwarded once; every row of ``ROWS`` fuses
+    its model's embeddings.
     """
     check_test_splits(ds)
-    base, base_history = _run_baseline(ds, cfg)
-    results = [AblationResult("baseline", base.acc, base.H, base_history)]
-    rows = [(name, cfg.loss_config(**o), pcfg) for name, o, pcfg in _variant_table(predict_cfg)]
-    lcfgs = tuple(dict.fromkeys(lcfg for _, lcfg, _ in rows))    # each distinct config once
-    outcome = train(ds, cfg, loss_cfg=lcfgs)
-    trained = [(forward_test_splits(outcome.params.model(p), ds),
-                [LossBreakdown(*(field[p] for field in h)) for h in outcome.history])
-               for p in range(len(lcfgs))]
-    for name, lcfg, pcfg in rows:
-        (unseen, seen), history = trained[lcfgs.index(lcfg)]
-        scored = report(ds, pcfg.fuse(*unseen), pcfg.fuse(*seen))
-        results.append(AblationResult(name, scored.acc, scored.H, history))
+    base = _run_baseline(ds, cfg)
+    results = [AblationResult("baseline", base.acc, base.H)]
+    params = train(ds, cfg, loss_cfg=tuple(cfg.loss_config(**o) for o in MODELS)).params
+    tested = [forward_test_splits(params.model(p), ds) for p in range(len(MODELS))]
+    for name, p, fusion in ROWS:
+        (unseen, seen), fuse = tested[p], (fusion or predict_cfg).fuse
+        scored = report(ds, fuse(*unseen), fuse(*seen))
+        results.append(AblationResult(name, scored.acc, scored.H))
     return results
 
 
 def write_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
     if not results:
         raise ArgumentError("no ablation results to write")
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_CSV_HEADER)
-        for row in results:
-            writer.writerow((row.variant, repr(row.acc), repr(row.H)))
+    write_table(path, ABLATION_CSV_HEADER, ((r.variant, r.acc, r.H) for r in results))

@@ -212,19 +212,14 @@ def cmd_export_attention(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_grid(path: Path, row_label: str, col_label: str, grid: np.ndarray) -> None:
-        with data_io.open_output(path) as fh:
-            header = [row_label] + [f"{col_label}_{j}" for j in range(grid.shape[1])]
-            fh.write(",".join(header) + "\n")
-            for i, row in enumerate(grid):
-                fh.write(",".join([str(i)] + [repr(float(v)) for v in row]) + "\n")
+    def write_grid(name: str, header: list[str], grid: np.ndarray) -> None:
+        rows = ([i, *row] for i, row in enumerate(grid.tolist()))
+        data_io.write_table(out_dir / name, header, rows)
 
-    write_grid(out_dir / "beta.csv", "attribute", "region", trace.beta)
-    write_grid(out_dir / "tau.csv", "region", "attribute", trace.tau)
-    with data_io.open_output(out_dir / "scores.csv") as fh:
-        fh.write("attribute,psi,Psi\n")
-        for i in range(trace.psi.shape[0]):
-            fh.write(f"{i},{float(trace.psi[i])!r},{float(trace.Psi[i])!r}\n")
+    k, r = trace.beta.shape
+    write_grid("beta.csv", ["attribute", *(f"region_{j}" for j in range(r))], trace.beta)
+    write_grid("tau.csv", ["region", *(f"attribute_{j}" for j in range(k))], trace.tau)
+    write_grid("scores.csv", ["attribute", "psi", "Psi"], np.stack([trace.psi, trace.Psi], axis=1))
     print(f"wrote beta.csv, tau.csv, scores.csv to {out_dir}")
     return 0
 

@@ -12,17 +12,18 @@ semantic vectors are widened to f64 when a dataset is built.  Widening
 is exact, and a dataset built from f64 features holds them rounded to
 f32 as its container will, so features round-trip bit-exactly; the
 f64 vectors round-trip bit-exactly only when f32 holds them exactly.
-Every output of the package, containers and CSVs alike, is written
-through ``open_output``, which replaces a file and never truncates it.
+Every output of the package is written through ``open_output`` (every
+CSV through ``write_table``), which replaces a file and never truncates it.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import stat
 import struct
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,6 +255,14 @@ def open_output(path: str | Path, mode: str = "w") -> Iterator:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV in the csv default dialect: ``\\r\\n`` rows, floats as shortest repr."""
+    with open_output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------

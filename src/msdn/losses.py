@@ -19,7 +19,7 @@ import numpy as np
 from . import model as model_mod
 from .configfile import require_finite
 from .errors import ArgumentError, NumericError, ShapeError
-from .ndmath import log_sum_exp, softmax_stable
+from .ndmath import log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ def acec_loss(
 
     # supervised term over seen-class scores only
     seen_scores = classes_by_row[seen]                  # (C_s, rows)
-    per_row = log_sum_exp(seen_scores, axis=0) - seen_scores[label_rows, cols]
-    losses = per_row.reshape(blocks, batch).mean(axis=1)
-    p_seen = softmax_stable(seen_scores, axis=0)
+    lse = log_sum_exp(seen_scores, axis=0)
+    losses = (lse - seen_scores[label_rows, cols]).reshape(blocks, batch).mean(axis=1)
+    p_seen = np.exp(seen_scores - lse)
     g_seen = p_seen.copy()
     g_seen[label_rows, cols] -= 1.0
     grad[seen] += g_seen / batch

@@ -17,7 +17,6 @@ parameter init and the per-epoch shuffles.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
-from .data_io import Dataset, open_output
+from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
@@ -194,8 +193,4 @@ def train(
 
 
 def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for epoch, row in enumerate(history):
-            writer.writerow([epoch, *map(repr, row)])
+    write_table(path, HISTORY_HEADER, ((epoch, *row) for epoch, row in enumerate(history)))

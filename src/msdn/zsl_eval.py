@@ -11,7 +11,6 @@ harmonic mean H = 2SU / (S + U).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import require_finite
-from .data_io import Dataset, open_output
+from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import ClassSplit
 from .model import ModelParams, forward
@@ -209,17 +208,9 @@ def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
     """Metric CSV: one metric,value row for acc, U, S, H."""
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("metric", "value"))
-        for name, value in (("acc", report.acc), ("U", report.U),
-                            ("S", report.S), ("H", report.H)):
-            writer.writerow((name, repr(value)))
+    write_table(path, ("metric", "value"), (("acc", report.acc), ("U", report.U),
+                                            ("S", report.S), ("H", report.H)))
 
 
 def write_per_class_csv(report: EvalReport, path: str | Path) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("class_id", "split", "accuracy"))
-        for class_id, split, accuracy in report.per_class:
-            writer.writerow((class_id, split, repr(accuracy)))
+    write_table(path, ("class_id", "split", "accuracy"), report.per_class)

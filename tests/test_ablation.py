@@ -1,40 +1,57 @@
 import tracemalloc
 
-from msdn import zsl_eval
+import numpy as np
+
+from msdn import ablation, zsl_eval
 from msdn.ablation import run_ablation
 from msdn.data_io import SynthSpec, generate_synthetic
 from msdn.training import TrainConfig, train
-from msdn.zsl_eval import PredictConfig, evaluate
+from msdn.zsl_eval import PredictConfig, evaluate, forward_test_splits
 
 
 def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypatch):
     ds = tiny_dataset
     cfg = TrainConfig(epochs=1, batch_size=8, seed=3)
-    forwarded = []
-    real_forward = zsl_eval.forward
+    forwarded, scored = [], []
+    real_forward, real_report = zsl_eval.forward, ablation.report
 
     def counted_forward(regions, attrs, params):
         forwarded.append(regions.shape[0])
         return real_forward(regions, attrs, params)
 
+    def recorded_report(ds, unseen_embedding, seen_embedding):
+        scored.append((unseen_embedding, seen_embedding))
+        return real_report(ds, unseen_embedding, seen_embedding)
+
     monkeypatch.setattr(zsl_eval, "forward", counted_forward)
-    rows = {r.variant: r for r in run_ablation(ds, cfg)}
+    monkeypatch.setattr(ablation, "report", recorded_report)
+    results = run_ablation(ds, cfg)
     # four lockstep models; both test splits fit in one EVAL_CHUNK
     assert len(forwarded) == 4
     assert sum(forwarded) == 4 * (ds.test_unseen_idx.size + ds.test_seen_idx.size)
+    assert len(results) == len(scored) == 8
+    rows = {r.variant: (r, embeddings) for r, embeddings in zip(results, scored)}
 
-    # rows that share a model score it like evaluate does
+    # Every MSDN row scores the embeddings of a separately trained model with
+    # its fusion, bit for bit; the tiny test splits alone leave several rows
+    # with equal acc and H, so the embeddings are compared too.
     a2v_only = PredictConfig(alpha1=1.0, alpha2=0.0)
     v2a_only = PredictConfig(alpha1=0.0, alpha2=1.0)
-    shared = train(ds, cfg).params
-    no_distill = train(ds, cfg, loss_cfg=cfg.loss_config(lambda_distill=0.0)).params
-    for variant, params, pcfg in (("v2a_with_distill", shared, v2a_only),
-                                  ("a2v_with_distill", shared, a2v_only),
-                                  ("full", shared, PredictConfig()),
-                                  ("v2a_no_distill", no_distill, v2a_only),
-                                  ("a2v_no_distill", no_distill, a2v_only)):
-        scored = evaluate(params, ds, pcfg)
-        assert (rows[variant].acc, rows[variant].H) == (scored.acc, scored.H), variant
+    full, no_distill, jsd_only, l2_only = (
+        train(ds, cfg, loss_cfg=cfg.loss_config(**o)).params
+        for o in ({}, {"lambda_distill": 0.0}, {"distill_l2": False}, {"distill_jsd": False}))
+    for variant, params, pcfg in (("v2a_no_distill", no_distill, v2a_only),
+                                  ("a2v_no_distill", no_distill, a2v_only),
+                                  ("v2a_with_distill", full, v2a_only),
+                                  ("a2v_with_distill", full, a2v_only),
+                                  ("full_jsd_only", jsd_only, PredictConfig()),
+                                  ("full_l2_only", l2_only, PredictConfig()),
+                                  ("full", full, PredictConfig())):
+        row, embeddings = rows[variant]
+        for got, split in zip(embeddings, forward_test_splits(params, ds)):
+            assert np.array_equal(got, pcfg.fuse(*split)), variant
+        alone = evaluate(params, ds, pcfg)
+        assert (row.acc, row.H) == (alone.acc, alone.H), variant
 
 
 def test_lockstep_grid_peak_memory():

@@ -255,10 +255,10 @@ def test_ablation_harness(default_dataset):
         "baseline", "v2a_no_distill", "a2v_no_distill", "v2a_with_distill",
         "a2v_with_distill", "full_jsd_only", "full_l2_only", "full",
     ]
-    by_name = {r.variant: r for r in results}
-    full_trace = [h.total for h in by_name["full"].history]
-    jsd_trace = [h.total for h in by_name["full_jsd_only"].history]
-    l2_trace = [h.total for h in by_name["full_l2_only"].history]
+    full, jsd, l2 = (cfg.loss_config(**o) for o in
+                     ({}, {"distill_l2": False}, {"distill_jsd": False}))
+    history = train(default_dataset, cfg, loss_cfg=(full, jsd, l2)).history
+    full_trace, jsd_trace, l2_trace = zip(*(h.total for h in history))
     assert jsd_trace != full_trace, "JSD-only trace identical to full"
     assert l2_trace != full_trace, "L2-only trace identical to full"
     _report("ablation harness", "8 rows; JSD-only and L2-only traces differ")

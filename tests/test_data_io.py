@@ -162,6 +162,13 @@ class TestOpenOutput:
         assert temp_files(tmp_path) == []
 
 
+def test_write_table_rows_and_float_digits(tmp_path):
+    path = tmp_path / "table.csv"
+    data_io.write_table(path, ("name", "value"), [("sum", 0.1 + 0.2), ("half", np.float64(0.5))])
+    assert path.read_bytes() == b"name,value\r\nsum,0.30000000000000004\r\nhalf,0.5\r\n"
+    assert temp_files(tmp_path) == []
+
+
 def same_bits(a: Dataset, b: Dataset) -> bool:
     """Every tensor of ``a`` and ``b`` has the same dtype, shape and bytes."""
     pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(Dataset)
