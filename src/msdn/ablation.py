@@ -73,18 +73,18 @@ def run_ablation(
 ) -> list[AblationResult]:
     """Train and score all eight variants with a shared seed and config.
 
-    The ``MODELS`` are trained in one lockstep ``train`` call and each
-    one's test splits are forwarded once; every row of ``ROWS`` fuses
-    its model's embeddings.
+    The ``MODELS`` are trained in one lockstep ``train`` call, and their
+    test splits are forwarded in one stacked pass; every row of ``ROWS``
+    fuses its model's embeddings.
     """
     check_test_splits(ds)
     base = _run_baseline(ds, cfg)
     results = [AblationResult("baseline", base.acc, base.H)]
     params = train(ds, cfg, loss_cfg=tuple(cfg.loss_config(**o) for o in MODELS)).params
-    tested = [forward_test_splits(params.model(p), ds) for p in range(len(MODELS))]
+    (u_psi, u_Psi), (s_psi, s_Psi) = forward_test_splits(params, ds)
     for name, p, fusion in ROWS:
-        (unseen, seen), fuse = tested[p], (fusion or predict_cfg).fuse
-        scored = report(ds, fuse(*unseen), fuse(*seen))
+        fuse = (fusion or predict_cfg).fuse
+        scored = report(ds, fuse(u_psi[p], u_Psi[p]), fuse(s_psi[p], s_Psi[p]))
         results.append(AblationResult(name, scored.acc, scored.H))
     return results
 

@@ -9,7 +9,9 @@ MSDN_SEED overrides --seed wherever that flag exists.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -22,6 +24,32 @@ from .errors import ArgumentError, GradientCheckError, MsdnError, ShapeError
 from .ndmath import Rng, grad_check_detail
 
 GRAD_TOLERANCE = 1e-5
+# glibc mallopt(3) settings: serve every block under 32 MiB (glibc's 64-bit
+# maximum) from the heap, and keep up to 1 GiB of freed heap for reuse.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc reuse freed blocks instead of mapping them afresh at every step.
+
+    By default glibc maps each block above a moving threshold (128 KB at
+    start) fresh and returns freed heap to the kernel, so every training
+    step page-faults its temporaries anew.  Fixing both thresholds keeps
+    freed memory in the process for the next step; no arithmetic changes.
+    Once per process; a no-op without glibc's ``mallopt`` or on any failure.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "gnu_get_libc_version"):  # the setting numbers are glibc's
+            return
+        mallopt = libc.mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param, value in _MALLOC_POLICY:
+            mallopt(param, value)
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 def _resolve_seed(cli_seed: int | None, default: int) -> int:
@@ -235,6 +263,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:

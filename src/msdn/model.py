@@ -82,10 +82,6 @@ class ModelParams:
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def model(self, p: int) -> "ModelParams":
-        """The p-th model of weights stacked on a leading model axis."""
-        return ModelParams(self.dims, **{name: w[p] for name, w in self.as_dict().items()})
-
 
 @dataclass(frozen=True)
 class ForwardTrace:
@@ -176,8 +172,9 @@ def v2a_forward(
     V = _folded(regions, attrs, params)
     models, rows = params.W3.shape[:-2], V.shape[0]
     per_region = models + regions.shape[1::-1]                             # (…, R, B)
-    logits = (V @ (params.W3 @ attrs.T)).reshape(per_region + (-1,))       # (…, R, B, K)
-    tau = softmax_stable(logits, axis=-3)
+    # No name holds the logits, so they are freed before S and the readout exist.
+    tau = softmax_stable((V @ (params.W3 @ attrs.T)).reshape(per_region + (-1,)),
+                         axis=-3)                                          # (…, R, B, K)
     S = attrs.T @ tau.reshape(models + (rows, -1)).swapaxes(-1, -2)        # (…, d_a, R*B)
     readout = params.W4.swapaxes(-1, -2) @ V.T                             # (…, d_a, R*B)
     psi_bar = (readout * S).sum(axis=-2).reshape(per_region)               # (…, R, B)

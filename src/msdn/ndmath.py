@@ -160,9 +160,10 @@ def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NumericError("softmax_stable requires finite logits")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)   # the one temporary: exp and divide in place
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:

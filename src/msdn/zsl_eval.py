@@ -186,7 +186,9 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]
     are formed once per chunk.  Only the two (n, K) embeddings of each
     chunk's trace are kept, and their rows are split back at the number
     of unseen test images, so any number of predict configs can fuse
-    them without another forward.
+    them without another forward.  Weights stacked on a leading model
+    axis score every model in the same pass, and each embedding keeps
+    that axis in front of its image axis.
     """
     check_test_splits(ds)
     idx = np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])
@@ -195,9 +197,10 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]
         attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK]),
                                          ds.attributes, params))
         for i in range(0, idx.size, EVAL_CHUNK)])
-    psi, Psi = np.concatenate(psi), np.concatenate(Psi)
+    psi, Psi = np.concatenate(psi, axis=-2), np.concatenate(Psi, axis=-2)
     n_unseen = ds.test_unseen_idx.size
-    return (psi[:n_unseen], Psi[:n_unseen]), (psi[n_unseen:], Psi[n_unseen:])
+    return ((psi[..., :n_unseen, :], Psi[..., :n_unseen, :]),
+            (psi[..., n_unseen:, :], Psi[..., n_unseen:, :]))
 
 
 def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:

@@ -26,9 +26,8 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
     monkeypatch.setattr(zsl_eval, "forward", counted_forward)
     monkeypatch.setattr(ablation, "report", recorded_report)
     results = run_ablation(ds, cfg)
-    # four lockstep models; both test splits fit in one EVAL_CHUNK
-    assert len(forwarded) == 4
-    assert sum(forwarded) == 4 * (ds.test_unseen_idx.size + ds.test_seen_idx.size)
+    # the four lockstep models share one stacked pass; both test splits fit in one EVAL_CHUNK
+    assert forwarded == [ds.test_unseen_idx.size + ds.test_seen_idx.size]
     assert len(results) == len(scored) == 8
     rows = {r.variant: (r, embeddings) for r, embeddings in zip(results, scored)}
 

@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import hashlib
 import io
+import platform
+import resource
 import struct
+import types
 import sys
 import warnings
 
@@ -517,6 +520,78 @@ class TestAblate:
         captured = capsys.readouterr()
         assert rc == 2, captured.err
         assert captured.err.splitlines() == ["error: dataset has an empty train split"]
+
+
+@pytest.fixture()
+def unset_malloc_policy():
+    """Let the next ``main`` call set the allocator policy again, and after the test too."""
+    cli._keep_freed_memory.cache_clear()
+    yield
+    cli._keep_freed_memory.cache_clear()
+
+
+def _raising(exc):
+    def loader(name):
+        raise exc(name)
+    return loader
+
+
+def _must_not_call(*args):
+    raise AssertionError(f"mallopt called with {args}")
+
+
+class TestAllocatorPolicy:
+    # A later ablate in the same process reuses freed heap.  Without the
+    # policy each such run took 2600-2800 minor faults; with it, 0-10.
+    MAX_FAULTS_PER_RUN = 200
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_repeated_ablate_reuses_freed_memory(self, tmp_path):
+        data, cfg = tmp_path / "stock.zsld", tmp_path / "ab.cfg"
+        assert cli.main(["gen-data", "--out", str(data)]) == 0
+        cfg.write_text("epochs = 2\n")
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(["ablate", "--data", str(data), "--config", str(cfg),
+                             "--out", str(tmp_path / "ablation.csv")]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[1:]) <= self.MAX_FAULTS_PER_RUN, faults
+
+    @staticmethod
+    def ablate(tmp_path, data_file, train_cfg_file, capsys, name):
+        out = tmp_path / name
+        assert cli.main(["ablate", "--data", str(data_file), "--config",
+                         str(train_cfg_file), "--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    @pytest.mark.parametrize("loader", [
+        _raising(OSError), _raising(AttributeError),
+        lambda name: types.SimpleNamespace(gnu_get_libc_version=None),
+        lambda name: types.SimpleNamespace(mallopt=_must_not_call),
+    ], ids=["oserror", "attributeerror", "no_mallopt", "not_glibc"])
+    def test_runs_unchanged_without_glibc_mallopt(self, tmp_path, data_file, train_cfg_file,
+                                                  capsys, monkeypatch, unset_malloc_policy,
+                                                  loader):
+        expected = self.ablate(tmp_path, data_file, train_cfg_file, capsys, "a.csv")
+        cli._keep_freed_memory.cache_clear()
+        monkeypatch.setattr(cli.ctypes, "CDLL", loader)
+        assert self.ablate(tmp_path, data_file, train_cfg_file, capsys, "b.csv") == expected
+
+    def test_policy_is_set_once_per_process(self, tmp_path, spec_file, monkeypatch,
+                                            unset_malloc_policy):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            gnu_get_libc_version=None, mallopt=mallopt))
+        for out in ("a.zsld", "b.zsld"):
+            assert cli.main(["gen-data", "--spec", str(spec_file),
+                             "--out", str(tmp_path / out)]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
 
 
 class TestExportAttention:

@@ -181,8 +181,8 @@ class TestTrain:
         assert len(lockstep.history) == cfg.epochs
         for p, lcfg in enumerate(lcfgs):
             alone = train(tiny_dataset, cfg, loss_cfg=lcfg)
-            for name, weights in lockstep.params.model(p).as_dict().items():
-                assert np.array_equal(weights, getattr(alone.params, name)), (p, name)
+            for name, weights in lockstep.params.as_dict().items():
+                assert np.array_equal(weights[p], getattr(alone.params, name)), (p, name)
             history = [[field[p] for field in epoch] for epoch in lockstep.history]
             assert np.array_equal(history, alone.history), p
         # the four models really differ, so the comparisons above are not vacuous

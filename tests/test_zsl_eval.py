@@ -10,7 +10,8 @@ import oracles
 from conftest import patched, random_instance
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from msdn.losses import ClassSplit
-from msdn.model import forward
+from msdn.model import PARAM_NAMES, ModelParams, forward, init_params_from_rng
+from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
 from msdn import zsl_eval
 from msdn.zsl_eval import (
@@ -217,6 +218,19 @@ class TestEvaluate:
             np.testing.assert_allclose(Psi, trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
         assert evaluate(trained, ds, PredictConfig()) == report
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    def test_stacked_models_score_as_alone(self, tiny_dataset, trained, monkeypatch, chunk):
+        # Chunks join on the image axis, behind the model axis of stacked weights.
+        monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", chunk)
+        ds = tiny_dataset
+        models = [trained, init_params_from_rng(trained.dims, Rng(9))]
+        stacked = ModelParams(trained.dims, **{
+            name: np.stack([getattr(m, name) for m in models]) for name in PARAM_NAMES})
+        together = zsl_eval.forward_test_splits(stacked, ds)
+        for p, params in enumerate(models):
+            for got, alone in zip(together, zsl_eval.forward_test_splits(params, ds)):
+                assert all(np.array_equal(g[p], a) for g, a in zip(got, alone)), p
 
     def test_matches_per_image_oracle(self, tiny_dataset, trained, monkeypatch):
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 2)
