@@ -19,7 +19,7 @@ from .data_io import Dataset, write_table
 from .errors import ArgumentError
 from .losses import ClassSplit, LossBreakdown, acec_loss
 from .model import _glorot
-from .ndmath import Rng
+from .ndmath import FlatArrays, Rng
 from .training import TrainConfig, fit, train
 from .zsl_eval import (EvalReport, PredictConfig, check_test_splits, forward_test_splits,
                        report)
@@ -52,16 +52,20 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
     pooled = ds.features.mean(axis=1, dtype=np.float64)  # (N, d_v)
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
-    def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
+    weights = FlatArrays.of({"W_pool": _glorot(rng, ds.num_attributes, ds.visual_dim)})
+    w_pool = weights["W_pool"]
+
+    def loss_fn(idx: np.ndarray):
         # Class-major like total_loss_raw, so acec_loss reduces leading axes.
-        embeddings = weights["W_pool"] @ pooled[idx].T          # (K, B)
+        embeddings = w_pool @ pooled[idx].T                     # (K, B)
         scores = ds.class_semantics @ embeddings                # (C, B)
         (loss,), g_scores, _ = acec_loss(scores.T, ds.labels[idx], split, lcfg)
         g_emb = ds.class_semantics.T @ g_scores.T               # (K, B)
-        return LossBreakdown(loss, 0.0, 0.0, loss), {"W_pool": g_emb @ pooled[idx]}
+        grads = FlatArrays({"W_pool": w_pool.shape})
+        np.matmul(g_emb, pooled[idx], out=grads["W_pool"])
+        return LossBreakdown(loss, 0.0, 0.0, loss), grads
 
-    w_pool = _glorot(rng, ds.num_attributes, ds.visual_dim)
-    fit({"W_pool": w_pool}, loss_fn, ds.train_idx, cfg, rng)
+    fit(weights, loss_fn, ds.train_idx, cfg, rng)
     return report(ds, pooled[ds.test_unseen_idx] @ w_pool.T,
                   pooled[ds.test_seen_idx] @ w_pool.T)
 

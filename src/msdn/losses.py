@@ -19,7 +19,7 @@ import numpy as np
 from . import model as model_mod
 from .configfile import require_finite
 from .errors import ArgumentError, NumericError, ShapeError
-from .ndmath import log_sum_exp
+from .ndmath import FlatArrays, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class ClassSplit:
     """Sorted seen and unseen classes with their calibration offsets.
 
     The two lists partition 0..C-1.  This is the one place that sorts
-    the classes and builds the +1 unseen / -1 seen offset; the loss and
+    the classes and builds the +1 unseen / -1 seen offset and the map
+    from a class to its position among the seen classes; the loss and
     the predictor both read it.  Built once per training run or report,
     so no batch re-sorts the classes or rebuilds the offsets.
     """
@@ -68,6 +69,7 @@ class ClassSplit:
     unseen: np.ndarray
     indicator: np.ndarray    # (C,): +1 on unseen classes, -1 on seen ones
     unseen_mask: np.ndarray  # (C,): 1 on unseen classes, 0 on seen ones
+    seen_pos: np.ndarray     # (C,): position in ``seen``, -1 on unseen classes
 
     @classmethod
     def of(cls, seen_classes: np.ndarray, unseen_classes: np.ndarray) -> "ClassSplit":
@@ -75,7 +77,41 @@ class ClassSplit:
         unseen = np.sort(np.asarray(unseen_classes, dtype=np.int64))
         unseen_mask = np.zeros(seen.size + unseen.size)
         unseen_mask[unseen] = 1.0
-        return cls(seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask)
+        seen_pos = np.full(unseen_mask.size, -1, dtype=np.int64)
+        seen_pos[seen] = np.arange(seen.size)
+        return cls(seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask, seen_pos)
+
+
+@dataclass(frozen=True)
+class LossTerms:
+    """The per-model loss constants of one LossConfig, or of one per model.
+
+    Built once per training run, so no batch rebuilds them.  The models
+    share the ``lambda_cal`` and ``epsilon_kl`` of ``cfg``, the first
+    config.  A distillation term's switch scales its constant by 1 or
+    0: a term that is on keeps its bits, and one that is off adds exact
+    zeros.  No term is on at zero distillation weight.
+    """
+
+    cfg: LossConfig
+    lam: np.ndarray       # (*models,): distillation weight of each model
+    l2: np.ndarray        # (*models, 1): 1.0 where the squared-L2 term is on
+    half_jsd: np.ndarray  # (*models, 1): 0.5 where the symmetric-KL term is on
+    two_l2: np.ndarray    # (*models, 1): 2.0 where the squared-L2 term is on
+    distills: bool        # some model has a distillation term on
+
+    @classmethod
+    def of(cls, cfg: "LossConfig | tuple[LossConfig, ...]",
+           models: tuple[int, ...] = ()) -> "LossTerms":
+        """The terms of ``cfg``, one LossConfig per model of the ``models`` shape."""
+        cfgs = (cfg,) if isinstance(cfg, LossConfig) else cfg
+        if len({(c.lambda_cal, c.epsilon_kl) for c in cfgs}) != 1:
+            raise ArgumentError("lockstep models must share lambda_cal and epsilon_kl")
+        lam = np.reshape([c.lambda_distill for c in cfgs], models)   # one per model, or raises
+        on = np.reshape([(c.distill_jsd, c.distill_l2) if c.lambda_distill > 0
+                         else (False, False) for c in cfgs], models + (2,))
+        jsd, l2 = (on[..., t, None].astype(np.float64) for t in (0, 1))
+        return cls(cfgs[0], lam, l2, 0.5 * jsd, 2.0 * l2, bool(on.any()))
 
 
 def acec_loss(
@@ -111,34 +147,38 @@ def acec_loss(
     blocks = scores.shape[0] // batch
 
     seen, unseen = split.seen, split.unseen
-    label_pos = np.searchsorted(seen, labels)           # position among seen classes
-    known = label_pos < seen.size
-    known[known] = seen[label_pos[known]] == labels[known]
-    if not known.all():
-        bad_labels = sorted({int(v) for v in labels[~known]})
+    try:
+        label_pos = split.seen_pos[labels]              # position among seen classes
+        known = (seen[label_pos] == labels).all()       # an unseen class maps to -1
+    except IndexError:                                  # a label beyond the classes
+        known = False
+    if not known:
+        bad_labels = sorted({int(v) for v in labels[~np.isin(labels, seen)]})
         raise ArgumentError(f"labels outside the seen classes: {bad_labels}")
     classes_by_row = scores.T                           # (C, rows)
     label_rows, cols = np.tile(label_pos, blocks), np.arange(scores.shape[0])
 
-    grad = np.zeros_like(classes_by_row)
-
-    # supervised term over seen-class scores only
+    # supervised term over seen-class scores only; a mean is its sum / n
     seen_scores = classes_by_row[seen]                  # (C_s, rows)
     lse = log_sum_exp(seen_scores, axis=0)
-    losses = (lse - seen_scores[label_rows, cols]).reshape(blocks, batch).mean(axis=1)
+    losses = (lse - seen_scores[label_rows, cols]).reshape(blocks, batch).sum(axis=1) / batch
     p_seen = np.exp(seen_scores - lse)
     g_seen = p_seen.copy()
     g_seen[label_rows, cols] -= 1.0
-    grad[seen] += g_seen / batch
+    g_seen /= batch
 
     if cfg.lambda_cal > 0 and unseen.size > 0:
         shifted = classes_by_row + split.indicator[:, None]
         log_q = shifted - log_sum_exp(shifted, axis=0)
         # per-sample cross-entropy mass on the unseen classes
         cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
-        losses += cfg.lambda_cal * cal_rows.mean(axis=1)
-        g_cal = (unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch
-        grad += cfg.lambda_cal * g_cal
+        losses += cfg.lambda_cal * (cal_rows.sum(axis=1) / batch)
+        grad = cfg.lambda_cal * ((unseen.size * np.exp(log_q) - split.unseen_mask[:, None])
+                                 / batch)
+        grad[seen] += g_seen
+    else:
+        grad = np.zeros_like(classes_by_row)
+        grad[seen] = g_seen
 
     return losses.tolist(), grad.T, p_seen.T
 
@@ -146,16 +186,14 @@ def acec_loss(
 def distill_loss(
     p_seen1: np.ndarray,
     p_seen2: np.ndarray,
-    epsilon_kl: float,
-    jsd=True,
-    l2=True,
+    terms: LossTerms,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric-KL plus squared-L2 distance between two posterior batches.
 
     The arguments are the seen-class softmaxes of two score batches,
     class-major: (classes, batch), or (classes, models, batch).  Each
     column is clamped to [epsilon_kl, 1] and renormalized before
-    comparison.  ``jsd`` and ``l2`` switch the two terms, one switch per
+    comparison.  ``terms`` switches the two terms, one switch per
     model.  Returns each model's mean per-sample loss and the
     class-major gradients w.r.t. both sets of scores those softmaxes
     came from.
@@ -166,11 +204,10 @@ def distill_loss(
             f"got {p_seen1.shape} and {p_seen2.shape}"
         )
     batch = p_seen1.shape[-1]
-    jsd, l2 = (np.asarray(on, dtype=np.float64)[..., None] for on in (jsd, l2))
-    half_jsd, two_l2 = 0.5 * jsd, 2.0 * l2
+    epsilon_kl = terms.cfg.epsilon_kl
 
     def clamped(raw):
-        out = np.clip(raw, epsilon_kl, 1.0)
+        out = np.minimum(np.maximum(raw, epsilon_kl), 1.0)
         total = out.sum(axis=0, keepdims=True)
         return out / total, total
 
@@ -180,16 +217,11 @@ def distill_loss(
     # log(p) - log(q) rather than log(p/q): subtraction negates exactly,
     # which keeps the loss bit-exactly symmetric under argument swap.
     log_ratio = np.log(p) - np.log(q)
-    # A switch scales its term's constant by 1 or 0: a term that is on
-    # keeps its bits, and one that is off adds exact zeros.
-    per_row, d_p, d_q = np.zeros(p.shape[1:]), np.zeros_like(p), np.zeros_like(q)
-    per_row += half_jsd * ((p * log_ratio).sum(axis=0) + (q * -log_ratio).sum(axis=0))
-    d_p += half_jsd * (log_ratio + 1.0 - q / p)
-    d_q += half_jsd * (-log_ratio + 1.0 - p / q)
     diff = p - q
-    per_row += l2 * (diff * diff).sum(axis=0)
-    d_p += two_l2 * diff
-    d_q -= two_l2 * diff
+    per_row = (terms.half_jsd * ((p * log_ratio).sum(axis=0) + (q * -log_ratio).sum(axis=0))
+               + terms.l2 * (diff * diff).sum(axis=0))
+    d_p = terms.half_jsd * (log_ratio + 1.0 - q / p) + terms.two_l2 * diff
+    d_q = terms.half_jsd * (-log_ratio + 1.0 - p / q) - terms.two_l2 * diff
 
     def _to_scores(d_prob, prob, raw, total):
         # renormalization, clamp mask, then the softmax jacobian
@@ -197,7 +229,7 @@ def distill_loss(
         d_raw = d_clamped * ((raw >= epsilon_kl) & (raw <= 1.0))
         return raw * (d_raw - (d_raw * raw).sum(axis=0, keepdims=True)) / batch
 
-    return (per_row.mean(axis=-1), _to_scores(d_p, p, p_seen1, total1),
+    return (per_row.sum(axis=-1) / batch, _to_scores(d_p, p, p_seen1, total1),
             _to_scores(d_q, q, p_seen2, total2))
 
 
@@ -208,14 +240,15 @@ def total_loss_raw(
     attrs: np.ndarray,
     class_semantics: np.ndarray,
     split: ClassSplit,
-    cfg: LossConfig | tuple[LossConfig, ...],
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+    cfg: LossConfig | tuple[LossConfig, ...] | LossTerms,
+) -> tuple[LossBreakdown, FlatArrays]:
     """Total objective and parameter gradients for one batch of images.
 
     ``region_stacks`` is (batch, R, d_v), fastest region-major as
     ``Dataset.regions`` gives it.  ``cfg`` is one LossConfig, or one per
     model for weights stacked on a leading model axis; each breakdown
-    field then lists one value per model.  Cross-entropy scores both
+    field then lists one value per model.  A training run passes the
+    ``LossTerms`` of its configs, built once.  Cross-entropy scores both
     sub-nets of every model in one pass over their stacked rows, with a
     separate mean per sub-net and model.  Distillation compares the two
     seen-class posteriors that pass computed.  The reported total is
@@ -227,32 +260,29 @@ def total_loss_raw(
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
     models = params.W1.shape[:-2]
-    cfgs = (cfg,) if isinstance(cfg, LossConfig) else cfg
-    if len({(c.lambda_cal, c.epsilon_kl) for c in cfgs}) != 1:
-        raise ArgumentError("lockstep models must share lambda_cal and epsilon_kl")
-    # each model's distillation weight and (JSD, L2) switches; no term is on at zero weight
-    lam = np.reshape([c.lambda_distill for c in cfgs], models)   # one per model, or raises
-    on = [(c.distill_jsd, c.distill_l2) if c.lambda_distill > 0 else (False, False) for c in cfgs]
-    terms = np.reshape(on, models + (2,))
+    terms = cfg if isinstance(cfg, LossTerms) else LossTerms.of(cfg, models)
+    if terms.lam.shape != models:
+        raise ShapeError(f"loss terms for models {terms.lam.shape}, weights for {models}")
     trace = model_mod.forward(region_stacks, attrs, params)
     # Class-major (C, rows) scores, rows ordered (model, sub-net, image).
     scores = class_semantics @ np.concatenate(
         [trace.psi.swapaxes(-1, -2), trace.Psi.swapaxes(-1, -2)], axis=-1)
     scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
-    acec, g_rows, p_seen = acec_loss(scores.T, labels, split, cfgs[0])
+    acec, g_rows, p_seen = acec_loss(scores.T, labels, split, terms.cfg)
     acec = np.array(acec).reshape(models + (2,))           # (..., sub-net)
     g_scores = g_rows.T.reshape((-1, *models, 2, batch))   # views of the same gradient
 
     distill = np.zeros(models)
-    if terms.any():
+    if terms.distills:
         p_pair = p_seen.T.reshape((-1, *models, 2, batch))
-        distill, g1, g2 = distill_loss(p_pair[..., 0, :], p_pair[..., 1, :],
-                                       cfgs[0].epsilon_kl, terms[..., 0], terms[..., 1])
-        g_scores[split.seen, ..., 0, :] += lam[..., None] * g1
-        g_scores[split.seen, ..., 1, :] += lam[..., None] * g2
+        distill, g1, g2 = distill_loss(p_pair[..., 0, :], p_pair[..., 1, :], terms)
+        lam = terms.lam[..., None]
+        g_scores[split.seen, ..., 0, :] += lam * g1
+        g_scores[split.seen, ..., 1, :] += lam * g2
 
     a2v, v2a = acec[..., 0], acec[..., 1]
-    breakdown = LossBreakdown(*np.array([a2v, v2a, distill, a2v + v2a + lam * distill]).tolist())
+    breakdown = LossBreakdown(
+        *np.array([a2v, v2a, distill, a2v + v2a + terms.lam * distill]).tolist())
     if not np.isfinite(breakdown).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 

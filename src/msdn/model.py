@@ -28,9 +28,10 @@ at once instead of looping over rows of 9-50 elements: 5-16x faster at
 the stock shape.  A region-major stack (``Dataset.regions``) folds with
 no copy; any other stack gives the same numbers after one copy.  The
 trace fields are strided views of these arrays in the shapes
-``ForwardTrace`` documents, and every gradient is C-contiguous in its
-parameter's shape.  Weights stacked on a leading model axis run every
-model in one pass, each product a stack of one model's products.
+``ForwardTrace`` documents, and the gradients are C-contiguous blocks
+of one flat array, each in its parameter's shape.  Weights stacked on a
+leading model axis run every model in one pass, each product a stack of
+one model's products.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import data_io
 from .errors import ContainerFormatError, ShapeError
-from .ndmath import Rng, softmax_stable
+from .ndmath import FlatArrays, Rng, softmax_stable
 
 PARAM_NAMES = ("W1", "W2", "W3", "W4", "W_att")
 
@@ -209,34 +210,36 @@ def backward(
     trace: ForwardTrace,
     d_psi: np.ndarray,
     d_Psi: np.ndarray,
-) -> dict[str, np.ndarray]:
+) -> FlatArrays:
     """Gradients of a scalar loss w.r.t. the five parameter matrices.
 
     ``regions`` is the (B, R, d_v) stack that produced ``trace``;
     ``d_psi`` and ``d_Psi`` are the (B, K) loss gradients w.r.t. the two
     embeddings (model axis first for stacked weights).  Gradients are
-    summed over the batch, and each comes back C-contiguous.  Consumes
-    ``trace``: its maps serve as scratch space, with the float operations
-    of the plain expressions, so the pass makes one map-sized temporary.
+    summed over the batch and written straight into one flat array, in
+    ``PARAM_NAMES`` order, each a C-contiguous view in its parameter's
+    shape.  Consumes ``trace``: its maps serve as scratch space, with the
+    float operations of the plain expressions, so the pass makes one
+    map-sized temporary.
     """
     V = _folded(regions, attrs, params)
     models, rows = params.W1.shape[:-2], V.shape[0]
-    grads = {}
+    grads = FlatArrays({name: getattr(params, name).shape for name in PARAM_NAMES})
 
     # first sub-net, K-major: psi[k, b] = sum_r beta[k, r, b] * match[k, r, b]
     beta = trace.beta.swapaxes(-3, -2).swapaxes(-2, -1)                    # (…, K, R, B)
     d_psi_k = d_psi.swapaxes(-1, -2)[..., None, :]                         # (…, K, 1, B)
     scratch = d_psi_k * beta                                               # d_match
-    grads["W2"] = attrs.T @ (scratch.reshape(models + (-1, rows)) @ V)
+    np.matmul(attrs.T, scratch.reshape(models + (-1, rows)) @ V, out=grads["W2"])
     d_beta = trace.match.swapaxes(-1, -3)                                  # in match's buffer
     d_beta *= d_psi_k
     d_beta -= np.multiply(beta, d_beta, out=scratch).sum(axis=-3, keepdims=True)
     d_beta *= beta                                                         # d_logits1
-    grads["W1"] = attrs.T @ (d_beta.reshape(models + (-1, rows)) @ V)
+    np.matmul(attrs.T, d_beta.reshape(models + (-1, rows)) @ V, out=grads["W1"])
 
     # second sub-net: Psi[b] = (psi_bar[b] @ V[b]) @ W_att @ A^T
     d_Psi_A = d_Psi @ attrs                                                # (…, B, d_a)
-    grads["W_att"] = trace.pooled.swapaxes(-1, -2) @ d_Psi_A
+    np.matmul(trace.pooled.swapaxes(-1, -2), d_Psi_A, out=grads["W_att"])
     d_pooled = d_Psi_A @ params.W_att.swapaxes(-1, -2)                     # (…, B, d_v)
     d_psi_bar = (regions @ d_pooled[..., None])[..., 0].swapaxes(-1, -2).reshape(
         models + (1, rows))
@@ -245,14 +248,15 @@ def backward(
     def rows_of(per_image: np.ndarray) -> np.ndarray:     # (…, d_a, R*B), times d_psi_bar
         flat = per_image.swapaxes(-1, -3).reshape(models + (-1, rows))
         return np.multiply(flat, d_psi_bar, out=flat)
-    grads["W4"] = V.T @ rows_of(trace.S).swapaxes(-1, -2)
+    np.matmul(V.T, rows_of(trace.S).swapaxes(-1, -2), out=grads["W4"])
     tau = trace.tau.swapaxes(-3, -2)                                       # (…, R, B, K)
     d_tau = np.matmul(rows_of(trace.readout).swapaxes(-1, -2), attrs.T,   # in d_beta's buffer
                       out=d_beta.reshape(models + (rows, -1))).reshape(tau.shape)
     d_tau -= np.multiply(tau, d_tau, out=scratch.reshape(tau.shape)).sum(axis=-3, keepdims=True)
     d_tau *= tau                                                           # d_logits2
-    grads["W3"] = (V.T @ d_tau.reshape(models + (rows, -1))) @ attrs
-    return {name: grads[name] for name in PARAM_NAMES}
+    del scratch, d_pooled   # freed before the last product, where the pass peaks
+    np.matmul(V.T @ d_tau.reshape(models + (rows, -1)), attrs, out=grads["W3"])
+    return grads
 
 
 # --------------------------------------------------------------------------

@@ -142,11 +142,49 @@ class Rng:
         states *= np.uint64(_XORSHIFT_MULT)
         return states.T.reshape(-1)[:n]
 
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates shuffle, fastest on a list.
+
+        Swaps ``items[i]`` with ``items[next_below(i + 1)]`` for i from the
+        end down to 1, with the xorshift step written out in the loop.
+        """
+        x = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+            x ^= x >> 12
+            x ^= (x << 25) & _U64
+            x ^= x >> 27
+            j = int((((x * _XORSHIFT_MULT) & _U64) >> 11) * _TWO_POW_NEG53 * (i + 1))
             items[i], items[j] = items[j], items[i]
+        self.state = x
+
+
+class FlatArrays(dict):
+    """Named arrays that are consecutive C-order blocks of one flat float64 array.
+
+    ``flat`` is that array, so one ufunc over it acts on every named
+    array, and each named array is a view that reads and writes it.
+    ``alloc`` makes the flat array from its length (``np.empty`` or
+    ``np.zeros``).
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], alloc=np.empty):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = alloc(sum(sizes))
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self[name] = self.flat[start:start + size].reshape(shape)
+            start += size
+
+    @classmethod
+    def of(cls, arrays: dict[str, np.ndarray]) -> "FlatArrays":
+        """A flat copy of ``arrays``."""
+        out = cls({name: arr.shape for name, arr in arrays.items()})
+        for name, arr in arrays.items():
+            out[name][...] = arr
+        return out
+
+    def zeros_like(self) -> "FlatArrays":
+        return FlatArrays({name: arr.shape for name, arr in self.items()}, np.zeros)
 
 
 def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -8,11 +8,12 @@ The optimizer update, per parameter and elementwise, is
     param -= learning_rate * buf
 
 i.e. classic RMSProp with momentum applied to the preconditioned
-gradient and coupled L2 weight decay.  The update runs in place: a run
-holds one set each of parameters, square averages and momentum buffers,
-and each step consumes its gradients.  Training is a pure function of
-(dataset, config): one PRNG seeded from the config drives both the
-parameter init and the per-epoch shuffles.
+gradient and coupled L2 weight decay.  The update runs in place, in one
+pass: a run holds its parameters, square averages and momentum buffers
+as one flat array each (``FlatArrays``), and each step consumes its
+batch's flat gradient array.  Training is a pure function of (dataset,
+config): one PRNG seeded from the config drives both the parameter init
+and the per-epoch shuffles.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
 from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
-from .losses import ClassSplit, LossBreakdown, LossConfig, total_loss_raw
+from .losses import ClassSplit, LossBreakdown, LossConfig, LossTerms, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
-from .ndmath import Rng
+from .ndmath import FlatArrays, Rng
 
 HISTORY_HEADER = ("epoch", *LossBreakdown._fields)
 
@@ -78,30 +79,47 @@ def load_train_config(path: str | Path) -> TrainConfig:
     return dataclass_from_kv(TrainConfig, parse_kv_file(path))
 
 
+# Elements per block of the RMSProp step, the size of its one scratch
+# array: far below a paper-shape weight set, and large enough that the
+# 13 calls per block cost little next to the memory traffic.
+STEP_BLOCK = 1 << 14
+
+
 def rmsprop_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    square_avg: dict[str, np.ndarray],
-    momentum_buf: dict[str, np.ndarray],
+    params: FlatArrays,
+    grads: FlatArrays,
+    square_avg: FlatArrays,
+    momentum_buf: FlatArrays,
     cfg: TrainConfig,
 ) -> None:
     """One optimizer step, in place on ``params`` and both buffers.
 
-    Consumes ``grads``: each gradient is popped and overwritten, so none
-    outlives the step.
+    The step runs over the flat arrays, block by block, with the float
+    operations of the per-parameter rule in its order.  Consumes
+    ``grads``: its flat array is the step's workspace, and the set is
+    emptied, so the gradients die with the step.
     """
-    for name, param in params.items():
-        g = grads.pop(name)
-        if g.shape != param.shape:
-            raise ShapeError(f"gradient for {name} has shape {g.shape}, parameter {param.shape}")
-        g += cfg.weight_decay * param
-        sq = square_avg[name]
-        sq *= cfg.rms_decay
-        sq += (1.0 - cfg.rms_decay) * g * g
-        buf = momentum_buf[name]
-        buf *= cfg.momentum
-        buf += g / (np.sqrt(sq) + cfg.epsilon_opt)
-        param -= cfg.learning_rate * buf
+    param, g, sq, buf = params.flat, grads.flat, square_avg.flat, momentum_buf.flat
+    if g.shape != param.shape:
+        raise ShapeError(f"gradients have {g.size} elements, parameters {param.size}")
+    grads.clear()
+    del grads.flat
+    wd, rho, mu, eps, lr = (cfg.weight_decay, cfg.rms_decay, cfg.momentum, cfg.epsilon_opt,
+                            cfg.learning_rate)
+    scratch = np.empty(min(param.size, STEP_BLOCK))
+    for start in range(0, param.size, STEP_BLOCK):
+        block = slice(start, start + STEP_BLOCK)
+        p, gb, s, b = param[block], g[block], sq[block], buf[block]
+        t = scratch[:p.size]
+        gb += np.multiply(p, wd, out=t)                # g += wd * param
+        s *= rho                                       # sq = rho * sq + (1 - rho) * g * g
+        np.multiply(gb, 1.0 - rho, out=t)
+        s += np.multiply(t, gb, out=t)
+        b *= mu                                        # buf = mu * buf + g / (sqrt(sq) + eps)
+        np.sqrt(s, out=t)
+        t += eps
+        b += np.divide(gb, t, out=t)
+        p -= np.multiply(b, lr, out=t)                 # param -= lr * buf
 
 
 def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
@@ -110,8 +128,9 @@ def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
         raise ArgumentError(f"make_batches requires n >= 1, got {n}")
     if batch_size < 1:
         raise ArgumentError(f"batch_size must be >= 1, got {batch_size}")
-    perm = np.arange(n, dtype=np.int64)
-    rng.shuffle(perm)
+    order = list(range(n))
+    rng.shuffle(order)
+    perm = np.array(order, dtype=np.int64)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
@@ -122,32 +141,31 @@ class TrainResult:
 
 
 def fit(
-    weights: dict[str, np.ndarray],
-    loss_fn: Callable[[dict[str, np.ndarray], np.ndarray],
-                      tuple[LossBreakdown, dict[str, np.ndarray]]],
+    weights: FlatArrays,
+    loss_fn: Callable[[np.ndarray], tuple[LossBreakdown, FlatArrays]],
     train_idx: np.ndarray,
     cfg: TrainConfig,
     rng: Rng,
 ) -> list[LossBreakdown]:
     """RMSProp over ``cfg.epochs`` shuffled passes of ``train_idx``.
 
-    ``loss_fn(weights, idx)`` returns the loss breakdown and the weight
-    gradients for the samples ``idx``.  ``weights`` are updated in place.
-    Each epoch draws one shuffle from ``rng`` and records the
-    sample-weighted mean of each breakdown field (or of each model's
-    value in it); the weights must stay finite.  Returns the history.
+    ``loss_fn(idx)`` returns the loss breakdown and the gradients, laid
+    out like ``weights``, for the samples ``idx`` at the current
+    weights, which are updated in place.  Each epoch draws one shuffle
+    from ``rng`` and records the sample-weighted mean of each breakdown
+    field (or of each model's value in it); the weights must stay
+    finite.  Returns the history.
     """
     n_train = int(train_idx.size)
     if n_train == 0:
         raise ArgumentError("dataset has an empty train split")
-    square_avg = {k: np.zeros_like(v) for k, v in weights.items()}
-    momentum_buf = {k: np.zeros_like(v) for k, v in weights.items()}
+    square_avg, momentum_buf = weights.zeros_like(), weights.zeros_like()
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         sums = 0.0
         for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
             try:
-                breakdown, grads = loss_fn(weights, train_idx[batch])
+                breakdown, grads = loss_fn(train_idx[batch])
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
@@ -155,9 +173,9 @@ def fit(
             rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
             weight = len(batch)
             sums += weight * np.asarray(breakdown)
-        for name, arr in weights.items():
-            if not np.isfinite(arr).all():
-                raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
+        if not np.isfinite(weights.flat).all():
+            name = next(name for name, arr in weights.items() if not np.isfinite(arr).all())
+            raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
         history.append(LossBreakdown(*(sums / n_train).tolist()))
     return history
 
@@ -175,20 +193,21 @@ def train(
     model in each history field.
     """
     lcfg = loss_cfg if loss_cfg is not None else cfg.loss_config()
+    models = () if isinstance(lcfg, LossConfig) else (len(lcfg),)
 
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+    terms = LossTerms.of(lcfg, models)
+    weights = FlatArrays.of({name: np.broadcast_to(w, models + w.shape)
+                             for name, w in init_params_from_rng(dims, rng).as_dict().items()})
+    params = ModelParams(dims=dims, **weights)
 
-    def loss_fn(weights: dict[str, np.ndarray], idx: np.ndarray):
-        return total_loss_raw(ModelParams(dims=dims, **weights), ds.regions(idx),
-                              ds.labels[idx], ds.attributes, ds.class_semantics, split, lcfg)
+    def loss_fn(idx: np.ndarray):
+        return total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
+                              ds.class_semantics, split, terms)
 
-    params = init_params_from_rng(dims, rng)
-    if not isinstance(lcfg, LossConfig):
-        params = ModelParams(dims=dims, **{name: np.repeat(w[None], len(lcfg), axis=0)
-                                           for name, w in params.as_dict().items()})
-    history = fit(params.as_dict(), loss_fn, ds.train_idx, cfg, rng)
+    history = fit(weights, loss_fn, ds.train_idx, cfg, rng)
     return TrainResult(params=params, history=history)
 
 

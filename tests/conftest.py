@@ -45,12 +45,11 @@ def acec(scores, labels, seen, unseen, cfg):
 
 def distill(scores1, scores2, cfg):
     """Distillation between the seen-class softmaxes of two (batch, classes) score batches."""
-    from msdn.losses import distill_loss
+    from msdn.losses import LossTerms, distill_loss
     from msdn.ndmath import softmax_stable
 
     loss, g1, g2 = distill_loss(softmax_stable(scores1, axis=1).T,
-                                softmax_stable(scores2, axis=1).T,
-                                cfg.epsilon_kl, cfg.distill_jsd, cfg.distill_l2)
+                                softmax_stable(scores2, axis=1).T, LossTerms.of(cfg))
     return loss, g1.T, g2.T
 
 

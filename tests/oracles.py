@@ -39,6 +39,13 @@ def normal(rng, n):
     return out
 
 
+def shuffle(rng, items):
+    """In-place Fisher-Yates shuffle, one ``next_below`` call per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def choice_weighted(rng, weights):
     """Index drawn with probability proportional to non-negative weights."""
     total = float(np.sum(weights))

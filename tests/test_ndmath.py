@@ -198,6 +198,18 @@ class TestRng:
         assert np.array_equal(a, b)
         assert a.tobytes() == oracles.normal(Rng(5), 7).tobytes()
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.sampled_from([0, 1, 2, 3, 50, 320, 1000]))
+    def test_shuffle_matches_scalar_oracle(self, seed, n):
+        # The inlined xorshift step gives the permutation and end state of
+        # one next_below call per swap.
+        fast, scalar = Rng(seed), Rng(seed)
+        got, want = list(range(n)), list(range(n))
+        fast.shuffle(got)
+        oracles.shuffle(scalar, want)
+        assert got == want
+        assert fast.state == scalar.state
+
     def test_shuffle_is_permutation(self):
         items = np.arange(40)
         Rng(13).shuffle(items)

@@ -10,9 +10,11 @@ import oracles
 from conftest import TINY_SPEC, format_kv, patched, stacked
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
+from msdn import training
+from msdn.data_io import SynthSpec
 from msdn.losses import ClassSplit, total_loss_raw
 from msdn.model import ModelDims, ModelParams, init_params_from_rng
-from msdn.ndmath import Rng
+from msdn.ndmath import FlatArrays, Rng
 from msdn.training import (
     TrainConfig,
     fit,
@@ -28,26 +30,27 @@ FAST = TrainConfig(epochs=3, batch_size=8, seed=2)
 LOCKSTEP_OVERRIDES = ({"lambda_distill": 0.0}, {}, {"distill_l2": False}, {"distill_jsd": False})
 
 
-def _zeros(params):
-    return {name: np.zeros_like(arr) for name, arr in params.items()}
-
-
 def _weights(rng, shapes):
-    return {f"w{i}": rng.uniform(-1, 1, *shape) for i, shape in enumerate(shapes)}
+    return FlatArrays.of({f"w{i}": rng.uniform(-1, 1, math.prod(shape[:-1]), shape[-1])
+                          .reshape(shape) for i, shape in enumerate(shapes)})
+
+
+def _one(value):
+    return FlatArrays.of({"w": np.array(value, dtype=np.float64)})
 
 
 class TestRmspropStep:
     def test_fixed_point_at_zero_gradient(self):
         cfg = TrainConfig(weight_decay=0.0)
-        params = {"w": np.array([[1.5, -2.0]])}
-        rmsprop_step(params, {"w": np.zeros((1, 2))}, _zeros(params), _zeros(params), cfg)
+        params = _one([[1.5, -2.0]])
+        rmsprop_step(params, _one([[0.0, 0.0]]), params.zeros_like(), params.zeros_like(), cfg)
         assert np.array_equal(params["w"], [[1.5, -2.0]])
 
     def test_scalar_hand_evaluated_update(self):
         cfg = TrainConfig()  # lr 1e-4, momentum 0.9, wd 1e-4, rho 0.99, eps 1e-8
-        params = {"w": np.array([[1.0]])}
-        square_avg = _zeros(params)
-        rmsprop_step(params, {"w": np.array([[1.0]])}, square_avg, _zeros(params), cfg)
+        params = _one([[1.0]])
+        square_avg = params.zeros_like()
+        rmsprop_step(params, _one([[1.0]]), square_avg, params.zeros_like(), cfg)
         # independent scalar evaluation of the documented rule
         g = 1.0 + 1e-4 * 1.0
         sq = 0.99 * 0.0 + 0.01 * g * g
@@ -60,27 +63,29 @@ class TestRmspropStep:
         cfg = TrainConfig()
         runs = []
         for _ in range(2):
-            params = {"w": Rng(1).uniform(-1, 1, 3, 4)}
-            grads = {"w": Rng(2).uniform(-1, 1, 3, 4)}
-            rmsprop_step(params, grads, _zeros(params), _zeros(params), cfg)
-            runs.append(params["w"])
+            params = _weights(Rng(1), [(3, 4)])
+            grads = _weights(Rng(2), [(3, 4)])
+            rmsprop_step(params, grads, params.zeros_like(), params.zeros_like(), cfg)
+            runs.append(params.flat)
         assert np.array_equal(*runs)
 
     def test_shape_mismatch(self):
         cfg = TrainConfig()
-        params = {"w": np.zeros((2, 2))}
-        grads = {"w": np.zeros((2, 3))}
+        params = _one(np.zeros((2, 2)))
+        grads = _one(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            rmsprop_step(params, grads, _zeros(params), _zeros(params), cfg)
+            rmsprop_step(params, grads, params.zeros_like(), params.zeros_like(), cfg)
 
-    def test_steps_match_fresh_array_oracle(self):
+    @staticmethod
+    def steps_against_oracle(shapes):
         cfg = TrainConfig(learning_rate=1e-2, momentum=0.9, weight_decay=1e-2)
         rng = Rng(5)
-        params = _weights(rng, [(3, 4), (5, 2)])
-        square_avg, momentum_buf = _zeros(params), _zeros(params)
-        want = ({k: v.copy() for k, v in params.items()}, _zeros(params), _zeros(params))
+        params = _weights(rng, shapes)
+        square_avg, momentum_buf = params.zeros_like(), params.zeros_like()
+        want = ({k: v.copy() for k, v in params.items()}, dict(params.zeros_like()),
+                dict(params.zeros_like()))
         for _ in range(4):
-            grads = {name: rng.uniform(-1, 1, *arr.shape) for name, arr in params.items()}
+            grads = _weights(rng, shapes)
             want_params, want_sq, want_buf = want
             want = oracles.rmsprop_step(want_params, grads, want_sq, want_buf, cfg)
             rmsprop_step(params, grads, square_avg, momentum_buf, cfg)
@@ -88,22 +93,32 @@ class TestRmspropStep:
                 for name in params:
                     assert np.array_equal(got[name], expected[name]), name
 
+    def test_steps_match_fresh_array_oracle(self):
+        self.steps_against_oracle([(3, 4), (5, 2)])
+
+    @pytest.mark.parametrize("block", [training.STEP_BLOCK, 7], ids=["one_block", "blocks_of_7"])
+    def test_stacked_steps_match_fresh_array_oracle(self, monkeypatch, block):
+        # Four models on a leading axis; blocks of 7 cut across parameters and models.
+        monkeypatch.setattr(training, "STEP_BLOCK", block)
+        self.steps_against_oracle([(4, 3, 4), (4, 5, 2)])
+
     def test_updates_in_place_and_consumes_grads(self):
         params = _weights(Rng(6), [(3, 4), (4, 3)])
-        square_avg, momentum_buf = _zeros(params), _zeros(params)
-        held = [dict(d) for d in (params, square_avg, momentum_buf)]
+        square_avg, momentum_buf = params.zeros_like(), params.zeros_like()
+        held = [(dict(d), d.flat) for d in (params, square_avg, momentum_buf)]
         grads = _weights(Rng(7), [(3, 4), (4, 3)])
         rmsprop_step(params, grads, square_avg, momentum_buf, TrainConfig())
-        for now, before in zip((params, square_avg, momentum_buf), held):
-            assert now.keys() == before.keys()
+        for now, (before, flat) in zip((params, square_avg, momentum_buf), held):
+            assert now.keys() == before.keys() and now.flat is flat
             assert all(now[name] is before[name] for name in now)
-        assert grads == {}
+            assert all(np.shares_memory(now[name], flat) for name in now)
+        assert grads == {} and not hasattr(grads, "flat")
 
     def test_step_allocates_less_than_one_weight_set(self):
         params = _weights(Rng(8), [(64, 128)] * 5)
-        square_avg, momentum_buf = _zeros(params), _zeros(params)
+        square_avg, momentum_buf = params.zeros_like(), params.zeros_like()
         grads = _weights(Rng(9), [(64, 128)] * 5)
-        weight_set = sum(arr.nbytes for arr in params.values())
+        weight_set = params.flat.nbytes
         tracemalloc.start()
         try:
             rmsprop_step(params, grads, square_avg, momentum_buf, TrainConfig())
@@ -135,7 +150,77 @@ class TestMakeBatches:
             make_batches(0, 2, Rng(0))
 
 
+def reference_train(ds, cfg, lcfg):
+    """The training loop written out on fresh arrays: the weights it ends with.
+
+    Per-parameter RMSProp through ``oracles.rmsprop_step``, batches from
+    ``oracles.shuffle`` and one ``total_loss_raw`` call per batch.
+    """
+    rng = Rng(cfg.seed)
+    dims = ModelDims.for_dataset(ds)
+    models = (len(lcfg),) if isinstance(lcfg, tuple) else ()
+    params = {name: np.array(np.broadcast_to(w, models + w.shape))
+              for name, w in init_params_from_rng(dims, rng).as_dict().items()}
+    square_avg = {name: np.zeros_like(w) for name, w in params.items()}
+    momentum_buf = {name: np.zeros_like(w) for name, w in params.items()}
+    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+    for _ in range(cfg.epochs):
+        order = list(range(ds.train_idx.size))
+        oracles.shuffle(rng, order)
+        for start in range(0, len(order), cfg.batch_size):
+            idx = ds.train_idx[order[start:start + cfg.batch_size]]
+            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx),
+                                      ds.labels[idx], ds.attributes, ds.class_semantics,
+                                      split, lcfg)
+            params, square_avg, momentum_buf = oracles.rmsprop_step(
+                params, dict(grads), square_avg, momentum_buf, cfg)
+    return params
+
+
+@pytest.fixture(scope="module")
+def stock_dataset():
+    return generate_synthetic(SynthSpec())
+
+
 class TestTrain:
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["one_model", "four_models"])
+    def test_stock_weights_match_reference_loop(self, stock_dataset, lockstep):
+        # The flat buffers, the gradient views and the inlined shuffle
+        # change no bit of what three stock epochs train.
+        cfg = TrainConfig(epochs=3, seed=1)
+        lcfg = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES) if lockstep else None
+        got = train(stock_dataset, cfg, loss_cfg=lcfg).params
+        want = reference_train(stock_dataset, cfg, lcfg or cfg.loss_config())
+        for name, weights in want.items():
+            assert getattr(got, name).tobytes() == weights.tobytes(), name
+
+    def test_params_are_views_of_one_flat_array(self, tiny_dataset):
+        params = train(tiny_dataset, FAST).params
+        flat = params.W1.base
+        assert flat is not None and flat.ndim == 1
+        assert sum(w.size for w in params.as_dict().values()) == flat.size
+        assert all(w.base is flat and w.flags.c_contiguous for w in params.as_dict().values())
+
+    # tracemalloc peak of one epoch of two batches of 8 at K=40, R=30,
+    # d_v=256, d_a=40, measured before the weights were flat: 2.741 MB.
+    # A gradient set that outlived its step would add 0.41 MB.
+    MID_SHAPE_PEAK = 2.741e6
+
+    def test_mid_shape_peak_memory(self):
+        spec = SynthSpec(num_seen=4, num_unseen=2, num_attributes=40, num_regions=30,
+                         visual_dim=256, attr_dim=40, samples_per_class=5, seed=3)
+        ds = generate_synthetic(spec)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=2)
+        assert ds.train_idx.size == 16
+        train(ds, cfg)   # warm numpy's caches outside the measurement
+        tracemalloc.start()
+        try:
+            train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.MID_SHAPE_PEAK, f"train peaked at {peak / 1e6:.3f} MB"
+
     def test_zero_epochs_returns_initial_params(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=0)
         outcome = train(tiny_dataset, cfg)
@@ -203,11 +288,12 @@ class TestTrain:
         cfgs = (cfg.loss_config(lambda_distill=0.0),) * 3 + (cfg.loss_config(),)
         split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
-        def loss_fn(weights, idx):
+        weights = FlatArrays.of(stacked(models).as_dict())
+
+        def loss_fn(idx):
             return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx), ds.labels[idx],
                                   ds.attributes, ds.class_semantics, split, cfgs)
 
-        weights = stacked(models).as_dict()
         fit(weights, loss_fn, ds.train_idx, cfg, Rng(cfg.seed))
         for name in a2v:
             assert np.array_equal(weights[name][0], weights[name][1]), name
