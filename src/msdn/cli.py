@@ -63,6 +63,7 @@ def _resolve_seed(cli_seed: int | None, default: int) -> int:
     return require_seed("MSDN_SEED", seed)
 
 
+@functools.cache  # one parser per process: parsing changes no parser state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msdn",

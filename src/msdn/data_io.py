@@ -19,6 +19,7 @@ CSV through ``write_table``), which replaces a file and never truncates it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import stat
@@ -28,6 +29,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -379,12 +381,25 @@ def load_container(path: str | Path) -> Dataset:
 # Validation
 # --------------------------------------------------------------------------
 
-def _first_nonfinite(name: str, arr: np.ndarray) -> str | None:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        idx = tuple(int(v) for v in np.argwhere(bad)[0])
-        return f"non-finite value in {name} at index {idx}"
-    return None
+class _Tally(NamedTuple):
+    """Counts of 0..size-1 in an integer array, its other values, and whether one repeats.
+    Only in-range values are counted, so a huge or negative one costs no memory."""
+
+    counts: np.ndarray
+    others: set[int]
+    repeats: bool
+
+    @classmethod
+    def of(cls, arr: np.ndarray, size: int) -> "_Tally":
+        inside = (arr >= 0) & (arr < size)
+        counts = np.bincount(arr[inside].astype(np.intp), minlength=size)
+        others = arr[~inside].tolist()
+        return cls(counts, set(others), bool(counts.max() > 1) or len(set(others)) < len(others))
+
+    def shared(self, other: "_Tally") -> list[int]:
+        """The values both arrays hold, in ascending order."""
+        both = np.flatnonzero(np.logical_and(self.counts, other.counts)).tolist()
+        return sorted(both + list(self.others & other.others))
 
 
 def validate_dataset(ds: Dataset) -> list[str]:
@@ -425,64 +440,50 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append(f"labels length {ds.labels.shape[0]} != sample count {n}")
 
     for name in ("features", "attributes", "class_semantics"):
-        msg = _first_nonfinite(name, getattr(ds, name))
-        if msg:
-            out.append(msg)
+        finite = np.isfinite(getattr(ds, name))
+        if not finite.all():
+            index = tuple(np.argwhere(~finite)[0].tolist())
+            out.append(f"non-finite value in {name} at index {index}")
 
-    seen = set(int(v) for v in ds.seen_classes)
-    unseen = set(int(v) for v in ds.unseen_classes)
-    if len(seen) != len(ds.seen_classes):
-        out.append("seen_classes contains duplicates")
-    if len(unseen) != len(ds.unseen_classes):
-        out.append("unseen_classes contains duplicates")
-    overlap = seen & unseen
+    seen, unseen = _Tally.of(ds.seen_classes, c), _Tally.of(ds.unseen_classes, c)
+    for name, tally in (("seen_classes", seen), ("unseen_classes", unseen)):
+        if tally.repeats:
+            out.append(f"{name} contains duplicates")
+    overlap = seen.shared(unseen)
     if overlap:
-        out.append(f"seen/unseen classes overlap: {sorted(overlap)}")
-    if seen | unseen != set(range(c)):
-        out.append(
-            f"seen and unseen classes must partition 0..{c - 1}, "
-            f"got union {sorted(seen | unseen)}"
-        )
+        out.append(f"seen/unseen classes overlap: {overlap}")
+    union = np.logical_or(seen.counts, unseen.counts)
+    if seen.others or unseen.others or not union.all():
+        union_values = sorted(np.flatnonzero(union).tolist() + list(seen.others | unseen.others))
+        out.append(f"seen and unseen classes must partition 0..{c - 1}, got union {union_values}")
 
     if ds.labels.size and (ds.labels.min() < 0 or ds.labels.max() >= c):
         out.append(f"labels must lie in [0, {c}), found range "
                    f"[{int(ds.labels.min())}, {int(ds.labels.max())}]")
 
-    splits = {
-        "train_idx": ds.train_idx,
-        "test_seen_idx": ds.test_seen_idx,
-        "test_unseen_idx": ds.test_unseen_idx,
-    }
-    as_sets = {}
-    for name, idx in splits.items():
-        values = set(int(v) for v in idx)
-        as_sets[name] = values
-        if len(values) != len(idx):
+    splits = {name: _Tally.of(getattr(ds, name), n)
+              for name in ("train_idx", "test_seen_idx", "test_unseen_idx")}
+    for name, tally in splits.items():
+        if tally.repeats:
             out.append(f"{name} contains duplicate indices")
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
+        if tally.others:
             out.append(f"{name} has out-of-range indices for {n} samples")
-    pairs = [("train_idx", "test_seen_idx"), ("train_idx", "test_unseen_idx"),
-             ("test_seen_idx", "test_unseen_idx")]
-    for a, b in pairs:
-        shared = as_sets[a] & as_sets[b]
+    for a, b in itertools.combinations(splits, 2):
+        shared = splits[a].shared(splits[b])
         if shared:
-            out.append(f"{a} and {b} share indices: {sorted(shared)[:5]}")
+            out.append(f"{a} and {b} share indices: {shared[:5]}")
 
     if out:
         return out  # label membership checks need clean indices
 
-    label_rules = [
-        ("train_idx", ds.train_idx, seen, "seen"),
-        ("test_seen_idx", ds.test_seen_idx, seen, "seen"),
-        ("test_unseen_idx", ds.test_unseen_idx, unseen, "unseen"),
-    ]
-    for name, idx, allowed, kind in label_rules:
-        if idx.size:
-            bad = set(int(v) for v in ds.labels[idx]) - allowed
-            if bad:
-                out.append(
-                    f"{name} contains samples of non-{kind} classes: {sorted(bad)}"
-                )
+    # The classes partition 0..c-1 and every label lies in it.
+    is_seen = seen.counts > 0
+    for name, allowed, kind in (("train_idx", is_seen, "seen"), ("test_seen_idx", is_seen, "seen"),
+                                ("test_unseen_idx", ~is_seen, "unseen")):
+        labels = ds.labels[getattr(ds, name)]
+        bad = labels[~allowed[labels]]
+        if bad.size:
+            out.append(f"{name} contains samples of non-{kind} classes: {sorted(set(bad.tolist()))}")
     return out
 
 

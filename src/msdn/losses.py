@@ -281,9 +281,9 @@ def total_loss_raw(
         g_scores[split.seen, ..., 1, :] += lam * g2
 
     a2v, v2a = acec[..., 0], acec[..., 1]
-    breakdown = LossBreakdown(
-        *np.array([a2v, v2a, distill, a2v + v2a + terms.lam * distill]).tolist())
-    if not np.isfinite(breakdown).all():
+    values = np.array([a2v, v2a, distill, a2v + v2a + terms.lam * distill])
+    breakdown = LossBreakdown(*values.tolist())
+    if not np.isfinite(values).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
     d_psi, d_Psi = ((class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2)).swapaxes(-1, -2)

@@ -162,8 +162,8 @@ def fit(
     square_avg, momentum_buf = weights.zeros_like(), weights.zeros_like()
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
-        sums = 0.0
-        for batch_no, batch in enumerate(make_batches(n_train, cfg.batch_size, rng)):
+        batches, rows = make_batches(n_train, cfg.batch_size, rng), []
+        for batch_no, batch in enumerate(batches):
             try:
                 breakdown, grads = loss_fn(train_idx[batch])
             except NumericError as exc:
@@ -171,12 +171,13 @@ def fit(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
                 ) from exc
             rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
-            weight = len(batch)
-            sums += weight * np.asarray(breakdown)
+            rows.append(breakdown)
         if not np.isfinite(weights.flat).all():
             name = next(name for name, arr in weights.items() if not np.isfinite(arr).all())
             raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
-        history.append(LossBreakdown(*(sums / n_train).tolist()))
+        # 0.0 + size_0 * row_0 + size_1 * row_1 + ..., added in batch order.
+        weighted = (np.asarray(rows).T * [len(batch) for batch in batches]).T
+        history.append(LossBreakdown(*(sum(weighted, 0.0) / n_train).tolist()))
     return history
 
 

@@ -120,7 +120,8 @@ def per_class_accuracy(
 ) -> tuple[float, dict[int, float]]:
     """Macro top-1: mean over classes of within-class accuracy.
 
-    Classes without samples are excluded from the mean.
+    Classes without samples are excluded from the mean, and labels that
+    are no class are not counted.  The table lists classes in ascending order.
     """
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
@@ -128,15 +129,17 @@ def per_class_accuracy(
         raise ShapeError(
             f"labels and predictions differ: {labels.shape} vs {predictions.shape}"
         )
-    table: dict[int, float] = {}
-    for c in sorted(int(v) for v in classes):
-        mask = labels == c
-        if not mask.any():
-            continue
-        table[c] = float(np.mean(predictions[mask] == c))
-    if not table:
+    ordered = np.sort(np.asarray(classes))
+    # A label equal to ordered[pos:end] is a class, counted once at its first place pos.
+    pos, end = (np.searchsorted(ordered, labels, side=side) for side in ("left", "right"))
+    counted = pos < end
+    samples, hits = (np.bincount(pos[mask], minlength=ordered.size)
+                     for mask in (counted, counted & (predictions == labels)))
+    evaluated = samples > 0
+    if not evaluated.any():
         raise ArgumentError("no evaluated class has any samples")
-    return float(np.mean(list(table.values()))), table
+    accuracies = hits[evaluated] / samples[evaluated]   # each class's float64 mean of hits
+    return float(np.mean(accuracies)), dict(zip(ordered[evaluated].tolist(), accuracies.tolist()))
 
 
 def check_test_splits(ds: Dataset) -> None:
@@ -159,21 +162,15 @@ def report(
     """
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
-    def split_preds(embedding: np.ndarray, mode: str) -> np.ndarray:
-        return predict(embedding, ds.class_semantics, split, mode)
+    def scored(embedding: np.ndarray, idx: np.ndarray, mode: str, classes: np.ndarray):
+        preds = predict(embedding, ds.class_semantics, split, mode)
+        return per_class_accuracy(ds.labels[idx], preds, classes)
 
-    unseen_labels = ds.labels[ds.test_unseen_idx]
-    seen_labels = ds.labels[ds.test_seen_idx]
-    acc, _ = per_class_accuracy(unseen_labels, split_preds(unseen_embedding, "czsl"),
-                                ds.unseen_classes)
-    u, unseen_table = per_class_accuracy(unseen_labels,
-                                         split_preds(unseen_embedding, "gzsl"),
-                                         ds.unseen_classes)
-    s, seen_table = per_class_accuracy(seen_labels, split_preds(seen_embedding, "gzsl"),
-                                       ds.seen_classes)
-
-    per_class = [(c, "seen", a) for c, a in sorted(seen_table.items())]
-    per_class += [(c, "unseen", a) for c, a in sorted(unseen_table.items())]
+    acc, _ = scored(unseen_embedding, ds.test_unseen_idx, "czsl", ds.unseen_classes)
+    u, unseen_table = scored(unseen_embedding, ds.test_unseen_idx, "gzsl", ds.unseen_classes)
+    s, seen_table = scored(seen_embedding, ds.test_seen_idx, "gzsl", ds.seen_classes)
+    per_class = [(c, "seen", a) for c, a in seen_table.items()]
+    per_class += [(c, "unseen", a) for c, a in unseen_table.items()]
     return EvalReport(acc=acc, U=u, S=s, H=harmonic_mean(s, u), per_class=per_class)
 
 

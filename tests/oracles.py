@@ -275,6 +275,19 @@ def predict(psi, big_psi, class_semantics, seen, unseen, alpha1, alpha2, mode):
     return best_class
 
 
+def per_class_accuracy(labels, predictions, classes):
+    """Macro top-1 from one boolean mask per class, classes in ascending order."""
+    labels, predictions = np.asarray(labels), np.asarray(predictions)
+    table = {}
+    for c in sorted(int(v) for v in classes):
+        mask = labels == c
+        if mask.any():
+            table[c] = float(np.mean(predictions[mask] == c))
+    if not table:
+        raise ValueError("no evaluated class has any samples")
+    return float(np.mean(list(table.values()))), table
+
+
 def harmonic_mean(s, u):
     if s + u == 0:
         return 0.0

@@ -3,11 +3,13 @@ import csv
 import dataclasses
 import hashlib
 import io
+import os
 import platform
 import resource
 import struct
-import types
+import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -768,3 +770,59 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process, with no state carried over."""
+
+    SEQUENCE = (
+        ["gen-data", "--spec", "spec.cfg", "--out", "data.zsld"],
+        ["train", "--data", "data.zsld", "--config", "train.cfg", "--out", "model.zsld",
+         "--history", "history.csv"],
+        ["eval", "--data", "data.zsld", "--checkpoint", "model.zsld", "--out", "x.csv",
+         "--bogus"],
+        ["--help"],
+        ["eval", "--data", "data.zsld", "--checkpoint", "model.zsld", "--mode", "czsl",
+         "--out", "czsl.csv"],
+        ["eval", "--data", "data.zsld", "--checkpoint", "model.zsld", "--out", "gzsl.csv",
+         "--per-class", "per_class.csv"],
+        ["ablate", "--data", "data.zsld", "--config", "train.cfg", "--out", "ablation.csv"],
+    )
+
+    @staticmethod
+    def inputs(directory):
+        directory.mkdir()
+        (directory / "spec.cfg").write_text(format_kv(TINY_SPEC))
+        (directory / "train.cfg").write_text(format_kv(FAST_TRAIN))
+        return directory
+
+    @staticmethod
+    def outputs(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_one_parser_gives_fresh_process_results(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")   # the help text wraps at the terminal width
+        monkeypatch.delenv("MSDN_SEED", raising=False)
+        here, fresh = self.inputs(tmp_path / "in_process"), self.inputs(tmp_path / "fresh")
+        monkeypatch.chdir(here)
+        cli.build_parser.cache_clear()
+        in_process = []
+        for argv in self.SEQUENCE:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 0]
+        assert in_process[5][1].startswith("U ")
+        assert cli.build_parser().parse_args(self.SEQUENCE[5]).mode == "gzsl"
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, expected in zip(self.SEQUENCE, in_process):
+            run = subprocess.run([sys.executable, "-m", "msdn.cli", *argv], cwd=fresh, env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert (run.returncode, run.stdout, run.stderr) == expected, argv
+        assert self.outputs(here) == self.outputs(fresh)

@@ -348,6 +348,107 @@ class TestValidateDataset:
         assert any("test_unseen_idx" in m and "non-unseen" in m for m in messages)
 
 
+def _i32(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int32)
+
+
+# The tiny dataset has seen classes 0-2, unseen classes 3-4 and 30
+# samples; train_idx holds 0-4, 6-10 and 12-16 (labels 0-2), test_seen_idx
+# 5, 11, 17 and test_unseen_idx 18-29 (labels 3-4).
+PINNED_VIOLATIONS = {
+    "duplicate_seen": (
+        dict(seen_classes=_i32(0, 1, 1, 2)),
+        ["seen_classes contains duplicates"]),
+    "duplicate_unseen": (
+        dict(unseen_classes=_i32(3, 4, 4)),
+        ["unseen_classes contains duplicates"]),
+    "duplicate_negative_class": (
+        dict(seen_classes=_i32(0, 1, 2, -1, -1)),
+        ["seen_classes contains duplicates",
+         "seen and unseen classes must partition 0..4, got union [-1, 0, 1, 2, 3, 4]"]),
+    "overlap": (
+        dict(unseen_classes=_i32(0, 4)),
+        ["seen/unseen classes overlap: [0]",
+         "seen and unseen classes must partition 0..4, got union [0, 1, 2, 4]"]),
+    "overlap_out_of_range": (
+        dict(seen_classes=_i32(0, 1, 2, 7), unseen_classes=_i32(3, 4, 7)),
+        ["seen/unseen classes overlap: [7]",
+         "seen and unseen classes must partition 0..4, got union [0, 1, 2, 3, 4, 7]"]),
+    "partition_negative_class": (
+        dict(seen_classes=_i32(-1, 1, 2)),
+        ["seen and unseen classes must partition 0..4, got union [-1, 1, 2, 3, 4]"]),
+    "partition_missing_class": (
+        dict(unseen_classes=_i32(3)),
+        ["seen and unseen classes must partition 0..4, got union [0, 1, 2, 3]"]),
+    "labels_out_of_range": (
+        dict(labels=np.r_[_i32(-1), np.repeat(_i32(0, 1, 2, 3, 4), 6)[1:]]),
+        ["labels must lie in [0, 5), found range [-1, 4]"]),
+    "duplicate_indices": (
+        dict(train_idx=_i32(0, 0, 2, 3, 4, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16)),
+        ["train_idx contains duplicate indices"]),
+    "out_of_range_indices": (
+        dict(train_idx=_i32(30, 1, 2), test_seen_idx=_i32(-1, 11, 17)),
+        ["train_idx has out-of-range indices for 30 samples",
+         "test_seen_idx has out-of-range indices for 30 samples"]),
+    "duplicate_out_of_range_indices": (
+        dict(test_seen_idx=_i32(-1, -1, 17)),
+        ["test_seen_idx contains duplicate indices",
+         "test_seen_idx has out-of-range indices for 30 samples"]),
+    "shared_indices_first_five_sorted": (
+        dict(test_seen_idx=_i32(16, 14, 12, 10, 8, 6, 4)),
+        ["train_idx and test_seen_idx share indices: [4, 6, 8, 10, 12]"]),
+    "shared_out_of_range_indices": (
+        dict(train_idx=_i32(-5, 1, 2), test_seen_idx=_i32(-5, 11, 17),
+             test_unseen_idx=_i32(-5, 40, 40, 1)),
+        ["train_idx has out-of-range indices for 30 samples",
+         "test_seen_idx has out-of-range indices for 30 samples",
+         "test_unseen_idx contains duplicate indices",
+         "test_unseen_idx has out-of-range indices for 30 samples",
+         "train_idx and test_seen_idx share indices: [-5]",
+         "train_idx and test_unseen_idx share indices: [-5, 1]",
+         "test_seen_idx and test_unseen_idx share indices: [-5]"]),
+    "non_seen_and_non_unseen_labels": (
+        dict(train_idx=_i32(18, 1, 2, 24), test_seen_idx=_i32(19, 11),
+             test_unseen_idx=_i32(0, 5, 20)),
+        ["train_idx contains samples of non-seen classes: [3, 4]",
+         "test_seen_idx contains samples of non-seen classes: [3]",
+         "test_unseen_idx contains samples of non-unseen classes: [0]"]),
+    "class_and_index_violations_in_order": (
+        dict(seen_classes=_i32(2, 1, 1, 0), unseen_classes=_i32(4, 2),
+             train_idx=_i32(1, 1, 99), test_unseen_idx=_i32(99, 18)),
+        ["seen_classes contains duplicates",
+         "seen/unseen classes overlap: [2]",
+         "seen and unseen classes must partition 0..4, got union [0, 1, 2, 4]",
+         "train_idx contains duplicate indices",
+         "train_idx has out-of-range indices for 30 samples",
+         "test_unseen_idx has out-of-range indices for 30 samples",
+         "train_idx and test_unseen_idx share indices: [99]"]),
+}
+
+
+class TestValidateDatasetMessages:
+    """Every class and index violation, as the exact messages in their order."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_VIOLATIONS))
+    def test_exact_messages(self, tiny_dataset, case):
+        changes, expected = PINNED_VIOLATIONS[case]
+        assert violations_of(tiny_dataset, **changes) == expected
+
+    def test_huge_values_are_reported_without_allocating_for_them(self, tiny_dataset):
+        big = 2**31 - 1
+        tracemalloc.start()
+        try:
+            messages = violations_of(tiny_dataset, train_idx=_i32(0, big, 2),
+                                     seen_classes=_i32(0, 1, big))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert messages == [
+            f"seen and unseen classes must partition 0..4, got union [0, 1, 3, 4, {big}]",
+            "train_idx has out-of-range indices for 30 samples"]
+        assert peak < 1 << 20
+
+
 class TestDatasetIsImmutable:
     def test_arrays_are_read_only(self, tiny_dataset):
         with pytest.raises(ValueError, match="read-only"):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -162,6 +162,28 @@ class TestPerClassAccuracy:
         acc, table = per_class_accuracy(labels, preds, np.array([1, 2]))
         assert acc == pytest.approx(0.5)
         assert 1 not in table
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(draw=st.data())
+    def test_matches_mask_loop_oracle_bit_for_bit(self, draw):
+        # Labels and predictions may fall outside the classes, which may
+        # repeat, be negative or have no samples at all.
+        n = draw.draw(st.integers(0, 40), label="n")
+        ids = st.integers(-3, 9)
+        dtypes = st.sampled_from([np.int32, np.int64])
+        labels = np.array(draw.draw(st.lists(ids, min_size=n, max_size=n)), draw.draw(dtypes))
+        preds = np.array(draw.draw(st.lists(ids, min_size=n, max_size=n)), np.int64)
+        classes = np.array(draw.draw(st.lists(ids, max_size=8)), draw.draw(dtypes))
+        try:
+            expected_acc, expected_table = oracles.per_class_accuracy(labels, preds, classes)
+        except ValueError:
+            with pytest.raises(ArgumentError, match="no evaluated class has any samples"):
+                per_class_accuracy(labels, preds, classes)
+            return
+        acc, table = per_class_accuracy(labels, preds, classes)
+        assert acc.hex() == expected_acc.hex()
+        assert list(table) == list(expected_table)
+        assert [a.hex() for a in table.values()] == [a.hex() for a in expected_table.values()]
 
 
 @pytest.fixture(scope="module")
