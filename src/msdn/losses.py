@@ -4,9 +4,11 @@ Each sub-net's class scores feed an attribute-based cross-entropy over
 the seen classes, optionally extended by a self-calibration term that
 steers probability mass toward unseen classes.  The distillation term
 aligns the two sub-nets' seen-class posteriors through a symmetric KL
-divergence and a squared L2 distance.  Every loss returns analytic
-gradients; the total objective chains them through the attention
-forwards into all five parameter matrices.
+divergence and a squared L2 distance.  It reads the two posteriors as
+one class-major (classes, *models, 2, batch) pair, the layout the
+cross-entropy pass leaves them in, so one pass serves both sub-nets.
+Every loss returns analytic gradients; the total objective chains them
+through the attention forwards into all five parameter matrices.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ class LossTerms:
 
     cfg: LossConfig
     lam: np.ndarray       # (*models,): distillation weight of each model
-    l2: np.ndarray        # (*models, 1): 1.0 where the squared-L2 term is on
-    half_jsd: np.ndarray  # (*models, 1): 0.5 where the symmetric-KL term is on
-    two_l2: np.ndarray    # (*models, 1): 2.0 where the squared-L2 term is on
+    l2: np.ndarray        # (*models, 1, 1): 1.0 where the squared-L2 term is on
+    half_jsd: np.ndarray  # (*models, 1, 1): 0.5 where the symmetric-KL term is on
+    two_l2: np.ndarray    # (*models, 1, 1): 2.0 where the squared-L2 term is on
     distills: bool        # some model has a distillation term on
 
     @classmethod
@@ -110,7 +112,7 @@ class LossTerms:
         lam = np.reshape([c.lambda_distill for c in cfgs], models)   # one per model, or raises
         on = np.reshape([(c.distill_jsd, c.distill_l2) if c.lambda_distill > 0
                          else (False, False) for c in cfgs], models + (2,))
-        jsd, l2 = (on[..., t, None].astype(np.float64) for t in (0, 1))
+        jsd, l2 = (on[..., t, None, None].astype(np.float64) for t in (0, 1))
         return cls(cfgs[0], lam, l2, 0.5 * jsd, 2.0 * l2, bool(on.any()))
 
 
@@ -156,7 +158,7 @@ def acec_loss(
         bad_labels = sorted({int(v) for v in labels[~np.isin(labels, seen)]})
         raise ArgumentError(f"labels outside the seen classes: {bad_labels}")
     classes_by_row = scores.T                           # (C, rows)
-    label_rows, cols = np.tile(label_pos, blocks), np.arange(scores.shape[0])
+    label_rows, cols = np.concatenate((label_pos,) * blocks), np.arange(scores.shape[0])
 
     # supervised term over seen-class scores only; a mean is its sum / n
     seen_scores = classes_by_row[seen]                  # (C_s, rows)
@@ -183,54 +185,46 @@ def acec_loss(
     return losses.tolist(), grad.T, p_seen.T
 
 
-def distill_loss(
-    p_seen1: np.ndarray,
-    p_seen2: np.ndarray,
-    terms: LossTerms,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def distill_loss(pair: np.ndarray, terms: LossTerms) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric-KL plus squared-L2 distance between two posterior batches.
 
-    The arguments are the seen-class softmaxes of two score batches,
-    class-major: (classes, batch), or (classes, models, batch).  Each
-    column is clamped to [epsilon_kl, 1] and renormalized before
-    comparison.  ``terms`` switches the two terms, one switch per
-    model.  Returns each model's mean per-sample loss and the
-    class-major gradients w.r.t. both sets of scores those softmaxes
-    came from.
+    ``pair`` stacks the seen-class softmaxes of the two sub-nets,
+    class-major, as (classes, *models, 2, batch): ``pair[..., 0, :]``
+    is p, ``pair[..., 1, :]`` is q, and ``pair[..., ::-1, :]`` is the
+    pair with its halves swapped.  Each column is clamped to
+    [epsilon_kl, 1] and renormalized before comparison; both halves
+    are clamped, logged and differentiated in one pass.  ``terms``
+    switches the two terms, one switch per model.  Returns each model's
+    mean per-sample loss and the gradient w.r.t. both sets of scores
+    those softmaxes came from, shaped like ``pair``.
     """
-    if p_seen1.shape != p_seen2.shape or p_seen1.ndim < 2:
+    if pair.ndim < 3 or pair.shape[-2] != 2:
         raise ShapeError(
-            f"distill_loss expects equal (classes, ..., batch) shapes, "
-            f"got {p_seen1.shape} and {p_seen2.shape}"
+            f"distill_loss expects a (classes, ..., 2, batch) pair, got {pair.shape}"
         )
-    batch = p_seen1.shape[-1]
-    epsilon_kl = terms.cfg.epsilon_kl
-
-    def clamped(raw):
-        out = np.minimum(np.maximum(raw, epsilon_kl), 1.0)
-        total = out.sum(axis=0, keepdims=True)
-        return out / total, total
-
-    p, total1 = clamped(p_seen1)
-    q, total2 = clamped(p_seen2)
+    batch = pair.shape[-1]
+    clamped = np.minimum(np.maximum(pair, terms.cfg.epsilon_kl), 1.0)
+    total = clamped.sum(axis=0, keepdims=True)
+    probs = clamped / total
+    swapped = probs[..., ::-1, :]
 
     # log(p) - log(q) rather than log(p/q): subtraction negates exactly,
-    # which keeps the loss bit-exactly symmetric under argument swap.
-    log_ratio = np.log(p) - np.log(q)
-    diff = p - q
-    per_row = (terms.half_jsd * ((p * log_ratio).sum(axis=0) + (q * -log_ratio).sum(axis=0))
-               + terms.l2 * (diff * diff).sum(axis=0))
-    d_p = terms.half_jsd * (log_ratio + 1.0 - q / p) + terms.two_l2 * diff
-    d_q = terms.half_jsd * (-log_ratio + 1.0 - p / q) - terms.two_l2 * diff
+    # so q's half is the exact negation of p's and the loss is bit-exactly
+    # symmetric under argument swap.
+    logs = np.log(probs)
+    log_ratio = logs - logs[..., ::-1, :]
+    diff = probs - swapped
+    kl = (probs * log_ratio).sum(axis=0)
+    sq = (diff[..., :1, :] * diff[..., :1, :]).sum(axis=0)
+    per_row = terms.half_jsd * (kl[..., :1, :] + kl[..., 1:, :]) + terms.l2 * sq
+    d_probs = terms.half_jsd * (log_ratio + 1.0 - swapped / probs) + terms.two_l2 * diff
 
-    def _to_scores(d_prob, prob, raw, total):
-        # renormalization, clamp mask, then the softmax jacobian
-        d_clamped = (d_prob - (d_prob * prob).sum(axis=0, keepdims=True)) / total
-        d_raw = d_clamped * ((raw >= epsilon_kl) & (raw <= 1.0))
-        return raw * (d_raw - (d_raw * raw).sum(axis=0, keepdims=True)) / batch
-
-    return (per_row.sum(axis=-1) / batch, _to_scores(d_p, p, p_seen1, total1),
-            _to_scores(d_q, q, p_seen2, total2))
+    # renormalization, the clamp (which passes exactly the entries it leaves equal),
+    # then the softmax jacobian
+    d_clamped = (d_probs - (d_probs * probs).sum(axis=0, keepdims=True)) / total
+    d_raw = d_clamped * (clamped == pair)
+    grad = pair * (d_raw - (d_raw * pair).sum(axis=0, keepdims=True)) / batch
+    return per_row.sum(axis=-1)[..., 0] / batch, grad
 
 
 def total_loss_raw(
@@ -274,11 +268,8 @@ def total_loss_raw(
 
     distill = np.zeros(models)
     if terms.distills:
-        p_pair = p_seen.T.reshape((-1, *models, 2, batch))
-        distill, g1, g2 = distill_loss(p_pair[..., 0, :], p_pair[..., 1, :], terms)
-        lam = terms.lam[..., None]
-        g_scores[split.seen, ..., 0, :] += lam * g1
-        g_scores[split.seen, ..., 1, :] += lam * g2
+        distill, g = distill_loss(p_seen.T.reshape((-1, *models, 2, batch)), terms)
+        g_scores[split.seen] += terms.lam[..., None, None] * g
 
     a2v, v2a = acec[..., 0], acec[..., 1]
     values = np.array([a2v, v2a, distill, a2v + v2a + terms.lam * distill])

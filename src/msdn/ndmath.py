@@ -198,18 +198,18 @@ def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NumericError("softmax_stable requires finite logits")
-    e = x - np.max(x, axis=axis, keepdims=True)   # the one temporary: exp and divide in place
+    e = x - x.max(axis=axis, keepdims=True)   # the one temporary: exp and divide in place
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
 def log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log(sum(exp(x))) along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    m = x.max(axis=axis, keepdims=True)
+    out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+    return out.squeeze(axis=axis)
 
 
 class GradCheckResult(NamedTuple):

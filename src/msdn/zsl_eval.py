@@ -41,8 +41,16 @@ class PredictConfig:
             raise ArgumentError("fusion coefficients must not both be zero")
 
     def fuse(self, psi: np.ndarray, Psi: np.ndarray) -> np.ndarray:
-        """The embedding that scores classes: alpha1 * psi + alpha2 * Psi."""
-        return self.alpha1 * psi + self.alpha2 * Psi
+        """The embedding that scores classes: alpha1 * psi + alpha2 * Psi.
+
+        Raises :class:`NumericError` naming the coefficients if finite
+        embeddings fuse to a non-finite one.
+        """
+        fused = self.alpha1 * psi + self.alpha2 * Psi
+        if not np.isfinite(fused).all() and np.isfinite(psi).all() and np.isfinite(Psi).all():
+            raise NumericError(f"the fused embedding is not finite; the fusion coefficients "
+                               f"alpha1={self.alpha1} and alpha2={self.alpha2} overflow")
+        return fused
 
 
 @dataclass(frozen=True)
@@ -92,27 +100,21 @@ def calibrated_scores(
     return scores
 
 
-def predict(
-    embedding: np.ndarray,
-    class_semantics: np.ndarray,
-    split: ClassSplit,
-    mode: str,
-) -> int | np.ndarray:
-    """Predicted class index of a (K,) embedding, or one per row of (B, K).
+def predict(scores: np.ndarray, split: ClassSplit, mode: str) -> int | np.ndarray:
+    """Predicted class of (C,) calibrated scores, or one per row of (B, C).
 
-    CZSL ranks the unseen classes of ``split`` only, GZSL all classes.
-    Ties resolve to the smallest class index.
+    ``scores`` are those of :func:`calibrated_scores`, so one score
+    matrix serves both modes.  CZSL ranks the unseen classes of
+    ``split`` only, GZSL all classes.  Ties resolve to the smallest
+    class index.
     """
     if mode not in MODES:
         raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
-    scores = calibrated_scores(embedding, class_semantics, split)
-    if mode == "czsl":
-        candidates = split.unseen
-    else:
-        candidates = np.arange(class_semantics.shape[0], dtype=np.int64)
-    if candidates.size == 0:
+    if mode == "gzsl":
+        return np.argmax(scores, axis=-1)
+    if split.unseen.size == 0:
         raise ArgumentError("prediction requires a non-empty candidate set")
-    return candidates[np.argmax(scores[..., candidates], axis=-1)]
+    return split.unseen[np.argmax(scores[..., split.unseen], axis=-1)]
 
 
 def per_class_accuracy(
@@ -158,17 +160,20 @@ def report(
 
     Rows follow ``ds.test_unseen_idx`` and ``ds.test_seen_idx``.  The
     report's ``acc`` uses CZSL predictions on the unseen test split; U
-    and S use GZSL predictions on the unseen and seen test splits.
+    and S use GZSL predictions on the unseen and seen test splits.  Each
+    embedding is scored once, and both modes rank the unseen split's
+    scores.
     """
     split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
-
-    def scored(embedding: np.ndarray, idx: np.ndarray, mode: str, classes: np.ndarray):
-        preds = predict(embedding, ds.class_semantics, split, mode)
-        return per_class_accuracy(ds.labels[idx], preds, classes)
-
-    acc, _ = scored(unseen_embedding, ds.test_unseen_idx, "czsl", ds.unseen_classes)
-    u, unseen_table = scored(unseen_embedding, ds.test_unseen_idx, "gzsl", ds.unseen_classes)
-    s, seen_table = scored(seen_embedding, ds.test_seen_idx, "gzsl", ds.seen_classes)
+    unseen_scores, seen_scores = (calibrated_scores(e, ds.class_semantics, split)
+                                  for e in (unseen_embedding, seen_embedding))
+    unseen_labels = ds.labels[ds.test_unseen_idx]
+    acc, _ = per_class_accuracy(unseen_labels, predict(unseen_scores, split, "czsl"),
+                                ds.unseen_classes)
+    u, unseen_table = per_class_accuracy(unseen_labels, predict(unseen_scores, split, "gzsl"),
+                                         ds.unseen_classes)
+    s, seen_table = per_class_accuracy(ds.labels[ds.test_seen_idx],
+                                       predict(seen_scores, split, "gzsl"), ds.seen_classes)
     per_class = [(c, "seen", a) for c, a in seen_table.items()]
     per_class += [(c, "unseen", a) for c, a in unseen_table.items()]
     return EvalReport(acc=acc, U=u, S=s, H=harmonic_mean(s, u), per_class=per_class)

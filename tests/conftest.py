@@ -45,12 +45,15 @@ def acec(scores, labels, seen, unseen, cfg):
 
 def distill(scores1, scores2, cfg):
     """Distillation between the seen-class softmaxes of two (batch, classes) score batches."""
+    from msdn.errors import ShapeError
     from msdn.losses import LossTerms, distill_loss
     from msdn.ndmath import softmax_stable
 
-    loss, g1, g2 = distill_loss(softmax_stable(scores1, axis=1).T,
-                                softmax_stable(scores2, axis=1).T, LossTerms.of(cfg))
-    return loss, g1.T, g2.T
+    if scores1.shape != scores2.shape:
+        raise ShapeError(f"unequal score batches {scores1.shape} and {scores2.shape}")
+    pair = np.stack([softmax_stable(s, axis=1).T for s in (scores1, scores2)], axis=-2)
+    loss, grad = distill_loss(pair, LossTerms.of(cfg))
+    return loss, grad[..., 0, :].T, grad[..., 1, :].T
 
 
 def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):

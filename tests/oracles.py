@@ -2,7 +2,9 @@
 
 Everything here is written with explicit Python loops and math-module
 scalar arithmetic so the vectorized library implementations are checked
-against a genuinely separate computation path.
+against a genuinely separate computation path.  The one exception,
+``distill_loss_two_call``, is the earlier vectorized form of a library
+function, kept to pin the bits of its one-pass successor.
 """
 
 from __future__ import annotations
@@ -258,6 +260,41 @@ def distill_loss(scores1, scores2, eps, use_jsd=True, use_l2=True):
             row_loss += sum((p[c] - q[c]) ** 2 for c in range(width))
         total += row_loss
     return total / batch
+
+
+def distill_loss_two_call(p_seen1, p_seen2, terms):
+    """The distillation loss with one clamp and jacobian chain per posterior.
+
+    The two (classes, *models, batch) posteriors are passed apart and
+    each is clamped, renormalized and differentiated on its own, with
+    ``terms`` a ``losses.LossTerms``.  Returns each model's loss and the
+    two score gradients.
+    """
+    batch = p_seen1.shape[-1]
+    epsilon_kl = terms.cfg.epsilon_kl
+    half_jsd, l2, two_l2 = terms.half_jsd[..., 0], terms.l2[..., 0], terms.two_l2[..., 0]
+
+    def clamped(raw):
+        out = np.minimum(np.maximum(raw, epsilon_kl), 1.0)
+        total = out.sum(axis=0, keepdims=True)
+        return out / total, total
+
+    p, total1 = clamped(p_seen1)
+    q, total2 = clamped(p_seen2)
+    log_ratio = np.log(p) - np.log(q)
+    diff = p - q
+    per_row = (half_jsd * ((p * log_ratio).sum(axis=0) + (q * -log_ratio).sum(axis=0))
+               + l2 * (diff * diff).sum(axis=0))
+    d_p = half_jsd * (log_ratio + 1.0 - q / p) + two_l2 * diff
+    d_q = half_jsd * (-log_ratio + 1.0 - p / q) - two_l2 * diff
+
+    def to_scores(d_prob, prob, raw, total):
+        d_clamped = (d_prob - (d_prob * prob).sum(axis=0, keepdims=True)) / total
+        d_raw = d_clamped * ((raw >= epsilon_kl) & (raw <= 1.0))
+        return raw * (d_raw - (d_raw * raw).sum(axis=0, keepdims=True)) / batch
+
+    return (per_row.sum(axis=-1) / batch, to_scores(d_p, p, p_seen1, total1),
+            to_scores(d_q, q, p_seen2, total2))
 
 
 def predict(psi, big_psi, class_semantics, seen, unseen, alpha1, alpha2, mode):

@@ -5,6 +5,8 @@ import numpy as np
 from msdn import ablation, zsl_eval
 from msdn.ablation import run_ablation
 from msdn.data_io import SynthSpec, generate_synthetic
+from msdn.model import ModelDims, init_params_from_rng
+from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
 from msdn.zsl_eval import PredictConfig, evaluate, forward_test_splits
 
@@ -51,6 +53,25 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
             assert np.array_equal(got, pcfg.fuse(*split)), variant
         alone = evaluate(params, ds, pcfg)
         assert (row.acc, row.H) == (alone.acc, alone.H), variant
+
+
+def test_each_embedding_is_scored_once(monkeypatch):
+    # One calibrated score matrix per embedding serves both CZSL and GZSL:
+    # two per report, and the grid reports eight rows.
+    ds = generate_synthetic(SynthSpec())
+    calls = []
+    real_scores = zsl_eval.calibrated_scores
+
+    def counted_scores(embedding, class_semantics, split):
+        calls.append(embedding.shape)
+        return real_scores(embedding, class_semantics, split)
+
+    monkeypatch.setattr(zsl_eval, "calibrated_scores", counted_scores)
+    evaluate(init_params_from_rng(ModelDims.for_dataset(ds), Rng(1)), ds, PredictConfig())
+    assert len(calls) == 2
+    calls.clear()
+    run_ablation(ds, TrainConfig(epochs=1, seed=1))
+    assert len(calls) == 16
 
 
 def test_lockstep_grid_peak_memory():

@@ -116,7 +116,7 @@ def test_oracle_equivalence():
         fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi, trace.Psi)
         split = ClassSplit.of(seen, unseen)
         for mode in ("czsl", "gzsl"):
-            got = predict(fused, semantics, split, mode)
+            got = predict(calibrated_scores(fused, semantics, split), split, mode)
             want = oracles.predict(trace.psi, trace.Psi, semantics, seen, unseen,
                                    0.9, 0.1, mode)
             assert got == want, f"seed {seed} mode {mode}: {got} != {want}"
@@ -184,8 +184,9 @@ def test_calibration_behavior():
     assert np.array_equal(scores[seen], raw[seen] - 1.0)
 
     # seen leads by 1.5 raw; the +/-1 offsets hand the argmax to unseen
-    margin_semantics = np.array([[5.0], [3.5]])
-    assert predict(np.array([1.0]), margin_semantics, ClassSplit.of([0], [1]), "gzsl") == 1
+    margin_split = ClassSplit.of([0], [1])
+    margin_scores = calibrated_scores(np.array([1.0]), np.array([[5.0], [3.5]]), margin_split)
+    assert predict(margin_scores, margin_split, "gzsl") == 1
     _report("calibration behavior", "exact +/-1 offsets; 1.5 margin flips")
 
 

@@ -644,6 +644,25 @@ class TestNumericFailure:
         assert not out.exists()
 
 
+    def test_overflowing_fusion_exits_4_naming_the_coefficients(
+            self, tmp_path, train_cfg_file, capsys):
+        # A stock model's embeddings reach 10-30, which these coefficients overflow.
+        data, ckpt, out = tmp_path / "stock.zsld", tmp_path / "m.zsld", tmp_path / "fused.csv"
+        assert cli.main(["gen-data", "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg_file),
+                         "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                           "--alpha1", "1e308", "--alpha2", "1e308", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "fusion coefficients alpha1=1e+308 and alpha2=1e+308" in err
+        assert not out.exists()
+
+
 class TestNonFiniteCheckpoint:
     @pytest.fixture()
     def nan_checkpoint(self, tmp_path, checkpoint_file):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import acec, distill, random_instance, stacked
 from msdn import losses
+from msdn.ablation import MODELS
 from msdn.errors import ArgumentError, ShapeError
-from msdn.losses import ClassSplit, LossConfig, acec_loss, total_loss_raw
+from msdn.losses import (ClassSplit, LossConfig, LossTerms, acec_loss, distill_loss,
+                         total_loss_raw)
 from msdn.model import PARAM_NAMES, ModelDims, init_params_from_rng
 from msdn.ndmath import Rng, grad_check_detail, softmax_stable
 
@@ -194,6 +196,39 @@ class TestDistillLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             distill(np.zeros((2, 3)), np.zeros((2, 4)), LossConfig())
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (4, 1, 5), (4, 5), (4,)])
+    def test_pair_axis_must_hold_two(self, shape):
+        with pytest.raises(ShapeError, match="2, batch"):
+            distill_loss(np.full(shape, 0.25), LossTerms.of(LossConfig()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lockstep=st.booleans(),
+           classes=st.integers(1, 6), batch=st.integers(1, 5),
+           scale=st.sampled_from([0.5, 3.0, 40.0]), pinned=st.booleans())
+    def test_one_pass_matches_two_calls_bit_for_bit(self, seed, lockstep, classes, batch,
+                                                    scale, pinned):
+        # The stacked pass must give the bits of one clamp and jacobian chain
+        # per posterior.  Large logits saturate columns past the clamp;
+        # pinned entries sit exactly on its bounds, epsilon_kl and 1.
+        rng = np.random.default_rng(seed)
+        cfg = LossConfig()
+        models = (len(MODELS),) if lockstep else ()
+        terms = (LossTerms.of(tuple(dataclasses.replace(cfg, **o) for o in MODELS), models)
+                 if lockstep else LossTerms.of(cfg))
+        logits = scale * rng.standard_normal((classes, *models, 2, batch))
+        pair = softmax_stable(logits, axis=0)
+        if pinned:
+            pair[rng.random(pair.shape) < 0.3] = cfg.epsilon_kl
+            pair[..., rng.integers(batch)] = 0.0
+            pair[rng.integers(classes), ..., rng.integers(batch)] = 1.0
+        loss, grad = distill_loss(pair, terms)
+        want_loss, want_g1, want_g2 = oracles.distill_loss_two_call(
+            pair[..., 0, :], pair[..., 1, :], terms)
+        assert loss.shape == models and grad.shape == pair.shape
+        assert np.array_equal(loss, want_loss)
+        assert np.array_equal(grad[..., 0, :], want_g1)
+        assert np.array_equal(grad[..., 1, :], want_g2)
 
 
 class TestTotalLoss:

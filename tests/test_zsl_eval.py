@@ -69,13 +69,14 @@ class TestPredict:
         other = cfg.fuse(trace.psi, np.full_like(trace.Psi, 9.0))
         np.testing.assert_array_equal(fused, other)
         split = ClassSplit.of(seen, unseen)
-        assert (predict(fused, semantics, split, "gzsl")
-                == predict(other, semantics, split, "gzsl"))
+        assert (predict(calibrated_scores(fused, semantics, split), split, "gzsl")
+                == predict(calibrated_scores(other, semantics, split), split, "gzsl"))
 
     def test_indicator_margin_flips_to_unseen(self):
         # raw scores: seen class 5.0, unseen 4.5; offsets make 4.5+1 > 5.0-1
-        semantics = np.array([[5.0], [4.5]])
-        assert predict(np.array([1.0]), semantics, ClassSplit.of([0], [1]), "gzsl") == 1
+        split = ClassSplit.of([0], [1])
+        scores = calibrated_scores(np.array([1.0]), np.array([[5.0], [4.5]]), split)
+        assert predict(scores, split, "gzsl") == 1
 
     def test_indicator_exact_offsets(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
@@ -94,7 +95,8 @@ class TestPredict:
             trace = forward(regions[0], attrs, params)
             split = ClassSplit.of(seen, unseen)
             for mode in ("czsl", "gzsl"):
-                got = predict(cfg.fuse(trace.psi, trace.Psi), semantics, split, mode)
+                scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics, split)
+                got = predict(scores, split, mode)
                 expected = oracles.predict(trace.psi, trace.Psi, semantics,
                                            seen, unseen, 0.7, 0.3, mode)
                 assert got == expected
@@ -105,7 +107,8 @@ class TestPredict:
         trace = forward(regions[0], attrs, params)
         cfg = PredictConfig()
         fused = cfg.fuse(trace.psi, trace.Psi)
-        pred = predict(fused, semantics, ClassSplit.of(seen, unseen), "czsl")
+        split = ClassSplit.of(seen, unseen)
+        pred = predict(calibrated_scores(fused, semantics, split), split, "czsl")
         raw = semantics @ fused
         unseen_sorted = np.sort(unseen)
         assert pred == int(unseen_sorted[np.argmax(raw[unseen_sorted])])
@@ -121,12 +124,11 @@ class TestPredict:
         semantics = np.zeros((4, 2))
         # all raw scores zero: unseen classes tie at +1, seen at -1
         split = ClassSplit.of(np.arange(2), np.arange(2, 4))
-        assert predict(np.zeros(2), semantics, split, "gzsl") == 2
+        assert predict(calibrated_scores(np.zeros(2), semantics, split), split, "gzsl") == 2
 
     def test_empty_candidates_rejected(self):
-        semantics = np.ones((2, 2))
         with pytest.raises(ArgumentError, match="candidate"):
-            predict(np.ones(2), semantics, ClassSplit.of([0, 1], []), "czsl")
+            predict(np.ones(2), ClassSplit.of([0, 1], []), "czsl")
 
     def test_alpha_validation(self):
         with pytest.raises(ArgumentError):
@@ -134,7 +136,7 @@ class TestPredict:
         with pytest.raises(ArgumentError):
             PredictConfig(alpha1=-1.0, alpha2=0.5)
         with pytest.raises(ArgumentError, match="mode"):
-            predict(np.ones(2), np.ones((3, 2)), ClassSplit.of([0, 1], [2]), "both")
+            predict(np.ones(3), ClassSplit.of([0, 1], [2]), "both")
 
     def test_split_must_cover_every_class(self):
         # three classes in the split, four rows of class semantics
@@ -142,9 +144,6 @@ class TestPredict:
         split = ClassSplit.of([0, 1], [2])
         with pytest.raises(ShapeError, match="3 classes"):
             calibrated_scores(np.ones(2), semantics, split)
-        for mode in ("czsl", "gzsl"):
-            with pytest.raises(ShapeError, match="3 classes"):
-                predict(np.ones(2), semantics, split, mode)
 
 
 class TestPerClassAccuracy:
@@ -203,11 +202,12 @@ class TestEvaluate:
             trace = forward(ds.features[idx], ds.attributes, trained)
             return cfg.fuse(trace.psi, trace.Psi)
 
-        splits = [(fused(ds.test_unseen_idx), ds.labels[ds.test_unseen_idx]),
-                  (fused(ds.test_seen_idx), ds.labels[ds.test_seen_idx])]
+        split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+        splits = [(calibrated_scores(fused(idx), ds.class_semantics, split), ds.labels[idx])
+                  for idx in (ds.test_unseen_idx, ds.test_seen_idx)]
 
-        def oracle_predict(embedding, class_semantics, split, mode):
-            (labels,) = [lab for emb, lab in splits if np.array_equal(emb, embedding)]
+        def oracle_predict(scores, split, mode):
+            (labels,) = [lab for s, lab in splits if np.array_equal(s, scores)]
             return labels
 
         monkeypatch.setattr(zsl_eval, "predict", oracle_predict)
@@ -293,6 +293,16 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="not finite"):
                 evaluate(huge, tiny_dataset, PredictConfig())
+
+    def test_overflowing_fusion_names_the_coefficients(self):
+        cfg = PredictConfig(alpha1=1e308, alpha2=1e308)
+        psi, Psi = np.array([[2.0, -0.5]]), np.array([[2.0, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="alpha1=1e[+]308 and alpha2=1e[+]308"):
+                cfg.fuse(psi, Psi)
+            # A non-finite embedding is the model's overflow, for the scoring check.
+            assert not np.isfinite(cfg.fuse(psi, np.full_like(Psi, np.inf))).all()
+        assert np.isfinite(cfg.fuse(0.25 * psi, 0.25 * Psi)).all()
 
     def test_empty_test_split_rejected(self, tiny_dataset, trained):
         ds = dataclasses.replace(tiny_dataset, test_unseen_idx=np.array([], dtype=np.int32))
