@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_io import Dataset, write_table
 from .errors import ArgumentError
-from .losses import ClassSplit, LossBreakdown, acec_loss
+from .losses import LossBreakdown, acec_loss
 from .model import _glorot
 from .ndmath import FlatArrays, Rng
 from .training import TrainConfig, fit, train
@@ -50,7 +50,6 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
     lcfg = cfg.loss_config()
     rng = Rng(cfg.seed)
     pooled = ds.features.mean(axis=1, dtype=np.float64)  # (N, d_v)
-    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
 
     weights = FlatArrays.of({"W_pool": _glorot(rng, ds.num_attributes, ds.visual_dim)})
     w_pool = weights["W_pool"]
@@ -59,7 +58,7 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
         # Class-major like total_loss_raw, so acec_loss reduces leading axes.
         embeddings = w_pool @ pooled[idx].T                     # (K, B)
         scores = ds.class_semantics @ embeddings                # (C, B)
-        (loss,), g_scores, _ = acec_loss(scores.T, ds.labels[idx], split, lcfg)
+        (loss,), g_scores, _ = acec_loss(scores.T, ds.labels[idx], ds.split, lcfg)
         g_emb = ds.class_semantics.T @ g_scores.T               # (K, B)
         grads = FlatArrays({"W_pool": w_pool.shape})
         np.matmul(g_emb, pooled[idx], out=grads["W_pool"])

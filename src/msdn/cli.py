@@ -184,18 +184,18 @@ def cmd_grad_check(args) -> int:
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
     labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])
-    split = losses.ClassSplit.of(np.arange(c_seen), np.arange(c_seen, c_seen + c_unseen))
-    cfg = losses.LossConfig()
+    split = data_io.ClassSplit.of(np.arange(c_seen), np.arange(c_seen, c_seen + c_unseen))
+    terms = losses.LossTerms.of((losses.LossConfig(),))
 
     def loss_with(name: str, flat: np.ndarray) -> float:
         shape = getattr(params, name).shape
         candidate = dataclasses.replace(params, **{name: flat.reshape(shape)})
         breakdown, _ = losses.total_loss_raw(
-            candidate, regions, labels, attrs, semantics, split, cfg)
+            candidate, regions, labels, attrs, semantics, split, terms)
         return breakdown.total
 
     _, grads = losses.total_loss_raw(
-        params, regions, labels, attrs, semantics, split, cfg)
+        params, regions, labels, attrs, semantics, split, terms)
     failures = []
     for name in model.PARAM_NAMES:
         detail = grad_check_detail(
@@ -237,7 +237,8 @@ def cmd_export_attention(args) -> int:
         raise ArgumentError(
             f"--image {args.image} out of range for {ds.num_samples} samples"
         )
-    trace = model.forward(ds.regions(args.image), ds.attributes, params)
+    trace = model.forward(ds.regions([args.image]), ds.attributes, params)
+    beta, tau, psi, Psi = trace.beta[0], trace.tau[0], trace.psi[0], trace.Psi[0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -245,10 +246,10 @@ def cmd_export_attention(args) -> int:
         rows = ([i, *row] for i, row in enumerate(grid.tolist()))
         data_io.write_table(out_dir / name, header, rows)
 
-    k, r = trace.beta.shape
-    write_grid("beta.csv", ["attribute", *(f"region_{j}" for j in range(r))], trace.beta)
-    write_grid("tau.csv", ["region", *(f"attribute_{j}" for j in range(k))], trace.tau)
-    write_grid("scores.csv", ["attribute", "psi", "Psi"], np.stack([trace.psi, trace.Psi], axis=1))
+    k, r = beta.shape
+    write_grid("beta.csv", ["attribute", *(f"region_{j}" for j in range(r))], beta)
+    write_grid("tau.csv", ["region", *(f"attribute_{j}" for j in range(k))], tau)
+    write_grid("scores.csv", ["attribute", "psi", "Psi"], np.stack([psi, Psi], axis=1))
     print(f"wrote beta.csv, tau.csv, scores.csv to {out_dir}")
     return 0
 

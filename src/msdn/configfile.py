@@ -15,9 +15,6 @@ from pathlib import Path
 
 from .errors import ArgumentError
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def require_finite(cfg) -> None:
     """Raise :class:`ArgumentError` if a float field of ``cfg`` is nan or inf."""
@@ -58,13 +55,6 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
 
 
 def _convert(value: str, target: type, key: str):
-    if target is bool:
-        lowered = value.lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise ArgumentError(f"config key {key!r}: expected a boolean, got {value!r}")
     try:
         return target(value)
     except ValueError as exc:

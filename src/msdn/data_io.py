@@ -27,6 +27,7 @@ import struct
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -66,6 +67,35 @@ REQUIRED_TENSORS = (
 # Extra tensor written by generate_synthetic: the attribute index that
 # produced each (image, region) feature, for attention ground-truth tests.
 GEN_REGION_ATTRIBUTE = "gen_region_attribute"
+
+
+@dataclass(frozen=True)
+class ClassSplit:
+    """Sorted seen and unseen classes with their calibration offsets.
+
+    The two lists partition 0..C-1.  This is the one place that sorts
+    the classes and builds the +1 unseen / -1 seen offset and the map
+    from a class to its position among the seen classes; the loss and
+    the predictor both read it.  A dataset builds its own once, as
+    ``Dataset.split``, so no run, report or batch re-sorts the classes
+    or rebuilds the offsets.
+    """
+
+    seen: np.ndarray
+    unseen: np.ndarray
+    indicator: np.ndarray    # (C,): +1 on unseen classes, -1 on seen ones
+    unseen_mask: np.ndarray  # (C,): 1 on unseen classes, 0 on seen ones
+    seen_pos: np.ndarray     # (C,): position in ``seen``, -1 on unseen classes
+
+    @classmethod
+    def of(cls, seen_classes: np.ndarray, unseen_classes: np.ndarray) -> "ClassSplit":
+        seen = np.sort(np.asarray(seen_classes, dtype=np.int64))
+        unseen = np.sort(np.asarray(unseen_classes, dtype=np.int64))
+        unseen_mask = np.zeros(seen.size + unseen.size)
+        unseen_mask[unseen] = 1.0
+        seen_pos = np.full(unseen_mask.size, -1, dtype=np.int64)
+        seen_pos[seen] = np.arange(seen.size)
+        return cls(seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask, seen_pos)
 
 
 @dataclass(frozen=True)
@@ -117,6 +147,11 @@ class Dataset:
         array, so the model folds it to region-major rows with no copy.
         """
         return self.features[idx].swapaxes(0, -2).astype(np.float64, order="C").swapaxes(0, -2)
+
+    @cached_property
+    def split(self) -> ClassSplit:
+        """The validated seen/unseen partition, built on first use and kept."""
+        return ClassSplit.of(self.seen_classes, self.unseen_classes)
 
     @property
     def num_samples(self) -> int:

@@ -2,11 +2,13 @@
 
 Each sub-net's class scores feed an attribute-based cross-entropy over
 the seen classes, optionally extended by a self-calibration term that
-steers probability mass toward unseen classes.  The distillation term
-aligns the two sub-nets' seen-class posteriors through a symmetric KL
-divergence and a squared L2 distance.  It reads the two posteriors as
-one class-major (classes, *models, 2, batch) pair, the layout the
-cross-entropy pass leaves them in, so one pass serves both sub-nets.
+steers probability mass toward unseen classes; both terms read the
+sorted classes and offsets of a ``data_io.ClassSplit``.  The
+distillation term aligns the two sub-nets' seen-class posteriors
+through a symmetric KL divergence and a squared L2 distance.  It reads
+the two posteriors as one class-major (classes, *models, 2, batch)
+pair, the layout the cross-entropy pass leaves them in, so one pass
+serves both sub-nets.
 Every loss returns analytic gradients; the total objective chains them
 through the attention forwards into all five parameter matrices.
 """
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import model as model_mod
 from .configfile import require_finite
+from .data_io import ClassSplit
 from .errors import ArgumentError, NumericError, ShapeError
 from .ndmath import FlatArrays, log_sum_exp
 
@@ -57,36 +60,8 @@ class LossBreakdown(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ClassSplit:
-    """Sorted seen and unseen classes with their calibration offsets.
-
-    The two lists partition 0..C-1.  This is the one place that sorts
-    the classes and builds the +1 unseen / -1 seen offset and the map
-    from a class to its position among the seen classes; the loss and
-    the predictor both read it.  Built once per training run or report,
-    so no batch re-sorts the classes or rebuilds the offsets.
-    """
-
-    seen: np.ndarray
-    unseen: np.ndarray
-    indicator: np.ndarray    # (C,): +1 on unseen classes, -1 on seen ones
-    unseen_mask: np.ndarray  # (C,): 1 on unseen classes, 0 on seen ones
-    seen_pos: np.ndarray     # (C,): position in ``seen``, -1 on unseen classes
-
-    @classmethod
-    def of(cls, seen_classes: np.ndarray, unseen_classes: np.ndarray) -> "ClassSplit":
-        seen = np.sort(np.asarray(seen_classes, dtype=np.int64))
-        unseen = np.sort(np.asarray(unseen_classes, dtype=np.int64))
-        unseen_mask = np.zeros(seen.size + unseen.size)
-        unseen_mask[unseen] = 1.0
-        seen_pos = np.full(unseen_mask.size, -1, dtype=np.int64)
-        seen_pos[seen] = np.arange(seen.size)
-        return cls(seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask, seen_pos)
-
-
-@dataclass(frozen=True)
 class LossTerms:
-    """The per-model loss constants of one LossConfig, or of one per model.
+    """The per-model loss constants of one LossConfig per model.
 
     Built once per training run, so no batch rebuilds them.  The models
     share the ``lambda_cal`` and ``epsilon_kl`` of ``cfg``, the first
@@ -103,10 +78,8 @@ class LossTerms:
     distills: bool        # some model has a distillation term on
 
     @classmethod
-    def of(cls, cfg: "LossConfig | tuple[LossConfig, ...]",
-           models: tuple[int, ...] = ()) -> "LossTerms":
-        """The terms of ``cfg``, one LossConfig per model of the ``models`` shape."""
-        cfgs = (cfg,) if isinstance(cfg, LossConfig) else cfg
+    def of(cls, cfgs: tuple[LossConfig, ...], models: tuple[int, ...] = ()) -> "LossTerms":
+        """The terms of ``cfgs``, one LossConfig per model of the ``models`` shape."""
         if len({(c.lambda_cal, c.epsilon_kl) for c in cfgs}) != 1:
             raise ArgumentError("lockstep models must share lambda_cal and epsilon_kl")
         lam = np.reshape([c.lambda_distill for c in cfgs], models)   # one per model, or raises
@@ -234,19 +207,19 @@ def total_loss_raw(
     attrs: np.ndarray,
     class_semantics: np.ndarray,
     split: ClassSplit,
-    cfg: LossConfig | tuple[LossConfig, ...] | LossTerms,
+    terms: LossTerms,
 ) -> tuple[LossBreakdown, FlatArrays]:
     """Total objective and parameter gradients for one batch of images.
 
     ``region_stacks`` is (batch, R, d_v), fastest region-major as
-    ``Dataset.regions`` gives it.  ``cfg`` is one LossConfig, or one per
-    model for weights stacked on a leading model axis; each breakdown
-    field then lists one value per model.  A training run passes the
-    ``LossTerms`` of its configs, built once.  Cross-entropy scores both
-    sub-nets of every model in one pass over their stacked rows, with a
-    separate mean per sub-net and model.  Distillation compares the two
-    seen-class posteriors that pass computed.  The reported total is
-    exactly ``acec_a2v + acec_v2a + lambda_distill * distill``.
+    ``Dataset.regions`` gives it.  ``terms`` holds the loss constants of
+    one config per model, built once per run; for weights stacked on a
+    leading model axis each breakdown field lists one value per model.
+    Cross-entropy scores both sub-nets of every model in one pass over
+    their stacked rows, with a separate mean per sub-net and model.
+    Distillation compares the two seen-class posteriors that pass
+    computed.  The reported total is exactly
+    ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
     if region_stacks.ndim != 3:
         raise ShapeError(f"region_stacks must be (batch, R, d_v), got {region_stacks.shape}")
@@ -254,7 +227,6 @@ def total_loss_raw(
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
     models = params.W1.shape[:-2]
-    terms = cfg if isinstance(cfg, LossTerms) else LossTerms.of(cfg, models)
     if terms.lam.shape != models:
         raise ShapeError(f"loss terms for models {terms.lam.shape}, weights for {models}")
     trace = model_mod.forward(region_stacks, attrs, params)

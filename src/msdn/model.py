@@ -36,7 +36,7 @@ one model's products.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -86,11 +86,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything a forward pass produces.
+    """Everything a forward pass over a (B, R, d_v) stack produces.
 
-    Shapes are per image.  The trace of a (B, R, d_v) stack carries a
-    leading batch axis on every field; ``image(i)`` drops it.  Stacked
-    weights put their model axis in front of the batch axis.
+    Shapes are per image; every field carries a leading batch axis, and
+    stacked weights put their model axis in front of it.
     """
 
     beta: np.ndarray     # (K, R) attention over attributes, per region
@@ -103,9 +102,6 @@ class ForwardTrace:
     match: np.ndarray    # (R, K) v_r^T W2^T a_k; psi_k = sum_r beta[k, r] match[r, k]
     pooled: np.ndarray   # (d_v,) psi_bar @ V; Psi = pooled @ W_att @ A^T
     readout: np.ndarray  # (R, d_a) V @ W4; psi_bar = rowsum(readout * S)
-
-    def image(self, i: int) -> "ForwardTrace":
-        return ForwardTrace(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
 
 
 def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -191,16 +187,13 @@ def v2a_forward(
 def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
     """Run both sub-nets on a (B, R, d_v) stack of images.
 
-    Stacked weights run every model in the same pass.  A single (R, d_v)
-    image runs as a batch of one, and its trace comes back without the
-    batch axis.
+    Stacked weights run every model in the same pass.  One image is a
+    stack of one.
     """
-    stack = regions[None] if regions.ndim == 2 else regions
-    beta, match, psi = a2v_forward(stack, attrs, params)
-    tau, S, psi_bar, Psi, pooled, readout = v2a_forward(stack, attrs, params)
-    trace = ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
-                         match=match, pooled=pooled, readout=readout)
-    return trace.image(0) if regions.ndim == 2 else trace
+    beta, match, psi = a2v_forward(regions, attrs, params)
+    tau, S, psi_bar, Psi, pooled, readout = v2a_forward(regions, attrs, params)
+    return ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
+                        match=match, pooled=pooled, readout=readout)
 
 
 def backward(

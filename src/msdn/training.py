@@ -27,7 +27,7 @@ import numpy as np
 from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
 from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
-from .losses import ClassSplit, LossBreakdown, LossConfig, LossTerms, total_loss_raw
+from .losses import LossBreakdown, LossConfig, LossTerms, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
 from .ndmath import FlatArrays, Rng
 
@@ -184,29 +184,27 @@ def fit(
 def train(
     ds: Dataset,
     cfg: TrainConfig,
-    loss_cfg: LossConfig | tuple[LossConfig, ...] | None = None,
+    loss_cfg: tuple[LossConfig, ...] | None = None,
 ) -> TrainResult:
     """Train on ``ds.train_idx``; returns final params and per-epoch losses.
 
-    ``loss_cfg`` overrides the loss settings derived from ``cfg``; a tuple
-    of them trains one model per config in lockstep, each bit for bit as
-    alone, with the weights on a leading model axis and one value per
-    model in each history field.
+    With no ``loss_cfg``, one model trains with ``cfg.loss_config()``.  A
+    tuple of LossConfigs trains one model per config in lockstep, each
+    bit for bit as alone, with the weights on a leading model axis and
+    one value per model in each history field.
     """
-    lcfg = loss_cfg if loss_cfg is not None else cfg.loss_config()
-    models = () if isinstance(lcfg, LossConfig) else (len(lcfg),)
+    models = () if loss_cfg is None else (len(loss_cfg),)
+    terms = LossTerms.of((cfg.loss_config(),) if loss_cfg is None else loss_cfg, models)
 
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
-    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
-    terms = LossTerms.of(lcfg, models)
     weights = FlatArrays.of({name: np.broadcast_to(w, models + w.shape)
                              for name, w in init_params_from_rng(dims, rng).as_dict().items()})
     params = ModelParams(dims=dims, **weights)
 
     def loss_fn(idx: np.ndarray):
         return total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
-                              ds.class_semantics, split, terms)
+                              ds.class_semantics, ds.split, terms)
 
     history = fit(weights, loss_fn, ds.train_idx, cfg, rng)
     return TrainResult(params=params, history=history)

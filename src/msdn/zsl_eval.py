@@ -3,7 +3,7 @@
 Prediction fuses the two sub-net embeddings with coefficients
 (alpha1, alpha2), scores every class by the dot product with its
 semantic vector, and adds the +1 unseen / -1 seen calibration offset of
-a ``losses.ClassSplit``, which favors unseen classes.  Conventional ZSL
+a ``data_io.ClassSplit``, which favors unseen classes.  Conventional ZSL
 restricts the argmax to unseen classes; generalized ZSL ranks all of
 them.  Accuracies are per-class (macro) top-1, summarized by the
 harmonic mean H = 2SU / (S + U).
@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import require_finite
-from .data_io import Dataset, write_table
+from .data_io import ClassSplit, Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
-from .losses import ClassSplit
 from .model import ModelParams, forward
 
 MODES = ("czsl", "gzsl")
@@ -164,7 +163,7 @@ def report(
     embedding is scored once, and both modes rank the unseen split's
     scores.
     """
-    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+    split = ds.split
     unseen_scores, seen_scores = (calibrated_scores(e, ds.class_semantics, split)
                                   for e in (unseen_embedding, seen_embedding))
     unseen_labels = ds.labels[ds.test_unseen_idx]

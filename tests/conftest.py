@@ -37,7 +37,8 @@ def tiny_dataset() -> Dataset:
 
 def acec(scores, labels, seen, unseen, cfg):
     """ACEC loss and score gradient of a single (batch, C) score block."""
-    from msdn.losses import ClassSplit, acec_loss
+    from msdn.data_io import ClassSplit
+    from msdn.losses import acec_loss
 
     (loss,), grad, _ = acec_loss(scores, labels, ClassSplit.of(seen, unseen), cfg)
     return loss, grad
@@ -52,7 +53,7 @@ def distill(scores1, scores2, cfg):
     if scores1.shape != scores2.shape:
         raise ShapeError(f"unequal score batches {scores1.shape} and {scores2.shape}")
     pair = np.stack([softmax_stable(s, axis=1).T for s in (scores1, scores2)], axis=-2)
-    loss, grad = distill_loss(pair, LossTerms.of(cfg))
+    loss, grad = distill_loss(pair, LossTerms.of((cfg,)))
     return loss, grad[..., 0, :].T, grad[..., 1, :].T
 
 

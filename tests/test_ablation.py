@@ -5,7 +5,7 @@ import numpy as np
 from msdn import ablation, zsl_eval
 from msdn.ablation import run_ablation
 from msdn.data_io import SynthSpec, generate_synthetic
-from msdn.model import ModelDims, init_params_from_rng
+from msdn.model import ModelDims, ModelParams, init_params_from_rng
 from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
 from msdn.zsl_eval import PredictConfig, evaluate, forward_test_splits
@@ -38,9 +38,15 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
     # with equal acc and H, so the embeddings are compared too.
     a2v_only = PredictConfig(alpha1=1.0, alpha2=0.0)
     v2a_only = PredictConfig(alpha1=0.0, alpha2=1.0)
+
+    def alone(overrides):
+        """The weights of one model trained on its own, as a stack of one."""
+        params = train(ds, cfg, loss_cfg=(cfg.loss_config(**overrides),)).params
+        return ModelParams(params.dims, **{name: w[0] for name, w in params.as_dict().items()})
+
     full, no_distill, jsd_only, l2_only = (
-        train(ds, cfg, loss_cfg=cfg.loss_config(**o)).params
-        for o in ({}, {"lambda_distill": 0.0}, {"distill_l2": False}, {"distill_jsd": False}))
+        alone(o) for o in ({}, {"lambda_distill": 0.0}, {"distill_l2": False},
+                           {"distill_jsd": False}))
     for variant, params, pcfg in (("v2a_no_distill", no_distill, v2a_only),
                                   ("a2v_no_distill", no_distill, a2v_only),
                                   ("v2a_with_distill", full, v2a_only),

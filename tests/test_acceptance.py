@@ -13,8 +13,9 @@ import pytest
 import oracles
 from conftest import acec, distill
 from msdn.ablation import run_ablation
-from msdn.data_io import SynthSpec, generate_synthetic, load_container, save_container
-from msdn.losses import ClassSplit, LossConfig, total_loss_raw
+from msdn.data_io import (ClassSplit, SynthSpec, generate_synthetic, load_container,
+                          save_container)
+from msdn.losses import LossConfig, LossTerms, total_loss_raw
 from msdn.model import (
     PARAM_NAMES,
     ModelDims,
@@ -64,14 +65,15 @@ def test_gradient_suite():
     for seed in range(5):
         params, regions, attrs, semantics, labels, seen, unseen = _random_instance(
             1000 + seed, **GRAD_DIMS)
-        cfg = LossConfig()
+        terms = LossTerms.of((LossConfig(),))
         split = ClassSplit.of(seen, unseen)
-        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
+        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
                 candidate = dataclasses.replace(
                     params, **{_n: flat.reshape(getattr(params, _n).shape)})
-                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
+                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split,
+                                        terms)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),
                                     grads[name].reshape(-1)).max_rel_error
@@ -87,17 +89,17 @@ def test_oracle_equivalence():
     worst = 0.0
     for seed in range(100):
         params, regions, attrs, semantics, labels, seen, unseen = _random_instance(seed)
-        trace = forward(regions[0], attrs, params)
+        trace = forward(regions[:1], attrs, params)
 
         ob, of, op = oracles.a2v_forward(regions[0], attrs, params.W1, params.W2)
-        for got, want in ((trace.beta, ob), (trace.beta @ regions[0], of),
-                          (trace.psi, op)):
+        for got, want in ((trace.beta[0], ob), (trace.beta[0] @ regions[0], of),
+                          (trace.psi[0], op)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         ot, os_, obar, obig = oracles.v2a_forward(
             regions[0], attrs, params.W3, params.W4, params.W_att)
-        for got, want in ((trace.tau, ot), (trace.S, os_),
-                          (trace.psi_bar, obar), (trace.Psi, obig)):
+        for got, want in ((trace.tau[0], ot), (trace.S[0], os_),
+                          (trace.psi_bar[0], obar), (trace.Psi[0], obig)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         cfg = LossConfig(lambda_cal=0.1)
@@ -113,11 +115,11 @@ def test_oracle_equivalence():
         want_distill = oracles.distill_loss(s1, s2, cfg.epsilon_kl)
         worst = max(worst, abs(got_distill - want_distill))
 
-        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi, trace.Psi)
+        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi[0], trace.Psi[0])
         split = ClassSplit.of(seen, unseen)
         for mode in ("czsl", "gzsl"):
             got = predict(calibrated_scores(fused, semantics, split), split, mode)
-            want = oracles.predict(trace.psi, trace.Psi, semantics, seen, unseen,
+            want = oracles.predict(trace.psi[0], trace.Psi[0], semantics, seen, unseen,
                                    0.9, 0.1, mode)
             assert got == want, f"seed {seed} mode {mode}: {got} != {want}"
 
@@ -139,9 +141,9 @@ def test_attention_normalization():
         for _ in range(4):
             regions = rng.uniform(-5.0, 5.0, r, d_v)
             attrs = rng.uniform(-5.0, 5.0, k, d_a)
-            trace = forward(regions, attrs, params)
-            np.testing.assert_allclose(trace.beta.sum(axis=0), 1.0, atol=1e-10)
-            np.testing.assert_allclose(trace.tau.sum(axis=0), 1.0, atol=1e-10)
+            trace = forward(regions[None], attrs, params)
+            np.testing.assert_allclose(trace.beta.sum(axis=1), 1.0, atol=1e-10)
+            np.testing.assert_allclose(trace.tau.sum(axis=1), 1.0, atol=1e-10)
             cases += 1
     assert cases >= 1000
     _report("attention normalization", f"{cases} randomized cases at 1e-10")
@@ -175,11 +177,11 @@ def test_distillation_properties():
 
 def test_calibration_behavior():
     params, regions, attrs, semantics, _, seen, unseen = _random_instance(77)
-    trace = forward(regions[0], attrs, params)
+    trace = forward(regions[:1], attrs, params)
     cfg = PredictConfig()
-    scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics,
+    scores = calibrated_scores(cfg.fuse(trace.psi[0], trace.Psi[0]), semantics,
                                ClassSplit.of(seen, unseen))
-    raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
+    raw = semantics @ (cfg.alpha1 * trace.psi[0] + cfg.alpha2 * trace.Psi[0])
     assert np.array_equal(scores[unseen], raw[unseen] + 1.0)
     assert np.array_equal(scores[seen], raw[seen] - 1.0)
 
@@ -201,12 +203,10 @@ def test_end_to_end_synthetic_learning(default_dataset):
 
     seen_sorted = np.sort(ds.seen_classes.astype(np.int64))
     train_labels = ds.labels[ds.train_idx]
-    preds = np.empty(train_labels.size, dtype=np.int64)
-    for i, sample in enumerate(ds.train_idx):
-        trace = forward(ds.features[int(sample)], ds.attributes, full.params)
-        fused = pcfg.alpha1 * trace.psi + pcfg.alpha2 * trace.Psi
-        scores = ds.class_semantics @ fused
-        preds[i] = seen_sorted[np.argmax(scores[seen_sorted])]
+    trace = forward(ds.regions(ds.train_idx), ds.attributes, full.params)
+    fused = pcfg.alpha1 * trace.psi + pcfg.alpha2 * trace.Psi               # (N, K)
+    scores = fused @ ds.class_semantics[seen_sorted].T                      # (N, C_s)
+    preds = seen_sorted[np.argmax(scores, axis=1)]
     train_acc, _ = per_class_accuracy(train_labels, preds, ds.seen_classes)
     assert train_acc >= 0.95, f"training seen accuracy {train_acc:.3f}"
 
@@ -215,7 +215,7 @@ def test_end_to_end_synthetic_learning(default_dataset):
 
     # Without distillation the two sub-nets train independently, so the
     # halves of one model are the single-branch models.
-    no_distill = train(ds, cfg, loss_cfg=cfg.loss_config(lambda_distill=0.0))
+    no_distill = train(ds, dataclasses.replace(cfg, lambda_distill=0.0))
     a2v_report = evaluate(no_distill.params, ds, PredictConfig(alpha1=1.0, alpha2=0.0))
     v2a_report = evaluate(no_distill.params, ds, PredictConfig(alpha1=0.0, alpha2=1.0))
     assert report.acc >= a2v_report.acc, (

@@ -16,17 +16,13 @@ from msdn.training import TrainConfig, train
 
 
 def attention_match_rate(ds, params, attention: str) -> float:
-    picks = ds.extras[GEN_REGION_ATTRIBUTE]
-    hits = total = 0
-    for sample in range(0, ds.num_samples, 5):
-        trace = forward(ds.features[sample], ds.attributes, params)
-        if attention == "tau":
-            chosen = np.argmax(trace.tau, axis=1)       # (R,) strongest attribute
-        else:
-            chosen = np.argmax(trace.beta, axis=0)      # (R,) strongest attribute
-        hits += int(np.sum(chosen == picks[sample]))
-        total += ds.num_regions
-    return hits / total
+    samples = np.arange(0, ds.num_samples, 5)
+    trace = forward(ds.regions(samples), ds.attributes, params)
+    if attention == "tau":
+        chosen = np.argmax(trace.tau, axis=2)       # (B, R) strongest attribute
+    else:
+        chosen = np.argmax(trace.beta, axis=1)      # (B, R) strongest attribute
+    return float(np.mean(chosen == ds.extras[GEN_REGION_ATTRIBUTE][samples]))
 
 
 @pytest.fixture(scope="module")

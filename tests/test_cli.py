@@ -451,6 +451,37 @@ class TestValidatesOnce:
         assert len(validations) == len(loads)
 
 
+class TestBuildsSplitOnce:
+    """Runs, reports and batches read the one ClassSplit of their dataset."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        real = data_io.ClassSplit.of.__func__
+
+        def counted(cls, seen_classes, unseen_classes):
+            calls.append((seen_classes, unseen_classes))
+            return real(cls, seen_classes, unseen_classes)
+
+        monkeypatch.setattr(data_io.ClassSplit, "of", classmethod(counted))
+        return calls
+
+    def test_one_split_per_command(self, tmp_path, builds):
+        data, cfg, ckpt = tmp_path / "data.zsld", tmp_path / "train.cfg", tmp_path / "m.zsld"
+        assert cli.main(["gen-data", "--out", str(data)]) == 0
+        cfg.write_text("epochs = 1\n")   # the count is per run, not per epoch or batch
+        # One build where the baseline, the lockstep run and eight reports each built one.
+        assert cli.main(["ablate", "--data", str(data), "--config", str(cfg),
+                         "--out", str(tmp_path / "ablation.csv")]) == 0
+        assert len(builds) == 1
+        assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(ckpt)]) == 0
+        assert len(builds) == 2
+        assert cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "metrics.csv")]) == 0
+        assert len(builds) == 3
+
+
 class TestComputesInFloat64:
     """Features stay float32 in a dataset; every stack the model sees is float64."""
 
@@ -614,12 +645,12 @@ class TestExportAttention:
                   str(checkpoint_file), "--image", "0", "--out", str(out_dir)])
         ds = load_container(data_file)
         params = load_checkpoint(checkpoint_file)
-        trace = forward(ds.features[0], ds.attributes, params)
+        trace = forward(ds.regions([0]), ds.attributes, params)
         rows = (out_dir / "scores.csv").read_text().strip().splitlines()
         assert rows[0] == "attribute,psi,Psi"
         got = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
-        np.testing.assert_array_equal(got[:, 0], trace.psi)
-        np.testing.assert_array_equal(got[:, 1], trace.Psi)
+        np.testing.assert_array_equal(got[:, 0], trace.psi[0])
+        np.testing.assert_array_equal(got[:, 1], trace.Psi[0])
 
     def test_index_out_of_range_exits_2(self, tmp_path, data_file, checkpoint_file):
         rc = cli.main(["export-attention", "--data", str(data_file),

@@ -457,6 +457,15 @@ class TestDatasetIsImmutable:
                   if f.name != "extras"] + list(tiny_dataset.extras.values())
         assert not any(arr.flags.writeable for arr in arrays)
 
+    def test_class_split_is_built_once_per_dataset(self, tiny_dataset):
+        split = tiny_dataset.split
+        assert tiny_dataset.split is split
+        assert "split" not in {f.name for f in dataclasses.fields(Dataset)}
+        assert np.array_equal(split.seen, np.sort(tiny_dataset.seen_classes))
+        assert np.array_equal(split.unseen, np.sort(tiny_dataset.unseen_classes))
+        # A replaced dataset is a new one and builds its own.
+        assert dataclasses.replace(tiny_dataset).split is not split
+
     def test_fields_cannot_be_assigned(self, tiny_dataset):
         with pytest.raises(dataclasses.FrozenInstanceError):
             tiny_dataset.labels = np.zeros_like(tiny_dataset.labels)

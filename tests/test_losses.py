@@ -10,15 +10,16 @@ import oracles
 from conftest import acec, distill, random_instance, stacked
 from msdn import losses
 from msdn.ablation import MODELS
+from msdn.data_io import ClassSplit
 from msdn.errors import ArgumentError, ShapeError
-from msdn.losses import (ClassSplit, LossConfig, LossTerms, acec_loss, distill_loss,
-                         total_loss_raw)
+from msdn.losses import LossConfig, LossTerms, acec_loss, distill_loss, total_loss_raw
 from msdn.model import PARAM_NAMES, ModelDims, init_params_from_rng
 from msdn.ndmath import Rng, grad_check_detail, softmax_stable
 
 # The ablation grid's four models: no distillation, full, JSD only, L2 only.
 LOCKSTEP = (LossConfig(lambda_distill=0.0), LossConfig(), LossConfig(distill_l2=False),
             LossConfig(distill_jsd=False))
+LOCKSTEP_TERMS = LossTerms.of(LOCKSTEP, (len(LOCKSTEP),))
 
 
 def finite_diff_scores(fn, scores, step=1e-6):
@@ -200,7 +201,7 @@ class TestDistillLoss:
     @pytest.mark.parametrize("shape", [(4, 3, 5), (4, 1, 5), (4, 5), (4,)])
     def test_pair_axis_must_hold_two(self, shape):
         with pytest.raises(ShapeError, match="2, batch"):
-            distill_loss(np.full(shape, 0.25), LossTerms.of(LossConfig()))
+            distill_loss(np.full(shape, 0.25), LossTerms.of((LossConfig(),)))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), lockstep=st.booleans(),
@@ -215,7 +216,7 @@ class TestDistillLoss:
         cfg = LossConfig()
         models = (len(MODELS),) if lockstep else ()
         terms = (LossTerms.of(tuple(dataclasses.replace(cfg, **o) for o in MODELS), models)
-                 if lockstep else LossTerms.of(cfg))
+                 if lockstep else LossTerms.of((cfg,)))
         logits = scale * rng.standard_normal((classes, *models, 2, batch))
         pair = softmax_stable(logits, axis=0)
         if pinned:
@@ -234,17 +235,17 @@ class TestDistillLoss:
 class TestTotalLoss:
     def test_zero_distill_weight_total_is_sum(self):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(41)
-        cfg = LossConfig(lambda_distill=0.0)
+        terms = LossTerms.of((LossConfig(lambda_distill=0.0),))
         breakdown, _ = total_loss_raw(
-            params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen), cfg)
+            params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen), terms)
         assert breakdown.total == breakdown.acec_a2v + breakdown.acec_v2a
         assert breakdown.distill == 0.0
 
     def test_breakdown_identity(self):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(42)
         cfg = LossConfig(lambda_distill=0.7)
-        breakdown, _ = total_loss_raw(
-            params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen), cfg)
+        breakdown, _ = total_loss_raw(params, regions, labels, attrs, semantics,
+                                      ClassSplit.of(seen, unseen), LossTerms.of((cfg,)))
         assert breakdown.total == pytest.approx(
             breakdown.acec_a2v + breakdown.acec_v2a
             + cfg.lambda_distill * breakdown.distill,
@@ -258,20 +259,22 @@ class TestTotalLoss:
         params = dataclasses.replace(
             params, W2=np.zeros_like(params.W2), W_att=np.zeros_like(params.W_att))
         breakdown, _ = total_loss_raw(
-            params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen), LossConfig())
+            params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen),
+            LossTerms.of((LossConfig(),)))
         assert breakdown.distill == 0.0
 
     def test_full_parameter_gradients_pass_grad_check(self):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(
             44, k=5, r=4, d_v=8, d_a=6, c_seen=3, c_unseen=2, batch=2)
-        cfg = LossConfig()
+        terms = LossTerms.of((LossConfig(),))
         split = ClassSplit.of(seen, unseen)
-        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
+        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
                 candidate = dataclasses.replace(
                     params, **{_n: flat.reshape(getattr(params, _n).shape)})
-                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
+                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split,
+                                        terms)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),
                                     grads[name].reshape(-1)).max_rel_error
@@ -282,14 +285,15 @@ class TestTotalLoss:
             46, k=5, r=4, d_v=8, d_a=6, c_seen=3, c_unseen=2, batch=4)
         labels = np.array([2, 0, 1, 2])
         assert not np.array_equal(regions[0], regions[1])
-        cfg = LossConfig(lambda_distill=0.5)
+        terms = LossTerms.of((LossConfig(lambda_distill=0.5),))
         split = ClassSplit.of(seen, unseen)
-        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
+        _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
         for name in PARAM_NAMES:
             def f(flat, _n=name):
                 candidate = dataclasses.replace(
                     params, **{_n: flat.reshape(getattr(params, _n).shape)})
-                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split, cfg)
+                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split,
+                                        terms)
                 return out.total
             err = grad_check_detail(f, getattr(params, name).reshape(-1),
                                     grads[name].reshape(-1)).max_rel_error
@@ -307,7 +311,7 @@ class TestTotalLoss:
 
         monkeypatch.setattr(losses, "acec_loss", recorded)
         total_loss_raw(params, regions, labels, attrs, semantics, ClassSplit.of(seen, unseen),
-                       LossConfig(**overrides))
+                       LossTerms.of((LossConfig(**overrides),)))
         assert scored_rows == [rows]
 
     def test_lockstep_models_equal_their_separate_passes(self):
@@ -315,11 +319,11 @@ class TestTotalLoss:
         split = ClassSplit.of(seen, unseen)
         models = [init_params_from_rng(params.dims, Rng(60 + p)) for p in range(len(LOCKSTEP))]
         breakdown, grads = total_loss_raw(stacked(models), regions, labels, attrs, semantics,
-                                          split, LOCKSTEP)
+                                          split, LOCKSTEP_TERMS)
         assert all(len(field) == len(LOCKSTEP) for field in breakdown)
         for p, (alone_params, cfg) in enumerate(zip(models, LOCKSTEP)):
             alone, alone_grads = total_loss_raw(alone_params, regions, labels, attrs, semantics,
-                                                split, cfg)
+                                                split, LossTerms.of((cfg,)))
             assert [field[p] for field in breakdown] == list(alone), p
             for name in PARAM_NAMES:
                 assert np.array_equal(grads[name][p], alone_grads[name]), (p, name)
@@ -335,7 +339,7 @@ class TestTotalLoss:
 
         monkeypatch.setattr(losses, "acec_loss", recorded)
         total_loss_raw(stacked([params] * len(LOCKSTEP)), regions, labels, attrs, semantics,
-                       ClassSplit.of(seen, unseen), LOCKSTEP)
+                       ClassSplit.of(seen, unseen), LOCKSTEP_TERMS)
         assert scored_rows == [len(LOCKSTEP) * 2 * labels.size]
 
     def test_without_distillation_each_sub_net_ignores_the_other(self):
@@ -343,14 +347,14 @@ class TestTotalLoss:
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(49)
         other = random_instance(52)[0]
         split = ClassSplit.of(seen, unseen)
-        cfg = LossConfig(lambda_distill=0.0)
-        joint, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, cfg)
+        terms = LossTerms.of((LossConfig(lambda_distill=0.0),))
+        joint, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
         assert joint.distill == 0.0
         for mine, swapped, field in ((("W1", "W2"), ("W3", "W4", "W_att"), "acec_a2v"),
                                      (("W3", "W4", "W_att"), ("W1", "W2"), "acec_v2a")):
             mixed = dataclasses.replace(params, **{n: getattr(other, n) for n in swapped})
             alone, alone_grads = total_loss_raw(mixed, regions, labels, attrs, semantics,
-                                                split, cfg)
+                                                split, terms)
             assert getattr(alone, field) == getattr(joint, field), field
             for name in mine:
                 assert np.array_equal(alone_grads[name], grads[name]), name
@@ -360,17 +364,18 @@ class TestTotalLoss:
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(51)
         args = (regions, labels, attrs, semantics, ClassSplit.of(seen, unseen))
         with pytest.raises(ValueError):
-            total_loss_raw(stacked([params] * 2), *args, LOCKSTEP)
+            LossTerms.of(LOCKSTEP, (2,))
+        with pytest.raises(ShapeError, match="loss terms for models"):
+            total_loss_raw(stacked([params] * 2), *args, LOCKSTEP_TERMS)
         with pytest.raises(ArgumentError, match="lambda_cal"):
-            total_loss_raw(stacked([params] * 2), *args,
-                           (LossConfig(), LossConfig(lambda_cal=0.2)))
+            LossTerms.of((LossConfig(), LossConfig(lambda_cal=0.2)), (2,))
 
     def test_one_loss_softmax_serves_acec_and_distillation(self):
         # acec_loss takes the seen-class softmax from its own log-sum-exp
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(48)
         assert not hasattr(losses, "softmax_stable")
         breakdown, _ = total_loss_raw(params, regions, labels, attrs, semantics,
-                                      ClassSplit.of(seen, unseen), LossConfig())
+                                      ClassSplit.of(seen, unseen), LossTerms.of((LossConfig(),)))
         assert breakdown.distill > 0.0
 
     def test_paper_shape_reruns_give_the_same_bytes(self):
@@ -379,9 +384,9 @@ class TestTotalLoss:
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(
             53, k=312, r=196, d_v=2048, d_a=300, c_seen=150, c_unseen=50, batch=8)
         regions = np.ascontiguousarray(regions.swapaxes(0, 1)).swapaxes(0, 1)  # region-major
-        split = ClassSplit.of(seen, unseen)
+        split, terms = ClassSplit.of(seen, unseen), LossTerms.of((LossConfig(),))
         (loss_a, grads_a), (loss_b, grads_b) = (
-            total_loss_raw(params, regions, labels, attrs, semantics, split, LossConfig())
+            total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
             for _ in range(2))
         assert np.isfinite(loss_a).all() and loss_a.distill > 0.0
         assert np.array(loss_a).tobytes() == np.array(loss_b).tobytes()
@@ -394,16 +399,17 @@ class TestMemoryLayout:
     """Reductions run on region-major batches; the layout never changes a result."""
 
     CONFIGS = pytest.mark.parametrize(
-        "cfg", [LossConfig(), LossConfig(lambda_distill=0.0), LOCKSTEP],
+        "terms", [LossTerms.of((LossConfig(),)), LossTerms.of((LossConfig(lambda_distill=0.0),)),
+                  LOCKSTEP_TERMS],
         ids=["full", "no_distill", "lockstep"])
 
     @staticmethod
-    def batch(ds, cfg):
+    def batch(ds, terms):
         idx = ds.train_idx[::2]
         params = init_params_from_rng(ModelDims.for_dataset(ds), Rng(7))
-        if isinstance(cfg, tuple):
-            params = stacked([params] * len(cfg))
-        return params, idx, ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+        if terms.lam.shape:
+            params = stacked([params] * terms.lam.size)
+        return params, idx
 
     def test_regions_are_region_major(self, tiny_dataset):
         ds = tiny_dataset
@@ -415,23 +421,23 @@ class TestMemoryLayout:
         assert np.array_equal(stack, ds.features[idx])
 
     @CONFIGS
-    def test_gradients_are_c_contiguous(self, tiny_dataset, cfg):
+    def test_gradients_are_c_contiguous(self, tiny_dataset, terms):
         ds = tiny_dataset
-        params, idx, split = self.batch(ds, cfg)
+        params, idx = self.batch(ds, terms)
         _, grads = total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
-                                  ds.class_semantics, split, cfg)
+                                  ds.class_semantics, ds.split, terms)
         for name, grad in grads.items():
             assert grad.shape == getattr(params, name).shape
             assert grad.flags.c_contiguous, name
 
     @CONFIGS
-    def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, cfg):
+    def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, terms):
         ds = tiny_dataset
-        params, idx, split = self.batch(ds, cfg)
+        params, idx = self.batch(ds, terms)
         region_major = ds.regions(idx)
         c_order = np.ascontiguousarray(region_major)
         assert not region_major.flags.c_contiguous
-        args = (ds.labels[idx], ds.attributes, ds.class_semantics, split, cfg)
+        args = (ds.labels[idx], ds.attributes, ds.class_semantics, ds.split, terms)
         loss_rm, grads_rm = total_loss_raw(params, region_major, *args)
         loss_c, grads_c = total_loss_raw(params, c_order, *args)
         np.testing.assert_allclose(loss_rm, loss_c, rtol=1e-12, atol=0)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_instance
+from msdn.data_io import ClassSplit
 from msdn.errors import ContainerFormatError, ShapeError
-from msdn.losses import ClassSplit
 from msdn.model import (
     ModelDims,
     ModelParams,
@@ -185,15 +185,15 @@ class TestAttentionInvariants:
         params = init_params_from_rng(dims, Rng(seed + 1))
         regions = rng.uniform(-3, 3, r, d_v)
         attrs = rng.uniform(-3, 3, k, d_a)
-        trace = forward(regions, attrs, params)
-        np.testing.assert_allclose(trace.beta.sum(axis=0), 1.0, atol=1e-10)
-        np.testing.assert_allclose(trace.tau.sum(axis=0), 1.0, atol=1e-10)
+        trace = forward(regions[None], attrs, params)
+        np.testing.assert_allclose(trace.beta.sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(trace.tau.sum(axis=1), 1.0, atol=1e-10)
 
     def test_forward_deterministic(self):
         regions, attrs = tiny_inputs(3)
         params = init_params_from_rng(DIMS, Rng(3))
-        a = forward(regions, attrs, params)
-        b = forward(regions, attrs, params)
+        a = forward(regions[None], attrs, params)
+        b = forward(regions[None], attrs, params)
         assert np.array_equal(a.psi, b.psi) and np.array_equal(a.Psi, b.Psi)
 
     def test_region_scaling_changes_beta(self):
@@ -240,22 +240,20 @@ class TestBatchedForward:
         trace = forward(regions, attrs, params)
         assert trace.psi.shape == (3, 3) and trace.beta.shape == (3, 3, 4)
         for b in range(3):
-            row = trace.image(b)
             ob, of, op = oracles.a2v_forward(regions[b], attrs, params.W1, params.W2)
             ot, os_, obar, obig = oracles.v2a_forward(
                 regions[b], attrs, params.W3, params.W4, params.W_att)
-            for got, want in ((row.beta, ob), (row.beta @ regions[b], of), (row.psi, op),
-                              (row.tau, ot), (row.S, os_), (row.psi_bar, obar),
-                              (row.Psi, obig)):
+            for got, want in ((trace.beta[b], ob), (trace.beta[b] @ regions[b], of),
+                              (trace.psi[b], op), (trace.tau[b], ot), (trace.S[b], os_),
+                              (trace.psi_bar[b], obar), (trace.Psi[b], obig)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_single_image_is_a_batch_of_one(self):
+    def test_single_image_must_be_a_stack(self):
+        # One image is a (1, R, d_v) stack; a bare (R, d_v) image is refused.
         regions, attrs = tiny_inputs(4)
         params = init_params_from_rng(DIMS, Rng(4))
-        single = forward(regions, attrs, params)
-        stacked = forward(regions[None], attrs, params).image(0)
-        for name in ("beta", "psi", "tau", "S", "psi_bar", "Psi"):
-            assert np.array_equal(getattr(single, name), getattr(stacked, name))
+        with pytest.raises(ShapeError, match="3-D region stack"):
+            forward(regions, attrs, params)
 
 
 class TestCheckpoint:

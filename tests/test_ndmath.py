@@ -41,9 +41,9 @@ class TestMatmul:
         params = init_params_from_rng(ModelDims(visual_dim=2, attr_dim=3, num_attributes=4,
                                                 num_regions=1), Rng(0))
         with pytest.raises(ShapeError, match=r"width 3, model expects 2"):
-            forward(np.zeros((1, 3)), np.zeros((4, 3)), params)
+            forward(np.zeros((1, 1, 3)), np.zeros((4, 3)), params)
         with pytest.raises(ShapeError, match=r"width 2, model expects 3"):
-            forward(np.zeros((1, 2)), np.zeros((4, 2)), params)
+            forward(np.zeros((1, 1, 2)), np.zeros((4, 2)), params)
 
     def test_associativity(self):
         rng = Rng(7)

@@ -12,7 +12,7 @@ from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from msdn import training
 from msdn.data_io import SynthSpec
-from msdn.losses import ClassSplit, total_loss_raw
+from msdn.losses import LossTerms, total_loss_raw
 from msdn.model import ModelDims, ModelParams, init_params_from_rng
 from msdn.ndmath import FlatArrays, Rng
 from msdn.training import (
@@ -150,20 +150,21 @@ class TestMakeBatches:
             make_batches(0, 2, Rng(0))
 
 
-def reference_train(ds, cfg, lcfg):
+def reference_train(ds, cfg, lcfgs):
     """The training loop written out on fresh arrays: the weights it ends with.
 
     Per-parameter RMSProp through ``oracles.rmsprop_step``, batches from
-    ``oracles.shuffle`` and one ``total_loss_raw`` call per batch.
+    ``oracles.shuffle`` and one ``total_loss_raw`` call per batch.  Like
+    ``train``, ``lcfgs`` None trains one unstacked model.
     """
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
-    models = (len(lcfg),) if isinstance(lcfg, tuple) else ()
+    models = () if lcfgs is None else (len(lcfgs),)
+    terms = LossTerms.of((cfg.loss_config(),) if lcfgs is None else lcfgs, models)
     params = {name: np.array(np.broadcast_to(w, models + w.shape))
               for name, w in init_params_from_rng(dims, rng).as_dict().items()}
     square_avg = {name: np.zeros_like(w) for name, w in params.items()}
     momentum_buf = {name: np.zeros_like(w) for name, w in params.items()}
-    split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
     for _ in range(cfg.epochs):
         order = list(range(ds.train_idx.size))
         oracles.shuffle(rng, order)
@@ -171,7 +172,7 @@ def reference_train(ds, cfg, lcfg):
             idx = ds.train_idx[order[start:start + cfg.batch_size]]
             _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx),
                                       ds.labels[idx], ds.attributes, ds.class_semantics,
-                                      split, lcfg)
+                                      ds.split, terms)
             params, square_avg, momentum_buf = oracles.rmsprop_step(
                 params, dict(grads), square_avg, momentum_buf, cfg)
     return params
@@ -190,7 +191,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, seed=1)
         lcfg = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES) if lockstep else None
         got = train(stock_dataset, cfg, loss_cfg=lcfg).params
-        want = reference_train(stock_dataset, cfg, lcfg or cfg.loss_config())
+        want = reference_train(stock_dataset, cfg, lcfg)
         for name, weights in want.items():
             assert getattr(got, name).tobytes() == weights.tobytes(), name
 
@@ -265,11 +266,19 @@ class TestTrain:
         lockstep = train(tiny_dataset, cfg, loss_cfg=lcfgs)
         assert len(lockstep.history) == cfg.epochs
         for p, lcfg in enumerate(lcfgs):
-            alone = train(tiny_dataset, cfg, loss_cfg=lcfg)
+            alone = train(tiny_dataset, cfg, loss_cfg=(lcfg,))   # a stack of one
             for name, weights in lockstep.params.as_dict().items():
-                assert np.array_equal(weights[p], getattr(alone.params, name)), (p, name)
+                assert np.array_equal(weights[p], getattr(alone.params, name)[0]), (p, name)
             history = [[field[p] for field in epoch] for epoch in lockstep.history]
-            assert np.array_equal(history, alone.history), p
+            assert np.array_equal(history, [[field[0] for field in epoch]
+                                            for epoch in alone.history]), p
+        # the full model, trained unstacked from cfg, matches its lockstep row too
+        unstacked = train(tiny_dataset, cfg)
+        assert lcfgs[1] == cfg.loss_config()
+        for name, weights in lockstep.params.as_dict().items():
+            assert np.array_equal(weights[1], getattr(unstacked.params, name)), name
+        assert np.array_equal([[field[1] for field in epoch] for epoch in lockstep.history],
+                              unstacked.history)
         # the four models really differ, so the comparisons above are not vacuous
         firsts = [lockstep.params.W1[p] for p in range(len(lcfgs))]
         assert all(not np.array_equal(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1:])
@@ -285,14 +294,14 @@ class TestTrain:
         models = [base, dataclasses.replace(base, **{n: getattr(other, n) for n in v2a}),
                   dataclasses.replace(base, **{n: getattr(other, n) for n in a2v}), base]
         # a distilling fourth model puts the three others on the zero-weight distill path
-        cfgs = (cfg.loss_config(lambda_distill=0.0),) * 3 + (cfg.loss_config(),)
-        split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
+        terms = LossTerms.of((cfg.loss_config(lambda_distill=0.0),) * 3 + (cfg.loss_config(),),
+                             (4,))
 
         weights = FlatArrays.of(stacked(models).as_dict())
 
         def loss_fn(idx):
             return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx), ds.labels[idx],
-                                  ds.attributes, ds.class_semantics, split, cfgs)
+                                  ds.attributes, ds.class_semantics, ds.split, terms)
 
         fit(weights, loss_fn, ds.train_idx, cfg, Rng(cfg.seed))
         for name in a2v:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import patched, random_instance
+from msdn.data_io import ClassSplit
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
-from msdn.losses import ClassSplit
 from msdn.model import PARAM_NAMES, ModelParams, forward, init_params_from_rng
 from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
@@ -63,10 +63,10 @@ class TestHarmonicMean:
 class TestPredict:
     def test_alpha1_only_depends_on_psi(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(60)
-        trace = forward(regions[0], attrs, params)
+        trace = forward(regions[:1], attrs, params)
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0)
-        fused = cfg.fuse(trace.psi, trace.Psi)
-        other = cfg.fuse(trace.psi, np.full_like(trace.Psi, 9.0))
+        fused = cfg.fuse(trace.psi[0], trace.Psi[0])
+        other = cfg.fuse(trace.psi[0], np.full_like(trace.Psi[0], 9.0))
         np.testing.assert_array_equal(fused, other)
         split = ClassSplit.of(seen, unseen)
         assert (predict(calibrated_scores(fused, semantics, split), split, "gzsl")
@@ -80,11 +80,11 @@ class TestPredict:
 
     def test_indicator_exact_offsets(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
-        trace = forward(regions[0], attrs, params)
+        trace = forward(regions[:1], attrs, params)
         cfg = PredictConfig()
-        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics,
+        scores = calibrated_scores(cfg.fuse(trace.psi[0], trace.Psi[0]), semantics,
                                    ClassSplit.of(seen, unseen))
-        raw = semantics @ (cfg.alpha1 * trace.psi + cfg.alpha2 * trace.Psi)
+        raw = semantics @ (cfg.alpha1 * trace.psi[0] + cfg.alpha2 * trace.Psi[0])
         np.testing.assert_array_equal(scores[seen], raw[seen] - 1.0)
         np.testing.assert_array_equal(scores[unseen], raw[unseen] + 1.0)
 
@@ -92,21 +92,21 @@ class TestPredict:
         cfg = PredictConfig(alpha1=0.7, alpha2=0.3)
         for seed in range(30):
             params, regions, attrs, semantics, _, seen, unseen = random_instance(seed)
-            trace = forward(regions[0], attrs, params)
+            trace = forward(regions[:1], attrs, params)
             split = ClassSplit.of(seen, unseen)
             for mode in ("czsl", "gzsl"):
-                scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), semantics, split)
+                scores = calibrated_scores(cfg.fuse(trace.psi[0], trace.Psi[0]), semantics, split)
                 got = predict(scores, split, mode)
-                expected = oracles.predict(trace.psi, trace.Psi, semantics,
+                expected = oracles.predict(trace.psi[0], trace.Psi[0], semantics,
                                            seen, unseen, 0.7, 0.3, mode)
                 assert got == expected
 
     def test_czsl_ignores_indicator(self):
         # constant +1 over the unseen candidate set cannot change the argmax
         params, regions, attrs, semantics, _, seen, unseen = random_instance(62)
-        trace = forward(regions[0], attrs, params)
+        trace = forward(regions[:1], attrs, params)
         cfg = PredictConfig()
-        fused = cfg.fuse(trace.psi, trace.Psi)
+        fused = cfg.fuse(trace.psi[0], trace.Psi[0])
         split = ClassSplit.of(seen, unseen)
         pred = predict(calibrated_scores(fused, semantics, split), split, "czsl")
         raw = semantics @ fused
@@ -115,8 +115,8 @@ class TestPredict:
 
     def test_constant_shift_invariance(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(63)
-        trace = forward(regions[0], attrs, params)
-        scores = calibrated_scores(PredictConfig().fuse(trace.psi, trace.Psi),
+        trace = forward(regions[:1], attrs, params)
+        scores = calibrated_scores(PredictConfig().fuse(trace.psi[0], trace.Psi[0]),
                                    semantics, ClassSplit.of(seen, unseen))
         assert int(np.argmax(scores + 123.0)) == int(np.argmax(scores))
 
@@ -202,8 +202,7 @@ class TestEvaluate:
             trace = forward(ds.features[idx], ds.attributes, trained)
             return cfg.fuse(trace.psi, trace.Psi)
 
-        split = ClassSplit.of(ds.seen_classes, ds.unseen_classes)
-        splits = [(calibrated_scores(fused(idx), ds.class_semantics, split), ds.labels[idx])
+        splits = [(calibrated_scores(fused(idx), ds.class_semantics, ds.split), ds.labels[idx])
                   for idx in (ds.test_unseen_idx, ds.test_seen_idx)]
 
         def oracle_predict(scores, split, mode):
@@ -259,8 +258,8 @@ class TestEvaluate:
         ds = tiny_dataset
 
         def oracle_preds(idx, mode):
-            traces = [forward(ds.features[int(i)], ds.attributes, trained) for i in idx]
-            return np.asarray([oracles.predict(t.psi, t.Psi, ds.class_semantics,
+            traces = [forward(ds.regions([i]), ds.attributes, trained) for i in idx]
+            return np.asarray([oracles.predict(t.psi[0], t.Psi[0], ds.class_semantics,
                                                ds.seen_classes, ds.unseen_classes,
                                                0.9, 0.1, mode) for t in traces])
 
