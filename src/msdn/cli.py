@@ -231,13 +231,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_attention(args) -> int:
     ds = data_io.load_container(args.data)
-    params = model.load_checkpoint(args.checkpoint)
+    params = model.load_checkpoint(args.checkpoint).astype(np.float64)  # float64 maps
     _check_dims(params, ds)
     if not 0 <= args.image < ds.num_samples:
         raise ArgumentError(
             f"--image {args.image} out of range for {ds.num_samples} samples"
         )
-    trace = model.forward(ds.regions([args.image]), ds.attributes, params)
+    trace = model.forward(ds.regions([args.image], np.float64), ds.attributes, params)
     beta, tau, psi, Psi = trace.beta[0], trace.tau[0], trace.psi[0], trace.Psi[0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

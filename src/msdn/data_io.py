@@ -6,9 +6,10 @@ the train/test split index sets.  A ``Dataset`` is validated once, when
 it is built (generated or loaded), and its arrays are read-only, so a
 dataset that exists is a valid one.  On disk everything lives in a little
 endian "ZSLD" container of f32 and i32 tensors.  Region features stay f32
-in memory (a loaded dataset's are a view of the file's bytes), and the
-compute paths widen each gathered batch to f64; attribute and class
-semantic vectors are widened to f64 when a dataset is built.  Widening
+in memory (a loaded dataset's are a view of the file's bytes), and each
+batch is gathered in the dtype of the weights it meets: f64 in training,
+a checkpoint's f32 in ``eval``.  Attribute and class semantic vectors
+are widened to f64 when a dataset is built.  Widening
 is exact, and a dataset built from f64 features holds them rounded to
 f32 as its container will, so features round-trip bit-exactly; the
 f64 vectors round-trip bit-exactly only when f32 holds them exactly.
@@ -140,13 +141,13 @@ class Dataset:
                     *self.extras.values()):
             arr.flags.writeable = False
 
-    def regions(self, idx) -> np.ndarray:
-        """The region features of images ``idx``, widened to the float64 the model takes.
+    def regions(self, idx, dtype) -> np.ndarray:
+        """The region features of images ``idx``, gathered in the weights' ``dtype``.
 
         A batch comes back as a (B, R, d_v) view of a C-order (R, B, d_v)
         array, so the model folds it to region-major rows with no copy.
         """
-        return self.features[idx].swapaxes(0, -2).astype(np.float64, order="C").swapaxes(0, -2)
+        return self.features[idx].swapaxes(0, -2).astype(dtype, order="C").swapaxes(0, -2)
 
     @cached_property
     def split(self) -> ClassSplit:

@@ -31,7 +31,7 @@ trace fields are strided views of these arrays in the shapes
 ``ForwardTrace`` documents, and the gradients are C-contiguous blocks
 of one flat array, each in its parameter's shape.  Weights stacked on a
 leading model axis run every model in one pass, each product a stack of
-one model's products.
+one model's products.  A forward computes in its weights' dtype.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ class ModelParams:
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
+
+    def astype(self, dtype) -> "ModelParams":
+        return ModelParams(self.dims, **{n: w.astype(dtype) for n, w in self.as_dict().items()})
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,9 @@ def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> Forw
     """Run both sub-nets on a (B, R, d_v) stack of images.
 
     Stacked weights run every model in the same pass.  One image is a
-    stack of one.
+    stack of one.  ``attrs`` is cast to the weights' dtype.
     """
+    attrs = attrs.astype(params.W1.dtype, copy=False)
     beta, match, psi = a2v_forward(regions, attrs, params)
     tau, S, psi_bar, Psi, pooled, readout = v2a_forward(regions, attrs, params)
     return ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
@@ -263,6 +267,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The stored weights, as read-only float32 views of the file's bytes."""
     tensors = dict(data_io.read_container(path))
     missing = [n for n in (*PARAM_NAMES, "dims") if n not in tensors]
     if missing:
@@ -282,5 +287,4 @@ def load_checkpoint(path) -> ModelParams:
                 f"checkpoint tensor {name} must have a float dtype, got {tensors[name].dtype}")
         if not np.isfinite(tensors[name]).all():
             raise ContainerFormatError(f"checkpoint tensor {name} has non-finite entries")
-    return ModelParams(dims=dims, **{name: tensors[name].astype(np.float64)
-                                     for name in PARAM_NAMES})
+    return ModelParams(dims=dims, **{name: tensors[name] for name in PARAM_NAMES})

@@ -1,6 +1,6 @@
-"""Dense float64 math kernels, a portable PRNG, and gradient checking.
+"""Dense float math kernels, a portable PRNG, and gradient checking.
 
-The package computes in ``float64`` numpy arrays laid out so that the
+The package computes in float numpy arrays laid out so that the
 axis a softmax or sum reduces is outermost in memory.  numpy reduces in
 memory order: over a leading axis it adds whole contiguous rows at a
 time, over an inner axis of 9-50 elements it loops row by row, 5-16x
@@ -8,8 +8,9 @@ slower at the stock shape.  So a batch's (B, R, d_v) region features
 are a view of an (R, B, d_v) array, and the attention maps and class
 scores are views of arrays whose normalized axis leads.  The kernels
 here take any strided view and return results in its layout.  A
-dataset holds its region features as ``float32``; each gathered batch
-is widened to ``float64`` before any kernel sees it.  Everything here is deterministic:
+dataset holds its region features as ``float32``; a batch is gathered in
+its weights' dtype, and the softmax and log-sum-exp keep ``float32`` and
+widen any other dtype to ``float64``.  Everything here is deterministic:
 re-running an operation on identical inputs yields bit-identical output,
 and the :class:`Rng` stream depends only on its seed, never on the
 platform.
@@ -187,6 +188,11 @@ class FlatArrays(dict):
         return FlatArrays({name: arr.shape for name, arr in self.items()}, np.zeros)
 
 
+def _float_array(x) -> np.ndarray:
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax along ``axis``; each slice sums to one.
 
@@ -195,7 +201,7 @@ def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     reductions are fastest when ``axis`` has the largest stride.
     Non-finite logits are rejected.
     """
-    x = np.asarray(logits, dtype=np.float64)
+    x = _float_array(logits)
     if not np.isfinite(x).all():
         raise NumericError("softmax_stable requires finite logits")
     e = x - x.max(axis=axis, keepdims=True)   # the one temporary: exp and divide in place
@@ -206,7 +212,7 @@ def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log(sum(exp(x))) along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     m = x.max(axis=axis, keepdims=True)
     out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
     return out.squeeze(axis=axis)

@@ -203,8 +203,8 @@ def train(
     params = ModelParams(dims=dims, **weights)
 
     def loss_fn(idx: np.ndarray):
-        return total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
-                              ds.class_semantics, ds.split, terms)
+        return total_loss_raw(params, ds.regions(idx, params.W1.dtype), ds.labels[idx],
+                              ds.attributes, ds.class_semantics, ds.split, terms)
 
     history = fit(weights, loss_fn, ds.train_idx, cfg, rng)
     return TrainResult(params=params, history=history)

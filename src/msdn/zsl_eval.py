@@ -187,18 +187,19 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]
     are formed once per chunk.  Only the two (n, K) embeddings of each
     chunk's trace are kept, and their rows are split back at the number
     of unseen test images, so any number of predict configs can fuse
-    them without another forward.  Weights stacked on a leading model
-    axis score every model in the same pass, and each embedding keeps
-    that axis in front of its image axis.
+    them without another forward.  The forward runs in the weights' dtype,
+    and the embeddings come back in float64, where they are fused and
+    scored.  Weights stacked on a leading model axis score every model in
+    the same pass, and each embedding keeps that axis in front of its image axis.
     """
     check_test_splits(ds)
     idx = np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])
     # No name holds a chunk or its trace, so each is freed before the next.
     psi, Psi = zip(*[
-        attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK]),
+        attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK], params.W1.dtype),
                                          ds.attributes, params))
         for i in range(0, idx.size, EVAL_CHUNK)])
-    psi, Psi = np.concatenate(psi, axis=-2), np.concatenate(Psi, axis=-2)
+    psi, Psi = (np.concatenate(e, axis=-2, dtype=np.float64) for e in (psi, Psi))
     n_unseen = ds.test_unseen_idx.size
     return ((psi[..., :n_unseen, :], Psi[..., :n_unseen, :]),
             (psi[..., n_unseen:, :], Psi[..., n_unseen:, :]))

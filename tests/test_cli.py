@@ -22,6 +22,7 @@ from msdn import ablation, cli, data_io, losses, model, training
 from msdn.data_io import load_container, read_container, write_container
 from msdn.model import forward, load_checkpoint, save_checkpoint
 from msdn.training import TrainConfig
+from msdn.zsl_eval import PredictConfig, evaluate
 
 FAST_TRAIN = TrainConfig(epochs=2, batch_size=8, seed=3)
 
@@ -483,7 +484,11 @@ class TestBuildsSplitOnce:
 
 
 class TestComputesInFloat64:
-    """Features stay float32 in a dataset; every stack the model sees is float64."""
+    """Features stay float32 in a dataset; each stack the model sees has its weights' dtype.
+
+    Training, ablation and export-attention compute in float64; eval
+    forwards in the float32 its checkpoint stores.
+    """
 
     @pytest.mark.parametrize("command", ["train", "eval", "ablate", "export-attention"])
     def test_model_gets_float64_stacks(self, tmp_path, data_file, train_cfg_file,
@@ -492,9 +497,9 @@ class TestComputesInFloat64:
         for name in ("forward", "backward"):
             real = getattr(model, name)
 
-            def recorded(regions, *args, _real=real, _name=name):
-                seen.append((_name, regions.dtype))
-                return _real(regions, *args)
+            def recorded(regions, attrs, params, *args, _real=real, _name=name):
+                seen.append((_name, regions.dtype, params.W1.dtype))
+                return _real(regions, attrs, params, *args)
 
             # Every module that holds the function, so a call by any name counts.
             for module_name, module in list(sys.modules.items()):
@@ -511,10 +516,11 @@ class TestComputesInFloat64:
                                  checkpoint_file, "--image", "2", "--out", out],
         }[command]
         assert cli.main([str(a) for a in argv]) == 0
-        called = {name for name, _ in seen}
+        called = {name for name, *_ in seen}
         assert called == ({"forward", "backward"} if command in ("train", "ablate")
                           else {"forward"})
-        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+        expected = np.float32 if command == "eval" else np.float64
+        assert {(stack, weights) for _, stack, weights in seen} == {(np.dtype(expected),) * 2}
 
 
 class TestAblate:
@@ -644,8 +650,8 @@ class TestExportAttention:
         cli.main(["export-attention", "--data", str(data_file), "--checkpoint",
                   str(checkpoint_file), "--image", "0", "--out", str(out_dir)])
         ds = load_container(data_file)
-        params = load_checkpoint(checkpoint_file)
-        trace = forward(ds.regions([0]), ds.attributes, params)
+        params = load_checkpoint(checkpoint_file).astype(np.float64)  # as export widens them
+        trace = forward(ds.regions([0], np.float64), ds.attributes, params)
         rows = (out_dir / "scores.csv").read_text().strip().splitlines()
         assert rows[0] == "attribute,psi,Psi"
         got = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
@@ -675,23 +681,55 @@ class TestNumericFailure:
         assert not out.exists()
 
 
-    def test_overflowing_fusion_exits_4_naming_the_coefficients(
-            self, tmp_path, train_cfg_file, capsys):
-        # A stock model's embeddings reach 10-30, which these coefficients overflow.
-        data, ckpt, out = tmp_path / "stock.zsld", tmp_path / "m.zsld", tmp_path / "fused.csv"
+    @pytest.fixture()
+    def stock_files(self, tmp_path, train_cfg_file, capsys):
+        data, ckpt = tmp_path / "stock.zsld", tmp_path / "m.zsld"
         assert cli.main(["gen-data", "--out", str(data)]) == 0
         assert cli.main(["train", "--data", str(data), "--config", str(train_cfg_file),
                          "--out", str(ckpt)]) == 0
         capsys.readouterr()
+        return data, ckpt
+
+    @staticmethod
+    def eval_rc(data, ckpt, out, *flags):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
-                           "--alpha1", "1e308", "--alpha2", "1e308", "--out", str(out)])
+            return cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                             *flags, "--out", str(out)])
+
+    def test_overflowing_fusion_exits_4_naming_the_coefficients(
+            self, tmp_path, stock_files, capsys):
+        # A stock model's embeddings reach 10-30, which these coefficients overflow.
+        out = tmp_path / "fused.csv"
+        rc = self.eval_rc(*stock_files, out, "--alpha1", "1e308", "--alpha2", "1e308")
         err = capsys.readouterr().err
         assert rc == 4, err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "fusion coefficients alpha1=1e+308 and alpha2=1e+308" in err
         assert not out.exists()
+
+    def test_fusion_beyond_float32_range_succeeds(self, tmp_path, stock_files, capsys):
+        # alpha1 * psi overflows float32 but not float64, where fusion runs.
+        out = tmp_path / "fused.csv"
+        assert self.eval_rc(*stock_files, out, "--alpha1", "1e39") == 0, capsys.readouterr().err
+        assert out.exists()
+
+    def test_float32_forward_overflow_exits_4(self, tmp_path, stock_files, capsys):
+        # Finite f32 weights whose float32 forward overflows Psi; in float64 it stays finite.
+        data, ckpt = stock_files
+        params = load_checkpoint(ckpt)
+        huge = dataclasses.replace(params, W4=params.W4 * np.float32(1e30),
+                                   W_att=params.W_att * np.float32(1e30))
+        assert all(np.isfinite(w).all() for w in huge.as_dict().values())
+        save_checkpoint(huge, tmp_path / "huge.zsld")
+        assert np.isfinite(evaluate(huge.astype(np.float64), load_container(data),
+                                    PredictConfig()).H)
+        out = tmp_path / "huge.csv"
+        rc = self.eval_rc(data, tmp_path / "huge.zsld", out)
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "not finite" in err and not out.exists()
 
 
 class TestNonFiniteCheckpoint:

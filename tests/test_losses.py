@@ -411,12 +411,13 @@ class TestMemoryLayout:
             params = stacked([params] * terms.lam.size)
         return params, idx
 
-    def test_regions_are_region_major(self, tiny_dataset):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_regions_are_region_major(self, tiny_dataset, dtype):
         ds = tiny_dataset
         idx = np.array([4, 0, 7])
-        stack = ds.regions(idx)
+        stack = ds.regions(idx, dtype)
         assert stack.shape == (3, ds.num_regions, ds.visual_dim)
-        assert stack.dtype == np.float64
+        assert stack.dtype == dtype
         assert stack.transpose(1, 0, 2).flags.c_contiguous
         assert np.array_equal(stack, ds.features[idx])
 
@@ -424,8 +425,8 @@ class TestMemoryLayout:
     def test_gradients_are_c_contiguous(self, tiny_dataset, terms):
         ds = tiny_dataset
         params, idx = self.batch(ds, terms)
-        _, grads = total_loss_raw(params, ds.regions(idx), ds.labels[idx], ds.attributes,
-                                  ds.class_semantics, ds.split, terms)
+        _, grads = total_loss_raw(params, ds.regions(idx, np.float64), ds.labels[idx],
+                                  ds.attributes, ds.class_semantics, ds.split, terms)
         for name, grad in grads.items():
             assert grad.shape == getattr(params, name).shape
             assert grad.flags.c_contiguous, name
@@ -434,7 +435,7 @@ class TestMemoryLayout:
     def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, terms):
         ds = tiny_dataset
         params, idx = self.batch(ds, terms)
-        region_major = ds.regions(idx)
+        region_major = ds.regions(idx, np.float64)
         c_order = np.ascontiguousarray(region_major)
         assert not region_major.flags.c_contiguous
         args = (ds.labels[idx], ds.attributes, ds.class_semantics, ds.split, terms)

@@ -248,6 +248,16 @@ class TestBatchedForward:
                               (trace.psi_bar[b], obar), (trace.Psi[b], obig)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_float32_weights_compute_in_float32(self):
+        # float64 attribute vectors are cast to the weights' float32, so no
+        # product widens; float64 weights keep the float64 trace.
+        params = init_params_from_rng(DIMS, Rng(5))
+        regions, attrs = tiny_inputs(5)
+        stack = regions[None]
+        for dtype in (np.float32, np.float64):
+            trace = forward(stack.astype(dtype), attrs, params.astype(dtype))
+            assert {f.dtype for f in vars(trace).values()} == {np.dtype(dtype)}
+
     def test_single_image_must_be_a_stack(self):
         # One image is a (1, R, d_v) stack; a bare (R, d_v) image is refused.
         regions, attrs = tiny_inputs(4)
@@ -264,8 +274,9 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.dims == params.dims
         for name in ("W1", "W2", "W3", "W4", "W_att"):
-            expected = getattr(params, name).astype(np.float32).astype(np.float64)
-            assert getattr(loaded, name).dtype == np.float64
+            # The stored float32 weights, unwidened: eval computes in them.
+            expected = getattr(params, name).astype(np.float32)
+            assert getattr(loaded, name).dtype == np.float32
             assert getattr(loaded, name).tobytes() == expected.tobytes()
 
     def test_resave_byte_exact(self, tmp_path):

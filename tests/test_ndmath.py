@@ -105,6 +105,16 @@ class TestLogSumExp:
         )
 
 
+@pytest.mark.parametrize("kernel", [softmax_stable, log_sum_exp])
+@pytest.mark.parametrize("dtype, result", [(np.float32, np.float32), (np.float64, np.float64),
+                                           (np.float16, np.float64), (np.int64, np.float64)])
+def test_kernels_keep_float32_and_widen_other_dtypes(kernel, dtype, result):
+    x = np.array([[1, 2, 3], [4, 0, -2]], dtype=dtype)
+    out = kernel(x, axis=1)
+    assert out.dtype == result
+    np.testing.assert_allclose(out, kernel(x.astype(np.float64), axis=1), rtol=1e-6)
+
+
 class TestGradCheck:
     def test_quadratic_exact(self):
         err = grad_check_detail(

@@ -170,7 +170,7 @@ def reference_train(ds, cfg, lcfgs):
         oracles.shuffle(rng, order)
         for start in range(0, len(order), cfg.batch_size):
             idx = ds.train_idx[order[start:start + cfg.batch_size]]
-            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx),
+            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx, np.float64),
                                       ds.labels[idx], ds.attributes, ds.class_semantics,
                                       ds.split, terms)
             params, square_avg, momentum_buf = oracles.rmsprop_step(
@@ -300,8 +300,9 @@ class TestTrain:
         weights = FlatArrays.of(stacked(models).as_dict())
 
         def loss_fn(idx):
-            return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx), ds.labels[idx],
-                                  ds.attributes, ds.class_semantics, ds.split, terms)
+            return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx, np.float64),
+                                  ds.labels[idx], ds.attributes, ds.class_semantics, ds.split,
+                                  terms)
 
         fit(weights, loss_fn, ds.train_idx, cfg, Rng(cfg.seed))
         for name in a2v:

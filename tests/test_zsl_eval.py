@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import patched, random_instance
-from msdn.data_io import ClassSplit
+from msdn.data_io import ClassSplit, SynthSpec, generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from msdn.model import PARAM_NAMES, ModelParams, forward, init_params_from_rng
 from msdn.ndmath import Rng
@@ -234,7 +234,7 @@ class TestEvaluate:
         monkeypatch.setattr(zsl_eval, "forward", forward)
         unseen, seen = zsl_eval.forward_test_splits(trained, ds)
         for (psi, Psi), idx in ((unseen, ds.test_unseen_idx), (seen, ds.test_seen_idx)):
-            trace = forward(ds.regions(idx), ds.attributes, trained)
+            trace = forward(ds.regions(idx, np.float64), ds.attributes, trained)
             np.testing.assert_allclose(psi, trace.psi, rtol=0, atol=1e-12)
             np.testing.assert_allclose(Psi, trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
@@ -258,7 +258,7 @@ class TestEvaluate:
         ds = tiny_dataset
 
         def oracle_preds(idx, mode):
-            traces = [forward(ds.regions([i]), ds.attributes, trained) for i in idx]
+            traces = [forward(ds.regions([i], np.float64), ds.attributes, trained) for i in idx]
             return np.asarray([oracles.predict(t.psi[0], t.Psi[0], ds.class_semantics,
                                                ds.seen_classes, ds.unseen_classes,
                                                0.9, 0.1, mode) for t in traces])
@@ -285,8 +285,9 @@ class TestEvaluate:
 
     def test_overflowing_params_raise_numeric_error(self, tiny_dataset, trained):
         # float64 weights this large overflow Psi to +-inf and the scores to
-        # NaN, where argmax would report class 0.  The CLI cannot get here:
-        # checkpoints hold finite f32 weights.
+        # NaN, where argmax would report class 0.  The CLI gets here from
+        # finite f32 checkpoint weights whose float32 forward overflows
+        # (test_cli.py::TestNumericFailure).
         huge = dataclasses.replace(trained, W4=trained.W4 * 1e200,
                                    W_att=trained.W_att * 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,6 +315,35 @@ class TestEvaluate:
             evaluate(trained, dataclasses.replace(tiny_dataset, labels=labels),
                      PredictConfig())
         assert any("labels must lie in" in m for m in exc.value.violations)
+
+
+class TestFloat32Eval:
+    """A checkpoint's float32 weights score as the same weights widened to float64."""
+
+    # Largest relative difference of either embedding, max|e32 - e64| / max|e64|,
+    # measured on seeds 1-5: 3.0e-7 to 5.8e-7 at the stock shape (200 epochs) and
+    # 1.1e-6 to 2.7e-6 at the mid shape (5 and 20 epochs).
+    EMBEDDING_RTOL = 1e-5
+
+    @pytest.mark.parametrize("spec, epochs", [
+        (SynthSpec(), 200),
+        (SynthSpec(num_seen=20, num_unseen=10, num_attributes=64, num_regions=36,
+                   visual_dim=128, attr_dim=50, samples_per_class=10), 5),
+    ], ids=["stock", "mid"])
+    def test_agrees_with_float64(self, spec, epochs):
+        ds = generate_synthetic(spec)
+        f32 = train(ds, TrainConfig(epochs=epochs)).params.astype(np.float32)
+        e32, e64 = (zsl_eval.forward_test_splits(p, ds)
+                    for p in (f32, f32.astype(np.float64)))
+        for split32, split64 in zip(e32, e64):
+            for got, want in zip(split32, split64):
+                assert got.dtype == np.float64
+                assert np.abs(got - want).max() <= self.EMBEDDING_RTOL * np.abs(want).max()
+            scores32, scores64 = (calibrated_scores(PredictConfig().fuse(*e), ds.class_semantics,
+                                                    ds.split) for e in (split32, split64))
+            for mode in zsl_eval.MODES:
+                assert np.array_equal(predict(scores32, ds.split, mode),
+                                      predict(scores64, ds.split, mode)), mode
 
 
 class TestReportCsv:
