@@ -65,8 +65,7 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
         return LossBreakdown(loss, 0.0, 0.0, loss), grads
 
     fit(weights, loss_fn, ds.train_idx, cfg, rng)
-    return report(ds, pooled[ds.test_unseen_idx] @ w_pool.T,
-                  pooled[ds.test_seen_idx] @ w_pool.T)
+    return report(ds, pooled[ds.test_idx] @ w_pool.T)
 
 
 def run_ablation(
@@ -78,16 +77,15 @@ def run_ablation(
 
     The ``MODELS`` are trained in one lockstep ``train`` call, and their
     test splits are forwarded in one stacked pass; every row of ``ROWS``
-    fuses its model's embeddings.
+    fuses its model's test embedding and scores it once.
     """
     check_test_splits(ds)
     base = _run_baseline(ds, cfg)
     results = [AblationResult("baseline", base.acc, base.H)]
     params = train(ds, cfg, loss_cfg=tuple(cfg.loss_config(**o) for o in MODELS)).params
-    (u_psi, u_Psi), (s_psi, s_Psi) = forward_test_splits(params, ds)
+    psi, Psi = forward_test_splits(params, ds)
     for name, p, fusion in ROWS:
-        fuse = (fusion or predict_cfg).fuse
-        scored = report(ds, fuse(u_psi[p], u_Psi[p]), fuse(s_psi[p], s_Psi[p]))
+        scored = report(ds, (fusion or predict_cfg).fuse(psi[p], Psi[p]))
         results.append(AblationResult(name, scored.acc, scored.H))
     return results
 

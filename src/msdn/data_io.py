@@ -79,7 +79,7 @@ class ClassSplit:
     from a class to its position among the seen classes; the loss and
     the predictor both read it.  A dataset builds its own once, as
     ``Dataset.split``, so no run, report or batch re-sorts the classes
-    or rebuilds the offsets.
+    or rebuilds the offsets.  Its arrays are read-only.
     """
 
     seen: np.ndarray
@@ -96,7 +96,10 @@ class ClassSplit:
         unseen_mask[unseen] = 1.0
         seen_pos = np.full(unseen_mask.size, -1, dtype=np.int64)
         seen_pos[seen] = np.arange(seen.size)
-        return cls(seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask, seen_pos)
+        arrays = (seen, unseen, 2.0 * unseen_mask - 1.0, unseen_mask, seen_pos)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(*arrays)
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,14 @@ class Dataset:
     def split(self) -> ClassSplit:
         """The validated seen/unseen partition, built on first use and kept."""
         return ClassSplit.of(self.seen_classes, self.unseen_classes)
+
+    @cached_property
+    def test_idx(self) -> np.ndarray:
+        """Read-only ``[test_unseen_idx; test_seen_idx]``: the row order of a test embedding."""
+        # intp: a signed and a uint64 index array would otherwise join as float64.
+        idx = np.concatenate([self.test_unseen_idx, self.test_seen_idx], dtype=np.intp)
+        idx.flags.writeable = False
+        return idx
 
     @property
     def num_samples(self) -> int:

@@ -7,6 +7,9 @@ a ``data_io.ClassSplit``, which favors unseen classes.  Conventional ZSL
 restricts the argmax to unseen classes; generalized ZSL ranks all of
 them.  Accuracies are per-class (macro) top-1, summarized by the
 harmonic mean H = 2SU / (S + U).
+
+The test images are scored as one embedding, rows in ``Dataset.test_idx``
+order (the unseen split first), and U and S read off one GZSL argmax.
 """
 
 from __future__ import annotations
@@ -150,65 +153,52 @@ def check_test_splits(ds: Dataset) -> None:
             raise ArgumentError(f"{name} is empty; nothing to evaluate")
 
 
-def report(
-    ds: Dataset,
-    unseen_embedding: np.ndarray,
-    seen_embedding: np.ndarray,
-) -> EvalReport:
-    """Score the fused (n, K) embeddings of the two test splits in both modes.
+def report(ds: Dataset, embedding: np.ndarray) -> EvalReport:
+    """Score the fused (n_test, K) test embedding once, in both modes.
 
-    Rows follow ``ds.test_unseen_idx`` and ``ds.test_seen_idx``.  The
-    report's ``acc`` uses CZSL predictions on the unseen test split; U
-    and S use GZSL predictions on the unseen and seen test splits.  Each
-    embedding is scored once, and both modes rank the unseen split's
-    scores.
+    Rows follow ``ds.test_idx``, so the first ``test_unseen_idx.size``
+    rows are the unseen test split.  The report's ``acc`` uses CZSL
+    predictions on those rows; U and S use one GZSL prediction over all
+    rows, read off the unseen and the seen rows.
     """
     split = ds.split
-    unseen_scores, seen_scores = (calibrated_scores(e, ds.class_semantics, split)
-                                  for e in (unseen_embedding, seen_embedding))
-    unseen_labels = ds.labels[ds.test_unseen_idx]
-    acc, _ = per_class_accuracy(unseen_labels, predict(unseen_scores, split, "czsl"),
+    scores = calibrated_scores(embedding, ds.class_semantics, split)
+    labels, gzsl = ds.labels[ds.test_idx], predict(scores, split, "gzsl")
+    n_unseen = ds.test_unseen_idx.size
+    acc, _ = per_class_accuracy(labels[:n_unseen], predict(scores[:n_unseen], split, "czsl"),
                                 ds.unseen_classes)
-    u, unseen_table = per_class_accuracy(unseen_labels, predict(unseen_scores, split, "gzsl"),
-                                         ds.unseen_classes)
-    s, seen_table = per_class_accuracy(ds.labels[ds.test_seen_idx],
-                                       predict(seen_scores, split, "gzsl"), ds.seen_classes)
+    u, unseen_table = per_class_accuracy(labels[:n_unseen], gzsl[:n_unseen], ds.unseen_classes)
+    s, seen_table = per_class_accuracy(labels[n_unseen:], gzsl[n_unseen:], ds.seen_classes)
     per_class = [(c, "seen", a) for c, a in seen_table.items()]
     per_class += [(c, "unseen", a) for c, a in unseen_table.items()]
     return EvalReport(acc=acc, U=u, S=s, H=harmonic_mean(s, u), per_class=per_class)
 
 
-def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[tuple, tuple]:
-    """The (psi, Psi) embeddings of the unseen and of the seen test split.
+def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 (psi, Psi) embeddings of both test splits, rows in ``ds.test_idx`` order.
 
-    Both splits are forwarded in one pass over ``[test_unseen_idx;
-    test_seen_idx]``, ``EVAL_CHUNK`` images per model call, so a chunk
-    may hold images of both splits and the image-independent products
-    are formed once per chunk.  Only the two (n, K) embeddings of each
-    chunk's trace are kept, and their rows are split back at the number
-    of unseen test images, so any number of predict configs can fuse
-    them without another forward.  The forward runs in the weights' dtype,
-    and the embeddings come back in float64, where they are fused and
-    scored.  Weights stacked on a leading model axis score every model in
-    the same pass, and each embedding keeps that axis in front of its image axis.
+    Both splits are forwarded in one pass, ``EVAL_CHUNK`` images per
+    model call, so a chunk may hold images of both splits and the
+    image-independent products are formed once per chunk.  Only the two
+    embeddings of each chunk's trace are kept, so any number of predict
+    configs can fuse them without another forward.  The forward runs in
+    the weights' dtype, and the embeddings come back in float64, where
+    they are fused and scored, shaped (*models, n_test, K): weights
+    stacked on a leading model axis score every model in the same pass.
     """
     check_test_splits(ds)
-    idx = np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])
+    idx = ds.test_idx
     # No name holds a chunk or its trace, so each is freed before the next.
     psi, Psi = zip(*[
         attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK], params.W1.dtype),
                                          ds.attributes, params))
         for i in range(0, idx.size, EVAL_CHUNK)])
-    psi, Psi = (np.concatenate(e, axis=-2, dtype=np.float64) for e in (psi, Psi))
-    n_unseen = ds.test_unseen_idx.size
-    return ((psi[..., :n_unseen, :], Psi[..., :n_unseen, :]),
-            (psi[..., n_unseen:, :], Psi[..., n_unseen:, :]))
+    return tuple(np.concatenate(e, axis=-2, dtype=np.float64) for e in (psi, Psi))
 
 
 def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:
     """Full metric suite of the model over the dataset's test splits."""
-    unseen, seen = forward_test_splits(params, ds)
-    return report(ds, cfg.fuse(*unseen), cfg.fuse(*seen))
+    return report(ds, cfg.fuse(*forward_test_splits(params, ds)))
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:

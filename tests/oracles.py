@@ -2,9 +2,10 @@
 
 Everything here is written with explicit Python loops and math-module
 scalar arithmetic so the vectorized library implementations are checked
-against a genuinely separate computation path.  The one exception,
-``distill_loss_two_call``, is the earlier vectorized form of a library
-function, kept to pin the bits of its one-pass successor.
+against a genuinely separate computation path.  The two exceptions,
+``distill_loss_two_call`` and ``report_two_splits``, are earlier
+vectorized forms of library functions, kept to pin the bits of their
+one-pass successors.
 """
 
 from __future__ import annotations
@@ -323,6 +324,31 @@ def per_class_accuracy(labels, predictions, classes):
     if not table:
         raise ValueError("no evaluated class has any samples")
     return float(np.mean(list(table.values()))), table
+
+
+def report_two_splits(ds, unseen_embedding, seen_embedding):
+    """The metric suite with each test split's fused (n, K) embedding scored apart.
+
+    Rows follow ``ds.test_unseen_idx`` and ``ds.test_seen_idx``.  CZSL
+    and GZSL rank the unseen split's one score matrix; GZSL ranks the
+    seen split's.  Returns a ``zsl_eval.EvalReport``.
+    """
+    from msdn.zsl_eval import (EvalReport, calibrated_scores, harmonic_mean,
+                               per_class_accuracy, predict)
+
+    split = ds.split
+    unseen_scores, seen_scores = (calibrated_scores(e, ds.class_semantics, split)
+                                  for e in (unseen_embedding, seen_embedding))
+    unseen_labels = ds.labels[ds.test_unseen_idx]
+    acc, _ = per_class_accuracy(unseen_labels, predict(unseen_scores, split, "czsl"),
+                                ds.unseen_classes)
+    u, unseen_table = per_class_accuracy(unseen_labels, predict(unseen_scores, split, "gzsl"),
+                                         ds.unseen_classes)
+    s, seen_table = per_class_accuracy(ds.labels[ds.test_seen_idx],
+                                       predict(seen_scores, split, "gzsl"), ds.seen_classes)
+    per_class = [(c, "seen", a) for c, a in seen_table.items()]
+    per_class += [(c, "unseen", a) for c, a in unseen_table.items()]
+    return EvalReport(acc=acc, U=u, S=s, H=harmonic_mean(s, u), per_class=per_class)
 
 
 def harmonic_mean(s, u):

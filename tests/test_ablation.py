@@ -21,17 +21,17 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
         forwarded.append(regions.shape[0])
         return real_forward(regions, attrs, params)
 
-    def recorded_report(ds, unseen_embedding, seen_embedding):
-        scored.append((unseen_embedding, seen_embedding))
-        return real_report(ds, unseen_embedding, seen_embedding)
+    def recorded_report(ds, embedding):
+        scored.append(embedding)
+        return real_report(ds, embedding)
 
     monkeypatch.setattr(zsl_eval, "forward", counted_forward)
     monkeypatch.setattr(ablation, "report", recorded_report)
     results = run_ablation(ds, cfg)
     # the four lockstep models share one stacked pass; both test splits fit in one EVAL_CHUNK
-    assert forwarded == [ds.test_unseen_idx.size + ds.test_seen_idx.size]
+    assert forwarded == [ds.test_idx.size]
     assert len(results) == len(scored) == 8
-    rows = {r.variant: (r, embeddings) for r, embeddings in zip(results, scored)}
+    rows = {r.variant: (r, embedding) for r, embedding in zip(results, scored)}
 
     # Every MSDN row scores the embeddings of a separately trained model with
     # its fusion, bit for bit; the tiny test splits alone leave several rows
@@ -54,16 +54,15 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
                                   ("full_jsd_only", jsd_only, PredictConfig()),
                                   ("full_l2_only", l2_only, PredictConfig()),
                                   ("full", full, PredictConfig())):
-        row, embeddings = rows[variant]
-        for got, split in zip(embeddings, forward_test_splits(params, ds)):
-            assert np.array_equal(got, pcfg.fuse(*split)), variant
+        row, embedding = rows[variant]
+        assert np.array_equal(embedding, pcfg.fuse(*forward_test_splits(params, ds))), variant
         alone = evaluate(params, ds, pcfg)
         assert (row.acc, row.H) == (alone.acc, alone.H), variant
 
 
 def test_each_embedding_is_scored_once(monkeypatch):
-    # One calibrated score matrix per embedding serves both CZSL and GZSL:
-    # two per report, and the grid reports eight rows.
+    # One calibrated score matrix over all test rows serves both CZSL and
+    # GZSL: one per report, and the grid reports eight rows.
     ds = generate_synthetic(SynthSpec())
     calls = []
     real_scores = zsl_eval.calibrated_scores
@@ -74,10 +73,10 @@ def test_each_embedding_is_scored_once(monkeypatch):
 
     monkeypatch.setattr(zsl_eval, "calibrated_scores", counted_scores)
     evaluate(init_params_from_rng(ModelDims.for_dataset(ds), Rng(1)), ds, PredictConfig())
-    assert len(calls) == 2
+    assert calls == [(ds.test_idx.size, ds.num_attributes)]
     calls.clear()
     run_ablation(ds, TrainConfig(epochs=1, seed=1))
-    assert len(calls) == 16
+    assert calls == [(ds.test_idx.size, ds.num_attributes)] * 8
 
 
 def test_lockstep_grid_peak_memory():

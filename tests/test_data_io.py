@@ -466,6 +466,27 @@ class TestDatasetIsImmutable:
         # A replaced dataset is a new one and builds its own.
         assert dataclasses.replace(tiny_dataset).split is not split
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(data_io.ClassSplit)])
+    def test_class_split_arrays_are_read_only(self, tiny_dataset, name):
+        # Batches and reports read the cached split, so a write would change them all.
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tiny_dataset.split, name)[0] = 5
+
+    def test_test_idx_is_built_once_per_dataset(self, tiny_dataset):
+        idx = tiny_dataset.test_idx
+        assert tiny_dataset.test_idx is idx
+        assert "test_idx" not in {f.name for f in dataclasses.fields(Dataset)}
+        # The unseen test split first, then the seen one, each in its stored order.
+        assert np.array_equal(idx, np.concatenate([tiny_dataset.test_unseen_idx,
+                                                   tiny_dataset.test_seen_idx]))
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = idx[-1]
+        assert dataclasses.replace(tiny_dataset).test_idx is not idx
+        mixed = dataclasses.replace(tiny_dataset,
+                                    test_seen_idx=tiny_dataset.test_seen_idx.astype(np.uint64))
+        assert mixed.test_idx.dtype == np.intp and np.array_equal(mixed.test_idx, idx)
+
     def test_fields_cannot_be_assigned(self, tiny_dataset):
         with pytest.raises(dataclasses.FrozenInstanceError):
             tiny_dataset.labels = np.zeros_like(tiny_dataset.labels)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import patched, random_instance
@@ -22,6 +23,7 @@ from msdn.zsl_eval import (
     harmonic_mean,
     per_class_accuracy,
     predict,
+    report,
     write_per_class_csv,
     write_report_csv,
 )
@@ -185,6 +187,37 @@ class TestPerClassAccuracy:
         assert [a.hex() for a in table.values()] == [a.hex() for a in expected_table.values()]
 
 
+class TestReport:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(draw=st.data())
+    def test_matches_two_split_oracle_exactly(self, tiny_dataset, draw):
+        # Test splits of any order and of down to one row.  Integer class
+        # semantics and embeddings score exactly, so classes tie; float ones
+        # rarely do.  Each model of a stacked embedding is scored alone.
+        def rows(name):
+            idx = getattr(tiny_dataset, name)
+            picked = draw.draw(st.permutations(idx.tolist()), label=name)
+            return np.asarray(picked[:draw.draw(st.integers(1, idx.size), label=f"{name} rows")],
+                              idx.dtype)
+
+        changes = {name: rows(name) for name in ("test_unseen_idx", "test_seen_idx")}
+        if draw.draw(st.booleans(), label="integer"):
+            values = st.integers(-2, 2).map(float)
+            changes["class_semantics"] = draw.draw(arrays(
+                np.float64, tiny_dataset.class_semantics.shape,
+                elements=st.integers(0, 2).map(float)), label="class_semantics")
+        else:
+            values = st.floats(-4.0, 4.0)
+        ds = dataclasses.replace(tiny_dataset, **changes)
+        n_unseen = ds.test_unseen_idx.size
+        stacked = draw.draw(arrays(np.float64, (draw.draw(st.integers(1, 3), label="models"),
+                                                ds.test_idx.size, ds.num_attributes),
+                                   elements=values), label="embedding")
+        for p, embedding in enumerate(stacked):
+            want = oracles.report_two_splits(ds, embedding[:n_unseen], embedding[n_unseen:])
+            assert report(ds, embedding) == want, p
+
+
 @pytest.fixture(scope="module")
 def trained(tiny_dataset):
     outcome = train(tiny_dataset, TrainConfig(epochs=5, batch_size=8, seed=4))
@@ -198,16 +231,15 @@ class TestEvaluate:
         ds = tiny_dataset
         cfg = PredictConfig()
 
-        def fused(idx):
-            trace = forward(ds.features[idx], ds.attributes, trained)
-            return cfg.fuse(trace.psi, trace.Psi)
+        trace = forward(ds.features[ds.test_idx], ds.attributes, trained)
+        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), ds.class_semantics, ds.split)
+        labels = ds.labels[ds.test_idx]
 
-        splits = [(calibrated_scores(fused(idx), ds.class_semantics, ds.split), ds.labels[idx])
-                  for idx in (ds.test_unseen_idx, ds.test_seen_idx)]
-
-        def oracle_predict(scores, split, mode):
-            (labels,) = [lab for s, lab in splits if np.array_equal(s, scores)]
-            return labels
+        def oracle_predict(got, split, mode):
+            # GZSL ranks every test row; CZSL the unseen rows, which come first.
+            n = ds.test_idx.size if mode == "gzsl" else ds.test_unseen_idx.size
+            assert np.array_equal(got, scores[:n]), mode
+            return labels[:n]
 
         monkeypatch.setattr(zsl_eval, "predict", oracle_predict)
         report = evaluate(trained, ds, cfg)
@@ -232,11 +264,14 @@ class TestEvaluate:
         assert sum(calls) == n_unseen + n_seen
 
         monkeypatch.setattr(zsl_eval, "forward", forward)
-        unseen, seen = zsl_eval.forward_test_splits(trained, ds)
-        for (psi, Psi), idx in ((unseen, ds.test_unseen_idx), (seen, ds.test_seen_idx)):
+        psi, Psi = zsl_eval.forward_test_splits(trained, ds)
+        assert psi.shape == Psi.shape == (n_unseen + n_seen, ds.num_attributes)
+        # The unseen split's rows come first, then the seen split's.
+        for rows, idx in ((slice(None, n_unseen), ds.test_unseen_idx),
+                          (slice(n_unseen, None), ds.test_seen_idx)):
             trace = forward(ds.regions(idx, np.float64), ds.attributes, trained)
-            np.testing.assert_allclose(psi, trace.psi, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(Psi, trace.Psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi[rows], trace.psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(Psi[rows], trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
         assert evaluate(trained, ds, PredictConfig()) == report
 
@@ -249,9 +284,10 @@ class TestEvaluate:
         stacked = ModelParams(trained.dims, **{
             name: np.stack([getattr(m, name) for m in models]) for name in PARAM_NAMES})
         together = zsl_eval.forward_test_splits(stacked, ds)
+        assert all(e.shape == (2, ds.test_idx.size, ds.num_attributes) for e in together)
         for p, params in enumerate(models):
-            for got, alone in zip(together, zsl_eval.forward_test_splits(params, ds)):
-                assert all(np.array_equal(g[p], a) for g, a in zip(got, alone)), p
+            alone = zsl_eval.forward_test_splits(params, ds)
+            assert all(np.array_equal(g[p], a) for g, a in zip(together, alone)), p
 
     def test_matches_per_image_oracle(self, tiny_dataset, trained, monkeypatch):
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 2)
@@ -335,15 +371,18 @@ class TestFloat32Eval:
         f32 = train(ds, TrainConfig(epochs=epochs)).params.astype(np.float32)
         e32, e64 = (zsl_eval.forward_test_splits(p, ds)
                     for p in (f32, f32.astype(np.float64)))
-        for split32, split64 in zip(e32, e64):
-            for got, want in zip(split32, split64):
-                assert got.dtype == np.float64
-                assert np.abs(got - want).max() <= self.EMBEDDING_RTOL * np.abs(want).max()
-            scores32, scores64 = (calibrated_scores(PredictConfig().fuse(*e), ds.class_semantics,
-                                                    ds.split) for e in (split32, split64))
-            for mode in zsl_eval.MODES:
-                assert np.array_equal(predict(scores32, ds.split, mode),
-                                      predict(scores64, ds.split, mode)), mode
+        n_unseen = ds.test_unseen_idx.size
+        for got, want in zip(e32, e64):
+            assert got.dtype == np.float64
+            # Each test split is held to the bound relative to its own largest entry.
+            for rows in (slice(None, n_unseen), slice(n_unseen, None)):
+                assert (np.abs(got[rows] - want[rows]).max()
+                        <= self.EMBEDDING_RTOL * np.abs(want[rows]).max())
+        scores32, scores64 = (calibrated_scores(PredictConfig().fuse(*e), ds.class_semantics,
+                                                ds.split) for e in (e32, e64))
+        for mode in zsl_eval.MODES:
+            assert np.array_equal(predict(scores32, ds.split, mode),
+                                  predict(scores64, ds.split, mode)), mode
 
 
 class TestReportCsv:
