@@ -5,12 +5,12 @@ alone, each sub-net trained jointly with distillation but scored alone,
 distillation restricted to its symmetric-KL or L2 term, and the full
 model.  Every variant shares the same seed, the RMSProp loop of
 ``training.fit`` and the calibrated predictor of ``zsl_eval.report``;
-each reports CZSL accuracy and the GZSL harmonic mean.
+each is a plain ``(variant, acc, H)`` row of its CZSL accuracy and
+GZSL harmonic mean, as the CSV writes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +38,8 @@ ROWS = (("v2a_no_distill", 0, V2A), ("a2v_no_distill", 0, A2V),
         ("full_jsd_only", 2, None), ("full_l2_only", 3, None), ("full", 1, None))
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    variant: str
-    acc: float
-    H: float
-
-
 def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
     """Mean-pool the regions and map them with one learned K x d_v matrix."""
-    lcfg = cfg.loss_config()
     rng = Rng(cfg.seed)
     pooled = ds.features.mean(axis=1, dtype=np.float64)  # (N, d_v)
 
@@ -55,11 +47,10 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
     w_pool = weights["W_pool"]
 
     def loss_fn(idx: np.ndarray):
-        # Class-major like total_loss_raw, so acec_loss reduces leading axes.
         embeddings = w_pool @ pooled[idx].T                     # (K, B)
         scores = ds.class_semantics @ embeddings                # (C, B)
-        (loss,), g_scores, _ = acec_loss(scores.T, ds.labels[idx], ds.split, lcfg)
-        g_emb = ds.class_semantics.T @ g_scores.T               # (K, B)
+        (loss,), g_scores, _ = acec_loss(scores, ds.labels[idx], ds.split, cfg.lambda_cal)
+        g_emb = ds.class_semantics.T @ g_scores                 # (K, B)
         grads = FlatArrays({"W_pool": w_pool.shape})
         np.matmul(g_emb, pooled[idx], out=grads["W_pool"])
         return LossBreakdown(loss, 0.0, 0.0, loss), grads
@@ -72,25 +63,26 @@ def run_ablation(
     ds: Dataset,
     cfg: TrainConfig,
     predict_cfg: PredictConfig = PredictConfig(),
-) -> list[AblationResult]:
+) -> list[tuple[str, float, float]]:
     """Train and score all eight variants with a shared seed and config.
 
     The ``MODELS`` are trained in one lockstep ``train`` call, and their
     test splits are forwarded in one stacked pass; every row of ``ROWS``
-    fuses its model's test embedding and scores it once.
+    fuses its model's test embedding and scores it once.  Returns one
+    ``(variant, acc, H)`` row per variant, the baseline first.
     """
     check_test_splits(ds)
     base = _run_baseline(ds, cfg)
-    results = [AblationResult("baseline", base.acc, base.H)]
-    params = train(ds, cfg, loss_cfg=tuple(cfg.loss_config(**o) for o in MODELS)).params
+    rows = [("baseline", base.acc, base.H)]
+    params, _ = train(ds, cfg, loss_cfg=tuple(cfg.loss_config(**o) for o in MODELS))
     psi, Psi = forward_test_splits(params, ds)
     for name, p, fusion in ROWS:
         scored = report(ds, (fusion or predict_cfg).fuse(psi[p], Psi[p]))
-        results.append(AblationResult(name, scored.acc, scored.H))
-    return results
+        rows.append((name, scored.acc, scored.H))
+    return rows
 
 
-def write_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
-    if not results:
+def write_ablation_csv(rows: list[tuple[str, float, float]], path: str | Path) -> None:
+    if not rows:
         raise ArgumentError("no ablation results to write")
-    write_table(path, ABLATION_CSV_HEADER, ((r.variant, r.acc, r.H) for r in results))
+    write_table(path, ABLATION_CSV_HEADER, rows)

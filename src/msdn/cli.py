@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ablation, data_io, losses, model, training, zsl_eval
-from .configfile import require_seed
+from .configfile import load_config, require_seed
 from .errors import ArgumentError, GradientCheckError, MsdnError, ShapeError
 from .ndmath import Rng, grad_check_detail
 
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_data(args) -> int:
-    spec = data_io.load_synth_spec(args.spec) if args.spec else data_io.SynthSpec()
+    spec = load_config(data_io.SynthSpec, args.spec) if args.spec else data_io.SynthSpec()
     seed = _resolve_seed(args.seed, spec.seed)
     spec = dataclasses.replace(spec, seed=seed)
     ds = data_io.generate_synthetic(spec)
@@ -127,15 +127,14 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = training.load_train_config(args.config)
+    cfg = load_config(training.TrainConfig, args.config)
     ds = data_io.load_container(args.data)
-    outcome = training.train(ds, cfg)
-    model.save_checkpoint(outcome.params, args.out)
+    params, history = training.train(ds, cfg)
+    model.save_checkpoint(params, args.out)
     if args.history:
-        training.write_history_csv(outcome.history, args.history)
-    if outcome.history:
-        print(f"trained {cfg.epochs} epochs, final total loss "
-              f"{outcome.history[-1].total:.6f}")
+        training.write_history_csv(history, args.history)
+    if history:
+        print(f"trained {cfg.epochs} epochs, final total loss {history[-1].total:.6f}")
     else:
         print("trained 0 epochs (parameters left at initialization)")
     return 0
@@ -219,13 +218,13 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = training.load_train_config(args.config)
+    cfg = load_config(training.TrainConfig, args.config)
     predict_cfg = zsl_eval.PredictConfig(alpha1=args.alpha1, alpha2=args.alpha2)
     ds = data_io.load_container(args.data)
-    results = ablation.run_ablation(ds, cfg, predict_cfg)
-    ablation.write_ablation_csv(results, args.out)
-    for row in results:
-        print(f"{row.variant} acc={row.acc:.4f} H={row.H:.4f}")
+    rows = ablation.run_ablation(ds, cfg, predict_cfg)
+    ablation.write_ablation_csv(rows, args.out)
+    for variant, acc, H in rows:
+        print(f"{variant} acc={acc:.4f} H={H:.4f}")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Flat key=value configuration files and the rule every config obeys.
 
 One ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored.  Keys mirror dataclass field names, so any config dataclass can
-be read from text.  Config dataclasses check their fields in
-``__post_init__``, so a config that exists is a valid one.
+ignored.  Keys mirror dataclass field names, so ``load_config`` reads
+any config dataclass from a file.  Config dataclasses check their fields
+in ``__post_init__``, so a config that exists is a valid one.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ def require_seed(what: str, seed: int) -> int:
     return seed
 
 
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read a key=value file into a string-to-string mapping."""
-    out: dict[str, str] = {}
+def load_config(cls, path: str | Path):
+    """Read config dataclass ``cls`` from a key=value file.  Every line is parsed
+    before the keys are checked and converted in file order, so a malformed
+    line is reported ahead of an unknown key or a bad value anywhere."""
+    pairs: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -48,23 +50,10 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ArgumentError(f"{path}:{lineno}: empty key")
-        if key in out:
+        if key in pairs:
             raise ArgumentError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
+        pairs[key] = value.strip()
 
-
-def _convert(value: str, target: type, key: str):
-    try:
-        return target(value)
-    except ValueError as exc:
-        raise ArgumentError(
-            f"config key {key!r}: cannot parse {value!r} as {target.__name__}"
-        ) from exc
-
-
-def dataclass_from_kv(cls, pairs: dict[str, str]):
-    """Build a config dataclass from string pairs, rejecting unknown keys."""
     hints = typing.get_type_hints(cls)
     fields = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -73,5 +62,10 @@ def dataclass_from_kv(cls, pairs: dict[str, str]):
             raise ArgumentError(
                 f"unknown config key {key!r} (valid: {', '.join(sorted(fields))})"
             )
-        kwargs[key] = _convert(value, fields[key], key)
+        try:
+            kwargs[key] = fields[key](value)
+        except ValueError as exc:
+            raise ArgumentError(
+                f"config key {key!r}: cannot parse {value!r} as {fields[key].__name__}"
+            ) from exc
     return cls(**kwargs)

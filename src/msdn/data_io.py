@@ -35,12 +35,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
+from .configfile import require_finite, require_seed
 from .errors import (
     ArgumentError,
     BadMagicError,
     ContainerFormatError,
     DatasetValidationError,
+    NumericError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -245,11 +246,6 @@ class SynthSpec:
         return max(1, self.num_attributes // 4)
 
 
-def load_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a SynthSpec from a flat key=value file."""
-    return dataclass_from_kv(SynthSpec, parse_kv_file(path))
-
-
 # --------------------------------------------------------------------------
 # Output files
 # --------------------------------------------------------------------------
@@ -319,7 +315,8 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 # --------------------------------------------------------------------------
 
 def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> None:
-    """Write named tensors; floats stored as f32, integers as i32."""
+    """Write named tensors; floats stored as f32, integers as i32.  A finite float
+    that overflows f32 raises ``NumericError`` before the file is opened."""
     seen_names = set()
     chunks = [_MAGIC, struct.pack("<II", _VERSION, len(items))]
     for name, arr in items:
@@ -328,7 +325,10 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
         seen_names.add(name)
         data = np.ascontiguousarray(arr)
         if data.dtype.kind == "f":
-            code, payload = _DTYPE_F32, data.astype("<f4", copy=False)
+            with np.errstate(over="ignore"):
+                code, payload = _DTYPE_F32, data.astype("<f4", copy=False)
+            if payload is not data and (np.isinf(payload) > np.isinf(data)).any():
+                raise NumericError(f"tensor {name!r} overflows float32")
         elif data.dtype.kind in "iu":
             code, payload = _DTYPE_I32, data.astype("<i4", copy=False)
         else:

@@ -1,14 +1,15 @@
 """Training objective: calibrated cross-entropy plus peer distillation.
 
-Each sub-net's class scores feed an attribute-based cross-entropy over
-the seen classes, optionally extended by a self-calibration term that
-steers probability mass toward unseen classes; both terms read the
-sorted classes and offsets of a ``data_io.ClassSplit``.  The
-distillation term aligns the two sub-nets' seen-class posteriors
-through a symmetric KL divergence and a squared L2 distance.  It reads
-the two posteriors as one class-major (classes, *models, 2, batch)
-pair, the layout the cross-entropy pass leaves them in, so one pass
-serves both sub-nets.
+Each sub-net's class scores, held class-major as (classes, rows), feed
+an attribute-based cross-entropy over the seen classes, optionally
+extended by a self-calibration term that steers probability mass toward
+unseen classes; both terms read the sorted classes and offsets of a
+``data_io.ClassSplit``, and the pass returns its gradient and
+seen-class posteriors class-major too.  The distillation term aligns
+the two sub-nets' seen-class posteriors through a symmetric KL
+divergence and a squared L2 distance.  It reads the two posteriors as
+one class-major (classes, *models, 2, batch) pair, a reshape of what the
+cross-entropy pass returns, so one pass serves both sub-nets.
 Every loss returns analytic gradients; the total objective chains them
 through the attention forwards into all five parameter matrices.
 """
@@ -93,33 +94,31 @@ def acec_loss(
     scores: np.ndarray,
     labels: np.ndarray,
     split: ClassSplit,
-    cfg: LossConfig,
+    lambda_cal: float,
 ) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Attribute-based cross-entropy with self-calibration.
 
-    ``scores`` stacks one or more (batch, C) blocks over all classes, one
-    per sub-net and model, each scored against the same ``labels``.  The
-    supervised term is the mean negative log softmax over seen-class
-    scores at the true label.  The calibration term offsets every logit by
-    ``split.indicator``, softmaxes over all classes, and penalizes low
-    unseen-class log-probabilities, weighted by ``cfg.lambda_cal``.  Every
-    step is row-wise, so a block scores as it would alone.  Returns each
-    block's loss, the gradient w.r.t. ``scores`` and the seen-class
-    softmax of every row (what distillation compares).
-
-    The work runs on ``scores.T``, class-major, so every softmax and sum
-    over classes reduces the outermost axis when ``scores`` is a view of
-    a C-order (C, rows) array, as ``total_loss_raw`` passes it.  Both
-    returned arrays are such views.
+    ``scores`` is class-major, (C, rows): its columns stack one or more
+    batches over all classes, one per sub-net and model, each scored
+    against the same ``labels``.  The supervised term is the mean
+    negative log softmax over seen-class scores at the true label.  The
+    calibration term offsets every logit by ``split.indicator``,
+    softmaxes over all classes, and penalizes low unseen-class
+    log-probabilities, weighted by ``lambda_cal``.  Every step is
+    column-wise, so a block scores as it would alone, and every softmax
+    and sum over classes reduces the outermost axis.  Returns each
+    block's loss, the (C, rows) gradient w.r.t. ``scores`` and the
+    (C_s, rows) seen-class softmax of every column (what distillation
+    compares), both class-major like ``scores``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.ndim != 2 or scores.shape[1] != split.indicator.size:
-        raise ShapeError(f"scores must be (rows, {split.indicator.size}), got {scores.shape}")
-    if labels.ndim != 1 or labels.size == 0 or scores.shape[0] % labels.size:
-        raise ShapeError(f"labels of shape {labels.shape} do not tile {scores.shape[0]} rows")
+    if scores.ndim != 2 or scores.shape[0] != split.indicator.size:
+        raise ShapeError(f"scores must be ({split.indicator.size}, rows), got {scores.shape}")
+    if labels.ndim != 1 or labels.size == 0 or scores.shape[1] % labels.size:
+        raise ShapeError(f"labels of shape {labels.shape} do not tile {scores.shape[1]} rows")
     batch = labels.size
-    blocks = scores.shape[0] // batch
+    blocks = scores.shape[1] // batch
 
     seen, unseen = split.seen, split.unseen
     try:
@@ -130,11 +129,10 @@ def acec_loss(
     if not known:
         bad_labels = sorted({int(v) for v in labels[~np.isin(labels, seen)]})
         raise ArgumentError(f"labels outside the seen classes: {bad_labels}")
-    classes_by_row = scores.T                           # (C, rows)
-    label_rows, cols = np.concatenate((label_pos,) * blocks), np.arange(scores.shape[0])
+    label_rows, cols = np.concatenate((label_pos,) * blocks), np.arange(scores.shape[1])
 
     # supervised term over seen-class scores only; a mean is its sum / n
-    seen_scores = classes_by_row[seen]                  # (C_s, rows)
+    seen_scores = scores[seen]                          # (C_s, rows)
     lse = log_sum_exp(seen_scores, axis=0)
     losses = (lse - seen_scores[label_rows, cols]).reshape(blocks, batch).sum(axis=1) / batch
     p_seen = np.exp(seen_scores - lse)
@@ -142,20 +140,19 @@ def acec_loss(
     g_seen[label_rows, cols] -= 1.0
     g_seen /= batch
 
-    if cfg.lambda_cal > 0 and unseen.size > 0:
-        shifted = classes_by_row + split.indicator[:, None]
+    if lambda_cal > 0 and unseen.size > 0:
+        shifted = scores + split.indicator[:, None]
         log_q = shifted - log_sum_exp(shifted, axis=0)
         # per-sample cross-entropy mass on the unseen classes
         cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
-        losses += cfg.lambda_cal * (cal_rows.sum(axis=1) / batch)
-        grad = cfg.lambda_cal * ((unseen.size * np.exp(log_q) - split.unseen_mask[:, None])
-                                 / batch)
+        losses += lambda_cal * (cal_rows.sum(axis=1) / batch)
+        grad = lambda_cal * ((unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch)
         grad[seen] += g_seen
     else:
-        grad = np.zeros_like(classes_by_row)
+        grad = np.zeros_like(scores)
         grad[seen] = g_seen
 
-    return losses.tolist(), grad.T, p_seen.T
+    return losses.tolist(), grad, p_seen
 
 
 def distill_loss(pair: np.ndarray, terms: LossTerms) -> tuple[np.ndarray, np.ndarray]:
@@ -234,13 +231,13 @@ def total_loss_raw(
     scores = class_semantics @ np.concatenate(
         [trace.psi.swapaxes(-1, -2), trace.Psi.swapaxes(-1, -2)], axis=-1)
     scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
-    acec, g_rows, p_seen = acec_loss(scores.T, labels, split, terms.cfg)
+    acec, g_scores, p_seen = acec_loss(scores, labels, split, terms.cfg.lambda_cal)
     acec = np.array(acec).reshape(models + (2,))           # (..., sub-net)
-    g_scores = g_rows.T.reshape((-1, *models, 2, batch))   # views of the same gradient
+    g_scores = g_scores.reshape((-1, *models, 2, batch))
 
     distill = np.zeros(models)
     if terms.distills:
-        distill, g = distill_loss(p_seen.T.reshape((-1, *models, 2, batch)), terms)
+        distill, g = distill_loss(p_seen.reshape((-1, *models, 2, batch)), terms)
         g_scores[split.seen] += terms.lam[..., None, None] * g
 
     a2v, v2a = acec[..., 0], acec[..., 1]

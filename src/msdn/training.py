@@ -1,4 +1,4 @@
-"""RMSProp training loop with deterministic batching and checkpoints.
+"""RMSProp training loop with deterministic batching and a loss history.
 
 The optimizer update, per parameter and elementwise, is
 
@@ -11,20 +11,21 @@ i.e. classic RMSProp with momentum applied to the preconditioned
 gradient and coupled L2 weight decay.  The update runs in place, in one
 pass: a run holds its parameters, square averages and momentum buffers
 as one flat array each (``FlatArrays``), and each step consumes its
-batch's flat gradient array.  Training is a pure function of (dataset,
-config): one PRNG seeded from the config drives both the parameter init
-and the per-epoch shuffles.
+batch's flat gradient array.  ``train`` is a pure function of (dataset,
+config) to (params, history): one PRNG seeded from the config drives
+both the parameter init and the per-epoch shuffles.  Configs come from
+files through ``configfile.load_config``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .configfile import dataclass_from_kv, parse_kv_file, require_finite, require_seed
+from .configfile import require_finite, require_seed
 from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import LossBreakdown, LossConfig, LossTerms, total_loss_raw
@@ -72,11 +73,6 @@ class TrainConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(LossConfig)
                   if hasattr(self, f.name)}
         return LossConfig(**{**shared, **overrides})
-
-
-def load_train_config(path: str | Path) -> TrainConfig:
-    """Read a TrainConfig from a flat key=value file."""
-    return dataclass_from_kv(TrainConfig, parse_kv_file(path))
 
 
 # Elements per block of the RMSProp step, the size of its one scratch
@@ -134,12 +130,6 @@ def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-@dataclass
-class TrainResult:
-    params: ModelParams
-    history: list[LossBreakdown] = field(default_factory=list)
-
-
 def fit(
     weights: FlatArrays,
     loss_fn: Callable[[np.ndarray], tuple[LossBreakdown, FlatArrays]],
@@ -185,8 +175,8 @@ def train(
     ds: Dataset,
     cfg: TrainConfig,
     loss_cfg: tuple[LossConfig, ...] | None = None,
-) -> TrainResult:
-    """Train on ``ds.train_idx``; returns final params and per-epoch losses.
+) -> tuple[ModelParams, list[LossBreakdown]]:
+    """Train on ``ds.train_idx``; returns the final params and per-epoch losses.
 
     With no ``loss_cfg``, one model trains with ``cfg.loss_config()``.  A
     tuple of LossConfigs trains one model per config in lockstep, each
@@ -206,8 +196,7 @@ def train(
         return total_loss_raw(params, ds.regions(idx, params.W1.dtype), ds.labels[idx],
                               ds.attributes, ds.class_semantics, ds.split, terms)
 
-    history = fit(weights, loss_fn, ds.train_idx, cfg, rng)
-    return TrainResult(params=params, history=history)
+    return params, fit(weights, loss_fn, ds.train_idx, cfg, rng)
 
 
 def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:

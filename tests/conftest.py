@@ -35,13 +35,17 @@ def tiny_dataset() -> Dataset:
     return generate_synthetic(TINY_SPEC)
 
 
-def acec(scores, labels, seen, unseen, cfg):
-    """ACEC loss and score gradient of a single (batch, C) score block."""
+def acec(scores, labels, seen, unseen, lambda_cal):
+    """ACEC loss and score gradient of a single (batch, C) score block.
+
+    Row-major like the scalar oracles; ``acec_loss`` reads and returns
+    the class-major transpose.
+    """
     from msdn.data_io import ClassSplit
     from msdn.losses import acec_loss
 
-    (loss,), grad, _ = acec_loss(scores, labels, ClassSplit.of(seen, unseen), cfg)
-    return loss, grad
+    (loss,), grad, _ = acec_loss(scores.T, labels, ClassSplit.of(seen, unseen), lambda_cal)
+    return loss, grad.T
 
 
 def distill(scores1, scores2, cfg):

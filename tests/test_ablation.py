@@ -31,7 +31,9 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
     # the four lockstep models share one stacked pass; both test splits fit in one EVAL_CHUNK
     assert forwarded == [ds.test_idx.size]
     assert len(results) == len(scored) == 8
-    rows = {r.variant: (r, embedding) for r, embedding in zip(results, scored)}
+    # plain (variant, acc, H) rows: the baseline's row scores the first embedding
+    rows = {variant: (acc, H, embedding)
+            for (variant, acc, H), embedding in zip(results, scored)}
 
     # Every MSDN row scores the embeddings of a separately trained model with
     # its fusion, bit for bit; the tiny test splits alone leave several rows
@@ -41,7 +43,7 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
 
     def alone(overrides):
         """The weights of one model trained on its own, as a stack of one."""
-        params = train(ds, cfg, loss_cfg=(cfg.loss_config(**overrides),)).params
+        params, _ = train(ds, cfg, loss_cfg=(cfg.loss_config(**overrides),))
         return ModelParams(params.dims, **{name: w[0] for name, w in params.as_dict().items()})
 
     full, no_distill, jsd_only, l2_only = (
@@ -54,10 +56,10 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
                                   ("full_jsd_only", jsd_only, PredictConfig()),
                                   ("full_l2_only", l2_only, PredictConfig()),
                                   ("full", full, PredictConfig())):
-        row, embedding = rows[variant]
+        acc, H, embedding = rows[variant]
         assert np.array_equal(embedding, pcfg.fuse(*forward_test_splits(params, ds))), variant
         alone = evaluate(params, ds, pcfg)
-        assert (row.acc, row.H) == (alone.acc, alone.H), variant
+        assert (acc, H) == (alone.acc, alone.H), variant
 
 
 def test_each_embedding_is_scored_once(monkeypatch):

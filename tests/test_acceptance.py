@@ -105,7 +105,7 @@ def test_oracle_equivalence():
         cfg = LossConfig(lambda_cal=0.1)
         rng = Rng(seed + 5000)
         scores = rng.uniform(-2.0, 2.0, 2, semantics.shape[0])
-        got_acec, _ = acec(scores, labels, seen, unseen, cfg)
+        got_acec, _ = acec(scores, labels, seen, unseen, cfg.lambda_cal)
         want_acec = oracles.acec_loss(scores, labels, seen, unseen, 0.1)
         worst = max(worst, abs(got_acec - want_acec))
 
@@ -198,26 +198,26 @@ def test_end_to_end_synthetic_learning(default_dataset):
     cfg = TrainConfig()
     assert cfg.epochs == 200
 
-    full = train(ds, cfg)
+    full, _ = train(ds, cfg)
     pcfg = PredictConfig()
 
     seen_sorted = np.sort(ds.seen_classes.astype(np.int64))
     train_labels = ds.labels[ds.train_idx]
-    trace = forward(ds.regions(ds.train_idx, np.float64), ds.attributes, full.params)
+    trace = forward(ds.regions(ds.train_idx, np.float64), ds.attributes, full)
     fused = pcfg.alpha1 * trace.psi + pcfg.alpha2 * trace.Psi               # (N, K)
     scores = fused @ ds.class_semantics[seen_sorted].T                      # (N, C_s)
     preds = seen_sorted[np.argmax(scores, axis=1)]
     train_acc, _ = per_class_accuracy(train_labels, preds, ds.seen_classes)
     assert train_acc >= 0.95, f"training seen accuracy {train_acc:.3f}"
 
-    report = evaluate(full.params, ds, pcfg)
+    report = evaluate(full, ds, pcfg)
     assert report.acc >= 0.45, f"CZSL unseen accuracy {report.acc:.3f}"
 
     # Without distillation the two sub-nets train independently, so the
     # halves of one model are the single-branch models.
-    no_distill = train(ds, dataclasses.replace(cfg, lambda_distill=0.0))
-    a2v_report = evaluate(no_distill.params, ds, PredictConfig(alpha1=1.0, alpha2=0.0))
-    v2a_report = evaluate(no_distill.params, ds, PredictConfig(alpha1=0.0, alpha2=1.0))
+    no_distill, _ = train(ds, dataclasses.replace(cfg, lambda_distill=0.0))
+    a2v_report = evaluate(no_distill, ds, PredictConfig(alpha1=1.0, alpha2=0.0))
+    v2a_report = evaluate(no_distill, ds, PredictConfig(alpha1=0.0, alpha2=1.0))
     assert report.acc >= a2v_report.acc, (
         f"full {report.acc:.3f} < attribute->visual alone {a2v_report.acc:.3f}")
     assert report.acc >= v2a_report.acc, (
@@ -236,8 +236,8 @@ def test_determinism(default_dataset, tmp_path):
     cfg = TrainConfig(epochs=4, batch_size=64, seed=9)
     first = tmp_path / "run1.ckpt"
     second = tmp_path / "run2.ckpt"
-    save_checkpoint(train(default_dataset, cfg).params, first)
-    save_checkpoint(train(default_dataset, cfg).params, second)
+    save_checkpoint(train(default_dataset, cfg)[0], first)
+    save_checkpoint(train(default_dataset, cfg)[0], second)
     assert first.read_bytes() == second.read_bytes()
 
     container_a = tmp_path / "ds_a.zsld"
@@ -250,15 +250,15 @@ def test_determinism(default_dataset, tmp_path):
 
 def test_ablation_harness(default_dataset):
     cfg = TrainConfig(epochs=10, seed=5)
-    results = run_ablation(default_dataset, cfg)
-    names = [r.variant for r in results]
+    rows = run_ablation(default_dataset, cfg)
+    names = [variant for variant, _, _ in rows]
     assert names == [
         "baseline", "v2a_no_distill", "a2v_no_distill", "v2a_with_distill",
         "a2v_with_distill", "full_jsd_only", "full_l2_only", "full",
     ]
     full, jsd, l2 = (cfg.loss_config(**o) for o in
                      ({}, {"distill_l2": False}, {"distill_jsd": False}))
-    history = train(default_dataset, cfg, loss_cfg=(full, jsd, l2)).history
+    _, history = train(default_dataset, cfg, loss_cfg=(full, jsd, l2))
     full_trace, jsd_trace, l2_trace = zip(*(h.total for h in history))
     assert jsd_trace != full_trace, "JSD-only trace identical to full"
     assert l2_trace != full_trace, "L2-only trace identical to full"

@@ -28,8 +28,8 @@ def attention_match_rate(ds, params, attention: str) -> float:
 @pytest.fixture(scope="module")
 def noiseless_trained():
     ds = generate_synthetic(dataclasses.replace(SynthSpec(), noise_std=0.0))
-    outcome = train(ds, TrainConfig())
-    return ds, outcome.params
+    params, _ = train(ds, TrainConfig())
+    return ds, params
 
 
 @pytest.mark.xfail(

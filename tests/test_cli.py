@@ -680,6 +680,27 @@ class TestNumericFailure:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [None, b"old checkpoint"], ids=["new", "existing"])
+    def test_weights_beyond_float32_exit_4_and_write_no_checkpoint(
+            self, tmp_path, data_file, capsys, existing):
+        # One step leaves finite float64 weights that the f32 checkpoint cannot hold.
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 1000\nlearning_rate = 1e40\n")
+        out = tmp_path / "big.ckpt"
+        if existing is not None:
+            out.write_bytes(existing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--data", str(data_file), "--config", str(cfg),
+                           "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4, captured.err
+        assert captured.err.splitlines() == ["error: tensor 'W1' overflows float32"]
+        assert captured.out == ""
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["big.cfg", "data.zsld", "spec.cfg"] + (["big.ckpt"] if existing else []))
+
 
     @pytest.fixture()
     def stock_files(self, tmp_path, train_cfg_file, capsys):

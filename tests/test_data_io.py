@@ -12,6 +12,7 @@ import pytest
 import oracles
 from conftest import TINY_SPEC, format_kv, patched
 from msdn import data_io
+from msdn.configfile import load_config
 from msdn.ndmath import Rng
 from msdn.data_io import (
     GEN_REGION_ATTRIBUTE,
@@ -19,7 +20,6 @@ from msdn.data_io import (
     SynthSpec,
     generate_synthetic,
     load_container,
-    load_synth_spec,
     read_container,
     save_container,
     validate_dataset,
@@ -30,6 +30,7 @@ from msdn.errors import (
     BadMagicError,
     ContainerFormatError,
     DatasetValidationError,
+    NumericError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -81,6 +82,24 @@ class TestContainerRoundTrip:
                 tiny_dataset, labels=patched(tiny_dataset.labels, 0, 99)), path)
         assert any("labels must lie in" in m for m in exc.value.violations)
         assert not path.exists()
+
+    def test_save_rejects_a_finite_value_beyond_float32(self, tiny_dataset, tmp_path):
+        # Attributes are float64 in memory; 1e39 would be stored as an f32 inf
+        # that load_container rejects, so nothing is written.
+        ds = dataclasses.replace(tiny_dataset,
+                                 attributes=patched(tiny_dataset.attributes, (1, 2), 1e39))
+        path = tmp_path / "big.zsld"
+        path.write_bytes(b"old")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'attributes' overflows float32"):
+                save_container(ds, path)
+        assert path.read_bytes() == b"old" and temp_files(tmp_path) == []
+        # float64 entries that f32 holds, and non-finite ones, are stored as they are
+        wide = np.array([3e38, -np.inf, np.nan])
+        write_container(path, [("x", wide)])
+        assert np.array_equal(read_container(path)[0][1], wide.astype(np.float32),
+                              equal_nan=True)
 
 
     def test_read_makes_no_payload_copy(self, tmp_path):
@@ -680,10 +699,10 @@ class TestSynthSpecFile:
     def test_load_from_kv_file(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text(format_kv(TINY_SPEC))
-        assert load_synth_spec(path) == TINY_SPEC
+        assert load_config(SynthSpec, path) == TINY_SPEC
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("bogus = 3\n")
         with pytest.raises(ArgumentError, match="bogus"):
-            load_synth_spec(path)
+            load_config(SynthSpec, path)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import TINY_SPEC, format_kv
 from msdn import cli
-from msdn.configfile import dataclass_from_kv, parse_kv_file
+from msdn.configfile import load_config
 from msdn.data_io import SynthSpec, write_container
 from msdn.errors import ArgumentError, ContainerFormatError, ShapeError
 from msdn.losses import LossConfig
@@ -94,7 +94,7 @@ class TestCheckpointValidation:
 class TestHistoryBreakdownInvariant:
     def test_epoch_rows_satisfy_total_identity(self, tiny_dataset):
         cfg = TrainConfig(epochs=6, batch_size=7, seed=12)
-        history = train(tiny_dataset, cfg).history
+        _, history = train(tiny_dataset, cfg)
         for row in history:
             expected = row.acec_a2v + row.acec_v2a + cfg.lambda_distill * row.distill
             assert row.total == pytest.approx(expected, abs=1e-12)
@@ -105,19 +105,39 @@ class TestKvFile:
         path = tmp_path / "cfg"
         path.write_text("epochs 3\n")
         with pytest.raises(ArgumentError, match="key=value"):
-            parse_kv_file(path)
+            load_config(TrainConfig, path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("a = 1\na = 2\n")
+        path.write_text("epochs = 1\nepochs = 2\n")
         with pytest.raises(ArgumentError, match="duplicate"):
-            parse_kv_file(path)
+            load_config(TrainConfig, path)
 
     def test_empty_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text(" = 2\n")
         with pytest.raises(ArgumentError, match="empty key"):
-            parse_kv_file(path)
+            load_config(TrainConfig, path)
+
+    @pytest.mark.parametrize("first", ["no_such_key = 1", "epochs = many", "momentum = 1.5"])
+    @pytest.mark.parametrize("later,message", [("epochs 3", r":3: expected key=value"),
+                                               ("first = 1\nfirst = 2", r":4: duplicate key"),
+                                               (" = 2", r":3: empty key")])
+    def test_malformed_line_reported_before_any_key_is_checked(self, tmp_path, first, later,
+                                                               message):
+        path = tmp_path / "cfg"
+        path.write_text(f"{first}\n# comment\n{later}\n")
+        with pytest.raises(ArgumentError, match=message):
+            load_config(TrainConfig, path)
+
+    def test_keys_checked_in_file_order(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("epochs = many\nno_such_key = 1\n")
+        with pytest.raises(ArgumentError, match="cannot parse 'many' as int"):
+            load_config(TrainConfig, path)
+        path.write_text("no_such_key = 1\nepochs = many\n")
+        with pytest.raises(ArgumentError, match="unknown config key 'no_such_key'"):
+            load_config(TrainConfig, path)
 
     @pytest.mark.parametrize("cls", [TrainConfig, SynthSpec])
     def test_file_configs_have_only_int_and_float_fields(self, cls):
@@ -131,9 +151,10 @@ _CONFIGS = (SynthSpec, TrainConfig, LossConfig, PredictConfig)
 _FLOAT_FIELDS = [(cls, f.name) for cls in _CONFIGS for f in dataclasses.fields(cls)
                  if typing.get_type_hints(cls)[f.name] is float]
 _BUILDERS = {
-    "construct": lambda cls, name, value: cls(**{name: value}),
-    "replace": lambda cls, name, value: dataclasses.replace(cls(), **{name: value}),
-    "from_kv": lambda cls, name, value: dataclass_from_kv(cls, {name: str(value)}),
+    "construct": lambda cls, name, value, path: cls(**{name: value}),
+    "replace": lambda cls, name, value, path: dataclasses.replace(cls(), **{name: value}),
+    "from_file": lambda cls, name, value, path: (path.write_text(f"{name} = {value}\n"),
+                                                 load_config(cls, path)),
 }
 
 
@@ -142,9 +163,9 @@ class TestConfigsRejectNonFinite:
                              ids=[f"{c.__name__}.{n}" for c, n in _FLOAT_FIELDS])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("build", sorted(_BUILDERS))
-    def test_every_float_field(self, cls, name, value, build):
+    def test_every_float_field(self, cls, name, value, build, tmp_path):
         with pytest.raises(ArgumentError, match=f"{cls.__name__}.{name} must be finite"):
-            _BUILDERS[build](cls, name, value)
+            _BUILDERS[build](cls, name, value, tmp_path / "cfg")
 
 
 @pytest.fixture()

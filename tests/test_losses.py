@@ -40,17 +40,15 @@ def finite_diff_scores(fn, scores, step=1e-6):
 
 class TestAcecLoss:
     def test_uniform_scores_give_log_c(self):
-        cfg = LossConfig(lambda_cal=0.0)
         scores = np.zeros((3, 6))
         labels = np.array([0, 1, 3])
-        loss, _ = acec(scores, labels, np.arange(4), np.arange(4, 6), cfg)
+        loss, _ = acec(scores, labels, np.arange(4), np.arange(4, 6), 0.0)
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_saturated_softmax_vanishes(self):
-        cfg = LossConfig(lambda_cal=0.0)
         scores = np.zeros((1, 5))
         scores[0, 2] = 20.0
-        loss, _ = acec(scores, np.array([2]), np.arange(3), np.arange(3, 5), cfg)
+        loss, _ = acec(scores, np.array([2]), np.arange(3), np.arange(3, 5), 0.0)
         assert loss < 1e-8
 
     def test_matches_scalar_oracle(self):
@@ -58,8 +56,7 @@ class TestAcecLoss:
         scores = rng.uniform(-2.0, 2.0, 4, 5)
         labels = np.array([0, 2, 1, 0])
         seen, unseen = np.arange(3), np.arange(3, 5)
-        cfg = LossConfig(lambda_cal=0.1)
-        loss, _ = acec(scores, labels, seen, unseen, cfg)
+        loss, _ = acec(scores, labels, seen, unseen, 0.1)
         expected = oracles.acec_loss(scores, labels, seen, unseen, 0.1)
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -68,7 +65,7 @@ class TestAcecLoss:
         scores = rng.uniform(-3.0, 3.0, 5, 7)
         labels = np.array([1, 0, 3, 2, 1])
         seen, unseen = np.arange(4), np.arange(4, 7)
-        loss, _ = acec(scores, labels, seen, unseen, LossConfig(lambda_cal=0.0))
+        loss, _ = acec(scores, labels, seen, unseen, 0.0)
         expected = oracles.acec_loss(scores, labels, seen, unseen, 0.0)
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -77,25 +74,22 @@ class TestAcecLoss:
         scores = rng.uniform(-2.0, 2.0, 3, 5)
         labels = np.array([0, 1, 2])
         seen, unseen = np.arange(3), np.arange(3, 5)
-        cfg = LossConfig(lambda_cal=0.0)
-        base, _ = acec(scores, labels, seen, unseen, cfg)
-        shifted, _ = acec(scores + 7.5, labels, seen, unseen, cfg)
+        base, _ = acec(scores, labels, seen, unseen, 0.0)
+        shifted, _ = acec(scores + 7.5, labels, seen, unseen, 0.0)
         assert shifted == pytest.approx(base, abs=1e-10)
 
     def test_label_outside_seen_rejected(self):
-        cfg = LossConfig()
         with pytest.raises(ArgumentError, match="outside the seen"):
-            acec(np.zeros((1, 4)), np.array([3]), np.arange(3), np.array([3]), cfg)
+            acec(np.zeros((1, 4)), np.array([3]), np.arange(3), np.array([3]), 0.1)
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(24)
         scores = rng.uniform(-1.0, 1.0, 3, 6)
         labels = np.array([2, 0, 1])
         seen, unseen = np.arange(4), np.arange(4, 6)
-        cfg = LossConfig(lambda_cal=0.2)
-        _, grad = acec(scores, labels, seen, unseen, cfg)
+        _, grad = acec(scores, labels, seen, unseen, 0.2)
         numeric = finite_diff_scores(
-            lambda s: acec(s, labels, seen, unseen, cfg)[0], scores
+            lambda s: acec(s, labels, seen, unseen, 0.2)[0], scores
         )
         np.testing.assert_allclose(grad, numeric, atol=1e-8)
 
@@ -103,21 +97,23 @@ class TestAcecLoss:
         rng = Rng(25)
         labels = np.array([3, 0, 2])
         seen, unseen = np.arange(4), np.arange(4, 6)
-        blocks = [rng.uniform(-2.0, 2.0, 3, 6) for _ in range(2)]
-        cfg = LossConfig(lambda_cal=0.2)
-        stacked = np.concatenate(blocks)
-        losses, grad, p_seen = acec_loss(stacked, labels, ClassSplit.of(seen, unseen), cfg)
-        alone = [acec(block, labels, seen, unseen, cfg) for block in blocks]
-        assert losses == [loss for loss, _ in alone]
-        assert np.array_equal(grad, np.concatenate([g for _, g in alone]))
-        assert np.allclose(p_seen, softmax_stable(stacked[:, seen], axis=1), rtol=0, atol=1e-12)
+        split = ClassSplit.of(seen, unseen)
+        blocks = [rng.uniform(-2.0, 2.0, 6, 3) for _ in range(2)]   # class-major (C, batch)
+        stacked = np.concatenate(blocks, axis=1)
+        losses, grad, p_seen = acec_loss(stacked, labels, split, 0.2)
+        alone = [acec_loss(block, labels, split, 0.2) for block in blocks]
+        assert losses == [loss for (loss,), _, _ in alone]
+        assert np.array_equal(grad, np.concatenate([g for _, g, _ in alone], axis=1))
+        assert np.array_equal(p_seen, np.concatenate([p for _, _, p in alone], axis=1))
+        assert grad.shape == stacked.shape and p_seen.shape == (seen.size, stacked.shape[1])
+        assert np.allclose(p_seen, softmax_stable(stacked[seen], axis=0), rtol=0, atol=1e-12)
 
     def test_rows_must_tile_labels_and_classes(self):
         split = ClassSplit.of(np.arange(3), np.arange(3, 5))
         with pytest.raises(ShapeError, match="tile"):
-            acec_loss(np.zeros((5, 5)), np.array([0, 1]), split, LossConfig())
-        with pytest.raises(ShapeError, match="rows, 5"):
-            acec_loss(np.zeros((2, 4)), np.array([0, 1]), split, LossConfig())
+            acec_loss(np.zeros((5, 5)), np.array([0, 1]), split, 0.1)
+        with pytest.raises(ShapeError, match=r"\(5, rows\)"):
+            acec_loss(np.zeros((4, 2)), np.array([0, 1]), split, 0.1)
 
 
 class TestDistillLoss:
@@ -306,7 +302,8 @@ class TestTotalLoss:
         exact = losses.acec_loss
 
         def recorded(scores, *args):
-            scored_rows.append(scores.shape[0])
+            assert scores.shape[0] == semantics.shape[0] and scores.flags.c_contiguous
+            scored_rows.append(scores.shape[1])
             return exact(scores, *args)
 
         monkeypatch.setattr(losses, "acec_loss", recorded)
@@ -334,7 +331,8 @@ class TestTotalLoss:
         exact = losses.acec_loss
 
         def recorded(scores, *args):
-            scored_rows.append(scores.shape[0])
+            assert scores.shape[0] == semantics.shape[0] and scores.flags.c_contiguous
+            scored_rows.append(scores.shape[1])
             return exact(scores, *args)
 
         monkeypatch.setattr(losses, "acec_loss", recorded)

@@ -11,6 +11,7 @@ from conftest import TINY_SPEC, format_kv, patched, stacked
 from msdn.data_io import generate_synthetic
 from msdn.errors import ArgumentError, DatasetValidationError, NumericError, ShapeError
 from msdn import training
+from msdn.configfile import load_config
 from msdn.data_io import SynthSpec
 from msdn.losses import LossTerms, total_loss_raw
 from msdn.model import ModelDims, ModelParams, init_params_from_rng
@@ -18,7 +19,6 @@ from msdn.ndmath import FlatArrays, Rng
 from msdn.training import (
     TrainConfig,
     fit,
-    load_train_config,
     make_batches,
     rmsprop_step,
     train,
@@ -190,13 +190,13 @@ class TestTrain:
         # change no bit of what three stock epochs train.
         cfg = TrainConfig(epochs=3, seed=1)
         lcfg = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES) if lockstep else None
-        got = train(stock_dataset, cfg, loss_cfg=lcfg).params
+        got, _ = train(stock_dataset, cfg, loss_cfg=lcfg)
         want = reference_train(stock_dataset, cfg, lcfg)
         for name, weights in want.items():
             assert getattr(got, name).tobytes() == weights.tobytes(), name
 
     def test_params_are_views_of_one_flat_array(self, tiny_dataset):
-        params = train(tiny_dataset, FAST).params
+        params, _ = train(tiny_dataset, FAST)
         flat = params.W1.base
         assert flat is not None and flat.ndim == 1
         assert sum(w.size for w in params.as_dict().values()) == flat.size
@@ -224,31 +224,29 @@ class TestTrain:
 
     def test_zero_epochs_returns_initial_params(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=0)
-        outcome = train(tiny_dataset, cfg)
+        params, history = train(tiny_dataset, cfg)
         reference = init_params_from_rng(ModelDims.for_dataset(tiny_dataset), Rng(cfg.seed))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
-            assert np.array_equal(getattr(outcome.params, name),
-                                  getattr(reference, name))
-        assert outcome.history == []
+            assert np.array_equal(getattr(params, name), getattr(reference, name))
+        assert history == []
 
     def test_deterministic(self, tiny_dataset):
-        a = train(tiny_dataset, FAST)
-        b = train(tiny_dataset, FAST)
-        assert a.history == b.history
+        (a, a_history), (b, b_history) = train(tiny_dataset, FAST), train(tiny_dataset, FAST)
+        assert a_history == b_history
         for name in ("W1", "W2", "W3", "W4", "W_att"):
-            assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_batch_loop_makes_no_deep_copies(self, tiny_dataset, monkeypatch):
         def no_deepcopy(*args, **kwargs):
             raise AssertionError("copy.deepcopy called while training")
 
         monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
-        history = train(tiny_dataset, dataclasses.replace(FAST, epochs=2)).history
+        _, history = train(tiny_dataset, dataclasses.replace(FAST, epochs=2))
         assert len(history) == 2
 
     def test_loss_decreases_on_tiny_problem(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=25)
-        history = train(tiny_dataset, cfg).history
+        _, history = train(tiny_dataset, cfg)
         assert history[-1].total < history[0].total
 
     def test_monotone_loss_without_aux_terms(self):
@@ -256,31 +254,31 @@ class TestTrain:
         ds = generate_synthetic(spec)
         cfg = TrainConfig(epochs=40, lambda_cal=0.0, lambda_distill=0.0,
                           batch_size=50, seed=1)
-        totals = [h.total for h in train(ds, cfg).history]
+        totals = [h.total for h in train(ds, cfg)[1]]
         for i in range(5, len(totals) - 1):
             assert totals[i + 1] <= totals[i] + 1e-6
 
     def test_lockstep_models_equal_their_separate_runs(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=4, lambda_distill=0.5)
         lcfgs = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES)
-        lockstep = train(tiny_dataset, cfg, loss_cfg=lcfgs)
-        assert len(lockstep.history) == cfg.epochs
+        lockstep, lockstep_history = train(tiny_dataset, cfg, loss_cfg=lcfgs)
+        assert len(lockstep_history) == cfg.epochs
         for p, lcfg in enumerate(lcfgs):
-            alone = train(tiny_dataset, cfg, loss_cfg=(lcfg,))   # a stack of one
-            for name, weights in lockstep.params.as_dict().items():
-                assert np.array_equal(weights[p], getattr(alone.params, name)[0]), (p, name)
-            history = [[field[p] for field in epoch] for epoch in lockstep.history]
+            alone, alone_history = train(tiny_dataset, cfg, loss_cfg=(lcfg,))   # a stack of one
+            for name, weights in lockstep.as_dict().items():
+                assert np.array_equal(weights[p], getattr(alone, name)[0]), (p, name)
+            history = [[field[p] for field in epoch] for epoch in lockstep_history]
             assert np.array_equal(history, [[field[0] for field in epoch]
-                                            for epoch in alone.history]), p
+                                            for epoch in alone_history]), p
         # the full model, trained unstacked from cfg, matches its lockstep row too
-        unstacked = train(tiny_dataset, cfg)
+        unstacked, unstacked_history = train(tiny_dataset, cfg)
         assert lcfgs[1] == cfg.loss_config()
-        for name, weights in lockstep.params.as_dict().items():
-            assert np.array_equal(weights[1], getattr(unstacked.params, name)), name
-        assert np.array_equal([[field[1] for field in epoch] for epoch in lockstep.history],
-                              unstacked.history)
+        for name, weights in lockstep.as_dict().items():
+            assert np.array_equal(weights[1], getattr(unstacked, name)), name
+        assert np.array_equal([[field[1] for field in epoch] for epoch in lockstep_history],
+                              unstacked_history)
         # the four models really differ, so the comparisons above are not vacuous
-        firsts = [lockstep.params.W1[p] for p in range(len(lcfgs))]
+        firsts = [lockstep.W1[p] for p in range(len(lcfgs))]
         assert all(not np.array_equal(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1:])
 
     def test_without_distillation_no_gradient_crosses_the_sub_nets(self, tiny_dataset):
@@ -313,9 +311,9 @@ class TestTrain:
         assert not np.array_equal(weights["W1"][0], weights["W1"][3])
 
     def test_params_stay_finite(self, tiny_dataset):
-        outcome = train(tiny_dataset, dataclasses.replace(FAST, epochs=10))
+        params, _ = train(tiny_dataset, dataclasses.replace(FAST, epochs=10))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
-            assert np.isfinite(getattr(outcome.params, name)).all()
+            assert np.isfinite(getattr(params, name)).all()
 
     def test_invalid_dataset_rejected(self, tiny_dataset):
         labels = patched(tiny_dataset.labels, 0, 99)
@@ -336,38 +334,38 @@ class TestTrainConfigFile:
         cfg = TrainConfig(epochs=17, seed=3, lambda_cal=0.25, lambda_distill=0.5)
         path = tmp_path / "train.cfg"
         path.write_text(format_kv(cfg))
-        assert load_train_config(path) == cfg
+        assert load_config(TrainConfig, path) == cfg
 
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("learning_rates = 0.1\n")
         with pytest.raises(ArgumentError, match="learning_rates"):
-            load_train_config(path)
+            load_config(TrainConfig, path)
 
     def test_rejects_invalid_values(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("momentum = 1.5\n")
         with pytest.raises(ArgumentError, match="momentum"):
-            load_train_config(path)
+            load_config(TrainConfig, path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("# comment\n\nepochs = 2  # trailing\nseed = 8\n")
-        cfg = load_train_config(path)
+        cfg = load_config(TrainConfig, path)
         assert cfg.epochs == 2 and cfg.seed == 8
 
 
 class TestHistoryCsv:
     def test_header_and_rows(self, tiny_dataset, tmp_path):
-        outcome = train(tiny_dataset, FAST)
+        _, history = train(tiny_dataset, FAST)
         path = tmp_path / "history.csv"
-        write_history_csv(outcome.history, path)
+        write_history_csv(history, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,acec_a2v,acec_v2a,distill,total"
         assert len(lines) == 1 + FAST.epochs
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert float(first[4]) == pytest.approx(outcome.history[0].total)
+        assert float(first[4]) == pytest.approx(history[0].total)
 
 
 class TestTrainConfigValidation:

@@ -220,8 +220,8 @@ class TestReport:
 
 @pytest.fixture(scope="module")
 def trained(tiny_dataset):
-    outcome = train(tiny_dataset, TrainConfig(epochs=5, batch_size=8, seed=4))
-    return outcome.params
+    params, _ = train(tiny_dataset, TrainConfig(epochs=5, batch_size=8, seed=4))
+    return params
 
 
 class TestEvaluate:
@@ -368,7 +368,7 @@ class TestFloat32Eval:
     ], ids=["stock", "mid"])
     def test_agrees_with_float64(self, spec, epochs):
         ds = generate_synthetic(spec)
-        f32 = train(ds, TrainConfig(epochs=epochs)).params.astype(np.float32)
+        f32 = train(ds, TrainConfig(epochs=epochs))[0].astype(np.float32)
         e32, e64 = (zsl_eval.forward_test_splits(p, ds)
                     for p in (f32, f32.astype(np.float64)))
         n_unseen = ds.test_unseen_idx.size
