@@ -36,15 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .configfile import require_finite, require_seed
-from .errors import (
-    ArgumentError,
-    BadMagicError,
-    ContainerFormatError,
-    DatasetValidationError,
-    NumericError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import ArgumentError, ContainerFormatError, DatasetValidationError, NumericError
 from .ndmath import Rng
 
 _MAGIC = b"ZSLD"
@@ -54,17 +46,20 @@ _DTYPE_F32 = 1
 _DTYPE_I32 = 3
 _STORED_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_I32: "<i4"}
 
-REQUIRED_TENSORS = (
-    "features",
-    "attributes",
-    "class_semantics",
-    "labels",
-    "seen_classes",
-    "unseen_classes",
-    "train_idx",
-    "test_seen_idx",
-    "test_unseen_idx",
-)
+# The schema of a dataset: each required tensor's rank and in-memory dtype,
+# in container order.  A float tensor is cast to its dtype when a Dataset is
+# built; an integer one keeps whichever integer dtype it comes in.
+REQUIRED_TENSORS = {
+    "features": (3, np.float32),         # (N, R, d_v)
+    "attributes": (2, np.float64),       # (K, d_a)
+    "class_semantics": (2, np.float64),  # (C, K)
+    "labels": (1, np.integer),           # (N,)
+    "seen_classes": (1, np.integer),
+    "unseen_classes": (1, np.integer),
+    "train_idx": (1, np.integer),
+    "test_seen_idx": (1, np.integer),
+    "test_unseen_idx": (1, np.integer),
+}
 
 # Extra tensor written by generate_synthetic: the attribute index that
 # produced each (image, region) feature, for attention ground-truth tests.
@@ -105,21 +100,20 @@ class ClassSplit:
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory dataset: features float32, the other float tensors float64.
+    """In-memory dataset, its tensors laid out as ``REQUIRED_TENSORS`` says.
 
-    Construction casts float ``features`` to float32 (the dtype the
-    container stores) and float ``attributes`` and ``class_semantics`` to
-    float64, copying only where the dtype changes.  It then raises
+    Construction casts each float tensor to its dtype there, copying
+    only where the dtype changes.  It then raises
     :class:`DatasetValidationError` unless :func:`validate_dataset` finds
     no violation, and marks every tensor read-only in place.  ``extras``
     becomes a read-only mapping over a copy of the given dict, so no
     tensor joins it afterwards.
     """
 
-    features: np.ndarray        # (N, R, d_v)
-    attributes: np.ndarray      # (K, d_a)
-    class_semantics: np.ndarray  # (C, K)
-    labels: np.ndarray          # (N,)
+    features: np.ndarray
+    attributes: np.ndarray
+    class_semantics: np.ndarray
+    labels: np.ndarray
     seen_classes: np.ndarray
     unseen_classes: np.ndarray
     train_idx: np.ndarray
@@ -132,10 +126,9 @@ class Dataset:
         # float32 range becomes inf and a signalling NaN a quiet one, which
         # validation rejects too, so the casts need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            for name, dtype in (("features", np.float32), ("attributes", np.float64),
-                                ("class_semantics", np.float64)):
+            for name, (_, dtype) in REQUIRED_TENSORS.items():
                 arr = getattr(self, name)
-                if arr.dtype.kind == "f":
+                if dtype is not np.integer and arr.dtype.kind == "f":
                     object.__setattr__(self, name, arr.astype(dtype, copy=False))
         object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
         violations = validate_dataset(self)
@@ -316,7 +309,8 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> None:
     """Write named tensors; floats stored as f32, integers as i32.  A finite float
-    that overflows f32 raises ``NumericError`` before the file is opened."""
+    that overflows f32 raises ``NumericError``, and an integer outside i32
+    ``ContainerFormatError``, before the file is opened."""
     seen_names = set()
     chunks = [_MAGIC, struct.pack("<II", _VERSION, len(items))]
     for name, arr in items:
@@ -331,6 +325,8 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
                 raise NumericError(f"tensor {name!r} overflows float32")
         elif data.dtype.kind in "iu":
             code, payload = _DTYPE_I32, data.astype("<i4", copy=False)
+            if payload is not data and not np.array_equal(payload, data):
+                raise ContainerFormatError(f"tensor {name!r} has values outside int32")
         else:
             raise ContainerFormatError(
                 f"tensor {name!r} has unsupported dtype {data.dtype}"
@@ -365,18 +361,16 @@ def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
     def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if pos + n > len(blob):
-            raise TruncatedFileError(f"file ends inside {what}")
+            raise ContainerFormatError(f"file ends inside {what}")
         chunk = view[pos:pos + n]
         pos += n
         return chunk
 
     if take(4, "magic bytes") != _MAGIC:
-        raise BadMagicError(
-            f"bad magic {blob[:4]!r}, expected {_MAGIC!r}"
-        )
+        raise ContainerFormatError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
     version, count = struct.unpack("<II", take(8, "header"))
     if version != _VERSION:
-        raise VersionMismatchError(f"unsupported version {version}, expected {_VERSION}")
+        raise ContainerFormatError(f"unsupported version {version}, expected {_VERSION}")
 
     items: list[tuple[str, np.ndarray]] = []
     names = set()
@@ -453,25 +447,14 @@ def validate_dataset(ds: Dataset) -> list[str]:
     """Return a list of invariant violations; empty means the dataset is valid."""
     out: list[str] = []
 
-    # name: (tensor, rank, allowed numpy dtype kinds)
-    layout = {
-        "features": (ds.features, 3, "f"),
-        "attributes": (ds.attributes, 2, "f"),
-        "class_semantics": (ds.class_semantics, 2, "f"),
-        "labels": (ds.labels, 1, "iu"),
-        "seen_classes": (ds.seen_classes, 1, "iu"),
-        "unseen_classes": (ds.unseen_classes, 1, "iu"),
-        "train_idx": (ds.train_idx, 1, "iu"),
-        "test_seen_idx": (ds.test_seen_idx, 1, "iu"),
-        "test_unseen_idx": (ds.test_unseen_idx, 1, "iu"),
-    }
-    for name, (arr, rank, kinds) in layout.items():
+    for name, (rank, dtype) in REQUIRED_TENSORS.items():
+        arr, is_float = getattr(ds, name), dtype is not np.integer
         if arr.ndim != rank:
             out.append(f"{name} must have rank {rank}, got shape {arr.shape}")
-        elif arr.dtype.kind not in kinds:
-            kind = "float" if kinds == "f" else "integer"
-            out.append(f"{name} must have a {kind} dtype, got {arr.dtype}")
-        elif kinds == "f" and 0 in arr.shape:
+        elif arr.dtype.kind not in ("f" if is_float else "iu"):
+            out.append(f"{name} must have a {'float' if is_float else 'integer'} dtype, "
+                       f"got {arr.dtype}")
+        elif is_float and 0 in arr.shape:
             out.append(f"{name} has an empty axis, shape {arr.shape}")
     if out:
         return out  # shapes or dtypes are broken; deeper checks would be misleading

@@ -24,20 +24,9 @@ class DataError(MsdnError):
     exit_code = 3
 
 
-class BadMagicError(DataError):
-    """Container file does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(DataError):
-    """Container file declares an unsupported format version."""
-
-
-class TruncatedFileError(DataError):
-    """Container file ends before a declared tensor payload is complete."""
-
-
 class ContainerFormatError(DataError):
-    """Container structure is invalid (unknown dtype, missing tensor, ...)."""
+    """Container bytes or tensors are invalid: bad magic, unknown version,
+    truncation, an unknown dtype, a missing tensor, ..."""
 
 
 class DatasetValidationError(DataError):

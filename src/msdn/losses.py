@@ -218,8 +218,6 @@ def total_loss_raw(
     computed.  The reported total is exactly
     ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
-    if region_stacks.ndim != 3:
-        raise ShapeError(f"region_stacks must be (batch, R, d_v), got {region_stacks.shape}")
     batch = region_stacks.shape[0]
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")

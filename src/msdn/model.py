@@ -114,8 +114,6 @@ def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
 
 def init_params_from_rng(dims: ModelDims, rng: Rng) -> ModelParams:
     """Glorot-uniform initialization, drawing W1, W2, W3, W4, W_att in order."""
-    if min(dims.visual_dim, dims.attr_dim, dims.num_attributes, dims.num_regions) < 1:
-        raise ShapeError(f"model dims must be positive, got {dims}")
     return ModelParams(dims=dims, **{name: _glorot(rng, *shape)
                                      for name, shape in dims.param_shapes().items()})
 

@@ -10,11 +10,11 @@ The optimizer update, per parameter and elementwise, is
 i.e. classic RMSProp with momentum applied to the preconditioned
 gradient and coupled L2 weight decay.  The update runs in place, in one
 pass: a run holds its parameters, square averages and momentum buffers
-as one flat array each (``FlatArrays``), and each step consumes its
-batch's flat gradient array.  ``train`` is a pure function of (dataset,
-config) to (params, history): one PRNG seeded from the config drives
-both the parameter init and the per-epoch shuffles.  Configs come from
-files through ``configfile.load_config``.
+as one flat array each (``FlatArrays``).  Each step works in its batch's
+flat gradient array, which ``fit`` drops after the step.  ``train`` is
+a pure function of (dataset, config) to (params, history): one PRNG
+seeded from the config drives both the parameter init and the per-epoch
+shuffles.  Configs come from files through ``configfile.load_config``.
 """
 
 from __future__ import annotations
@@ -91,15 +91,12 @@ def rmsprop_step(
     """One optimizer step, in place on ``params`` and both buffers.
 
     The step runs over the flat arrays, block by block, with the float
-    operations of the per-parameter rule in its order.  Consumes
-    ``grads``: its flat array is the step's workspace, and the set is
-    emptied, so the gradients die with the step.
+    operations of the per-parameter rule in its order.  The flat array of
+    ``grads`` is the step's workspace: its values are overwritten.
     """
     param, g, sq, buf = params.flat, grads.flat, square_avg.flat, momentum_buf.flat
     if g.shape != param.shape:
         raise ShapeError(f"gradients have {g.size} elements, parameters {param.size}")
-    grads.clear()
-    del grads.flat
     wd, rho, mu, eps, lr = (cfg.weight_decay, cfg.rms_decay, cfg.momentum, cfg.epsilon_opt,
                             cfg.learning_rate)
     scratch = np.empty(min(param.size, STEP_BLOCK))
@@ -120,10 +117,6 @@ def rmsprop_step(
 
 def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
     """Shuffle [0, n) and chunk it; the final short batch is kept."""
-    if n < 1:
-        raise ArgumentError(f"make_batches requires n >= 1, got {n}")
-    if batch_size < 1:
-        raise ArgumentError(f"batch_size must be >= 1, got {batch_size}")
     order = list(range(n))
     rng.shuffle(order)
     perm = np.array(order, dtype=np.int64)
@@ -161,6 +154,7 @@ def fit(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
                 ) from exc
             rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
+            del grads  # the next batch's loss runs without these
             rows.append(breakdown)
         if not np.isfinite(weights.flat).all():
             name = next(name for name, arr in weights.items() if not np.isfinite(arr).all())

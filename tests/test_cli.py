@@ -142,6 +142,16 @@ class TestTrain:
         assert rows[0] == "epoch,acec_a2v,acec_v2a,distill,total"
         assert len(rows) == 1 + FAST_TRAIN.epochs
 
+    def test_zero_epochs_writes_initial_weights_and_a_header_only_history(
+            self, tmp_path, data_file, capsys):
+        cfg, ckpt, history = (tmp_path / n for n in ("zero.cfg", "m.zsld", "history.csv"))
+        cfg.write_text("epochs = 0\n")
+        assert cli.main(["train", "--data", str(data_file), "--config", str(cfg),
+                         "--out", str(ckpt), "--history", str(history)]) == 0
+        assert capsys.readouterr().out == "trained 0 epochs (parameters left at initialization)\n"
+        assert history.read_bytes() == b"epoch,acec_a2v,acec_v2a,distill,total\r\n"
+        assert load_checkpoint(ckpt).dims.num_attributes == TINY_SPEC.num_attributes
+
 
 class TestEval:
     def test_modes_emit_consistent_metrics(self, tmp_path, data_file,
@@ -679,6 +689,21 @@ class TestNumericFailure:
         assert rc == 4, err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not out.exists()
+
+    def test_weights_overflowing_float64_exit_4_naming_the_parameter(
+            self, tmp_path, data_file, capsys):
+        # One full-batch step at this rate leaves inf weights, which fit's check names.
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 1000\nlearning_rate = 1e308\n")
+        out = tmp_path / "inf.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--data", str(data_file), "--config", str(cfg),
+                           "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4, captured.err
+        assert captured.err.splitlines() == ["error: parameter W1 became non-finite at epoch 0"]
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("existing", [None, b"old checkpoint"], ids=["new", "existing"])
     def test_weights_beyond_float32_exit_4_and_write_no_checkpoint(

@@ -25,15 +25,7 @@ from msdn.data_io import (
     validate_dataset,
     write_container,
 )
-from msdn.errors import (
-    ArgumentError,
-    BadMagicError,
-    ContainerFormatError,
-    DatasetValidationError,
-    NumericError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from msdn.errors import ArgumentError, ContainerFormatError, DatasetValidationError, NumericError
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -100,6 +92,30 @@ class TestContainerRoundTrip:
         write_container(path, [("x", wide)])
         assert np.array_equal(read_container(path)[0][1], wide.astype(np.float32),
                               equal_nan=True)
+
+    @pytest.mark.parametrize("arr", [np.array([2**40]), np.array([2**32 - 1], dtype=np.uint64),
+                                     np.array([0, -2**31 - 1])], ids=["int64", "uint64", "low"])
+    def test_integers_beyond_int32_rejected_before_writing(self, tmp_path, arr):
+        path = tmp_path / "wide.zsld"
+        with pytest.raises(ContainerFormatError, match=r"^tensor 'a' has values outside int32$"):
+            write_container(path, [("a", arr)])
+        assert list(tmp_path.iterdir()) == []
+        # the int32 range itself is stored exactly, from any integer dtype
+        edges = np.array([-2**31, 2**31 - 1])
+        write_container(path, [("a", edges)])
+        assert np.array_equal(read_container(path)[0][1], edges)
+
+    def test_save_rejects_extras_beyond_int32(self, tiny_dataset, tmp_path):
+        ds = dataclasses.replace(tiny_dataset, extras={
+            "custom_debug": np.arange(2**31, 2**31 + 6, dtype=np.int64)})
+        path = tmp_path / "new.zsld"
+        with pytest.raises(ContainerFormatError, match="'custom_debug' has values outside int32"):
+            save_container(ds, path)
+        assert not path.exists()
+        path.write_bytes(b"old")
+        with pytest.raises(ContainerFormatError, match="'custom_debug'"):
+            save_container(ds, path)
+        assert path.read_bytes() == b"old" and temp_files(tmp_path) == []
 
 
     def test_read_makes_no_payload_copy(self, tmp_path):
@@ -249,7 +265,7 @@ class TestContainerErrors:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ContainerFormatError, match=r"^bad magic b'XXXX', expected b'ZSLD'$"):
             load_container(path)
 
     def test_version_mismatch(self, tiny_dataset, tmp_path):
@@ -257,14 +273,15 @@ class TestContainerErrors:
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", 9)
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(ContainerFormatError, match=r"^unsupported version 9, expected 1$"):
             load_container(path)
 
     def test_truncated_tensor(self, tiny_dataset, tmp_path):
         path = self._saved(tiny_dataset, tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 10])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(ContainerFormatError,
+                           match=r"^file ends inside payload of 'gen_region_attribute'$"):
             load_container(path)
 
     def test_trailing_bytes_rejected(self, tiny_dataset, tmp_path):
@@ -308,6 +325,17 @@ class TestContainerErrors:
         path = tmp_path / "wide.zsld"
         with pytest.raises(ContainerFormatError, match="below 2\\^32"):
             write_container(path, [("x", np.zeros((2 ** 32, 0), dtype=np.float32))])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("items,message", [
+        ([("x", np.zeros(1)), ("x", np.zeros(1))], "duplicate tensor name 'x'"),
+        ([("b", np.ones(2, dtype=bool))], "tensor 'b' has unsupported dtype bool"),
+        ([("x" * 0x10000, np.zeros(1))], "tensor name too long: 'xxx"),
+    ], ids=["duplicate_name", "bool_dtype", "long_name"])
+    def test_write_rejects_malformed_items_before_writing(self, tmp_path, items, message):
+        path = tmp_path / "bad.zsld"
+        with pytest.raises(ContainerFormatError, match=f"^{message}"):
+            write_container(path, items)
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_range_labels_fail_validation_on_load(self, tiny_dataset, tmp_path):
@@ -432,6 +460,18 @@ PINNED_VIOLATIONS = {
         ["train_idx contains samples of non-seen classes: [3, 4]",
          "test_seen_idx contains samples of non-seen classes: [3]",
          "test_unseen_idx contains samples of non-unseen classes: [0]"]),
+    "ranks_then_dtypes_in_tensor_order": (
+        dict(features=np.zeros((30, 3, 5, 1), dtype=np.float32), labels=np.zeros((30, 1)),
+             train_idx=np.zeros(3)),
+        ["features must have rank 3, got shape (30, 3, 5, 1)",
+         "labels must have rank 1, got shape (30, 1)",
+         "train_idx must have a integer dtype, got float64"]),
+    "class_semantics_width": (
+        dict(class_semantics=np.ones((5, 3))),
+        ["class_semantics columns must match attribute count: 3 vs 4"]),
+    "labels_length": (
+        dict(labels=np.repeat(_i32(0, 1, 2, 3, 4), 6)[:-1]),
+        ["labels length 29 != sample count 30"]),
     "class_and_index_violations_in_order": (
         dict(seen_classes=_i32(2, 1, 1, 0), unseen_classes=_i32(4, 2),
              train_idx=_i32(1, 1, 99), test_unseen_idx=_i32(99, 18)),
