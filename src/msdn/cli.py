@@ -63,9 +63,14 @@ def _resolve_seed(cli_seed: int | None, default: int) -> int:
     return require_seed("MSDN_SEED", seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers share the class: every usage error is exit 2
+        raise ArgumentError(f"{self.prog}: {message}")
+
+
 @functools.cache  # one parser per process: parsing changes no parser state
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msdn",
         description="Mutual-attention zero-shot learner: synthetic data, "
                     "training, evaluation, and verification tools.",
@@ -237,7 +242,7 @@ def cmd_export_attention(args) -> int:
             f"--image {args.image} out of range for {ds.num_samples} samples"
         )
     trace = model.forward(ds.regions([args.image], np.float64), ds.attributes, params)
-    beta, tau, psi, Psi = trace.beta[0], trace.tau[0], trace.psi[0], trace.Psi[0]
+    beta, tau, psi, Psi = trace.beta[..., 0], trace.tau[:, 0], trace.psi[:, 0], trace.Psi[:, 0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -265,13 +270,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
+        args = build_parser().parse_args(argv)
         # An overflow is reported once, by the finiteness check that meets
         # it (exit 4), not as a numpy warning per operation beforehand.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return handler(args)
+            return _HANDLERS[args.command](args)
     except MsdnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

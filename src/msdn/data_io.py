@@ -452,7 +452,7 @@ def validate_dataset(ds: Dataset) -> list[str]:
         if arr.ndim != rank:
             out.append(f"{name} must have rank {rank}, got shape {arr.shape}")
         elif arr.dtype.kind not in ("f" if is_float else "iu"):
-            out.append(f"{name} must have a {'float' if is_float else 'integer'} dtype, "
+            out.append(f"{name} must have {'a float' if is_float else 'an integer'} dtype, "
                        f"got {arr.dtype}")
         elif is_float and 0 in arr.shape:
             out.append(f"{name} has an empty axis, shape {arr.shape}")

@@ -226,8 +226,7 @@ def total_loss_raw(
         raise ShapeError(f"loss terms for models {terms.lam.shape}, weights for {models}")
     trace = model_mod.forward(region_stacks, attrs, params)
     # Class-major (C, rows) scores, rows ordered (model, sub-net, image).
-    scores = class_semantics @ np.concatenate(
-        [trace.psi.swapaxes(-1, -2), trace.Psi.swapaxes(-1, -2)], axis=-1)
+    scores = class_semantics @ np.concatenate([trace.psi, trace.Psi], axis=-1)
     scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
     acec, g_scores, p_seen = acec_loss(scores, labels, split, terms.cfg.lambda_cal)
     acec = np.array(acec).reshape(models + (2,))           # (..., sub-net)
@@ -244,6 +243,5 @@ def total_loss_raw(
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
-    d_psi, d_Psi = ((class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2)).swapaxes(-1, -2)
-                    for s in (0, 1))
+    d_psi, d_Psi = (class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2) for s in (0, 1))
     return breakdown, model_mod.backward(region_stacks, attrs, params, trace, d_psi, d_Psi)

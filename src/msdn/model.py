@@ -27,11 +27,11 @@ memory order, and over the outermost axis it adds whole contiguous rows
 at once instead of looping over rows of 9-50 elements: 5-16x faster at
 the stock shape.  A region-major stack (``Dataset.regions``) folds with
 no copy; any other stack gives the same numbers after one copy.  The
-trace fields are strided views of these arrays in the shapes
-``ForwardTrace`` documents, and the gradients are C-contiguous blocks
-of one flat array, each in its parameter's shape.  Weights stacked on a
-leading model axis run every model in one pass, each product a stack of
-one model's products.  A forward computes in its weights' dtype.
+trace keeps these arrays as computed, batch axis innermost, and the
+gradients are C-contiguous blocks of one flat array, each in its
+parameter's shape.  Weights stacked on a leading model axis run every
+model in one pass, each product a stack of one model's products.  A
+forward computes in its weights' dtype.
 """
 
 from __future__ import annotations
@@ -91,20 +91,20 @@ class ModelParams:
 class ForwardTrace:
     """Everything a forward pass over a (B, R, d_v) stack produces.
 
-    Shapes are per image; every field carries a leading batch axis, and
-    stacked weights put their model axis in front of it.
+    Fields come in the order and layout the two sub-nets compute them;
+    ``R*B`` columns are ordered (r, b), and stacked weights put their
+    model axis in front.
     """
 
-    beta: np.ndarray     # (K, R) attention over attributes, per region
-    psi: np.ndarray      # (K,) attribute confidences, first sub-net
-    tau: np.ndarray      # (R, K) attention over regions, per attribute
-    S: np.ndarray        # (R, d_a) visual-based attribute features
-    psi_bar: np.ndarray  # (R,) per-region scores, second sub-net
-    Psi: np.ndarray      # (K,) attribute confidences, second sub-net
-    # Kept for the backward pass.
-    match: np.ndarray    # (R, K) v_r^T W2^T a_k; psi_k = sum_r beta[k, r] match[r, k]
-    pooled: np.ndarray   # (d_v,) psi_bar @ V; Psi = pooled @ W_att @ A^T
-    readout: np.ndarray  # (R, d_a) V @ W4; psi_bar = rowsum(readout * S)
+    beta: np.ndarray     # (K, R, B) attention over attributes, per region
+    match: np.ndarray    # (K, R, B) a_k^T W2 v_r; psi = sum_r beta * match (backward only)
+    psi: np.ndarray      # (K, B) attribute confidences, first sub-net
+    tau: np.ndarray      # (R, B, K) attention over regions, per attribute
+    S: np.ndarray        # (d_a, R*B) visual-based attribute features
+    psi_bar: np.ndarray  # (R, B) per-region scores, second sub-net
+    Psi: np.ndarray      # (K, B) attribute confidences, second sub-net
+    pooled: np.ndarray   # (B, d_v) psi_bar @ V; Psi = A (pooled W_att)^T (backward only)
+    readout: np.ndarray  # (d_a, R*B) W4^T V^T; psi_bar = colsum(readout * S) (backward only)
 
 
 def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -142,17 +142,16 @@ def a2v_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attribute->visual pass over a (B, R, d_v) stack: (beta, match, psi).
 
-    beta[b, k, r] softmax-normalizes the bilinear scores over attributes
-    k within each region r.  psi_k is the bilinear match of attribute k
-    through W2 with the beta-pooled regions, summed here over regions
-    so the pooled (B, K, d_v) features are never formed.
+    beta[k, r, b] softmax-normalizes the bilinear scores over attributes
+    k within region r of image b; match is (K, R, B) too.  psi[k, b] is
+    the match of attribute k through W2 with the beta-pooled regions,
+    summed over regions so the (B, K, d_v) pooled features never form.
     """
     V = _folded(regions, attrs, params)
     maps = params.W1.shape[:-2] + (-1, *regions.shape[1::-1])              # (…, K, R, B)
     beta = softmax_stable(((attrs @ params.W1) @ V.T).reshape(maps), axis=-3)
     match = ((attrs @ params.W2) @ V.T).reshape(maps)
-    psi = (beta * match).sum(axis=-2)                                      # (…, K, B)
-    return beta.swapaxes(-1, -2).swapaxes(-2, -3), match.swapaxes(-1, -3), psi.swapaxes(-1, -2)
+    return beta, match, (beta * match).sum(axis=-2)                        # psi (…, K, B)
 
 
 def v2a_forward(
@@ -160,12 +159,13 @@ def v2a_forward(
 ) -> tuple[np.ndarray, ...]:
     """Visual->attribute pass over a (B, R, d_v) stack.
 
-    Returns (tau, S, psi_bar, Psi, pooled, readout).  tau[b, r, k]
+    Returns (tau, S, psi_bar, Psi, pooled, readout): (R, B, K),
+    (d_a, R*B), (R, B), (K, B), (B, d_v) and (d_a, R*B).  tau[r, b, k]
     softmax-normalizes the bilinear scores over regions r within each
-    attribute k; S_r pools attribute vectors under tau; psi_bar_r
-    matches region r against S_r through W4; Psi projects psi_bar into
-    attribute space through W_att, as the bilinear match of the
-    psi_bar-pooled regions with every attribute vector.
+    attribute k; column (r, b) of S pools attribute vectors under tau;
+    psi_bar[r, b] matches region r against it through W4; Psi projects
+    psi_bar into attribute space through W_att, as the bilinear match
+    of the psi_bar-pooled regions with every attribute vector.
     """
     V = _folded(regions, attrs, params)
     models, rows = params.W3.shape[:-2], V.shape[0]
@@ -178,11 +178,7 @@ def v2a_forward(
     psi_bar = (readout * S).sum(axis=-2).reshape(per_region)               # (…, R, B)
     pooled = (psi_bar.swapaxes(-1, -2)[..., None, :] @ regions)[..., 0, :]  # (…, B, d_v)
     Psi = attrs @ (pooled @ params.W_att).swapaxes(-1, -2)                 # (…, K, B)
-
-    def per_image(flat: np.ndarray) -> np.ndarray:                         # (…, B, R, d_a)
-        return flat.reshape(models + (-1,) + per_region[-2:]).swapaxes(-1, -3)
-    return (tau.swapaxes(-3, -2), per_image(S), psi_bar.swapaxes(-1, -2),
-            Psi.swapaxes(-1, -2), pooled, per_image(readout))
+    return tau, S, psi_bar, Psi, pooled, readout
 
 
 def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
@@ -192,10 +188,7 @@ def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> Forw
     stack of one.  ``attrs`` is cast to the weights' dtype.
     """
     attrs = attrs.astype(params.W1.dtype, copy=False)
-    beta, match, psi = a2v_forward(regions, attrs, params)
-    tau, S, psi_bar, Psi, pooled, readout = v2a_forward(regions, attrs, params)
-    return ForwardTrace(beta=beta, psi=psi, tau=tau, S=S, psi_bar=psi_bar, Psi=Psi,
-                        match=match, pooled=pooled, readout=readout)
+    return ForwardTrace(*a2v_forward(regions, attrs, params), *v2a_forward(regions, attrs, params))
 
 
 def backward(
@@ -209,7 +202,7 @@ def backward(
     """Gradients of a scalar loss w.r.t. the five parameter matrices.
 
     ``regions`` is the (B, R, d_v) stack that produced ``trace``;
-    ``d_psi`` and ``d_Psi`` are the (B, K) loss gradients w.r.t. the two
+    ``d_psi`` and ``d_Psi`` are the (K, B) loss gradients w.r.t. the two
     embeddings (model axis first for stacked weights).  Gradients are
     summed over the batch and written straight into one flat array, in
     ``PARAM_NAMES`` order, each a C-contiguous view in its parameter's
@@ -222,30 +215,28 @@ def backward(
     grads = FlatArrays({name: getattr(params, name).shape for name in PARAM_NAMES})
 
     # first sub-net, K-major: psi[k, b] = sum_r beta[k, r, b] * match[k, r, b]
-    beta = trace.beta.swapaxes(-3, -2).swapaxes(-2, -1)                    # (…, K, R, B)
-    d_psi_k = d_psi.swapaxes(-1, -2)[..., None, :]                         # (…, K, 1, B)
+    beta, d_psi_k = trace.beta, d_psi[..., None, :]                        # d_psi_k (…, K, 1, B)
     scratch = d_psi_k * beta                                               # d_match
     np.matmul(attrs.T, scratch.reshape(models + (-1, rows)) @ V, out=grads["W2"])
-    d_beta = trace.match.swapaxes(-1, -3)                                  # in match's buffer
+    d_beta = trace.match                                                   # in match's buffer
     d_beta *= d_psi_k
     d_beta -= np.multiply(beta, d_beta, out=scratch).sum(axis=-3, keepdims=True)
     d_beta *= beta                                                         # d_logits1
     np.matmul(attrs.T, d_beta.reshape(models + (-1, rows)) @ V, out=grads["W1"])
 
     # second sub-net: Psi[b] = (psi_bar[b] @ V[b]) @ W_att @ A^T
-    d_Psi_A = d_Psi @ attrs                                                # (…, B, d_a)
+    d_Psi_A = d_Psi.swapaxes(-1, -2) @ attrs                               # (…, B, d_a)
     np.matmul(trace.pooled.swapaxes(-1, -2), d_Psi_A, out=grads["W_att"])
     d_pooled = d_Psi_A @ params.W_att.swapaxes(-1, -2)                     # (…, B, d_v)
     d_psi_bar = (regions @ d_pooled[..., None])[..., 0].swapaxes(-1, -2).reshape(
         models + (1, rows))
 
     # d_a-major: psi_bar = colsum(readout * S), readout = W4^T V^T, S = A^T tau^T
-    def rows_of(per_image: np.ndarray) -> np.ndarray:     # (…, d_a, R*B), times d_psi_bar
-        flat = per_image.swapaxes(-1, -3).reshape(models + (-1, rows))
-        return np.multiply(flat, d_psi_bar, out=flat)
-    np.matmul(V.T, rows_of(trace.S).swapaxes(-1, -2), out=grads["W4"])
-    tau = trace.tau.swapaxes(-3, -2)                                       # (…, R, B, K)
-    d_tau = np.matmul(rows_of(trace.readout).swapaxes(-1, -2), attrs.T,   # in d_beta's buffer
+    S, readout, tau = trace.S, trace.readout, trace.tau
+    S *= d_psi_bar
+    np.matmul(V.T, S.swapaxes(-1, -2), out=grads["W4"])
+    readout *= d_psi_bar
+    d_tau = np.matmul(readout.swapaxes(-1, -2), attrs.T,                   # in d_beta's buffer
                       out=d_beta.reshape(models + (rows, -1))).reshape(tau.shape)
     d_tau -= np.multiply(tau, d_tau, out=scratch.reshape(tau.shape)).sum(axis=-3, keepdims=True)
     d_tau *= tau                                                           # d_logits2

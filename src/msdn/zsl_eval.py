@@ -193,7 +193,8 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[np.ndarray, n
         attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK], params.W1.dtype),
                                          ds.attributes, params))
         for i in range(0, idx.size, EVAL_CHUNK)])
-    return tuple(np.concatenate(e, axis=-2, dtype=np.float64) for e in (psi, Psi))
+    return tuple(np.concatenate([c.swapaxes(-1, -2) for c in e], axis=-2, dtype=np.float64)
+                 for e in (psi, Psi))
 
 
 def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:

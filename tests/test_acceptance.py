@@ -92,14 +92,14 @@ def test_oracle_equivalence():
         trace = forward(regions[:1], attrs, params)
 
         ob, of, op = oracles.a2v_forward(regions[0], attrs, params.W1, params.W2)
-        for got, want in ((trace.beta[0], ob), (trace.beta[0] @ regions[0], of),
-                          (trace.psi[0], op)):
+        for got, want in ((trace.beta[..., 0], ob), (trace.beta[..., 0] @ regions[0], of),
+                          (trace.psi[:, 0], op)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         ot, os_, obar, obig = oracles.v2a_forward(
             regions[0], attrs, params.W3, params.W4, params.W_att)
-        for got, want in ((trace.tau[0], ot), (trace.S[0], os_),
-                          (trace.psi_bar[0], obar), (trace.Psi[0], obig)):
+        for got, want in ((trace.tau[:, 0], ot), (trace.S.T, os_),
+                          (trace.psi_bar[:, 0], obar), (trace.Psi[:, 0], obig)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         cfg = LossConfig(lambda_cal=0.1)
@@ -115,11 +115,11 @@ def test_oracle_equivalence():
         want_distill = oracles.distill_loss(s1, s2, cfg.epsilon_kl)
         worst = max(worst, abs(got_distill - want_distill))
 
-        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi[0], trace.Psi[0])
+        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi[:, 0], trace.Psi[:, 0])
         split = ClassSplit.of(seen, unseen)
         for mode in ("czsl", "gzsl"):
             got = predict(calibrated_scores(fused, semantics, split), split, mode)
-            want = oracles.predict(trace.psi[0], trace.Psi[0], semantics, seen, unseen,
+            want = oracles.predict(trace.psi[:, 0], trace.Psi[:, 0], semantics, seen, unseen,
                                    0.9, 0.1, mode)
             assert got == want, f"seed {seed} mode {mode}: {got} != {want}"
 
@@ -142,8 +142,8 @@ def test_attention_normalization():
             regions = rng.uniform(-5.0, 5.0, r, d_v)
             attrs = rng.uniform(-5.0, 5.0, k, d_a)
             trace = forward(regions[None], attrs, params)
-            np.testing.assert_allclose(trace.beta.sum(axis=1), 1.0, atol=1e-10)
-            np.testing.assert_allclose(trace.tau.sum(axis=1), 1.0, atol=1e-10)
+            np.testing.assert_allclose(trace.beta.sum(axis=-3), 1.0, atol=1e-10)
+            np.testing.assert_allclose(trace.tau.sum(axis=-3), 1.0, atol=1e-10)
             cases += 1
     assert cases >= 1000
     _report("attention normalization", f"{cases} randomized cases at 1e-10")
@@ -179,9 +179,9 @@ def test_calibration_behavior():
     params, regions, attrs, semantics, _, seen, unseen = _random_instance(77)
     trace = forward(regions[:1], attrs, params)
     cfg = PredictConfig()
-    scores = calibrated_scores(cfg.fuse(trace.psi[0], trace.Psi[0]), semantics,
+    scores = calibrated_scores(cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0]), semantics,
                                ClassSplit.of(seen, unseen))
-    raw = semantics @ (cfg.alpha1 * trace.psi[0] + cfg.alpha2 * trace.Psi[0])
+    raw = semantics @ (cfg.alpha1 * trace.psi[:, 0] + cfg.alpha2 * trace.Psi[:, 0])
     assert np.array_equal(scores[unseen], raw[unseen] + 1.0)
     assert np.array_equal(scores[seen], raw[seen] - 1.0)
 
@@ -204,7 +204,7 @@ def test_end_to_end_synthetic_learning(default_dataset):
     seen_sorted = np.sort(ds.seen_classes.astype(np.int64))
     train_labels = ds.labels[ds.train_idx]
     trace = forward(ds.regions(ds.train_idx, np.float64), ds.attributes, full)
-    fused = pcfg.alpha1 * trace.psi + pcfg.alpha2 * trace.Psi               # (N, K)
+    fused = (pcfg.alpha1 * trace.psi + pcfg.alpha2 * trace.Psi).T           # (N, K)
     scores = fused @ ds.class_semantics[seen_sorted].T                      # (N, C_s)
     preds = seen_sorted[np.argmax(scores, axis=1)]
     train_acc, _ = per_class_accuracy(train_labels, preds, ds.seen_classes)

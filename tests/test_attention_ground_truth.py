@@ -19,9 +19,9 @@ def attention_match_rate(ds, params, attention: str) -> float:
     samples = np.arange(0, ds.num_samples, 5)
     trace = forward(ds.regions(samples, np.float64), ds.attributes, params)
     if attention == "tau":
-        chosen = np.argmax(trace.tau, axis=2)       # (B, R) strongest attribute
+        chosen = np.argmax(trace.tau, axis=2).T     # (B, R) strongest attribute
     else:
-        chosen = np.argmax(trace.beta, axis=1)      # (B, R) strongest attribute
+        chosen = np.argmax(trace.beta, axis=0).T    # (B, R) strongest attribute
     return float(np.mean(chosen == ds.extras[GEN_REGION_ATTRIBUTE][samples]))
 
 

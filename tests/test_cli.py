@@ -68,10 +68,10 @@ class TestGenData:
         cli.main(["gen-data", "--spec", str(spec_file), "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_missing_out_is_usage_error(self, spec_file):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["gen-data", "--spec", str(spec_file)])
-        assert excinfo.value.code == 2
+    def test_missing_out_is_usage_error(self, spec_file, capsys):
+        assert cli.main(["gen-data", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_prints_tensor_shapes(self, tmp_path, spec_file, capsys):
         cli.main(["gen-data", "--spec", str(spec_file),
@@ -665,8 +665,8 @@ class TestExportAttention:
         rows = (out_dir / "scores.csv").read_text().strip().splitlines()
         assert rows[0] == "attribute,psi,Psi"
         got = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
-        np.testing.assert_array_equal(got[:, 0], trace.psi[0])
-        np.testing.assert_array_equal(got[:, 1], trace.Psi[0])
+        np.testing.assert_array_equal(got[:, 0], trace.psi[:, 0])
+        np.testing.assert_array_equal(got[:, 1], trace.Psi[:, 0])
 
     def test_index_out_of_range_exits_2(self, tmp_path, data_file, checkpoint_file):
         rc = cli.main(["export-attention", "--data", str(data_file),
@@ -894,16 +894,16 @@ class TestFuzzedFiles:
 
 
 class TestUsage:
-    def test_unknown_flag_rejected(self, spec_file, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["gen-data", "--spec", str(spec_file),
-                      "--out", str(tmp_path / "x.zsld"), "--bogus", "1"])
-        assert excinfo.value.code == 2
+    def test_unknown_flag_rejected(self, spec_file, tmp_path, capsys):
+        assert cli.main(["gen-data", "--spec", str(spec_file),
+                         "--out", str(tmp_path / "x.zsld"), "--bogus", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["frobnicate"])
-        assert excinfo.value.code == 2
+    def test_unknown_command_rejected(self, capsys):
+        assert cli.main(["frobnicate"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestParserReuse:

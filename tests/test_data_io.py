@@ -465,7 +465,7 @@ PINNED_VIOLATIONS = {
              train_idx=np.zeros(3)),
         ["features must have rank 3, got shape (30, 3, 5, 1)",
          "labels must have rank 1, got shape (30, 1)",
-         "train_idx must have a integer dtype, got float64"]),
+         "train_idx must have an integer dtype, got float64"]),
     "class_semantics_width": (
         dict(class_semantics=np.ones((5, 3))),
         ["class_semantics columns must match attribute count: 3 vs 4"]),

@@ -10,6 +10,7 @@ from conftest import random_instance
 from msdn.data_io import ClassSplit
 from msdn.errors import ContainerFormatError, ShapeError
 from msdn.model import (
+    PARAM_NAMES,
     ModelDims,
     ModelParams,
     a2v_forward,
@@ -73,10 +74,10 @@ class TestA2VForward:
         regions, attrs = tiny_inputs()
         params = replace(init_params_from_rng(DIMS, Rng(2)), W1=np.zeros((3, 4)))
         beta, _, _ = a2v_forward(regions[None], attrs, params)
-        np.testing.assert_allclose(beta[0], 1.0 / DIMS.num_attributes, atol=1e-15)
+        np.testing.assert_allclose(beta[..., 0], 1.0 / DIMS.num_attributes, atol=1e-15)
         expected = np.tile(regions.mean(axis=0) * DIMS.num_regions / DIMS.num_attributes,
                            (DIMS.num_attributes, 1))
-        np.testing.assert_allclose(beta[0] @ regions, expected, atol=1e-12)
+        np.testing.assert_allclose(beta[..., 0] @ regions, expected, atol=1e-12)
 
     def test_single_attribute_sums_regions(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=1, num_regions=3)
@@ -85,7 +86,7 @@ class TestA2VForward:
         attrs = rng.uniform(-1, 1, 1, 3)
         beta, _, _ = a2v_forward(regions[None], attrs, init_params_from_rng(dims, Rng(0)))
         np.testing.assert_allclose(beta, 1.0)
-        np.testing.assert_allclose((beta[0] @ regions)[0], regions.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose((beta[..., 0] @ regions)[0], regions.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
@@ -94,10 +95,10 @@ class TestA2VForward:
             regions, attrs = tiny_inputs(seed + 100, dims)
             beta, _, psi = a2v_forward(regions[None], attrs, params)
             ob, of, op = oracles.a2v_forward(regions, attrs, params.W1, params.W2)
-            np.testing.assert_allclose(beta[0], ob, atol=1e-12)
+            np.testing.assert_allclose(beta[..., 0], ob, atol=1e-12)
             # the pooled features F = beta @ V are never formed by the model
-            np.testing.assert_allclose(beta[0] @ regions, of, atol=1e-12)
-            np.testing.assert_allclose(psi[0], op, atol=1e-12)
+            np.testing.assert_allclose(beta[..., 0] @ regions, of, atol=1e-12)
+            np.testing.assert_allclose(psi[:, 0], op, atol=1e-12)
 
     def test_shape_mismatch(self):
         regions, attrs = tiny_inputs()
@@ -115,7 +116,7 @@ class TestV2AForward:
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
         expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions,
                            (DIMS.num_regions, 1))
-        np.testing.assert_allclose(sem[0], expected, atol=1e-12)
+        np.testing.assert_allclose(sem.T, expected, atol=1e-12)
 
     def test_single_region_sums_attributes(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=1)
@@ -124,7 +125,7 @@ class TestV2AForward:
         attrs = rng.uniform(-1, 1, 3, 3)
         tau, sem, *_ = v2a_forward(regions[None], attrs, init_params_from_rng(dims, Rng(0)))
         np.testing.assert_allclose(tau, 1.0)
-        np.testing.assert_allclose(sem[0, 0], attrs.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(sem[:, 0], attrs.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         for seed in range(5):
@@ -134,10 +135,10 @@ class TestV2AForward:
             ot, os_, ob, op = oracles.v2a_forward(
                 regions, attrs, params.W3, params.W4, params.W_att
             )
-            np.testing.assert_allclose(tau[0], ot, atol=1e-12)
-            np.testing.assert_allclose(sem[0], os_, atol=1e-12)
-            np.testing.assert_allclose(psi_bar[0], ob, atol=1e-12)
-            np.testing.assert_allclose(big_psi[0], op, atol=1e-12)
+            np.testing.assert_allclose(tau[:, 0], ot, atol=1e-12)
+            np.testing.assert_allclose(sem.T, os_, atol=1e-12)
+            np.testing.assert_allclose(psi_bar[:, 0], ob, atol=1e-12)
+            np.testing.assert_allclose(big_psi[:, 0], op, atol=1e-12)
 
 
 def class_scores(embedding, semantics):
@@ -186,8 +187,8 @@ class TestAttentionInvariants:
         regions = rng.uniform(-3, 3, r, d_v)
         attrs = rng.uniform(-3, 3, k, d_a)
         trace = forward(regions[None], attrs, params)
-        np.testing.assert_allclose(trace.beta.sum(axis=1), 1.0, atol=1e-10)
-        np.testing.assert_allclose(trace.tau.sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(trace.beta.sum(axis=-3), 1.0, atol=1e-10)
+        np.testing.assert_allclose(trace.tau.sum(axis=-3), 1.0, atol=1e-10)
 
     def test_forward_deterministic(self):
         regions, attrs = tiny_inputs(3)
@@ -210,8 +211,8 @@ class TestBackward:
         # gradients for all five matrices must agree with central differences
         params, regions, attrs, _, _, _, _ = random_instance(31, batch=3)
         rng = Rng(99)
-        w_psi = rng.uniform(-1, 1, 3, params.dims.num_attributes)
-        w_big = rng.uniform(-1, 1, 3, params.dims.num_attributes)
+        w_psi = rng.uniform(-1, 1, params.dims.num_attributes, 3)
+        w_big = rng.uniform(-1, 1, params.dims.num_attributes, 3)
 
         def value(p: ModelParams) -> float:
             trace = forward(regions, attrs, p)
@@ -238,14 +239,15 @@ class TestBatchedForward:
         attrs = rng.uniform(-1.0, 1.0, 3, 4)
         assert not np.array_equal(regions[0], regions[1])
         trace = forward(regions, attrs, params)
-        assert trace.psi.shape == (3, 3) and trace.beta.shape == (3, 3, 4)
+        assert trace.psi.shape == (3, 3) and trace.beta.shape == (3, 4, 3)
         for b in range(3):
             ob, of, op = oracles.a2v_forward(regions[b], attrs, params.W1, params.W2)
             ot, os_, obar, obig = oracles.v2a_forward(
                 regions[b], attrs, params.W3, params.W4, params.W_att)
-            for got, want in ((trace.beta[b], ob), (trace.beta[b] @ regions[b], of),
-                              (trace.psi[b], op), (trace.tau[b], ot), (trace.S[b], os_),
-                              (trace.psi_bar[b], obar), (trace.Psi[b], obig)):
+            for got, want in ((trace.beta[..., b], ob), (trace.beta[..., b] @ regions[b], of),
+                              (trace.psi[:, b], op), (trace.tau[:, b], ot),
+                              (trace.S[:, b::3].T, os_), (trace.psi_bar[:, b], obar),
+                              (trace.Psi[:, b], obig)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_float32_weights_compute_in_float32(self):
@@ -264,6 +266,28 @@ class TestBatchedForward:
         params = init_params_from_rng(DIMS, Rng(4))
         with pytest.raises(ShapeError, match="3-D region stack"):
             forward(regions, attrs, params)
+
+
+class TestTraceLayout:
+    @pytest.mark.parametrize("models", [1, 4])
+    def test_fields_keep_the_computed_layout(self, models):
+        # Distinct sizes, so a swapped axis changes the shape.
+        k, r, b, d_v, d_a = 3, 5, 2, 7, 4
+        dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
+        stack = [init_params_from_rng(dims, Rng(40 + m)) for m in range(models)]
+        params = stack[0] if models == 1 else ModelParams(dims, **{
+            name: np.stack([getattr(p, name) for p in stack]) for name in PARAM_NAMES})
+        rng = Rng(41)
+        regions = np.stack([rng.uniform(-2.0, 2.0, r, d_v) for _ in range(b)])
+        trace = forward(regions, rng.uniform(-2.0, 2.0, k, d_a), params)
+        lead = () if models == 1 else (models,)
+        expected = {"beta": (k, r, b), "match": (k, r, b), "psi": (k, b), "Psi": (k, b),
+                    "tau": (r, b, k), "S": (d_a, r * b), "readout": (d_a, r * b),
+                    "psi_bar": (r, b), "pooled": (b, d_v)}
+        assert {name: f.shape for name, f in vars(trace).items()} == {
+            name: lead + shape for name, shape in expected.items()}
+        np.testing.assert_allclose(trace.beta.sum(axis=-3), 1.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(trace.tau.sum(axis=-3), 1.0, rtol=0, atol=1e-10)
 
 
 class TestCheckpoint:

@@ -67,8 +67,8 @@ class TestPredict:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(60)
         trace = forward(regions[:1], attrs, params)
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0)
-        fused = cfg.fuse(trace.psi[0], trace.Psi[0])
-        other = cfg.fuse(trace.psi[0], np.full_like(trace.Psi[0], 9.0))
+        fused = cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0])
+        other = cfg.fuse(trace.psi[:, 0], np.full_like(trace.Psi[:, 0], 9.0))
         np.testing.assert_array_equal(fused, other)
         split = ClassSplit.of(seen, unseen)
         assert (predict(calibrated_scores(fused, semantics, split), split, "gzsl")
@@ -84,9 +84,9 @@ class TestPredict:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
         trace = forward(regions[:1], attrs, params)
         cfg = PredictConfig()
-        scores = calibrated_scores(cfg.fuse(trace.psi[0], trace.Psi[0]), semantics,
+        scores = calibrated_scores(cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0]), semantics,
                                    ClassSplit.of(seen, unseen))
-        raw = semantics @ (cfg.alpha1 * trace.psi[0] + cfg.alpha2 * trace.Psi[0])
+        raw = semantics @ (cfg.alpha1 * trace.psi[:, 0] + cfg.alpha2 * trace.Psi[:, 0])
         np.testing.assert_array_equal(scores[seen], raw[seen] - 1.0)
         np.testing.assert_array_equal(scores[unseen], raw[unseen] + 1.0)
 
@@ -97,9 +97,10 @@ class TestPredict:
             trace = forward(regions[:1], attrs, params)
             split = ClassSplit.of(seen, unseen)
             for mode in ("czsl", "gzsl"):
-                scores = calibrated_scores(cfg.fuse(trace.psi[0], trace.Psi[0]), semantics, split)
+                scores = calibrated_scores(cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0]),
+                                           semantics, split)
                 got = predict(scores, split, mode)
-                expected = oracles.predict(trace.psi[0], trace.Psi[0], semantics,
+                expected = oracles.predict(trace.psi[:, 0], trace.Psi[:, 0], semantics,
                                            seen, unseen, 0.7, 0.3, mode)
                 assert got == expected
 
@@ -108,7 +109,7 @@ class TestPredict:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(62)
         trace = forward(regions[:1], attrs, params)
         cfg = PredictConfig()
-        fused = cfg.fuse(trace.psi[0], trace.Psi[0])
+        fused = cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0])
         split = ClassSplit.of(seen, unseen)
         pred = predict(calibrated_scores(fused, semantics, split), split, "czsl")
         raw = semantics @ fused
@@ -118,7 +119,7 @@ class TestPredict:
     def test_constant_shift_invariance(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(63)
         trace = forward(regions[:1], attrs, params)
-        scores = calibrated_scores(PredictConfig().fuse(trace.psi[0], trace.Psi[0]),
+        scores = calibrated_scores(PredictConfig().fuse(trace.psi[:, 0], trace.Psi[:, 0]),
                                    semantics, ClassSplit.of(seen, unseen))
         assert int(np.argmax(scores + 123.0)) == int(np.argmax(scores))
 
@@ -232,7 +233,8 @@ class TestEvaluate:
         cfg = PredictConfig()
 
         trace = forward(ds.features[ds.test_idx], ds.attributes, trained)
-        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), ds.class_semantics, ds.split)
+        scores = calibrated_scores(cfg.fuse(trace.psi.T, trace.Psi.T), ds.class_semantics,
+                                   ds.split)
         labels = ds.labels[ds.test_idx]
 
         def oracle_predict(got, split, mode):
@@ -270,8 +272,8 @@ class TestEvaluate:
         for rows, idx in ((slice(None, n_unseen), ds.test_unseen_idx),
                           (slice(n_unseen, None), ds.test_seen_idx)):
             trace = forward(ds.regions(idx, np.float64), ds.attributes, trained)
-            np.testing.assert_allclose(psi[rows], trace.psi, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(Psi[rows], trace.Psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi[rows], trace.psi.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(Psi[rows], trace.Psi.T, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
         assert evaluate(trained, ds, PredictConfig()) == report
 
@@ -295,7 +297,7 @@ class TestEvaluate:
 
         def oracle_preds(idx, mode):
             traces = [forward(ds.regions([i], np.float64), ds.attributes, trained) for i in idx]
-            return np.asarray([oracles.predict(t.psi[0], t.Psi[0], ds.class_semantics,
+            return np.asarray([oracles.predict(t.psi[:, 0], t.Psi[:, 0], ds.class_semantics,
                                                ds.seen_classes, ds.unseen_classes,
                                                0.9, 0.1, mode) for t in traces])
 
