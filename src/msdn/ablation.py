@@ -55,7 +55,7 @@ def _run_baseline(ds: Dataset, cfg: TrainConfig) -> EvalReport:
         return LossBreakdown(loss, 0.0, 0.0, loss), grads
 
     fit(weights, loss_fn, ds.train_idx, cfg, rng)
-    return report(ds, pooled[ds.test_idx] @ w_pool.T)
+    return report(ds, w_pool @ pooled[ds.test_idx].T)
 
 
 def run_ablation(

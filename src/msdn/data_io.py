@@ -4,15 +4,16 @@ A dataset bundles per-image region features, attribute word vectors,
 per-class semantic vectors, labels, the seen/unseen class partition, and
 the train/test split index sets.  A ``Dataset`` is validated once, when
 it is built (generated or loaded), and its arrays are read-only, so a
-dataset that exists is a valid one.  On disk everything lives in a little
-endian "ZSLD" container of f32 and i32 tensors.  Region features stay f32
-in memory (a loaded dataset's are a view of the file's bytes), and each
-batch is gathered in the dtype of the weights it meets: f64 in training,
-a checkpoint's f32 in ``eval``.  Attribute and class semantic vectors
-are widened to f64 when a dataset is built.  Widening
-is exact, and a dataset built from f64 features holds them rounded to
-f32 as its container will, so features round-trip bit-exactly; the
-f64 vectors round-trip bit-exactly only when f32 holds them exactly.
+dataset that exists is a valid one.  On disk everything lives in a
+little endian "ZSLD" container of f32 and i32 tensors.  Region features
+stay f32 in memory (a loaded dataset's are a view of the file's bytes),
+and each batch is gathered as an (R, B, d_v) stack, images after
+regions, in the dtype of the weights it meets: f64 in training, a
+checkpoint's f32 in ``eval``.  Attribute and class semantic vectors are
+widened to f64 when a dataset is built.  Widening is exact, and a
+dataset built from f64 features holds them rounded to f32 as its
+container will, so features round-trip bit-exactly; the f64 vectors
+round-trip bit-exactly only when f32 holds them exactly.
 Every output of the package is written through ``open_output`` (every
 CSV through ``write_table``), which replaces a file and never truncates it.
 """
@@ -141,10 +142,10 @@ class Dataset:
     def regions(self, idx, dtype) -> np.ndarray:
         """The region features of images ``idx``, gathered in the weights' ``dtype``.
 
-        A batch comes back as a (B, R, d_v) view of a C-order (R, B, d_v)
-        array, so the model folds it to region-major rows with no copy.
+        A batch comes back as a C-order (R, B, d_v) stack, so the model
+        folds it to (R*B, d_v) region-major rows with no copy.
         """
-        return self.features[idx].swapaxes(0, -2).astype(dtype, order="C").swapaxes(0, -2)
+        return self.features[idx].swapaxes(0, -2).astype(dtype, order="C")
 
     @cached_property
     def split(self) -> ClassSplit:

@@ -140,17 +140,14 @@ def acec_loss(
     g_seen[label_rows, cols] -= 1.0
     g_seen /= batch
 
-    if lambda_cal > 0 and unseen.size > 0:
-        shifted = scores + split.indicator[:, None]
-        log_q = shifted - log_sum_exp(shifted, axis=0)
-        # per-sample cross-entropy mass on the unseen classes
-        cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
-        losses += lambda_cal * (cal_rows.sum(axis=1) / batch)
-        grad = lambda_cal * ((unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch)
-        grad[seen] += g_seen
-    else:
-        grad = np.zeros_like(scores)
-        grad[seen] = g_seen
+    # At lambda_cal = 0, or with no unseen class, the calibration term adds exact zeros.
+    shifted = scores + split.indicator[:, None]
+    log_q = shifted - log_sum_exp(shifted, axis=0)
+    # per-sample cross-entropy mass on the unseen classes
+    cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
+    losses += lambda_cal * (cal_rows.sum(axis=1) / batch)
+    grad = lambda_cal * ((unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch)
+    grad[seen] += g_seen
 
     return losses.tolist(), grad, p_seen
 
@@ -208,23 +205,23 @@ def total_loss_raw(
 ) -> tuple[LossBreakdown, FlatArrays]:
     """Total objective and parameter gradients for one batch of images.
 
-    ``region_stacks`` is (batch, R, d_v), fastest region-major as
-    ``Dataset.regions`` gives it.  ``terms`` holds the loss constants of
-    one config per model, built once per run; for weights stacked on a
-    leading model axis each breakdown field lists one value per model.
+    ``region_stacks`` is (R, batch, d_v), as ``Dataset.regions`` gives
+    it.  ``terms`` holds the loss constants of one config per model,
+    built once per run; for weights stacked on a leading model axis each
+    breakdown field lists one value per model.
     Cross-entropy scores both sub-nets of every model in one pass over
     their stacked rows, with a separate mean per sub-net and model.
     Distillation compares the two seen-class posteriors that pass
     computed.  The reported total is exactly
     ``acec_a2v + acec_v2a + lambda_distill * distill``.
     """
-    batch = region_stacks.shape[0]
-    if labels.shape[0] != batch:
-        raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
     models = params.W1.shape[:-2]
     if terms.lam.shape != models:
         raise ShapeError(f"loss terms for models {terms.lam.shape}, weights for {models}")
-    trace = model_mod.forward(region_stacks, attrs, params)
+    trace = model_mod.forward(region_stacks, attrs, params)   # checks the stack's shape
+    batch = region_stacks.shape[1]
+    if labels.shape[0] != batch:
+        raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
     # Class-major (C, rows) scores, rows ordered (model, sub-net, image).
     scores = class_semantics @ np.concatenate([trace.psi, trace.Psi], axis=-1)
     scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
@@ -244,4 +241,4 @@ def total_loss_raw(
         raise NumericError(f"non-finite loss: {breakdown}")
 
     d_psi, d_Psi = (class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2) for s in (0, 1))
-    return breakdown, model_mod.backward(region_stacks, attrs, params, trace, d_psi, d_Psi)
+    return breakdown, model_mod.backward(params, trace, d_psi, d_Psi)

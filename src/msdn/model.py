@@ -12,7 +12,7 @@ psi_bar, and a final bilinear projection through W_att that turns the
 R-dimensional psi_bar into the K-dimensional embedding Psi so both
 sub-nets score classes in the same attribute space.
 
-Forward and backward run on a (B, R, d_v) stack of images folded into
+Forward and backward run on an (R, B, d_v) stack of images folded into
 (R*B, d_v) rows ordered region-major, (r, b), so each product is one
 GEMM per batch and the image-independent products (A W1, A W2, W3 A^T)
 are formed once per batch.  Psi = sum_r psi_bar_r v_r^T W_att A^T =
@@ -25,9 +25,9 @@ reduces is outermost in memory: the a2v maps are (K, R, B), the v2a
 attention (R, B, K), S and the W4 readout (d_a, R*B).  numpy reduces in
 memory order, and over the outermost axis it adds whole contiguous rows
 at once instead of looping over rows of 9-50 elements: 5-16x faster at
-the stock shape.  A region-major stack (``Dataset.regions``) folds with
-no copy; any other stack gives the same numbers after one copy.  The
-trace keeps these arrays as computed, batch axis innermost, and the
+the stock shape.  A C-order stack (``Dataset.regions``) folds with no
+copy.  The trace keeps these arrays as computed, batch axis innermost,
+together with the stack and attributes the backward reads, and the
 gradients are C-contiguous blocks of one flat array, each in its
 parameter's shape.  Weights stacked on a leading model axis run every
 model in one pass, each product a stack of one model's products.  A
@@ -89,13 +89,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything a forward pass over a (B, R, d_v) stack produces.
+    """Everything a forward pass over an (R, B, d_v) stack reads and produces.
 
-    Fields come in the order and layout the two sub-nets compute them;
-    ``R*B`` columns are ordered (r, b), and stacked weights put their
-    model axis in front.
+    The stack and the attributes it met come first; the maps follow in
+    the order and layout the two sub-nets compute them.  ``R*B`` columns
+    are ordered (r, b), and stacked weights put their model axis in front.
     """
 
+    regions: np.ndarray  # (R, B, d_v) the stack, in the weights' dtype
+    attrs: np.ndarray    # (K, d_a) attribute vectors, in the weights' dtype
     beta: np.ndarray     # (K, R, B) attention over attributes, per region
     match: np.ndarray    # (K, R, B) a_k^T W2 v_r; psi = sum_r beta * match (backward only)
     psi: np.ndarray      # (K, B) attribute confidences, first sub-net
@@ -119,11 +121,7 @@ def init_params_from_rng(dims: ModelDims, rng: Rng) -> ModelParams:
 
 
 def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Check a (B, R, d_v) stack against the model; return its (R*B, d_v) rows in (r, b) order.
-
-    The fold is a view of a region-major stack such as ``Dataset.regions``
-    gives, and a copy of any other.
-    """
+    """Check an (R, B, d_v) stack against the model; return its (R*B, d_v) rows in (r, b) order."""
     if regions.ndim != 3 or attrs.ndim != 2:
         raise ShapeError(
             f"expected a 3-D region stack and a 2-D attribute matrix, "
@@ -134,13 +132,13 @@ def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.n
         raise ShapeError(f"region features have width {regions.shape[2]}, model expects {d_v}")
     if attrs.shape[1] != d_a:
         raise ShapeError(f"attribute vectors have width {attrs.shape[1]}, model expects {d_a}")
-    return regions.transpose(1, 0, 2).reshape(-1, d_v)
+    return regions.reshape(-1, d_v)
 
 
 def a2v_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attribute->visual pass over a (B, R, d_v) stack: (beta, match, psi).
+    """Attribute->visual pass over an (R, B, d_v) stack: (beta, match, psi).
 
     beta[k, r, b] softmax-normalizes the bilinear scores over attributes
     k within region r of image b; match is (K, R, B) too.  psi[k, b] is
@@ -148,7 +146,7 @@ def a2v_forward(
     summed over regions so the (B, K, d_v) pooled features never form.
     """
     V = _folded(regions, attrs, params)
-    maps = params.W1.shape[:-2] + (-1, *regions.shape[1::-1])              # (…, K, R, B)
+    maps = params.W1.shape[:-2] + (-1, *regions.shape[:2])                 # (…, K, R, B)
     beta = softmax_stable(((attrs @ params.W1) @ V.T).reshape(maps), axis=-3)
     match = ((attrs @ params.W2) @ V.T).reshape(maps)
     return beta, match, (beta * match).sum(axis=-2)                        # psi (…, K, B)
@@ -157,7 +155,7 @@ def a2v_forward(
 def v2a_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, ...]:
-    """Visual->attribute pass over a (B, R, d_v) stack.
+    """Visual->attribute pass over an (R, B, d_v) stack.
 
     Returns (tau, S, psi_bar, Psi, pooled, readout): (R, B, K),
     (d_a, R*B), (R, B), (K, B), (B, d_v) and (d_a, R*B).  tau[r, b, k]
@@ -169,48 +167,46 @@ def v2a_forward(
     """
     V = _folded(regions, attrs, params)
     models, rows = params.W3.shape[:-2], V.shape[0]
-    per_region = models + regions.shape[1::-1]                             # (…, R, B)
+    per_region = models + regions.shape[:2]                                # (…, R, B)
     # No name holds the logits, so they are freed before S and the readout exist.
     tau = softmax_stable((V @ (params.W3 @ attrs.T)).reshape(per_region + (-1,)),
                          axis=-3)                                          # (…, R, B, K)
     S = attrs.T @ tau.reshape(models + (rows, -1)).swapaxes(-1, -2)        # (…, d_a, R*B)
     readout = params.W4.swapaxes(-1, -2) @ V.T                             # (…, d_a, R*B)
     psi_bar = (readout * S).sum(axis=-2).reshape(per_region)               # (…, R, B)
-    pooled = (psi_bar.swapaxes(-1, -2)[..., None, :] @ regions)[..., 0, :]  # (…, B, d_v)
+    pooled = (psi_bar.swapaxes(-1, -2)[..., None, :] @ regions.swapaxes(0, 1))[..., 0, :]
     Psi = attrs @ (pooled @ params.W_att).swapaxes(-1, -2)                 # (…, K, B)
     return tau, S, psi_bar, Psi, pooled, readout
 
 
 def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
-    """Run both sub-nets on a (B, R, d_v) stack of images.
+    """Run both sub-nets on an (R, B, d_v) stack of images.
 
     Stacked weights run every model in the same pass.  One image is a
-    stack of one.  ``attrs`` is cast to the weights' dtype.
+    stack of one.  ``attrs`` is cast to the weights' dtype, and the trace
+    keeps it and ``regions`` for the backward.
     """
     attrs = attrs.astype(params.W1.dtype, copy=False)
-    return ForwardTrace(*a2v_forward(regions, attrs, params), *v2a_forward(regions, attrs, params))
+    return ForwardTrace(regions, attrs, *a2v_forward(regions, attrs, params),
+                        *v2a_forward(regions, attrs, params))
 
 
 def backward(
-    regions: np.ndarray,
-    attrs: np.ndarray,
-    params: ModelParams,
-    trace: ForwardTrace,
-    d_psi: np.ndarray,
-    d_Psi: np.ndarray,
+    params: ModelParams, trace: ForwardTrace, d_psi: np.ndarray, d_Psi: np.ndarray
 ) -> FlatArrays:
     """Gradients of a scalar loss w.r.t. the five parameter matrices.
 
-    ``regions`` is the (B, R, d_v) stack that produced ``trace``;
-    ``d_psi`` and ``d_Psi`` are the (K, B) loss gradients w.r.t. the two
-    embeddings (model axis first for stacked weights).  Gradients are
-    summed over the batch and written straight into one flat array, in
-    ``PARAM_NAMES`` order, each a C-contiguous view in its parameter's
-    shape.  Consumes ``trace``: its maps serve as scratch space, with the
-    float operations of the plain expressions, so the pass makes one
-    map-sized temporary.
+    ``trace`` is the forward of ``params`` and carries the (R, B, d_v)
+    stack and the attributes it ran on; ``d_psi`` and ``d_Psi`` are the
+    (K, B) loss gradients w.r.t. the two embeddings (model axis first
+    for stacked weights).  Gradients are summed over the batch and
+    written straight into one flat array, in ``PARAM_NAMES`` order, each
+    a C-contiguous view in its parameter's shape.  Consumes ``trace``:
+    its maps serve as scratch space, with the float operations of the
+    plain expressions, so the pass makes one map-sized temporary.
     """
-    V = _folded(regions, attrs, params)
+    regions, attrs = trace.regions, trace.attrs
+    V = regions.reshape(-1, regions.shape[-1])
     models, rows = params.W1.shape[:-2], V.shape[0]
     grads = FlatArrays({name: getattr(params, name).shape for name in PARAM_NAMES})
 
@@ -228,8 +224,8 @@ def backward(
     d_Psi_A = d_Psi.swapaxes(-1, -2) @ attrs                               # (…, B, d_a)
     np.matmul(trace.pooled.swapaxes(-1, -2), d_Psi_A, out=grads["W_att"])
     d_pooled = d_Psi_A @ params.W_att.swapaxes(-1, -2)                     # (…, B, d_v)
-    d_psi_bar = (regions @ d_pooled[..., None])[..., 0].swapaxes(-1, -2).reshape(
-        models + (1, rows))
+    d_psi_bar = (regions.swapaxes(0, 1) @ d_pooled[..., None])[..., 0]     # (…, B, R)
+    d_psi_bar = d_psi_bar.swapaxes(-1, -2).reshape(models + (1, rows))
 
     # d_a-major: psi_bar = colsum(readout * S), readout = W4^T V^T, S = A^T tau^T
     S, readout, tau = trace.S, trace.readout, trace.tau

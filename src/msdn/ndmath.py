@@ -4,9 +4,10 @@ The package computes in float numpy arrays laid out so that the
 axis a softmax or sum reduces is outermost in memory.  numpy reduces in
 memory order: over a leading axis it adds whole contiguous rows at a
 time, over an inner axis of 9-50 elements it loops row by row, 5-16x
-slower at the stock shape.  So a batch's (B, R, d_v) region features
-are a view of an (R, B, d_v) array, and the attention maps and class
-scores are views of arrays whose normalized axis leads.  The kernels
+slower at the stock shape.  So a batch's region features are an
+(R, B, d_v) array, the attention maps and class scores put their
+normalized axis first, and embeddings and scores put their image axis
+last.  The kernels
 here take any strided view and return results in its layout.  A
 dataset holds its region features as ``float32``; a batch is gathered in
 its weights' dtype, and the softmax and log-sum-exp keep ``float32`` and

@@ -8,8 +8,9 @@ restricts the argmax to unseen classes; generalized ZSL ranks all of
 them.  Accuracies are per-class (macro) top-1, summarized by the
 harmonic mean H = 2SU / (S + U).
 
-The test images are scored as one embedding, rows in ``Dataset.test_idx``
-order (the unseen split first), and U and S read off one GZSL argmax.
+The test images are scored as one (K, n) embedding into (C, n) scores,
+images last and in ``Dataset.test_idx`` order (the unseen split first),
+and U and S read off one GZSL argmax.
 """
 
 from __future__ import annotations
@@ -81,29 +82,29 @@ def calibrated_scores(
 ) -> np.ndarray:
     """Class scores of a fused embedding plus ``split.indicator``.
 
-    A (K,) embedding gives (C,) scores, a (B, K) batch (B, C).  Raises
-    :class:`ShapeError` unless ``split`` covers the C classes of
-    ``class_semantics``, and :class:`NumericError` if a score is not
-    finite, since an argmax over NaN would silently pick class 0.
+    A (K, n) embedding, one column per image, gives (C, n) scores.  Raises
+    :class:`ShapeError` unless the embedding is (K, n) and ``split`` covers
+    the C classes of ``class_semantics``, and :class:`NumericError` if a
+    score is not finite, since an argmax over NaN would silently pick class 0.
     """
-    if class_semantics.shape[1] != embedding.shape[-1]:
+    if embedding.ndim != 2 or embedding.shape[0] != class_semantics.shape[1]:
         raise ShapeError(
-            f"embedding length {embedding.shape[-1]} != class semantic width "
-            f"{class_semantics.shape[1]}"
+            f"embedding must be ({class_semantics.shape[1]}, n) for the class semantic "
+            f"width, got {embedding.shape}"
         )
     if split.indicator.size != class_semantics.shape[0]:
         raise ShapeError(
             f"class split covers {split.indicator.size} classes, class semantics "
             f"have {class_semantics.shape[0]} rows"
         )
-    scores = (class_semantics @ embedding.T).T + split.indicator
+    scores = class_semantics @ embedding + split.indicator[:, None]
     if not np.isfinite(scores).all():
         raise NumericError("class scores are not finite; the model parameters overflow")
     return scores
 
 
 def predict(scores: np.ndarray, split: ClassSplit, mode: str) -> int | np.ndarray:
-    """Predicted class of (C,) calibrated scores, or one per row of (B, C).
+    """Predicted class of (C,) calibrated scores, or one per column of (C, n).
 
     ``scores`` are those of :func:`calibrated_scores`, so one score
     matrix serves both modes.  CZSL ranks the unseen classes of
@@ -113,10 +114,10 @@ def predict(scores: np.ndarray, split: ClassSplit, mode: str) -> int | np.ndarra
     if mode not in MODES:
         raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "gzsl":
-        return np.argmax(scores, axis=-1)
+        return np.argmax(scores, axis=0)
     if split.unseen.size == 0:
         raise ArgumentError("prediction requires a non-empty candidate set")
-    return split.unseen[np.argmax(scores[..., split.unseen], axis=-1)]
+    return split.unseen[np.argmax(scores[split.unseen], axis=0)]
 
 
 def per_class_accuracy(
@@ -154,18 +155,18 @@ def check_test_splits(ds: Dataset) -> None:
 
 
 def report(ds: Dataset, embedding: np.ndarray) -> EvalReport:
-    """Score the fused (n_test, K) test embedding once, in both modes.
+    """Score the fused (K, n_test) test embedding once, in both modes.
 
-    Rows follow ``ds.test_idx``, so the first ``test_unseen_idx.size``
-    rows are the unseen test split.  The report's ``acc`` uses CZSL
-    predictions on those rows; U and S use one GZSL prediction over all
-    rows, read off the unseen and the seen rows.
+    Columns follow ``ds.test_idx``, so the first ``test_unseen_idx.size``
+    columns are the unseen test split.  The report's ``acc`` uses CZSL
+    predictions on those columns; U and S use one GZSL prediction over
+    all columns, read off the unseen and the seen columns.
     """
     split = ds.split
     scores = calibrated_scores(embedding, ds.class_semantics, split)
     labels, gzsl = ds.labels[ds.test_idx], predict(scores, split, "gzsl")
     n_unseen = ds.test_unseen_idx.size
-    acc, _ = per_class_accuracy(labels[:n_unseen], predict(scores[:n_unseen], split, "czsl"),
+    acc, _ = per_class_accuracy(labels[:n_unseen], predict(scores[:, :n_unseen], split, "czsl"),
                                 ds.unseen_classes)
     u, unseen_table = per_class_accuracy(labels[:n_unseen], gzsl[:n_unseen], ds.unseen_classes)
     s, seen_table = per_class_accuracy(labels[n_unseen:], gzsl[n_unseen:], ds.seen_classes)
@@ -175,7 +176,7 @@ def report(ds: Dataset, embedding: np.ndarray) -> EvalReport:
 
 
 def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 (psi, Psi) embeddings of both test splits, rows in ``ds.test_idx`` order.
+    """The float64 (psi, Psi) embeddings of both test splits, columns in ``ds.test_idx`` order.
 
     Both splits are forwarded in one pass, ``EVAL_CHUNK`` images per
     model call, so a chunk may hold images of both splits and the
@@ -183,7 +184,7 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[np.ndarray, n
     embeddings of each chunk's trace are kept, so any number of predict
     configs can fuse them without another forward.  The forward runs in
     the weights' dtype, and the embeddings come back in float64, where
-    they are fused and scored, shaped (*models, n_test, K): weights
+    they are fused and scored, shaped (*models, K, n_test): weights
     stacked on a leading model axis score every model in the same pass.
     """
     check_test_splits(ds)
@@ -193,8 +194,7 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[np.ndarray, n
         attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK], params.W1.dtype),
                                          ds.attributes, params))
         for i in range(0, idx.size, EVAL_CHUNK)])
-    return tuple(np.concatenate([c.swapaxes(-1, -2) for c in e], axis=-2, dtype=np.float64)
-                 for e in (psi, Psi))
+    return tuple(np.concatenate(e, axis=-1, dtype=np.float64) for e in (psi, Psi))
 
 
 def evaluate(params: ModelParams, ds: Dataset, cfg: PredictConfig) -> EvalReport:

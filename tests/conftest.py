@@ -62,14 +62,17 @@ def distill(scores1, scores2, cfg):
 
 
 def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):
-    """Random tiny problem instance shared by oracle-equivalence tests."""
+    """Random tiny problem instance shared by oracle-equivalence tests.
+
+    Image b's (r, d_v) regions are ``regions[:, b]`` of the (r, batch, d_v) stack.
+    """
     from msdn.model import ModelDims, init_params_from_rng
     from msdn.ndmath import Rng
 
     rng = Rng(seed)
     dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
     params = init_params_from_rng(dims, rng)
-    regions = np.stack([rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)])
+    regions = np.stack([rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)], axis=1)
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
     labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])

@@ -299,8 +299,11 @@ def distill_loss_two_call(p_seen1, p_seen2, terms):
 
 
 def predict(psi, big_psi, class_semantics, seen, unseen, alpha1, alpha2, mode):
-    """Exhaustive-argmax calibrated prediction."""
-    num_classes = class_semantics.shape[0]
+    """Exhaustive-argmax calibrated prediction of one image's (K,) embeddings."""
+    num_classes, k = class_semantics.shape
+    if len(psi) != k or len(big_psi) != k:
+        raise ValueError(f"embeddings of length {len(psi)} and {len(big_psi)}, "
+                         f"class semantics of width {k}")
     unseen = set(int(c) for c in unseen)
     fused = [alpha1 * psi[k] + alpha2 * big_psi[k] for k in range(len(psi))]
     candidates = sorted(unseen) if mode == "czsl" else list(range(num_classes))
@@ -327,9 +330,9 @@ def per_class_accuracy(labels, predictions, classes):
 
 
 def report_two_splits(ds, unseen_embedding, seen_embedding):
-    """The metric suite with each test split's fused (n, K) embedding scored apart.
+    """The metric suite with each test split's fused (K, n) embedding scored apart.
 
-    Rows follow ``ds.test_unseen_idx`` and ``ds.test_seen_idx``.  CZSL
+    Columns follow ``ds.test_unseen_idx`` and ``ds.test_seen_idx``.  CZSL
     and GZSL rank the unseen split's one score matrix; GZSL ranks the
     seen split's.  Returns a ``zsl_eval.EvalReport``.
     """

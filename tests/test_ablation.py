@@ -18,7 +18,7 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
     real_forward, real_report = zsl_eval.forward, ablation.report
 
     def counted_forward(regions, attrs, params):
-        forwarded.append(regions.shape[0])
+        forwarded.append(regions.shape[1])
         return real_forward(regions, attrs, params)
 
     def recorded_report(ds, embedding):
@@ -63,7 +63,7 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
 
 
 def test_each_embedding_is_scored_once(monkeypatch):
-    # One calibrated score matrix over all test rows serves both CZSL and
+    # One calibrated score matrix over all test columns serves both CZSL and
     # GZSL: one per report, and the grid reports eight rows.
     ds = generate_synthetic(SynthSpec())
     calls = []
@@ -75,10 +75,10 @@ def test_each_embedding_is_scored_once(monkeypatch):
 
     monkeypatch.setattr(zsl_eval, "calibrated_scores", counted_scores)
     evaluate(init_params_from_rng(ModelDims.for_dataset(ds), Rng(1)), ds, PredictConfig())
-    assert calls == [(ds.test_idx.size, ds.num_attributes)]
+    assert calls == [(ds.num_attributes, ds.test_idx.size)]
     calls.clear()
     run_ablation(ds, TrainConfig(epochs=1, seed=1))
-    assert calls == [(ds.test_idx.size, ds.num_attributes)] * 8
+    assert calls == [(ds.num_attributes, ds.test_idx.size)] * 8
 
 
 def test_lockstep_grid_peak_memory():

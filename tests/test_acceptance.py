@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import acec, distill
+from conftest import acec, distill, random_instance
 from msdn.ablation import run_ablation
 from msdn.data_io import (ClassSplit, SynthSpec, generate_synthetic, load_container,
                           save_container)
@@ -42,18 +42,6 @@ def _report(name: str, detail: str = "") -> None:
     print(f"\nACCEPTANCE PASS: {name}{suffix}")
 
 
-def _random_instance(seed, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, batch=2):
-    rng = Rng(seed)
-    dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
-    params = init_params_from_rng(dims, rng)
-    regions = np.stack([rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)])
-    attrs = rng.uniform(-1.0, 1.0, k, d_a)
-    semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
-    labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])
-    return params, regions, attrs, semantics, labels, np.arange(c_seen), \
-        np.arange(c_seen, c_seen + c_unseen)
-
-
 @pytest.fixture(scope="module")
 def default_dataset():
     return generate_synthetic(SynthSpec())
@@ -63,7 +51,7 @@ def test_gradient_suite():
     start = time.monotonic()
     worst = 0.0
     for seed in range(5):
-        params, regions, attrs, semantics, labels, seen, unseen = _random_instance(
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(
             1000 + seed, **GRAD_DIMS)
         terms = LossTerms.of((LossConfig(),))
         split = ClassSplit.of(seen, unseen)
@@ -88,16 +76,16 @@ def test_gradient_suite():
 def test_oracle_equivalence():
     worst = 0.0
     for seed in range(100):
-        params, regions, attrs, semantics, labels, seen, unseen = _random_instance(seed)
-        trace = forward(regions[:1], attrs, params)
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(seed)
+        trace = forward(regions[:, :1], attrs, params)
 
-        ob, of, op = oracles.a2v_forward(regions[0], attrs, params.W1, params.W2)
-        for got, want in ((trace.beta[..., 0], ob), (trace.beta[..., 0] @ regions[0], of),
+        ob, of, op = oracles.a2v_forward(regions[:, 0], attrs, params.W1, params.W2)
+        for got, want in ((trace.beta[..., 0], ob), (trace.beta[..., 0] @ regions[:, 0], of),
                           (trace.psi[:, 0], op)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         ot, os_, obar, obig = oracles.v2a_forward(
-            regions[0], attrs, params.W3, params.W4, params.W_att)
+            regions[:, 0], attrs, params.W3, params.W4, params.W_att)
         for got, want in ((trace.tau[:, 0], ot), (trace.S.T, os_),
                           (trace.psi_bar[:, 0], obar), (trace.Psi[:, 0], obig)):
             worst = max(worst, float(np.abs(got - want).max()))
@@ -115,7 +103,7 @@ def test_oracle_equivalence():
         want_distill = oracles.distill_loss(s1, s2, cfg.epsilon_kl)
         worst = max(worst, abs(got_distill - want_distill))
 
-        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi[:, 0], trace.Psi[:, 0])
+        fused = PredictConfig(alpha1=0.9, alpha2=0.1).fuse(trace.psi[:, :1], trace.Psi[:, :1])
         split = ClassSplit.of(seen, unseen)
         for mode in ("czsl", "gzsl"):
             got = predict(calibrated_scores(fused, semantics, split), split, mode)
@@ -141,7 +129,7 @@ def test_attention_normalization():
         for _ in range(4):
             regions = rng.uniform(-5.0, 5.0, r, d_v)
             attrs = rng.uniform(-5.0, 5.0, k, d_a)
-            trace = forward(regions[None], attrs, params)
+            trace = forward(regions[:, None], attrs, params)
             np.testing.assert_allclose(trace.beta.sum(axis=-3), 1.0, atol=1e-10)
             np.testing.assert_allclose(trace.tau.sum(axis=-3), 1.0, atol=1e-10)
             cases += 1
@@ -176,18 +164,18 @@ def test_distillation_properties():
 
 
 def test_calibration_behavior():
-    params, regions, attrs, semantics, _, seen, unseen = _random_instance(77)
-    trace = forward(regions[:1], attrs, params)
+    params, regions, attrs, semantics, _, seen, unseen = random_instance(77)
+    trace = forward(regions[:, :1], attrs, params)
     cfg = PredictConfig()
-    scores = calibrated_scores(cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0]), semantics,
+    scores = calibrated_scores(cfg.fuse(trace.psi[:, :1], trace.Psi[:, :1]), semantics,
                                ClassSplit.of(seen, unseen))
-    raw = semantics @ (cfg.alpha1 * trace.psi[:, 0] + cfg.alpha2 * trace.Psi[:, 0])
+    raw = semantics @ (cfg.alpha1 * trace.psi[:, :1] + cfg.alpha2 * trace.Psi[:, :1])
     assert np.array_equal(scores[unseen], raw[unseen] + 1.0)
     assert np.array_equal(scores[seen], raw[seen] - 1.0)
 
     # seen leads by 1.5 raw; the +/-1 offsets hand the argmax to unseen
     margin_split = ClassSplit.of([0], [1])
-    margin_scores = calibrated_scores(np.array([1.0]), np.array([[5.0], [3.5]]), margin_split)
+    margin_scores = calibrated_scores(np.array([[1.0]]), np.array([[5.0], [3.5]]), margin_split)
     assert predict(margin_scores, margin_split, "gzsl") == 1
     _report("calibration behavior", "exact +/-1 offsets; 1.5 margin flips")
 

@@ -69,6 +69,23 @@ class TestAcecLoss:
         expected = oracles.acec_loss(scores, labels, seen, unseen, 0.0)
         assert loss == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("lambda_cal, c_unseen", [(0.0, 2), (0.1, 0)],
+                             ids=["zero_lambda", "no_unseen_class"])
+    def test_calibration_off_adds_exact_zeros(self, lambda_cal, c_unseen):
+        rng = Rng(26)
+        scores = rng.uniform(-2.0, 2.0, 3, 4 + c_unseen)
+        labels = np.array([2, 0, 3])
+        seen, unseen = np.arange(4), np.arange(4, 4 + c_unseen)
+        loss, grad = acec(scores, labels, seen, unseen, lambda_cal)
+        assert not grad[:, unseen].any()
+
+        def oracle(flat):
+            return oracles.acec_loss(flat.reshape(scores.shape), labels, seen, unseen, lambda_cal)
+
+        assert loss == pytest.approx(oracle(scores), abs=1e-12)
+        detail = grad_check_detail(oracle, scores.reshape(-1), grad.reshape(-1))
+        assert detail.max_rel_error <= 1e-5
+
     def test_constant_shift_leaves_seen_term_unchanged(self):
         rng = Rng(23)
         scores = rng.uniform(-2.0, 2.0, 3, 5)
@@ -280,7 +297,7 @@ class TestTotalLoss:
         params, regions, attrs, semantics, _, seen, unseen = random_instance(
             46, k=5, r=4, d_v=8, d_a=6, c_seen=3, c_unseen=2, batch=4)
         labels = np.array([2, 0, 1, 2])
-        assert not np.array_equal(regions[0], regions[1])
+        assert not np.array_equal(regions[:, 0], regions[:, 1])
         terms = LossTerms.of((LossConfig(lambda_distill=0.5),))
         split = ClassSplit.of(seen, unseen)
         _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
@@ -381,7 +398,6 @@ class TestTotalLoss:
         # process keeps its count, so a rerun must match to the bit.
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(
             53, k=312, r=196, d_v=2048, d_a=300, c_seen=150, c_unseen=50, batch=8)
-        regions = np.ascontiguousarray(regions.swapaxes(0, 1)).swapaxes(0, 1)  # region-major
         split, terms = ClassSplit.of(seen, unseen), LossTerms.of((LossConfig(),))
         (loss_a, grads_a), (loss_b, grads_b) = (
             total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
@@ -414,10 +430,10 @@ class TestMemoryLayout:
         ds = tiny_dataset
         idx = np.array([4, 0, 7])
         stack = ds.regions(idx, dtype)
-        assert stack.shape == (3, ds.num_regions, ds.visual_dim)
+        assert stack.shape == (ds.num_regions, 3, ds.visual_dim)
         assert stack.dtype == dtype
-        assert stack.transpose(1, 0, 2).flags.c_contiguous
-        assert np.array_equal(stack, ds.features[idx])
+        assert stack.flags.c_contiguous
+        assert np.array_equal(stack, ds.features[idx].swapaxes(0, 1))
 
     @CONFIGS
     def test_gradients_are_c_contiguous(self, tiny_dataset, terms):
@@ -433,15 +449,15 @@ class TestMemoryLayout:
     def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, terms):
         ds = tiny_dataset
         params, idx = self.batch(ds, terms)
-        region_major = ds.regions(idx, np.float64)
-        c_order = np.ascontiguousarray(region_major)
-        assert not region_major.flags.c_contiguous
+        c_order = ds.regions(idx, np.float64)
+        strided = np.ascontiguousarray(c_order.swapaxes(0, 1)).swapaxes(0, 1)
+        assert c_order.flags.c_contiguous and not strided.flags.c_contiguous
         args = (ds.labels[idx], ds.attributes, ds.class_semantics, ds.split, terms)
-        loss_rm, grads_rm = total_loss_raw(params, region_major, *args)
+        loss_s, grads_s = total_loss_raw(params, strided, *args)
         loss_c, grads_c = total_loss_raw(params, c_order, *args)
-        np.testing.assert_allclose(loss_rm, loss_c, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(loss_s, loss_c, rtol=1e-12, atol=0)
         for name, grad in grads_c.items():
-            assert np.abs(grads_rm[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+            assert np.abs(grads_s[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
 
 
 class TestLossConfig:

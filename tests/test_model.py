@@ -13,6 +13,7 @@ from msdn.model import (
     PARAM_NAMES,
     ModelDims,
     ModelParams,
+    _folded,
     a2v_forward,
     backward,
     forward,
@@ -73,7 +74,7 @@ class TestA2VForward:
     def test_zero_w1_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
         params = replace(init_params_from_rng(DIMS, Rng(2)), W1=np.zeros((3, 4)))
-        beta, _, _ = a2v_forward(regions[None], attrs, params)
+        beta, _, _ = a2v_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(beta[..., 0], 1.0 / DIMS.num_attributes, atol=1e-15)
         expected = np.tile(regions.mean(axis=0) * DIMS.num_regions / DIMS.num_attributes,
                            (DIMS.num_attributes, 1))
@@ -84,7 +85,7 @@ class TestA2VForward:
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 3, 4)
         attrs = rng.uniform(-1, 1, 1, 3)
-        beta, _, _ = a2v_forward(regions[None], attrs, init_params_from_rng(dims, Rng(0)))
+        beta, _, _ = a2v_forward(regions[:, None], attrs, init_params_from_rng(dims, Rng(0)))
         np.testing.assert_allclose(beta, 1.0)
         np.testing.assert_allclose((beta[..., 0] @ regions)[0], regions.sum(axis=0), atol=1e-12)
 
@@ -93,7 +94,7 @@ class TestA2VForward:
         for seed in range(5):
             params = init_params_from_rng(dims, Rng(seed))
             regions, attrs = tiny_inputs(seed + 100, dims)
-            beta, _, psi = a2v_forward(regions[None], attrs, params)
+            beta, _, psi = a2v_forward(regions[:, None], attrs, params)
             ob, of, op = oracles.a2v_forward(regions, attrs, params.W1, params.W2)
             np.testing.assert_allclose(beta[..., 0], ob, atol=1e-12)
             # the pooled features F = beta @ V are never formed by the model
@@ -103,7 +104,7 @@ class TestA2VForward:
     def test_shape_mismatch(self):
         regions, attrs = tiny_inputs()
         with pytest.raises(ShapeError):
-            a2v_forward(regions[None, :, :2], attrs, init_params_from_rng(DIMS, Rng(0)))
+            a2v_forward(regions[:, None, :2], attrs, init_params_from_rng(DIMS, Rng(0)))
         with pytest.raises(ShapeError):
             a2v_forward(regions, attrs, init_params_from_rng(DIMS, Rng(0)))
 
@@ -112,7 +113,7 @@ class TestV2AForward:
     def test_zero_w3_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
         params = replace(init_params_from_rng(DIMS, Rng(2)), W3=np.zeros((4, 3)))
-        tau, sem, *_ = v2a_forward(regions[None], attrs, params)
+        tau, sem, *_ = v2a_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
         expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions,
                            (DIMS.num_regions, 1))
@@ -123,7 +124,7 @@ class TestV2AForward:
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 1, 4)
         attrs = rng.uniform(-1, 1, 3, 3)
-        tau, sem, *_ = v2a_forward(regions[None], attrs, init_params_from_rng(dims, Rng(0)))
+        tau, sem, *_ = v2a_forward(regions[:, None], attrs, init_params_from_rng(dims, Rng(0)))
         np.testing.assert_allclose(tau, 1.0)
         np.testing.assert_allclose(sem[:, 0], attrs.sum(axis=0), atol=1e-12)
 
@@ -131,7 +132,7 @@ class TestV2AForward:
         for seed in range(5):
             params = init_params_from_rng(DIMS, Rng(seed))
             regions, attrs = tiny_inputs(seed + 200)
-            tau, sem, psi_bar, big_psi, _, _ = v2a_forward(regions[None], attrs, params)
+            tau, sem, psi_bar, big_psi, _, _ = v2a_forward(regions[:, None], attrs, params)
             ot, os_, ob, op = oracles.v2a_forward(
                 regions, attrs, params.W3, params.W4, params.W_att
             )
@@ -145,7 +146,7 @@ def class_scores(embedding, semantics):
     """Raw class scores: ``calibrated_scores`` minus its offset."""
     num_classes = semantics.shape[0]
     split = ClassSplit.of(np.arange(num_classes - 1), [num_classes - 1])
-    scores = calibrated_scores(np.asarray(embedding, dtype=float), semantics, split)
+    scores = calibrated_scores(np.asarray(embedding, dtype=float)[:, None], semantics, split)[:, 0]
     return scores - np.where(np.arange(num_classes) == num_classes - 1, 1.0, -1.0)
 
 
@@ -186,22 +187,22 @@ class TestAttentionInvariants:
         params = init_params_from_rng(dims, Rng(seed + 1))
         regions = rng.uniform(-3, 3, r, d_v)
         attrs = rng.uniform(-3, 3, k, d_a)
-        trace = forward(regions[None], attrs, params)
+        trace = forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(trace.beta.sum(axis=-3), 1.0, atol=1e-10)
         np.testing.assert_allclose(trace.tau.sum(axis=-3), 1.0, atol=1e-10)
 
     def test_forward_deterministic(self):
         regions, attrs = tiny_inputs(3)
         params = init_params_from_rng(DIMS, Rng(3))
-        a = forward(regions[None], attrs, params)
-        b = forward(regions[None], attrs, params)
+        a = forward(regions[:, None], attrs, params)
+        b = forward(regions[:, None], attrs, params)
         assert np.array_equal(a.psi, b.psi) and np.array_equal(a.Psi, b.Psi)
 
     def test_region_scaling_changes_beta(self):
         regions, attrs = tiny_inputs(5)
         params = init_params_from_rng(DIMS, Rng(5))
-        beta1, _, _ = a2v_forward(regions[None], attrs, params)
-        beta2, _, _ = a2v_forward(2.0 * regions[None], attrs, params)
+        beta1, _, _ = a2v_forward(regions[:, None], attrs, params)
+        beta2, _, _ = a2v_forward(2.0 * regions[:, None], attrs, params)
         assert not np.allclose(beta1, beta2)
 
 
@@ -219,7 +220,7 @@ class TestBackward:
             return float((w_psi * trace.psi).sum() + (w_big * trace.Psi).sum())
 
         trace = forward(regions, attrs, params)
-        grads = backward(regions, attrs, params, trace, w_psi, w_big)
+        grads = backward(params, trace, w_psi, w_big)
         for name, grad in grads.items():
             def f(flat, _n=name):
                 return value(replace(params, **{_n: flat.reshape(grad.shape)}))
@@ -235,16 +236,16 @@ class TestBatchedForward:
         dims = ModelDims(visual_dim=5, attr_dim=4, num_attributes=3, num_regions=4)
         params = init_params_from_rng(dims, Rng(17))
         rng = Rng(170)
-        regions = np.stack([rng.uniform(-1.0, 1.0, 4, 5) for _ in range(3)])
+        regions = np.stack([rng.uniform(-1.0, 1.0, 4, 5) for _ in range(3)], axis=1)
         attrs = rng.uniform(-1.0, 1.0, 3, 4)
-        assert not np.array_equal(regions[0], regions[1])
+        assert not np.array_equal(regions[:, 0], regions[:, 1])
         trace = forward(regions, attrs, params)
         assert trace.psi.shape == (3, 3) and trace.beta.shape == (3, 4, 3)
         for b in range(3):
-            ob, of, op = oracles.a2v_forward(regions[b], attrs, params.W1, params.W2)
+            ob, of, op = oracles.a2v_forward(regions[:, b], attrs, params.W1, params.W2)
             ot, os_, obar, obig = oracles.v2a_forward(
-                regions[b], attrs, params.W3, params.W4, params.W_att)
-            for got, want in ((trace.beta[..., b], ob), (trace.beta[..., b] @ regions[b], of),
+                regions[:, b], attrs, params.W3, params.W4, params.W_att)
+            for got, want in ((trace.beta[..., b], ob), (trace.beta[..., b] @ regions[:, b], of),
                               (trace.psi[:, b], op), (trace.tau[:, b], ot),
                               (trace.S[:, b::3].T, os_), (trace.psi_bar[:, b], obar),
                               (trace.Psi[:, b], obig)):
@@ -255,13 +256,23 @@ class TestBatchedForward:
         # product widens; float64 weights keep the float64 trace.
         params = init_params_from_rng(DIMS, Rng(5))
         regions, attrs = tiny_inputs(5)
-        stack = regions[None]
+        stack = regions[:, None]
         for dtype in (np.float32, np.float64):
             trace = forward(stack.astype(dtype), attrs, params.astype(dtype))
             assert {f.dtype for f in vars(trace).values()} == {np.dtype(dtype)}
 
+    def test_stack_folds_to_region_major_rows_without_a_copy(self):
+        regions, attrs = tiny_inputs(4)
+        params = init_params_from_rng(DIMS, Rng(4))
+        stack = np.stack([regions, 2.0 * regions], axis=1)          # (R, B, d_v)
+        rows = _folded(stack, attrs, params)
+        assert rows.shape == (DIMS.num_regions * 2, DIMS.visual_dim)
+        assert np.shares_memory(rows, stack)
+        # row r*B + b is region r of image b
+        assert np.array_equal(rows[1], 2.0 * regions[0])
+
     def test_single_image_must_be_a_stack(self):
-        # One image is a (1, R, d_v) stack; a bare (R, d_v) image is refused.
+        # One image is an (R, 1, d_v) stack; a bare (R, d_v) image is refused.
         regions, attrs = tiny_inputs(4)
         params = init_params_from_rng(DIMS, Rng(4))
         with pytest.raises(ShapeError, match="3-D region stack"):
@@ -278,14 +289,15 @@ class TestTraceLayout:
         params = stack[0] if models == 1 else ModelParams(dims, **{
             name: np.stack([getattr(p, name) for p in stack]) for name in PARAM_NAMES})
         rng = Rng(41)
-        regions = np.stack([rng.uniform(-2.0, 2.0, r, d_v) for _ in range(b)])
+        regions = np.stack([rng.uniform(-2.0, 2.0, r, d_v) for _ in range(b)], axis=1)
         trace = forward(regions, rng.uniform(-2.0, 2.0, k, d_a), params)
         lead = () if models == 1 else (models,)
         expected = {"beta": (k, r, b), "match": (k, r, b), "psi": (k, b), "Psi": (k, b),
                     "tau": (r, b, k), "S": (d_a, r * b), "readout": (d_a, r * b),
                     "psi_bar": (r, b), "pooled": (b, d_v)}
         assert {name: f.shape for name, f in vars(trace).items()} == {
-            name: lead + shape for name, shape in expected.items()}
+            "regions": (r, b, d_v), "attrs": (k, d_a),
+            **{name: lead + shape for name, shape in expected.items()}}
         np.testing.assert_allclose(trace.beta.sum(axis=-3), 1.0, rtol=0, atol=1e-10)
         np.testing.assert_allclose(trace.tau.sum(axis=-3), 1.0, rtol=0, atol=1e-10)
 

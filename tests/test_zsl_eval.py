@@ -65,10 +65,10 @@ class TestHarmonicMean:
 class TestPredict:
     def test_alpha1_only_depends_on_psi(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(60)
-        trace = forward(regions[:1], attrs, params)
+        trace = forward(regions[:, :1], attrs, params)
         cfg = PredictConfig(alpha1=1.0, alpha2=0.0)
-        fused = cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0])
-        other = cfg.fuse(trace.psi[:, 0], np.full_like(trace.Psi[:, 0], 9.0))
+        fused = cfg.fuse(trace.psi[:, :1], trace.Psi[:, :1])
+        other = cfg.fuse(trace.psi[:, :1], np.full_like(trace.Psi[:, :1], 9.0))
         np.testing.assert_array_equal(fused, other)
         split = ClassSplit.of(seen, unseen)
         assert (predict(calibrated_scores(fused, semantics, split), split, "gzsl")
@@ -77,16 +77,22 @@ class TestPredict:
     def test_indicator_margin_flips_to_unseen(self):
         # raw scores: seen class 5.0, unseen 4.5; offsets make 4.5+1 > 5.0-1
         split = ClassSplit.of([0], [1])
-        scores = calibrated_scores(np.array([1.0]), np.array([[5.0], [4.5]]), split)
+        scores = calibrated_scores(np.array([[1.0]]), np.array([[5.0], [4.5]]), split)
         assert predict(scores, split, "gzsl") == 1
+
+    def test_embedding_must_have_an_image_axis(self):
+        # A (K,) embedding would broadcast against the (C, 1) offsets into (C, C) scores.
+        split = ClassSplit.of([0], [1])
+        with pytest.raises(ShapeError, match=r"embedding must be \(1, n\)"):
+            calibrated_scores(np.array([1.0]), np.array([[5.0], [4.5]]), split)
 
     def test_indicator_exact_offsets(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(61)
-        trace = forward(regions[:1], attrs, params)
+        trace = forward(regions[:, :1], attrs, params)
         cfg = PredictConfig()
-        scores = calibrated_scores(cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0]), semantics,
+        scores = calibrated_scores(cfg.fuse(trace.psi[:, :1], trace.Psi[:, :1]), semantics,
                                    ClassSplit.of(seen, unseen))
-        raw = semantics @ (cfg.alpha1 * trace.psi[:, 0] + cfg.alpha2 * trace.Psi[:, 0])
+        raw = semantics @ (cfg.alpha1 * trace.psi[:, :1] + cfg.alpha2 * trace.Psi[:, :1])
         np.testing.assert_array_equal(scores[seen], raw[seen] - 1.0)
         np.testing.assert_array_equal(scores[unseen], raw[unseen] + 1.0)
 
@@ -94,10 +100,10 @@ class TestPredict:
         cfg = PredictConfig(alpha1=0.7, alpha2=0.3)
         for seed in range(30):
             params, regions, attrs, semantics, _, seen, unseen = random_instance(seed)
-            trace = forward(regions[:1], attrs, params)
+            trace = forward(regions[:, :1], attrs, params)
             split = ClassSplit.of(seen, unseen)
             for mode in ("czsl", "gzsl"):
-                scores = calibrated_scores(cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0]),
+                scores = calibrated_scores(cfg.fuse(trace.psi[:, :1], trace.Psi[:, :1]),
                                            semantics, split)
                 got = predict(scores, split, mode)
                 expected = oracles.predict(trace.psi[:, 0], trace.Psi[:, 0], semantics,
@@ -107,9 +113,9 @@ class TestPredict:
     def test_czsl_ignores_indicator(self):
         # constant +1 over the unseen candidate set cannot change the argmax
         params, regions, attrs, semantics, _, seen, unseen = random_instance(62)
-        trace = forward(regions[:1], attrs, params)
+        trace = forward(regions[:, :1], attrs, params)
         cfg = PredictConfig()
-        fused = cfg.fuse(trace.psi[:, 0], trace.Psi[:, 0])
+        fused = cfg.fuse(trace.psi[:, :1], trace.Psi[:, :1])
         split = ClassSplit.of(seen, unseen)
         pred = predict(calibrated_scores(fused, semantics, split), split, "czsl")
         raw = semantics @ fused
@@ -118,8 +124,8 @@ class TestPredict:
 
     def test_constant_shift_invariance(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(63)
-        trace = forward(regions[:1], attrs, params)
-        scores = calibrated_scores(PredictConfig().fuse(trace.psi[:, 0], trace.Psi[:, 0]),
+        trace = forward(regions[:, :1], attrs, params)
+        scores = calibrated_scores(PredictConfig().fuse(trace.psi[:, :1], trace.Psi[:, :1]),
                                    semantics, ClassSplit.of(seen, unseen))
         assert int(np.argmax(scores + 123.0)) == int(np.argmax(scores))
 
@@ -127,7 +133,7 @@ class TestPredict:
         semantics = np.zeros((4, 2))
         # all raw scores zero: unseen classes tie at +1, seen at -1
         split = ClassSplit.of(np.arange(2), np.arange(2, 4))
-        assert predict(calibrated_scores(np.zeros(2), semantics, split), split, "gzsl") == 2
+        assert predict(calibrated_scores(np.zeros((2, 1)), semantics, split), split, "gzsl") == 2
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ArgumentError, match="candidate"):
@@ -146,7 +152,7 @@ class TestPredict:
         semantics = np.ones((4, 2))
         split = ClassSplit.of([0, 1], [2])
         with pytest.raises(ShapeError, match="3 classes"):
-            calibrated_scores(np.ones(2), semantics, split)
+            calibrated_scores(np.ones((2, 1)), semantics, split)
 
 
 class TestPerClassAccuracy:
@@ -212,10 +218,10 @@ class TestReport:
         ds = dataclasses.replace(tiny_dataset, **changes)
         n_unseen = ds.test_unseen_idx.size
         stacked = draw.draw(arrays(np.float64, (draw.draw(st.integers(1, 3), label="models"),
-                                                ds.test_idx.size, ds.num_attributes),
+                                                ds.num_attributes, ds.test_idx.size),
                                    elements=values), label="embedding")
         for p, embedding in enumerate(stacked):
-            want = oracles.report_two_splits(ds, embedding[:n_unseen], embedding[n_unseen:])
+            want = oracles.report_two_splits(ds, embedding[:, :n_unseen], embedding[:, n_unseen:])
             assert report(ds, embedding) == want, p
 
 
@@ -232,15 +238,15 @@ class TestEvaluate:
         ds = tiny_dataset
         cfg = PredictConfig()
 
-        trace = forward(ds.features[ds.test_idx], ds.attributes, trained)
-        scores = calibrated_scores(cfg.fuse(trace.psi.T, trace.Psi.T), ds.class_semantics,
+        trace = forward(ds.features[ds.test_idx].swapaxes(0, 1), ds.attributes, trained)
+        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), ds.class_semantics,
                                    ds.split)
         labels = ds.labels[ds.test_idx]
 
         def oracle_predict(got, split, mode):
-            # GZSL ranks every test row; CZSL the unseen rows, which come first.
+            # GZSL ranks every test column; CZSL the unseen columns, which come first.
             n = ds.test_idx.size if mode == "gzsl" else ds.test_unseen_idx.size
-            assert np.array_equal(got, scores[:n]), mode
+            assert np.array_equal(got, scores[:, :n]), mode
             return labels[:n]
 
         monkeypatch.setattr(zsl_eval, "predict", oracle_predict)
@@ -254,7 +260,7 @@ class TestEvaluate:
         calls = []
 
         def counting_forward(regions, attrs, params):
-            calls.append(regions.shape[0])
+            calls.append(regions.shape[1])
             return forward(regions, attrs, params)
 
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", chunk)
@@ -267,13 +273,13 @@ class TestEvaluate:
 
         monkeypatch.setattr(zsl_eval, "forward", forward)
         psi, Psi = zsl_eval.forward_test_splits(trained, ds)
-        assert psi.shape == Psi.shape == (n_unseen + n_seen, ds.num_attributes)
-        # The unseen split's rows come first, then the seen split's.
-        for rows, idx in ((slice(None, n_unseen), ds.test_unseen_idx),
+        assert psi.shape == Psi.shape == (ds.num_attributes, n_unseen + n_seen)
+        # The unseen split's columns come first, then the seen split's.
+        for cols, idx in ((slice(None, n_unseen), ds.test_unseen_idx),
                           (slice(n_unseen, None), ds.test_seen_idx)):
             trace = forward(ds.regions(idx, np.float64), ds.attributes, trained)
-            np.testing.assert_allclose(psi[rows], trace.psi.T, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(Psi[rows], trace.Psi.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi[:, cols], trace.psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(Psi[:, cols], trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
         assert evaluate(trained, ds, PredictConfig()) == report
 
@@ -286,7 +292,7 @@ class TestEvaluate:
         stacked = ModelParams(trained.dims, **{
             name: np.stack([getattr(m, name) for m in models]) for name in PARAM_NAMES})
         together = zsl_eval.forward_test_splits(stacked, ds)
-        assert all(e.shape == (2, ds.test_idx.size, ds.num_attributes) for e in together)
+        assert all(e.shape == (2, ds.num_attributes, ds.test_idx.size) for e in together)
         for p, params in enumerate(models):
             alone = zsl_eval.forward_test_splits(params, ds)
             assert all(np.array_equal(g[p], a) for g, a in zip(together, alone)), p
@@ -377,9 +383,9 @@ class TestFloat32Eval:
         for got, want in zip(e32, e64):
             assert got.dtype == np.float64
             # Each test split is held to the bound relative to its own largest entry.
-            for rows in (slice(None, n_unseen), slice(n_unseen, None)):
-                assert (np.abs(got[rows] - want[rows]).max()
-                        <= self.EMBEDDING_RTOL * np.abs(want[rows]).max())
+            for cols in (slice(None, n_unseen), slice(n_unseen, None)):
+                assert (np.abs(got[:, cols] - want[:, cols]).max()
+                        <= self.EMBEDDING_RTOL * np.abs(want[:, cols]).max())
         scores32, scores64 = (calibrated_scores(PredictConfig().fuse(*e), ds.class_semantics,
                                                 ds.split) for e in (e32, e64))
         for mode in zsl_eval.MODES:
