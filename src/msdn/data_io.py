@@ -8,12 +8,13 @@ dataset that exists is a valid one.  On disk everything lives in a
 little endian "ZSLD" container of f32 and i32 tensors.  Region features
 stay f32 in memory (a loaded dataset's are a view of the file's bytes),
 and each batch is gathered as an (R, B, d_v) stack, images after
-regions, in the dtype of the weights it meets: f64 in training, a
-checkpoint's f32 in ``eval``.  Attribute and class semantic vectors are
-widened to f64 when a dataset is built.  Widening is exact, and a
-dataset built from f64 features holds them rounded to f32 as its
-container will, so features round-trip bit-exactly; the f64 vectors
-round-trip bit-exactly only when f32 holds them exactly.
+regions, in the dtype of the weights it meets: f32 in training and
+``eval``, f64 in ``grad-check`` and ``export-attention``.  Attribute and
+class semantic vectors are widened to f64 when a dataset is built.
+Widening is exact, and a dataset built from f64 features holds them
+rounded to f32 as its container will, so features round-trip
+bit-exactly; the f64 vectors round-trip bit-exactly only when f32 holds
+them exactly.
 Every output of the package is written through ``open_output`` (every
 CSV through ``write_table``), which replaces a file and never truncates it.
 """

@@ -240,5 +240,7 @@ def total_loss_raw(
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
-    d_psi, d_Psi = (class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2) for s in (0, 1))
+    # In the weights' dtype: a float64 d_psi or d_Psi would widen every backward product.
+    d_psi, d_Psi = ((class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2)).astype(
+        params.W1.dtype, copy=False) for s in (0, 1))
     return breakdown, model_mod.backward(params, trace, d_psi, d_Psi)

@@ -31,7 +31,7 @@ together with the stack and attributes the backward reads, and the
 gradients are C-contiguous blocks of one flat array, each in its
 parameter's shape.  Weights stacked on a leading model axis run every
 model in one pass, each product a stack of one model's products.  A
-forward computes in its weights' dtype.
+forward and its backward compute in their weights' dtype.
 """
 
 from __future__ import annotations
@@ -198,17 +198,18 @@ def backward(
 
     ``trace`` is the forward of ``params`` and carries the (R, B, d_v)
     stack and the attributes it ran on; ``d_psi`` and ``d_Psi`` are the
-    (K, B) loss gradients w.r.t. the two embeddings (model axis first
-    for stacked weights).  Gradients are summed over the batch and
-    written straight into one flat array, in ``PARAM_NAMES`` order, each
-    a C-contiguous view in its parameter's shape.  Consumes ``trace``:
-    its maps serve as scratch space, with the float operations of the
-    plain expressions, so the pass makes one map-sized temporary.
+    (K, B) loss gradients w.r.t. the two embeddings in the weights'
+    dtype, model axis first when stacked.  Gradients are summed over the
+    batch and written straight into one flat array, in ``PARAM_NAMES``
+    order, each a C-contiguous view in its parameter's shape.  Consumes
+    ``trace``: its maps serve as scratch space, with the float operations
+    of the plain expressions, so the pass makes one map-sized temporary.
     """
     regions, attrs = trace.regions, trace.attrs
     V = regions.reshape(-1, regions.shape[-1])
     models, rows = params.W1.shape[:-2], V.shape[0]
-    grads = FlatArrays({name: getattr(params, name).shape for name in PARAM_NAMES})
+    grads = FlatArrays({name: getattr(params, name).shape for name in PARAM_NAMES},
+                       dtype=params.W1.dtype)
 
     # first sub-net, K-major: psi[k, b] = sum_r beta[k, r, b] * match[k, r, b]
     beta, d_psi_k = trace.beta, d_psi[..., None, :]                        # d_psi_k (…, K, 1, B)

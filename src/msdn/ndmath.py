@@ -161,17 +161,17 @@ class Rng:
 
 
 class FlatArrays(dict):
-    """Named arrays that are consecutive C-order blocks of one flat float64 array.
+    """Named arrays that are consecutive C-order blocks of one flat float array.
 
     ``flat`` is that array, so one ufunc over it acts on every named
     array, and each named array is a view that reads and writes it.
-    ``alloc`` makes the flat array from its length (``np.empty`` or
-    ``np.zeros``).
+    ``alloc`` makes the flat array from its length and ``dtype``
+    (``np.empty`` or ``np.zeros``); a copy ``of`` arrays takes their dtype.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], alloc=np.empty):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], alloc=np.empty, dtype=np.float64):
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = alloc(sum(sizes))
+        self.flat = alloc(sum(sizes), dtype)
         start = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             self[name] = self.flat[start:start + size].reshape(shape)
@@ -180,13 +180,15 @@ class FlatArrays(dict):
     @classmethod
     def of(cls, arrays: dict[str, np.ndarray]) -> "FlatArrays":
         """A flat copy of ``arrays``."""
-        out = cls({name: arr.shape for name, arr in arrays.items()})
+        out = cls({name: arr.shape for name, arr in arrays.items()},
+                  dtype=np.result_type(*arrays.values()))
         for name, arr in arrays.items():
             out[name][...] = arr
         return out
 
     def zeros_like(self) -> "FlatArrays":
-        return FlatArrays({name: arr.shape for name, arr in self.items()}, np.zeros)
+        return FlatArrays({name: arr.shape for name, arr in self.items()}, np.zeros,
+                          self.flat.dtype)
 
 
 def _float_array(x) -> np.ndarray:

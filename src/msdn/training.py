@@ -14,7 +14,9 @@ as one flat array each (``FlatArrays``).  Each step works in its batch's
 flat gradient array, which ``fit`` drops after the step.  ``train`` is
 a pure function of (dataset, config) to (params, history): one PRNG
 seeded from the config drives both the parameter init and the per-epoch
-shuffles.  Configs come from files through ``configfile.load_config``.
+shuffles.  It computes in float32, the precision a checkpoint stores,
+except for the float64 loss head over class scores.  Configs come from
+files through ``configfile.load_config``.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def rmsprop_step(
         raise ShapeError(f"gradients have {g.size} elements, parameters {param.size}")
     wd, rho, mu, eps, lr = (cfg.weight_decay, cfg.rms_decay, cfg.momentum, cfg.epsilon_opt,
                             cfg.learning_rate)
-    scratch = np.empty(min(param.size, STEP_BLOCK))
+    scratch = np.empty(min(param.size, STEP_BLOCK), param.dtype)
     for start in range(0, param.size, STEP_BLOCK):
         block = slice(start, start + STEP_BLOCK)
         p, gb, s, b = param[block], g[block], sq[block], buf[block]
@@ -182,8 +184,9 @@ def train(
 
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
+    init = init_params_from_rng(dims, rng).astype(np.float32)   # the checkpoint's precision
     weights = FlatArrays.of({name: np.broadcast_to(w, models + w.shape)
-                             for name, w in init_params_from_rng(dims, rng).as_dict().items()})
+                             for name, w in init.as_dict().items()})
     params = ModelParams(dims=dims, **weights)
 
     def loss_fn(idx: np.ndarray):

@@ -363,17 +363,22 @@ def harmonic_mean(s, u):
 def rmsprop_step(params, grads, square_avg, momentum_buf, cfg):
     """The RMSProp update on fresh arrays, one element at a time.
 
+    Every operation rounds to the parameters' dtype, as numpy's would.
     Returns new (params, square_avg, momentum_buf) dicts; the inputs are
     left untouched.
     """
     new_params, new_sq, new_buf = {}, {}, {}
     for name, param in params.items():
+        f = param.dtype.type
+        wd, rho, one_minus_rho, mu, eps, lr = (f(c) for c in (
+            cfg.weight_decay, cfg.rms_decay, 1.0 - cfg.rms_decay, cfg.momentum,
+            cfg.epsilon_opt, cfg.learning_rate))
         p, sq, buf = param.copy(), square_avg[name].copy(), momentum_buf[name].copy()
         for idx in np.ndindex(param.shape):
-            g = float(grads[name][idx]) + cfg.weight_decay * float(param[idx])
-            s = cfg.rms_decay * float(sq[idx]) + (1.0 - cfg.rms_decay) * g * g
-            b = cfg.momentum * float(buf[idx]) + g / (math.sqrt(s) + cfg.epsilon_opt)
-            p[idx] = float(param[idx]) - cfg.learning_rate * b
+            g = f(grads[name][idx]) + wd * f(param[idx])
+            s = rho * f(sq[idx]) + one_minus_rho * g * g
+            b = mu * f(buf[idx]) + g / (np.sqrt(s) + eps)
+            p[idx] = f(param[idx]) - lr * b
             sq[idx] = s
             buf[idx] = b
         new_params[name], new_sq[name], new_buf[name] = p, sq, buf

@@ -5,7 +5,8 @@ import numpy as np
 from msdn import ablation, zsl_eval
 from msdn.ablation import run_ablation
 from msdn.data_io import SynthSpec, generate_synthetic
-from msdn.model import ModelDims, ModelParams, init_params_from_rng
+from msdn.model import (ModelDims, ModelParams, init_params_from_rng, load_checkpoint,
+                        save_checkpoint)
 from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
 from msdn.zsl_eval import PredictConfig, evaluate, forward_test_splits
@@ -92,3 +93,25 @@ def test_lockstep_grid_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6e6, f"run_ablation peaked at {peak / 1e6:.2f} MB"
+
+
+def test_full_model_embeds_as_its_checkpoint(tmp_path, monkeypatch):
+    # ablate and train -> save -> load compute in one precision, float32, so the
+    # grid's full model and the checkpoint of the same run embed the test
+    # splits bit for bit alike.
+    ds = generate_synthetic(SynthSpec())
+    cfg = TrainConfig(epochs=5, seed=1)
+    grid = []
+
+    def recorded(params, ds):
+        grid.append(forward_test_splits(params, ds))
+        return grid[-1]
+
+    monkeypatch.setattr(ablation, "forward_test_splits", recorded)
+    run_ablation(ds, cfg)
+    assert ablation.MODELS[1] == {} and ("full", 1, None) in ablation.ROWS
+    save_checkpoint(train(ds, cfg)[0], tmp_path / "model.zsld")
+    checkpoint = forward_test_splits(load_checkpoint(tmp_path / "model.zsld"), ds)
+    (lockstep,) = grid
+    for got, want in zip(lockstep, checkpoint):
+        assert got[1].tobytes() == want.tobytes()

@@ -493,31 +493,37 @@ class TestBuildsSplitOnce:
         assert len(builds) == 3
 
 
-class TestComputesInFloat64:
+class TestPrecisionPerCommand:
     """Features stay float32 in a dataset; each stack the model sees has its weights' dtype.
 
-    Training, ablation and export-attention compute in float64; eval
-    forwards in the float32 its checkpoint stores.
+    Training and ablation compute in float32, the precision the checkpoint
+    stores: the model, the embedding gradients that reach the backward,
+    the gradients and both RMSProp buffers.  eval forwards in its
+    checkpoint's float32; export-attention and grad-check in float64.
     """
 
-    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "export-attention"])
-    def test_model_gets_float64_stacks(self, tmp_path, data_file, train_cfg_file,
-                                       checkpoint_file, monkeypatch, command):
+    @pytest.mark.parametrize("command, expected", [
+        ("train", np.float32), ("ablate", np.float32), ("eval", np.float32),
+        ("export-attention", np.float64), ("grad-check", np.float64)])
+    def test_model_and_optimizer_dtypes(self, tmp_path, data_file, train_cfg_file,
+                                        checkpoint_file, monkeypatch, command, expected):
         seen = []
-        for name in ("forward", "backward"):
-            real = getattr(model, name)
 
-            def recorded(*args, _real=real, _name=name):
-                # forward(regions, attrs, params); backward(params, trace, d_psi, d_Psi)
-                regions, params = ((args[0], args[2]) if _name == "forward"
-                                   else (args[1].regions, args[0]))
-                seen.append((_name, regions.dtype, params.W1.dtype))
-                return _real(*args)
-
+        def spy(name, real, dtypes):
+            def recorded(*args):
+                seen.append((name, *(np.dtype(d) for d in dtypes(*args))))
+                return real(*args)
             # Every module that holds the function, so a call by any name counts.
             for module_name, module in list(sys.modules.items()):
                 if module_name.split(".")[0] == "msdn" and getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, recorded)
+
+        spy("forward", model.forward,
+            lambda regions, attrs, params: (regions.dtype, params.W1.dtype))
+        spy("backward", model.backward, lambda params, trace, d_psi, d_Psi: (
+            trace.regions.dtype, params.W1.dtype, d_psi.dtype, d_Psi.dtype))
+        spy("rmsprop_step", training.rmsprop_step,
+            lambda *flats_and_cfg: [f.flat.dtype for f in flats_and_cfg[:4]])
         out = tmp_path / "out"
         argv = {
             "train": ["train", "--data", data_file, "--config", train_cfg_file, "--out", out],
@@ -527,13 +533,19 @@ class TestComputesInFloat64:
                        "--out", out],
             "export-attention": ["export-attention", "--data", data_file, "--checkpoint",
                                  checkpoint_file, "--image", "2", "--out", out],
+            "grad-check": ["grad-check"],
         }[command]
         assert cli.main([str(a) for a in argv]) == 0
+        if command == "ablate":
+            # The mean-pooled linear baseline keeps its float64 steps, and only it.
+            baseline = ("rmsprop_step", *[np.dtype(np.float64)] * 4)
+            assert baseline in seen
+            seen = [call for call in seen if call != baseline]
         called = {name for name, *_ in seen}
-        assert called == ({"forward", "backward"} if command in ("train", "ablate")
-                          else {"forward"})
-        expected = np.float32 if command == "eval" else np.float64
-        assert {(stack, weights) for _, stack, weights in seen} == {(np.dtype(expected),) * 2}
+        assert called == {"train": {"forward", "backward", "rmsprop_step"},
+                          "ablate": {"forward", "backward", "rmsprop_step"},
+                          "grad-check": {"forward", "backward"}}.get(command, {"forward"})
+        assert {dtype for _, *dtypes in seen for dtype in dtypes} == {np.dtype(expected)}
 
 
 class TestAblate:
@@ -711,7 +723,8 @@ class TestNumericFailure:
     @pytest.mark.parametrize("existing", [None, b"old checkpoint"], ids=["new", "existing"])
     def test_weights_beyond_float32_exit_4_and_write_no_checkpoint(
             self, tmp_path, data_file, capsys, existing):
-        # One step leaves finite float64 weights that the f32 checkpoint cannot hold.
+        # One step takes the weights beyond float32 range, the precision training
+        # computes in, so they become non-finite in the step and fit's check names them.
         cfg = tmp_path / "big.cfg"
         cfg.write_text("epochs = 1\nbatch_size = 1000\nlearning_rate = 1e40\n")
         out = tmp_path / "big.ckpt"
@@ -723,7 +736,7 @@ class TestNumericFailure:
                            "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 4, captured.err
-        assert captured.err.splitlines() == ["error: tensor 'W1' overflows float32"]
+        assert captured.err.splitlines() == ["error: parameter W1 became non-finite at epoch 0"]
         assert captured.out == ""
         assert (out.read_bytes() if out.exists() else None) == existing
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(

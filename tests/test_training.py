@@ -151,14 +151,15 @@ def reference_train(ds, cfg, lcfgs):
 
     Per-parameter RMSProp through ``oracles.rmsprop_step``, batches from
     ``oracles.shuffle`` and one ``total_loss_raw`` call per batch.  Like
-    ``train``, ``lcfgs`` None trains one unstacked model.
+    ``train``, it computes in float32 from the float32 rounding of the
+    init, and ``lcfgs`` None trains one unstacked model.
     """
     rng = Rng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
     models = () if lcfgs is None else (len(lcfgs),)
     terms = LossTerms.of((cfg.loss_config(),) if lcfgs is None else lcfgs, models)
     params = {name: np.array(np.broadcast_to(w, models + w.shape))
-              for name, w in init_params_from_rng(dims, rng).as_dict().items()}
+              for name, w in init_params_from_rng(dims, rng).astype(np.float32).as_dict().items()}
     square_avg = {name: np.zeros_like(w) for name, w in params.items()}
     momentum_buf = {name: np.zeros_like(w) for name, w in params.items()}
     for _ in range(cfg.epochs):
@@ -166,7 +167,7 @@ def reference_train(ds, cfg, lcfgs):
         oracles.shuffle(rng, order)
         for start in range(0, len(order), cfg.batch_size):
             idx = ds.train_idx[order[start:start + cfg.batch_size]]
-            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx, np.float64),
+            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx, np.float32),
                                       ds.labels[idx], ds.attributes, ds.class_semantics,
                                       ds.split, terms)
             params, square_avg, momentum_buf = oracles.rmsprop_step(
@@ -238,6 +239,7 @@ class TestTrain:
         cfg = dataclasses.replace(FAST, epochs=0)
         params, history = train(tiny_dataset, cfg)
         reference = init_params_from_rng(ModelDims.for_dataset(tiny_dataset), Rng(cfg.seed))
+        reference = reference.astype(np.float32)   # the precision training computes in
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.array_equal(getattr(params, name), getattr(reference, name))
         assert history == []

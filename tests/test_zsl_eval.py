@@ -238,9 +238,9 @@ class TestEvaluate:
         ds = tiny_dataset
         cfg = PredictConfig()
 
-        trace = forward(ds.features[ds.test_idx].swapaxes(0, 1), ds.attributes, trained)
-        scores = calibrated_scores(cfg.fuse(trace.psi, trace.Psi), ds.class_semantics,
-                                   ds.split)
+        trace = forward(ds.regions(ds.test_idx, trained.W1.dtype), ds.attributes, trained)
+        psi, Psi = (e.astype(np.float64) for e in (trace.psi, trace.Psi))   # fused in float64
+        scores = calibrated_scores(cfg.fuse(psi, Psi), ds.class_semantics, ds.split)
         labels = ds.labels[ds.test_idx]
 
         def oracle_predict(got, split, mode):
@@ -277,7 +277,7 @@ class TestEvaluate:
         # The unseen split's columns come first, then the seen split's.
         for cols, idx in ((slice(None, n_unseen), ds.test_unseen_idx),
                           (slice(n_unseen, None), ds.test_seen_idx)):
-            trace = forward(ds.regions(idx, np.float64), ds.attributes, trained)
+            trace = forward(ds.regions(idx, trained.W1.dtype), ds.attributes, trained)
             np.testing.assert_allclose(psi[:, cols], trace.psi, rtol=0, atol=1e-12)
             np.testing.assert_allclose(Psi[:, cols], trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
@@ -288,7 +288,7 @@ class TestEvaluate:
         # Chunks join on the image axis, behind the model axis of stacked weights.
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", chunk)
         ds = tiny_dataset
-        models = [trained, init_params_from_rng(trained.dims, Rng(9))]
+        models = [trained, init_params_from_rng(trained.dims, Rng(9)).astype(trained.W1.dtype)]
         stacked = ModelParams(trained.dims, **{
             name: np.stack([getattr(m, name) for m in models]) for name in PARAM_NAMES})
         together = zsl_eval.forward_test_splits(stacked, ds)
@@ -302,7 +302,8 @@ class TestEvaluate:
         ds = tiny_dataset
 
         def oracle_preds(idx, mode):
-            traces = [forward(ds.regions([i], np.float64), ds.attributes, trained) for i in idx]
+            traces = [forward(ds.regions([i], trained.W1.dtype), ds.attributes, trained)
+                      for i in idx]
             return np.asarray([oracles.predict(t.psi[:, 0], t.Psi[:, 0], ds.class_semantics,
                                                ds.seen_classes, ds.unseen_classes,
                                                0.9, 0.1, mode) for t in traces])
@@ -332,8 +333,8 @@ class TestEvaluate:
         # NaN, where argmax would report class 0.  The CLI gets here from
         # finite f32 checkpoint weights whose float32 forward overflows
         # (test_cli.py::TestNumericFailure).
-        huge = dataclasses.replace(trained, W4=trained.W4 * 1e200,
-                                   W_att=trained.W_att * 1e200)
+        wide = trained.astype(np.float64)   # trained in float32, which 1e200 overflows
+        huge = dataclasses.replace(wide, W4=wide.W4 * 1e200, W_att=wide.W_att * 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="not finite"):
                 evaluate(huge, tiny_dataset, PredictConfig())
