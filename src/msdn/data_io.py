@@ -7,10 +7,10 @@ it is built (generated or loaded), and its arrays are read-only, so a
 dataset that exists is a valid one.  On disk everything lives in a
 little endian "ZSLD" container of f32 and i32 tensors.  Region features
 stay f32 in memory (a loaded dataset's are a view of the file's bytes),
-and each batch is gathered as an (R, B, d_v) stack, images after
-regions, in the dtype of the weights it meets: f32 in training and
-``eval``, f64 in ``grad-check`` and ``export-attention``.  Attribute and
-class semantic vectors are widened to f64 when a dataset is built.
+and each batch is gathered, in one copy for f32, as an (R, B, d_v)
+stack, images after regions, in the dtype of the weights it meets: f32
+in training and ``eval``, f64 in ``grad-check`` and ``export-attention``.
+Attribute and class semantic vectors are widened to f64 when a dataset is built.
 Widening is exact, and a dataset built from f64 features holds them
 rounded to f32 as its container will, so features round-trip
 bit-exactly; the f64 vectors round-trip bit-exactly only when f32 holds
@@ -104,8 +104,8 @@ class ClassSplit:
 class Dataset:
     """In-memory dataset, its tensors laid out as ``REQUIRED_TENSORS`` says.
 
-    Construction casts each float tensor to its dtype there, copying
-    only where the dtype changes.  It then raises
+    Construction casts each float tensor to a C-order array of its dtype
+    there, copying only where the dtype or the order changes.  It then raises
     :class:`DatasetValidationError` unless :func:`validate_dataset` finds
     no violation, and marks every tensor read-only in place.  ``extras``
     becomes a read-only mapping over a copy of the given dict, so no
@@ -131,7 +131,7 @@ class Dataset:
             for name, (_, dtype) in REQUIRED_TENSORS.items():
                 arr = getattr(self, name)
                 if dtype is not np.integer and arr.dtype.kind == "f":
-                    object.__setattr__(self, name, arr.astype(dtype, copy=False))
+                    object.__setattr__(self, name, arr.astype(dtype, order="C", copy=False))
         object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
         violations = validate_dataset(self)
         if violations:
@@ -144,9 +144,12 @@ class Dataset:
         """The region features of images ``idx``, gathered in the weights' ``dtype``.
 
         A batch comes back as a C-order (R, B, d_v) stack, so the model
-        folds it to (R*B, d_v) region-major rows with no copy.
+        folds it to (R*B, d_v) region-major rows with no copy.  The one copy
+        (two if ``dtype`` widens) takes the (region, image) rows of (N*R, d_v).
         """
-        return self.features[idx].swapaxes(0, -2).astype(dtype, order="C")
+        n, r, d_v = self.features.shape
+        rows = np.multiply(idx, r, dtype=np.intp) + np.arange(r, dtype=np.intp)[:, None]
+        return self.features.reshape(n * r, d_v).take(rows, axis=0).astype(dtype, copy=False)
 
     @cached_property
     def split(self) -> ClassSplit:

@@ -95,7 +95,7 @@ def acec_loss(
     labels: np.ndarray,
     split: ClassSplit,
     lambda_cal: float,
-) -> tuple[list[float], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attribute-based cross-entropy with self-calibration.
 
     ``scores`` is class-major, (C, rows): its columns stack one or more
@@ -106,8 +106,8 @@ def acec_loss(
     softmaxes over all classes, and penalizes low unseen-class
     log-probabilities, weighted by ``lambda_cal``.  Every step is
     column-wise, so a block scores as it would alone, and every softmax
-    and sum over classes reduces the outermost axis.  Returns each
-    block's loss, the (C, rows) gradient w.r.t. ``scores`` and the
+    and sum over classes reduces the outermost axis; each softmax takes one
+    ``exp``.  Returns the (blocks,) losses, the (C, rows) gradient w.r.t. ``scores`` and the
     (C_s, rows) seen-class softmax of every column (what distillation
     compares), both class-major like ``scores``.
     """
@@ -133,23 +133,23 @@ def acec_loss(
 
     # supervised term over seen-class scores only; a mean is its sum / n
     seen_scores = scores[seen]                          # (C_s, rows)
-    lse = log_sum_exp(seen_scores, axis=0)
+    lse, p_seen = log_sum_exp(seen_scores, axis=0)
     losses = (lse - seen_scores[label_rows, cols]).reshape(blocks, batch).sum(axis=1) / batch
-    p_seen = np.exp(seen_scores - lse)
     g_seen = p_seen.copy()
     g_seen[label_rows, cols] -= 1.0
     g_seen /= batch
 
     # At lambda_cal = 0, or with no unseen class, the calibration term adds exact zeros.
+    # Its own exp: one shared with the seen softmax could underflow either side.
     shifted = scores + split.indicator[:, None]
-    log_q = shifted - log_sum_exp(shifted, axis=0)
+    lse_q, q = log_sum_exp(shifted, axis=0)
     # per-sample cross-entropy mass on the unseen classes
-    cal_rows = (-log_q[unseen].sum(axis=0)).reshape(blocks, batch)
+    cal_rows = (-(shifted[unseen] - lse_q).sum(axis=0)).reshape(blocks, batch)
     losses += lambda_cal * (cal_rows.sum(axis=1) / batch)
-    grad = lambda_cal * ((unseen.size * np.exp(log_q) - split.unseen_mask[:, None]) / batch)
+    grad = lambda_cal * ((unseen.size * q - split.unseen_mask[:, None]) / batch)
     grad[seen] += g_seen
 
-    return losses.tolist(), grad, p_seen
+    return losses, grad, p_seen
 
 
 def distill_loss(pair: np.ndarray, terms: LossTerms) -> tuple[np.ndarray, np.ndarray]:
@@ -226,13 +226,12 @@ def total_loss_raw(
     scores = class_semantics @ np.concatenate([trace.psi, trace.Psi], axis=-1)
     scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
     acec, g_scores, p_seen = acec_loss(scores, labels, split, terms.cfg.lambda_cal)
-    acec = np.array(acec).reshape(models + (2,))           # (..., sub-net)
-    g_scores = g_scores.reshape((-1, *models, 2, batch))
+    acec = acec.reshape(models + (2,))                     # (..., sub-net)
 
     distill = np.zeros(models)
     if terms.distills:
         distill, g = distill_loss(p_seen.reshape((-1, *models, 2, batch)), terms)
-        g_scores[split.seen] += terms.lam[..., None, None] * g
+        g_scores.reshape((-1, *models, 2, batch))[split.seen] += terms.lam[..., None, None] * g
 
     a2v, v2a = acec[..., 0], acec[..., 1]
     values = np.array([a2v, v2a, distill, a2v + v2a + terms.lam * distill])
@@ -240,7 +239,9 @@ def total_loss_raw(
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite loss: {breakdown}")
 
-    # In the weights' dtype: a float64 d_psi or d_Psi would widen every backward product.
-    d_psi, d_Psi = ((class_semantics.T @ g_scores[..., s, :].swapaxes(0, -2)).astype(
-        params.W1.dtype, copy=False) for s in (0, 1))
+    # One product for both sub-nets; each half takes the weights' dtype, since a
+    # float64 d_psi or d_Psi would widen every backward product.
+    g_emb = (class_semantics.T @ g_scores).reshape((-1, *models, 2, batch))
+    d_psi, d_Psi = (g_emb[..., s, :].swapaxes(0, -2).astype(params.W1.dtype, order="C")
+                    for s in (0, 1))
     return breakdown, model_mod.backward(params, trace, d_psi, d_Psi)

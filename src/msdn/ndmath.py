@@ -7,14 +7,13 @@ time, over an inner axis of 9-50 elements it loops row by row, 5-16x
 slower at the stock shape.  So a batch's region features are an
 (R, B, d_v) array, the attention maps and class scores put their
 normalized axis first, and embeddings and scores put their image axis
-last.  The kernels
-here take any strided view and return results in its layout.  A
-dataset holds its region features as ``float32``; a batch is gathered in
-its weights' dtype, and the softmax and log-sum-exp keep ``float32`` and
-widen any other dtype to ``float64``.  Everything here is deterministic:
-re-running an operation on identical inputs yields bit-identical output,
-and the :class:`Rng` stream depends only on its seed, never on the
-platform.
+last.  The kernels here take any strided view and return results in its
+layout.  A dataset holds its region features as ``float32``; a batch is
+gathered in its weights' dtype (one copy for ``float32``), and the
+softmax and log-sum-exp keep ``float32`` and widen any other dtype to
+``float64``.  Everything here is deterministic: re-running an operation
+on identical inputs yields bit-identical output, and the :class:`Rng`
+stream depends only on its seed, never on the platform.
 """
 
 from __future__ import annotations
@@ -144,21 +143,6 @@ class Rng:
         states *= np.uint64(_XORSHIFT_MULT)
         return states.T.reshape(-1)[:n]
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, fastest on a list.
-
-        Swaps ``items[i]`` with ``items[next_below(i + 1)]`` for i from the
-        end down to 1, with the xorshift step written out in the loop.
-        """
-        x = self.state
-        for i in range(len(items) - 1, 0, -1):
-            x ^= x >> 12
-            x ^= (x << 25) & _U64
-            x ^= x >> 27
-            j = int((((x * _XORSHIFT_MULT) & _U64) >> 11) * _TWO_POW_NEG53 * (i + 1))
-            items[i], items[j] = items[j], items[i]
-        self.state = x
-
 
 class FlatArrays(dict):
     """Named arrays that are consecutive C-order blocks of one flat float array.
@@ -213,12 +197,13 @@ def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable log(sum(exp(x))) along ``axis``."""
+def log_sum_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Stable log(sum(exp(x))) along ``axis`` and the softmax it normalizes, from one ``exp``."""
     x = _float_array(x)
     m = x.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
-    return out.squeeze(axis=axis)
+    e = np.exp(x - m)
+    total = e.sum(axis=axis, keepdims=True)
+    return (m + np.log(total)).squeeze(axis=axis), np.divide(e, total, out=e)
 
 
 class GradCheckResult(NamedTuple):

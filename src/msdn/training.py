@@ -13,10 +13,10 @@ pass: a run holds its parameters, square averages and momentum buffers
 as one flat array each (``FlatArrays``).  Each step works in its batch's
 flat gradient array, which ``fit`` drops after the step.  ``train`` is
 a pure function of (dataset, config) to (params, history): one PRNG
-seeded from the config drives both the parameter init and the per-epoch
-shuffles.  It computes in float32, the precision a checkpoint stores,
-except for the float64 loss head over class scores.  Configs come from
-files through ``configfile.load_config``.
+seeded from the config draws the parameter init, then every epoch's
+shuffle in one bulk draw per run.  It computes in float32, the
+precision a checkpoint stores, except for the float64 loss head over
+class scores.  Configs come from files through ``configfile.load_config``.
 """
 
 from __future__ import annotations
@@ -117,12 +117,21 @@ def rmsprop_step(
         p -= np.multiply(b, lr, out=t)                 # param -= lr * buf
 
 
-def make_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
-    """Shuffle [0, n) and chunk it; the final short batch is kept."""
-    order = list(range(n))
-    rng.shuffle(order)
-    perm = np.array(order, dtype=np.int64)
-    return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
+def make_batches(n: int, batch_size: int, epochs: int, rng: Rng) -> list[list[np.ndarray]]:
+    """Every epoch's shuffle of [0, n), chunked; the final short batch is kept.
+
+    Epoch by epoch, a Python list swaps item i with item ``rng.next_below(i + 1)``
+    for i from n - 1 to 1; one bulk ``rng.uniform`` draw makes every epoch's calls."""
+    swaps = max(n - 1, 0)
+    u = rng.uniform(0.0, 1.0, epochs, swaps) if epochs and swaps else np.zeros((epochs, swaps))
+    out = []
+    for row in (u * np.arange(n, 1, -1)).astype(np.intp):   # column k picks j < n - k
+        order = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), row.tolist()):
+            order[i], order[j] = order[j], order[i]
+        perm = np.array(order, dtype=np.intp)
+        out.append([perm[i:i + batch_size] for i in range(0, n, batch_size)])
+    return out
 
 
 def fit(
@@ -136,18 +145,18 @@ def fit(
 
     ``loss_fn(idx)`` returns the loss breakdown and the gradients, laid
     out like ``weights``, for the samples ``idx`` at the current
-    weights, which are updated in place.  Each epoch draws one shuffle
-    from ``rng`` and records the sample-weighted mean of each breakdown
-    field (or of each model's value in it); the weights must stay
-    finite.  Returns the history.
+    weights, which are updated in place.  One ``make_batches`` call draws
+    every epoch's shuffle from ``rng``.  Each epoch records the sample-weighted
+    mean of each breakdown field (or of each model's value in it); the
+    weights must stay finite.  Returns the history.
     """
     n_train = int(train_idx.size)
     if n_train == 0:
         raise ArgumentError("dataset has an empty train split")
     square_avg, momentum_buf = weights.zeros_like(), weights.zeros_like()
     history: list[LossBreakdown] = []
-    for epoch in range(cfg.epochs):
-        batches, rows = make_batches(n_train, cfg.batch_size, rng), []
+    for epoch, batches in enumerate(make_batches(n_train, cfg.batch_size, cfg.epochs, rng)):
+        rows = []
         for batch_no, batch in enumerate(batches):
             try:
                 breakdown, grads = loss_fn(train_idx[batch])

@@ -705,28 +705,15 @@ class TestNumericFailure:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not out.exists()
 
-    def test_weights_overflowing_float64_exit_4_naming_the_parameter(
-            self, tmp_path, data_file, capsys):
-        # One full-batch step at this rate leaves inf weights, which fit's check names.
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text("epochs = 1\nbatch_size = 1000\nlearning_rate = 1e308\n")
-        out = tmp_path / "inf.ckpt"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = cli.main(["train", "--data", str(data_file), "--config", str(cfg),
-                           "--out", str(out)])
-        captured = capsys.readouterr()
-        assert rc == 4, captured.err
-        assert captured.err.splitlines() == ["error: parameter W1 became non-finite at epoch 0"]
-        assert captured.out == "" and not out.exists()
-
     @pytest.mark.parametrize("existing", [None, b"old checkpoint"], ids=["new", "existing"])
-    def test_weights_beyond_float32_exit_4_and_write_no_checkpoint(
-            self, tmp_path, data_file, capsys, existing):
-        # One step takes the weights beyond float32 range, the precision training
-        # computes in, so they become non-finite in the step and fit's check names them.
+    @pytest.mark.parametrize("rate", ["1e40", "1e308"], ids=["beyond_float32", "beyond_float64"])
+    def test_overflowing_weights_exit_4_naming_the_parameter_and_write_no_checkpoint(
+            self, tmp_path, data_file, capsys, rate, existing):
+        # One full-batch step at either rate takes the weights beyond float32
+        # range, the precision training computes in (1e308 beyond float64 too),
+        # so they become non-finite in the step and fit's check names them.
         cfg = tmp_path / "big.cfg"
-        cfg.write_text("epochs = 1\nbatch_size = 1000\nlearning_rate = 1e40\n")
+        cfg.write_text(f"epochs = 1\nbatch_size = 1000\nlearning_rate = {rate}\n")
         out = tmp_path / "big.ckpt"
         if existing is not None:
             out.write_bytes(existing)
@@ -741,7 +728,6 @@ class TestNumericFailure:
         assert (out.read_bytes() if out.exists() else None) == existing
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["big.cfg", "data.zsld", "spec.cfg"] + (["big.ckpt"] if existing else []))
-
 
     @pytest.fixture()
     def stock_files(self, tmp_path, train_cfg_file, capsys):

@@ -284,10 +284,12 @@ class TestContainerErrors:
                            match=r"^file ends inside payload of 'gen_region_attribute'$"):
             load_container(path)
 
-    def test_trailing_bytes_rejected(self, tiny_dataset, tmp_path):
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_trailing_bytes_rejected(self, tiny_dataset, tmp_path, extra):
         path = self._saved(tiny_dataset, tmp_path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ContainerFormatError):
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(ContainerFormatError,
+                           match=rf"^{extra} trailing bytes after last tensor$"):
             load_container(path)
 
     def test_unknown_dtype_code(self, tmp_path):

@@ -119,11 +119,32 @@ class TestAcecLoss:
         stacked = np.concatenate(blocks, axis=1)
         losses, grad, p_seen = acec_loss(stacked, labels, split, 0.2)
         alone = [acec_loss(block, labels, split, 0.2) for block in blocks]
-        assert losses == [loss for (loss,), _, _ in alone]
+        assert losses.tolist() == [loss for (loss,), _, _ in alone]
         assert np.array_equal(grad, np.concatenate([g for _, g, _ in alone], axis=1))
         assert np.array_equal(p_seen, np.concatenate([p for _, _, p in alone], axis=1))
         assert grad.shape == stacked.shape and p_seen.shape == (seen.size, stacked.shape[1])
         assert np.allclose(p_seen, softmax_stable(stacked[seen], axis=0), rtol=0, atol=1e-12)
+
+    # Scores of +-1e3, where an unshifted exp overflows, and a column whose
+    # unseen scores exceed its seen ones by 800: one exp shared by both
+    # softmaxes would underflow that column's seen softmax to 0/0.
+    @pytest.mark.parametrize("case", ["plus_1e3", "minus_1e3", "unseen_800_up"])
+    def test_extreme_scores_stay_finite_and_match_oracle(self, case):
+        rng = Rng(27)
+        labels = np.array([1, 3, 0])
+        seen, unseen = np.arange(4), np.arange(4, 6)
+        scores = rng.uniform(-1.0, 1.0, 3, 6)          # row-major (batch, C)
+        if case == "plus_1e3":
+            scores += 1e3
+        elif case == "minus_1e3":
+            scores -= 1e3
+        else:
+            scores[1, unseen] += 800.0
+        (loss,), grad, p_seen = acec_loss(scores.T, labels, ClassSplit.of(seen, unseen), 0.1)
+        assert np.isfinite(loss) and np.isfinite(grad).all() and np.isfinite(p_seen).all()
+        np.testing.assert_allclose(p_seen.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(oracles.acec_loss(scores, labels, seen, unseen, 0.1),
+                                     rel=0, abs=1e-12)
 
     def test_rows_must_tile_labels_and_classes(self):
         split = ClassSplit.of(np.arange(3), np.arange(3, 5))
@@ -460,15 +481,31 @@ class TestMemoryLayout:
             params = stacked([params] * terms.lam.size)
         return params, idx
 
+    @pytest.mark.parametrize("idx", [[4, 0, 7], [5, 5, -1], [-30], []],
+                             ids=["three", "repeats_and_negative", "first", "empty"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_regions_are_region_major(self, tiny_dataset, dtype):
+    def test_regions_are_region_major(self, tiny_dataset, dtype, idx):
         ds = tiny_dataset
-        idx = np.array([4, 0, 7])
+        assert ds.num_samples == 30
+        idx = np.array(idx, dtype=np.int32)
         stack = ds.regions(idx, dtype)
-        assert stack.shape == (ds.num_regions, 3, ds.visual_dim)
+        assert stack.shape == (ds.num_regions, idx.size, ds.visual_dim)
         assert stack.dtype == dtype
         assert stack.flags.c_contiguous
         assert np.array_equal(stack, ds.features[idx].swapaxes(0, 1))
+
+    @pytest.mark.parametrize("idx", [[30], [-31], [0, 40]])
+    def test_regions_reject_images_outside_the_dataset(self, tiny_dataset, idx):
+        with pytest.raises(IndexError):
+            tiny_dataset.regions(idx, np.float32)
+
+    def test_strided_features_are_stored_c_order(self, tiny_dataset):
+        ds = tiny_dataset
+        strided = np.asfortranarray(ds.features)
+        rebuilt = dataclasses.replace(ds, features=strided)
+        assert not strided.flags.c_contiguous and rebuilt.features.flags.c_contiguous
+        idx = ds.train_idx[::3]
+        assert rebuilt.regions(idx, np.float32).tobytes() == ds.regions(idx, np.float32).tobytes()
 
     @CONFIGS
     def test_gradients_are_c_contiguous(self, tiny_dataset, terms):

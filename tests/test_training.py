@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import TINY_SPEC, format_kv, patched, stacked
@@ -130,20 +132,50 @@ class TestRmspropStep:
 
 class TestMakeBatches:
     def test_partition_sizes(self):
-        batches = make_batches(5, 2, Rng(0))
+        (batches,) = make_batches(5, 2, 1, Rng(0))
         assert [len(b) for b in batches] == [2, 2, 1]
         assert sorted(np.concatenate(batches).tolist()) == list(range(5))
 
     def test_same_seed_same_batches(self):
-        a = make_batches(20, 6, Rng(9))
-        b = make_batches(20, 6, Rng(9))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = make_batches(20, 6, 3, Rng(9))
+        b = make_batches(20, 6, 3, Rng(9))
+        assert [x.tolist() for e in a for x in e] == [x.tolist() for e in b for x in e]
 
     def test_permutation_property(self):
         for n in (1, 7, 33):
-            batches = make_batches(n, 4, Rng(n))
-            merged = np.concatenate(batches)
-            assert sorted(merged.tolist()) == list(range(n))
+            for batches in make_batches(n, 4, 3, Rng(n)):
+                merged = np.concatenate(batches)
+                assert sorted(merged.tolist()) == list(range(n))
+        # 40 items keep their order with probability 1/40!.
+        for batches in make_batches(40, 4, 3, Rng(13)):
+            assert np.concatenate(batches).tolist() != list(range(40))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.sampled_from([0, 1, 2, 3, 50, 320, 1000]),
+           epochs=st.sampled_from([0, 1, 3, 50]))
+    def test_every_epoch_matches_scalar_shuffle_oracle(self, seed, n, epochs):
+        # One bulk draw gives each epoch the permutation, and the run the end
+        # state, of one next_below call per swap, epoch after epoch.
+        fast, scalar = Rng(seed), Rng(seed)
+        got = make_batches(n, 7, epochs, fast)
+        assert len(got) == epochs
+        for batches in got:
+            want = list(range(n))
+            oracles.shuffle(scalar, want)
+            assert [len(b) for b in batches] == [min(7, n - i) for i in range(0, n, 7)]
+            assert [i for b in batches for i in b.tolist()] == want
+        assert fast.state == scalar.state
+
+    def test_fit_draws_every_epoch_in_one_call(self, tiny_dataset, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[:3])
+            return make_batches(*args)
+
+        monkeypatch.setattr(training, "make_batches", spy)
+        train(tiny_dataset, FAST)
+        assert calls == [(tiny_dataset.train_idx.size, FAST.batch_size, FAST.epochs)]
 
 
 def reference_train(ds, cfg, lcfgs):
@@ -183,8 +215,8 @@ def stock_dataset():
 class TestTrain:
     @pytest.mark.parametrize("lockstep", [False, True], ids=["one_model", "four_models"])
     def test_stock_weights_match_reference_loop(self, stock_dataset, lockstep):
-        # The flat buffers, the gradient views and the inlined shuffle
-        # change no bit of what three stock epochs train.
+        # The flat buffers, the gradient views and the run's one bulk
+        # shuffle draw change no bit of what three stock epochs train.
         cfg = TrainConfig(epochs=3, seed=1)
         lcfg = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES) if lockstep else None
         got, _ = train(stock_dataset, cfg, loss_cfg=lcfg)
