@@ -6,32 +6,33 @@ region, and sums each attribute's W2 bilinear matches with the regions
 under that attention into a per-attribute confidence vector psi.
 
 The visual->attribute sub-net mirrors it: bilinear scores through W3
-normalized over regions within each attribute, attribute pooling into
-per-region semantic features S, a W4 mapping to per-region scores
-psi_bar, and a final bilinear projection through W_att that turns the
-R-dimensional psi_bar into the K-dimensional embedding Psi so both
-sub-nets score classes in the same attribute space.
+normalized over regions within each attribute, and each region's W4
+bilinear matches with the attributes summed under that attention into
+a per-region score psi_bar.  A final bilinear projection through W_att
+turns the R-dimensional psi_bar into the K-dimensional embedding Psi,
+so both sub-nets score classes in the same attribute space.
 
 Forward and backward run on an (R, B, d_v) stack of images folded into
 (R*B, d_v) rows ordered region-major, (r, b), so each product is one
-GEMM per batch and the image-independent products (A W1, A W2, W3 A^T)
-are formed once per batch.  Psi = sum_r psi_bar_r v_r^T W_att A^T =
-(psi_bar^T V) W_att A^T is rank-one per image, so it is computed from
-the psi_bar-pooled (B, d_v) features and no (B, R, K) region-attribute
-map is formed.
+GEMM per batch and the image-independent products (A W1, A W2, W3 A^T,
+W4 A^T, A W_att^T) are formed once per batch.  Psi = sum_r psi_bar_r
+A W_att^T v_r = (A W_att^T)(psi_bar^T V)^T is rank-one per image, so it
+is computed from the psi_bar-pooled (B, d_v) features and forms no
+region-attribute map of W_att matches.
 
-Every intermediate is laid out so that the axis a softmax or sum
-reduces is outermost in memory: the a2v maps are (K, R, B), the v2a
-attention (R, B, K), S and the W4 readout (d_a, R*B).  numpy reduces in
-memory order, and over the outermost axis it adds whole contiguous rows
-at once instead of looping over rows of 9-50 elements: 5-16x faster at
-the stock shape.  A C-order stack (``Dataset.regions``) folds with no
-copy.  The trace keeps these arrays as computed, batch axis innermost,
-together with the stack and attributes the backward reads, and the
-gradients are C-contiguous blocks of one flat array, each in its
-parameter's shape.  Weights stacked on a leading model axis run every
-model in one pass, each product a stack of one model's products.  A
-forward and its backward compute in their weights' dtype.
+The attention maps are laid out so that the axis their softmax
+normalizes is outermost in memory: the a2v maps are (K, R, B), the v2a
+maps (R, B, K).  numpy reduces in memory order, and over the outermost
+axis it adds whole contiguous rows at once instead of looping over rows
+of 9-50 elements: 5-16x faster at the stock shape.  psi sums the a2v
+maps over R; psi_bar contracts the v2a maps over K, their innermost
+axis, in one einsum, which forms no map-sized product.  A C-order stack
+(``Dataset.regions``) folds with no copy.  The trace keeps these arrays
+as computed, together with the stack and attributes the backward reads,
+and the gradients are C-contiguous blocks of one flat array, each in
+its parameter's shape.  Weights stacked on a leading model axis run
+every model in one pass, each product a stack of one model's products.
+A forward and its backward compute in their weights' dtype.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class ForwardTrace:
     """Everything a forward pass over an (R, B, d_v) stack reads and produces.
 
     The stack and the attributes it met come first; the maps follow in
-    the order and layout the two sub-nets compute them.  ``R*B`` columns
-    are ordered (r, b), and stacked weights put their model axis in front.
+    the order and layout the two sub-nets compute them, and stacked
+    weights put their model axis in front.
     """
 
     regions: np.ndarray  # (R, B, d_v) the stack, in the weights' dtype
@@ -102,11 +103,10 @@ class ForwardTrace:
     match: np.ndarray    # (K, R, B) a_k^T W2 v_r; psi = sum_r beta * match (backward only)
     psi: np.ndarray      # (K, B) attribute confidences, first sub-net
     tau: np.ndarray      # (R, B, K) attention over regions, per attribute
-    S: np.ndarray        # (d_a, R*B) visual-based attribute features
+    M: np.ndarray        # (R, B, K) v_r^T W4 a_k; psi_bar = sum_k tau * M (backward only)
     psi_bar: np.ndarray  # (R, B) per-region scores, second sub-net
     Psi: np.ndarray      # (K, B) attribute confidences, second sub-net
-    pooled: np.ndarray   # (B, d_v) psi_bar @ V; Psi = A (pooled W_att)^T (backward only)
-    readout: np.ndarray  # (d_a, R*B) W4^T V^T; psi_bar = colsum(readout * S) (backward only)
+    pooled: np.ndarray   # (B, d_v) psi_bar @ V; Psi = (A W_att^T) pooled^T (backward only)
 
 
 def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -155,28 +155,24 @@ def a2v_forward(
 def v2a_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, ...]:
-    """Visual->attribute pass over an (R, B, d_v) stack.
+    """Visual->attribute pass over an (R, B, d_v) stack: (tau, M, psi_bar, Psi, pooled).
 
-    Returns (tau, S, psi_bar, Psi, pooled, readout): (R, B, K),
-    (d_a, R*B), (R, B), (K, B), (B, d_v) and (d_a, R*B).  tau[r, b, k]
-    softmax-normalizes the bilinear scores over regions r within each
-    attribute k; column (r, b) of S pools attribute vectors under tau;
-    psi_bar[r, b] matches region r against it through W4; Psi projects
-    psi_bar into attribute space through W_att, as the bilinear match
-    of the psi_bar-pooled regions with every attribute vector.
+    tau[r, b, k] softmax-normalizes the bilinear scores over regions r
+    within each attribute k; M is (R, B, K) too.  psi_bar[r, b] is the
+    match of region r of image b through W4 with the tau-pooled
+    attributes, summed over attributes so the (R, B, d_a) pooled
+    features never form.  Psi (K, B) projects psi_bar into attribute
+    space through W_att, as the bilinear match of the psi_bar-pooled
+    (B, d_v) regions with every attribute vector.
     """
     V = _folded(regions, attrs, params)
-    models, rows = params.W3.shape[:-2], V.shape[0]
-    per_region = models + regions.shape[:2]                                # (…, R, B)
-    # No name holds the logits, so they are freed before S and the readout exist.
-    tau = softmax_stable((V @ (params.W3 @ attrs.T)).reshape(per_region + (-1,)),
-                         axis=-3)                                          # (…, R, B, K)
-    S = attrs.T @ tau.reshape(models + (rows, -1)).swapaxes(-1, -2)        # (…, d_a, R*B)
-    readout = params.W4.swapaxes(-1, -2) @ V.T                             # (…, d_a, R*B)
-    psi_bar = (readout * S).sum(axis=-2).reshape(per_region)               # (…, R, B)
+    maps = params.W3.shape[:-2] + regions.shape[:2] + (-1,)                # (…, R, B, K)
+    tau = softmax_stable((V @ (params.W3 @ attrs.T)).reshape(maps), axis=-3)
+    M = (V @ (params.W4 @ attrs.T)).reshape(maps)
+    psi_bar = np.einsum("...k,...k->...", tau, M)                          # (…, R, B)
     pooled = (psi_bar.swapaxes(-1, -2)[..., None, :] @ regions.swapaxes(0, 1))[..., 0, :]
-    Psi = attrs @ (pooled @ params.W_att).swapaxes(-1, -2)                 # (…, K, B)
-    return tau, S, psi_bar, Psi, pooled, readout
+    Psi = (attrs @ params.W_att.swapaxes(-1, -2)) @ pooled.swapaxes(-1, -2)  # (…, K, B)
+    return tau, M, psi_bar, Psi, pooled
 
 
 def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
@@ -221,23 +217,21 @@ def backward(
     d_beta *= beta                                                         # d_logits1
     np.matmul(attrs.T, d_beta.reshape(models + (-1, rows)) @ V, out=grads["W1"])
 
-    # second sub-net: Psi[b] = (psi_bar[b] @ V[b]) @ W_att @ A^T
+    # second sub-net: Psi = (A W_att^T) pooled^T, pooled[b] = psi_bar[:, b] @ V[:, b]
     d_Psi_A = d_Psi.swapaxes(-1, -2) @ attrs                               # (…, B, d_a)
     np.matmul(trace.pooled.swapaxes(-1, -2), d_Psi_A, out=grads["W_att"])
     d_pooled = d_Psi_A @ params.W_att.swapaxes(-1, -2)                     # (…, B, d_v)
-    d_psi_bar = (regions.swapaxes(0, 1) @ d_pooled[..., None])[..., 0]     # (…, B, R)
-    d_psi_bar = d_psi_bar.swapaxes(-1, -2).reshape(models + (1, rows))
+    d_psi_bar = (regions.swapaxes(0, 1) @ d_pooled[..., None]).swapaxes(-3, -2)  # (…, R, B, 1)
 
-    # d_a-major: psi_bar = colsum(readout * S), readout = W4^T V^T, S = A^T tau^T
-    S, readout, tau = trace.S, trace.readout, trace.tau
-    S *= d_psi_bar
-    np.matmul(V.T, S.swapaxes(-1, -2), out=grads["W4"])
-    readout *= d_psi_bar
-    d_tau = np.matmul(readout.swapaxes(-1, -2), attrs.T,                   # in d_beta's buffer
-                      out=d_beta.reshape(models + (rows, -1))).reshape(tau.shape)
-    d_tau -= np.multiply(tau, d_tau, out=scratch.reshape(tau.shape)).sum(axis=-3, keepdims=True)
+    # R-major: psi_bar[r, b] = sum_k tau[r, b, k] * M[r, b, k]
+    tau, scratch = trace.tau, scratch.reshape(trace.tau.shape)
+    d_M = np.multiply(tau, d_psi_bar, out=scratch).reshape(models + (rows, -1))
+    np.matmul(V.T @ d_M, attrs, out=grads["W4"])
+    d_tau = trace.M                                                        # in M's buffer
+    d_tau *= d_psi_bar
+    d_tau -= np.multiply(tau, d_tau, out=scratch).sum(axis=-3, keepdims=True)
     d_tau *= tau                                                           # d_logits2
-    del scratch, d_pooled   # freed before the last product, where the pass peaks
+    del scratch, d_M, d_pooled   # freed before the last product, where the pass peaks
     np.matmul(V.T @ d_tau.reshape(models + (rows, -1)), attrs, out=grads["W3"])
     return grads
 

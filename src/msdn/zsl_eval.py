@@ -130,10 +130,6 @@ def per_class_accuracy(
     """
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
-    if labels.shape != predictions.shape:
-        raise ShapeError(
-            f"labels and predictions differ: {labels.shape} vs {predictions.shape}"
-        )
     ordered = np.sort(np.asarray(classes))
     # A label equal to ordered[pos:end] is a class, counted once at its first place pos.
     pos, end = (np.searchsorted(ordered, labels, side=side) for side in ("left", "right"))

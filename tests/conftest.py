@@ -87,3 +87,28 @@ def stacked(models):
 
     return ModelParams(models[0].dims, **{name: np.stack([m.as_dict()[name] for m in models])
                                           for name in models[0].as_dict()})
+
+
+def directional_errors(loss, params, grads, seed, directions=3):
+    """The analytic gradient of ``loss`` checked along random unit directions.
+
+    For each matrix W of ``params`` and unit direction u, the central
+    difference (loss(W + hu) - loss(W - hu)) / 2h with h = 1e-5 max(1, |W|)
+    is compared with <grads[W], u>, relative to max(1, |numeric|,
+    |analytic|) as in ``ndmath.grad_check_detail``.  Returns, per matrix,
+    the worst direction's (relative error, |<grads[W], u>|).
+    """
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for name, w in params.as_dict().items():
+        step = 1e-5 * max(1.0, float(np.linalg.norm(w)))
+        for _ in range(directions):
+            u = rng.standard_normal(w.shape)
+            u /= np.linalg.norm(u)
+            plus, minus = (loss(dataclasses.replace(params, **{name: w + sign * step * u}))
+                           for sign in (1.0, -1.0))
+            numeric, analytic = (plus - minus) / (2.0 * step), float(np.vdot(grads[name], u))
+            err = abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic))
+            if name not in worst or err > worst[name][0]:
+                worst[name] = (err, abs(analytic))
+    return worst

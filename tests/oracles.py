@@ -162,7 +162,12 @@ def a2v_forward(regions, attrs, w1, w2):
 
 
 def v2a_forward(regions, attrs, w3, w4, w_att):
-    """Scalar-loop visual->attribute pass: (tau, S, psi_bar, Psi)."""
+    """Scalar-loop visual->attribute pass: (tau, S, M, psi_bar, Psi).
+
+    S pools the attribute vectors under tau, one row per region, and
+    psi_bar matches each region with its row through W4; M holds the
+    region-attribute matches v_r^T W4 a_k themselves.
+    """
     num_regions, d_v = regions.shape
     num_attrs, d_a = attrs.shape
     logits = [[0.0] * num_attrs for _ in range(num_regions)]
@@ -192,6 +197,14 @@ def v2a_forward(regions, attrs, w3, w4, w_att):
             for p in range(d_a):
                 acc += regions[r][q] * w4[q][p] * sem[r][p]
         psi_bar[r] = acc
+    matches = [[0.0] * num_attrs for _ in range(num_regions)]
+    for r in range(num_regions):
+        for k in range(num_attrs):
+            acc = 0.0
+            for q in range(d_v):
+                for p in range(d_a):
+                    acc += regions[r][q] * w4[q][p] * attrs[k][p]
+            matches[r][k] = acc
     big_psi = [0.0] * num_attrs
     for k in range(num_attrs):
         acc = 0.0
@@ -202,7 +215,8 @@ def v2a_forward(regions, attrs, w3, w4, w_att):
                     att_rk += regions[r][q] * w_att[q][p] * attrs[k][p]
             acc += psi_bar[r] * att_rk
         big_psi[k] = acc
-    return np.asarray(tau), np.asarray(sem), np.asarray(psi_bar), np.asarray(big_psi)
+    return (np.asarray(tau), np.asarray(sem), np.asarray(matches), np.asarray(psi_bar),
+            np.asarray(big_psi))
 
 
 def class_scores(embedding, class_semantics):

@@ -84,10 +84,11 @@ def test_oracle_equivalence():
                           (trace.psi[:, 0], op)):
             worst = max(worst, float(np.abs(got - want).max()))
 
-        ot, os_, obar, obig = oracles.v2a_forward(
+        ot, os_, om, obar, obig = oracles.v2a_forward(
             regions[:, 0], attrs, params.W3, params.W4, params.W_att)
-        for got, want in ((trace.tau[:, 0], ot), (trace.S.T, os_),
-                          (trace.psi_bar[:, 0], obar), (trace.Psi[:, 0], obig)):
+        for got, want in ((trace.tau[:, 0], ot), (trace.tau[:, 0] @ attrs, os_),
+                          (trace.M[:, 0], om), (trace.psi_bar[:, 0], obar),
+                          (trace.Psi[:, 0], obig)):
             worst = max(worst, float(np.abs(got - want).max()))
 
         cfg = LossConfig(lambda_cal=0.1)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import acec, distill, random_instance, stacked
+from conftest import acec, directional_errors, distill, random_instance, stacked
 from msdn import losses
 from msdn.ablation import MODELS
 from msdn.data_io import ClassSplit
-from msdn.errors import ArgumentError, ShapeError
+from msdn.errors import ArgumentError, NumericError, ShapeError
 from msdn.losses import LossConfig, LossTerms, acec_loss, distill_loss, total_loss_raw
 from msdn.model import PARAM_NAMES, ModelDims, init_params_from_rng
 from msdn.ndmath import Rng, grad_check_detail, softmax_stable
@@ -406,6 +406,23 @@ class TestTotalLoss:
         with pytest.raises(ArgumentError, match="lambda_cal"):
             LossTerms.of((LossConfig(), LossConfig(lambda_cal=0.2)), (2,))
 
+    def test_labels_must_cover_the_batch(self):
+        # Two labels tile the four images' eight score rows, so acec_loss alone
+        # would score every image against the wrong labels.
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(54, batch=4)
+        with pytest.raises(ShapeError, match="^4 images but 2 labels$"):
+            total_loss_raw(params, regions, labels[:2], attrs, semantics,
+                           ClassSplit.of(seen, unseen), LossTerms.of((LossConfig(),)))
+
+    def test_overflowing_weights_raise_a_non_finite_loss(self):
+        # Finite float32 weights whose match overflows: the loss is not returned.
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(55)
+        params = params.astype(np.float32)
+        params = dataclasses.replace(params, W2=np.full_like(params.W2, 3e38))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="^non-finite loss: "):
+            total_loss_raw(params, regions.astype(np.float32), labels, attrs, semantics,
+                           ClassSplit.of(seen, unseen), LossTerms.of((LossConfig(),)))
+
     def test_one_loss_softmax_serves_acec_and_distillation(self):
         # acec_loss takes the seen-class softmax from its own log-sum-exp
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(48)
@@ -463,6 +480,34 @@ class TestFloat32Gradients:
         errors = {name: np.linalg.norm(narrow[name] - wide[name]) / np.linalg.norm(wide[name])
                   for name in PARAM_NAMES}
         assert max(errors.values()) <= bound, errors
+
+
+class TestDirectionalGradients:
+    """The float64 analytic gradient along random directions, at shapes the
+    coordinate-wise checks cannot reach."""
+
+    # Worst relative error over 3 directions per matrix, at seed 0:
+    #   mid 4.5e-8, mid_lockstep 6.9e-8, cub 1.7e-8.
+    # Without the softmax-jacobian line of d_tau in model.backward they
+    # read 1.3, 0.66 and 1.2 (W3); without that of d_beta, 0.57, 0.19
+    # and 1.2 (W1).
+    @pytest.mark.parametrize("shape, models", [(MID_SHAPE, 0), (MID_SHAPE, 4), (PAPER_SHAPE, 0)],
+                             ids=["mid", "mid_lockstep", "cub"])
+    def test_directional_derivatives_match_central_differences(self, shape, models):
+        params, regions, attrs, semantics, labels, seen, unseen = random_instance(0, **shape)
+        cfgs = (LossConfig(lambda_distill=0.5),)
+        if models:
+            params = stacked([params, *(random_instance(100 * m, **shape)[0]
+                                        for m in range(1, models))])
+            cfgs = tuple(dataclasses.replace(cfgs[0], **o) for o in MODELS)
+        args = (regions, labels, attrs, semantics, ClassSplit.of(seen, unseen),
+                LossTerms.of(cfgs, (models,) if models else ()))
+
+        def loss(p):
+            return float(np.sum(total_loss_raw(p, *args)[0].total))
+
+        worst = directional_errors(loss, params, total_loss_raw(params, *args)[1], seed=0)
+        assert max(err for err, _ in worst.values()) <= 1e-5, worst
 
 
 class TestMemoryLayout:

@@ -113,31 +113,37 @@ class TestV2AForward:
     def test_zero_w3_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
         params = replace(init_params_from_rng(DIMS, Rng(2)), W3=np.zeros((4, 3)))
-        tau, sem, *_ = v2a_forward(regions[:, None], attrs, params)
+        tau, _, psi_bar, *_ = v2a_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
-        expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions,
-                           (DIMS.num_regions, 1))
-        np.testing.assert_allclose(sem.T, expected, atol=1e-12)
+        expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions, (DIMS.num_regions, 1))
+        np.testing.assert_allclose(tau[:, 0] @ attrs, expected, atol=1e-12)
+        # psi_bar_r = v_r^T W4 sum_k a_k / R
+        np.testing.assert_allclose(psi_bar[:, 0], regions @ params.W4 @ expected[0], atol=1e-12)
 
     def test_single_region_sums_attributes(self):
         dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=1)
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 1, 4)
         attrs = rng.uniform(-1, 1, 3, 3)
-        tau, sem, *_ = v2a_forward(regions[:, None], attrs, init_params_from_rng(dims, Rng(0)))
+        params = init_params_from_rng(dims, Rng(0))
+        tau, _, psi_bar, *_ = v2a_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(tau, 1.0)
-        np.testing.assert_allclose(sem[:, 0], attrs.sum(axis=0), atol=1e-12)
+        # psi_bar = v^T W4 sum_k a_k
+        np.testing.assert_allclose(psi_bar[0, 0], regions[0] @ params.W4 @ attrs.sum(axis=0),
+                                   atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         for seed in range(5):
             params = init_params_from_rng(DIMS, Rng(seed))
             regions, attrs = tiny_inputs(seed + 200)
-            tau, sem, psi_bar, big_psi, _, _ = v2a_forward(regions[:, None], attrs, params)
-            ot, os_, ob, op = oracles.v2a_forward(
+            tau, M, psi_bar, big_psi, _ = v2a_forward(regions[:, None], attrs, params)
+            ot, os_, om, ob, op = oracles.v2a_forward(
                 regions, attrs, params.W3, params.W4, params.W_att
             )
             np.testing.assert_allclose(tau[:, 0], ot, atol=1e-12)
-            np.testing.assert_allclose(sem.T, os_, atol=1e-12)
+            # the pooled attributes S = tau^T A are never formed by the model
+            np.testing.assert_allclose(tau[:, 0] @ attrs, os_, atol=1e-12)
+            np.testing.assert_allclose(M[:, 0], om, atol=1e-12)
             np.testing.assert_allclose(psi_bar[:, 0], ob, atol=1e-12)
             np.testing.assert_allclose(big_psi[:, 0], op, atol=1e-12)
 
@@ -243,12 +249,12 @@ class TestBatchedForward:
         assert trace.psi.shape == (3, 3) and trace.beta.shape == (3, 4, 3)
         for b in range(3):
             ob, of, op = oracles.a2v_forward(regions[:, b], attrs, params.W1, params.W2)
-            ot, os_, obar, obig = oracles.v2a_forward(
+            ot, os_, om, obar, obig = oracles.v2a_forward(
                 regions[:, b], attrs, params.W3, params.W4, params.W_att)
             for got, want in ((trace.beta[..., b], ob), (trace.beta[..., b] @ regions[:, b], of),
                               (trace.psi[:, b], op), (trace.tau[:, b], ot),
-                              (trace.S[:, b::3].T, os_), (trace.psi_bar[:, b], obar),
-                              (trace.Psi[:, b], obig)):
+                              (trace.tau[:, b] @ attrs, os_), (trace.M[:, b], om),
+                              (trace.psi_bar[:, b], obar), (trace.Psi[:, b], obig)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_float32_weights_compute_in_float32(self):
@@ -293,8 +299,7 @@ class TestTraceLayout:
         trace = forward(regions, rng.uniform(-2.0, 2.0, k, d_a), params)
         lead = () if models == 1 else (models,)
         expected = {"beta": (k, r, b), "match": (k, r, b), "psi": (k, b), "Psi": (k, b),
-                    "tau": (r, b, k), "S": (d_a, r * b), "readout": (d_a, r * b),
-                    "psi_bar": (r, b), "pooled": (b, d_v)}
+                    "tau": (r, b, k), "M": (r, b, k), "psi_bar": (r, b), "pooled": (b, d_v)}
         assert {name: f.shape for name, f in vars(trace).items()} == {
             "regions": (r, b, d_v), "attrs": (k, d_a),
             **{name: lead + shape for name, shape in expected.items()}}
