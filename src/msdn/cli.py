@@ -241,7 +241,7 @@ def cmd_export_attention(args) -> int:
         raise ArgumentError(
             f"--image {args.image} out of range for {ds.num_samples} samples"
         )
-    trace = model.forward(ds.regions([args.image], np.float64), ds.attributes, params)
+    trace = model.forward(ds.regions([args.image]), ds.attributes, params)
     beta, tau, psi, Psi = trace.beta[..., 0], trace.tau[:, 0], trace.psi[:, 0], trace.Psi[:, 0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,16 +5,13 @@ per-class semantic vectors, labels, the seen/unseen class partition, and
 the train/test split index sets.  A ``Dataset`` is validated once, when
 it is built (generated or loaded), and its arrays are read-only, so a
 dataset that exists is a valid one.  On disk everything lives in a
-little endian "ZSLD" container of f32 and i32 tensors.  Region features
-stay f32 in memory (a loaded dataset's are a view of the file's bytes),
-and each batch is gathered, in one copy for f32, as an (R, B, d_v)
-stack, images after regions, in the dtype of the weights it meets: f32
-in training and ``eval``, f64 in ``grad-check`` and ``export-attention``.
-Attribute and class semantic vectors are widened to f64 when a dataset is built.
-Widening is exact, and a dataset built from f64 features holds them
-rounded to f32 as its container will, so features round-trip
-bit-exactly; the f64 vectors round-trip bit-exactly only when f32 holds
-them exactly.
+little endian "ZSLD" container of f32 and i32 tensors, and a dataset
+holds every float tensor as f32 too, so every tensor round-trips
+bit-exactly: one built from f64 arrays holds them rounded to f32, as its
+container will.  A loaded dataset's region features are a view of the
+file's bytes; each batch is gathered, in one copy, as an f32
+(R, B, d_v) stack, images after regions, which the model casts to its
+weights' dtype.
 Every output of the package is written through ``open_output`` (every
 CSV through ``write_table``), which replaces a file and never truncates it.
 """
@@ -53,8 +50,8 @@ _STORED_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_I32: "<i4"}
 # built; an integer one keeps whichever integer dtype it comes in.
 REQUIRED_TENSORS = {
     "features": (3, np.float32),         # (N, R, d_v)
-    "attributes": (2, np.float64),       # (K, d_a)
-    "class_semantics": (2, np.float64),  # (C, K)
+    "attributes": (2, np.float32),       # (K, d_a)
+    "class_semantics": (2, np.float32),  # (C, K)
     "labels": (1, np.integer),           # (N,)
     "seen_classes": (1, np.integer),
     "unseen_classes": (1, np.integer),
@@ -104,12 +101,12 @@ class ClassSplit:
 class Dataset:
     """In-memory dataset, its tensors laid out as ``REQUIRED_TENSORS`` says.
 
-    Construction casts each float tensor to a C-order array of its dtype
-    there, copying only where the dtype or the order changes.  It then raises
-    :class:`DatasetValidationError` unless :func:`validate_dataset` finds
-    no violation, and marks every tensor read-only in place.  ``extras``
-    becomes a read-only mapping over a copy of the given dict, so no
-    tensor joins it afterwards.
+    Construction casts each float tensor to an aligned C-order array of its
+    dtype there, copying only where the dtype, the order or the alignment
+    changes.  It then raises :class:`DatasetValidationError` unless
+    :func:`validate_dataset` finds no violation, and marks every tensor
+    read-only in place.  ``extras`` becomes a read-only mapping over a
+    copy of the given dict, so no tensor joins it afterwards.
     """
 
     features: np.ndarray
@@ -131,7 +128,7 @@ class Dataset:
             for name, (_, dtype) in REQUIRED_TENSORS.items():
                 arr = getattr(self, name)
                 if dtype is not np.integer and arr.dtype.kind == "f":
-                    object.__setattr__(self, name, arr.astype(dtype, order="C", copy=False))
+                    object.__setattr__(self, name, np.require(arr, dtype, "CA"))
         object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
         violations = validate_dataset(self)
         if violations:
@@ -140,16 +137,15 @@ class Dataset:
                     *self.extras.values()):
             arr.flags.writeable = False
 
-    def regions(self, idx, dtype) -> np.ndarray:
-        """The region features of images ``idx``, gathered in the weights' ``dtype``.
+    def regions(self, idx) -> np.ndarray:
+        """The f32 region features of images ``idx`` as a C-order (R, B, d_v) stack.
 
-        A batch comes back as a C-order (R, B, d_v) stack, so the model
-        folds it to (R*B, d_v) region-major rows with no copy.  The one copy
-        (two if ``dtype`` widens) takes the (region, image) rows of (N*R, d_v).
+        The model folds the stack to (R*B, d_v) region-major rows with no
+        copy.  The one copy takes the (region, image) rows of (N*R, d_v).
         """
         n, r, d_v = self.features.shape
         rows = np.multiply(idx, r, dtype=np.intp) + np.arange(r, dtype=np.intp)[:, None]
-        return self.features.reshape(n * r, d_v).take(rows, axis=0).astype(dtype, copy=False)
+        return self.features.reshape(n * r, d_v).take(rows, axis=0)
 
     @cached_property
     def split(self) -> ClassSplit:
@@ -575,10 +571,8 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     class semantic vector) plus i.i.d. Gaussian noise.  Because the map is
     shared, the visual-attribute correspondence learned on seen classes
     carries over to unseen ones.  The picked attribute index per region is
-    recorded in ``extras["gen_region_attribute"]``.
-
-    Attribute and class semantic vectors are rounded through f32, and the
-    features are held as f32, so container round-trips are bit-exact.
+    recorded in ``extras["gen_region_attribute"]``.  The dataset holds
+    the f64 draws rounded to f32.
     """
     rng = Rng(spec.seed)
 
@@ -635,13 +629,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         else:
             test_unseen.extend(block)
 
-    def _f32_exact(arr: np.ndarray) -> np.ndarray:
-        return arr.astype(np.float32).astype(np.float64)
-
     return Dataset(
         features=features.reshape(n, spec.num_regions, d_v),
-        attributes=_f32_exact(attributes),
-        class_semantics=_f32_exact(class_semantics),
+        attributes=attributes,
+        class_semantics=class_semantics,
         labels=np.repeat(np.arange(num_classes, dtype=np.int32), spc),
         seen_classes=np.arange(spec.num_seen, dtype=np.int32),
         unseen_classes=np.arange(spec.num_seen, num_classes, dtype=np.int32),

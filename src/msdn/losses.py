@@ -222,8 +222,8 @@ def total_loss_raw(
     batch = region_stacks.shape[1]
     if labels.shape[0] != batch:
         raise ShapeError(f"{batch} images but {labels.shape[0]} labels")
-    # Class-major (C, rows) scores, rows ordered (model, sub-net, image).
-    scores = class_semantics @ np.concatenate([trace.psi, trace.Psi], axis=-1)
+    # Class-major (C, rows) float64 scores, rows ordered (model, sub-net, image).
+    scores = class_semantics @ np.concatenate([trace.psi, trace.Psi], axis=-1, dtype=np.float64)
     scores = scores.swapaxes(0, -2).reshape(scores.shape[-2], -1)
     acec, g_scores, p_seen = acec_loss(scores, labels, split, terms.cfg.lambda_cal)
     acec = acec.reshape(models + (2,))                     # (..., sub-net)

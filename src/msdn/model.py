@@ -179,10 +179,10 @@ def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> Forw
     """Run both sub-nets on an (R, B, d_v) stack of images.
 
     Stacked weights run every model in the same pass.  One image is a
-    stack of one.  ``attrs`` is cast to the weights' dtype, and the trace
-    keeps it and ``regions`` for the backward.
+    stack of one.  Here, and only here, the stack and ``attrs`` are cast
+    to the weights' dtype; the trace keeps both for the backward.
     """
-    attrs = attrs.astype(params.W1.dtype, copy=False)
+    regions, attrs = (x.astype(params.W1.dtype, copy=False) for x in (regions, attrs))
     return ForwardTrace(regions, attrs, *a2v_forward(regions, attrs, params),
                         *v2a_forward(regions, attrs, params))
 

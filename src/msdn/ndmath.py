@@ -8,9 +8,9 @@ slower at the stock shape.  So a batch's region features are an
 (R, B, d_v) array, the attention maps and class scores put their
 normalized axis first, and embeddings and scores put their image axis
 last.  The kernels here take any strided view and return results in its
-layout.  A dataset holds its region features as ``float32``; a batch is
-gathered in its weights' dtype (one copy for ``float32``), and the
-softmax and log-sum-exp keep ``float32`` and widen any other dtype to
+layout.  A dataset holds its float tensors as ``float32``, the model
+computes in its weights' dtype, and the one softmax kernel,
+:func:`log_sum_exp`, keeps ``float32`` and widens any other dtype to
 ``float64``.  Everything here is deterministic: re-running an operation
 on identical inputs yields bit-identical output, and the :class:`Rng`
 stream depends only on its seed, never on the platform.
@@ -175,35 +175,27 @@ class FlatArrays(dict):
                           self.flat.dtype)
 
 
-def _float_array(x) -> np.ndarray:
+def log_sum_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Stable log(sum(exp(x))) along ``axis`` and the softmax it normalizes, from one ``exp``.
+
+    With a 2-D input, ``axis=0`` normalizes every column and ``axis=1``
+    every row.  The softmax has the memory layout of ``x``, and the
+    reductions are fastest when ``axis`` has the largest stride.  Non-finite
+    values pass through, for the checks on losses and class scores to report.
+    """
     x = np.asarray(x)
-    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    m = x.max(axis=axis, keepdims=True)
+    e = x - m   # the one temporary: exp and divide in place
+    np.exp(e, out=e)
+    total = e.sum(axis=axis, keepdims=True)
+    return (m + np.log(total)).squeeze(axis=axis), np.divide(e, total, out=e)
 
 
 def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax along ``axis``; each slice sums to one.
-
-    With a 2-D input, ``axis=0`` normalizes every column and ``axis=1``
-    every row.  The result has the memory layout of ``logits``, and the
-    reductions are fastest when ``axis`` has the largest stride.
-    Non-finite logits are rejected.
-    """
-    x = _float_array(logits)
-    if not np.isfinite(x).all():
-        raise NumericError("softmax_stable requires finite logits")
-    e = x - x.max(axis=axis, keepdims=True)   # the one temporary: exp and divide in place
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
-
-
-def log_sum_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Stable log(sum(exp(x))) along ``axis`` and the softmax it normalizes, from one ``exp``."""
-    x = _float_array(x)
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    total = e.sum(axis=axis, keepdims=True)
-    return (m + np.log(total)).squeeze(axis=axis), np.divide(e, total, out=e)
+    """Max-shifted softmax along ``axis``; each slice sums to one."""
+    return log_sum_exp(logits, axis)[1]
 
 
 class GradCheckResult(NamedTuple):

@@ -45,9 +45,9 @@ class TrainConfig:
     weight_decay: float = 1e-4
     epochs: int = 200
     seed: int = 1
-    lambda_cal: float = 0.1
-    lambda_distill: float = 0.001
-    epsilon_kl: float = 1e-8
+    lambda_cal: float = LossConfig.lambda_cal
+    lambda_distill: float = LossConfig.lambda_distill
+    epsilon_kl: float = LossConfig.epsilon_kl
     rms_decay: float = 0.99
     epsilon_opt: float = 1e-8
 
@@ -199,7 +199,7 @@ def train(
     params = ModelParams(dims=dims, **weights)
 
     def loss_fn(idx: np.ndarray):
-        return total_loss_raw(params, ds.regions(idx, params.W1.dtype), ds.labels[idx],
+        return total_loss_raw(params, ds.regions(idx), ds.labels[idx],
                               ds.attributes, ds.class_semantics, ds.split, terms)
 
     return params, fit(weights, loss_fn, ds.train_idx, cfg, rng)

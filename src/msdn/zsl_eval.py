@@ -187,8 +187,8 @@ def forward_test_splits(params: ModelParams, ds: Dataset) -> tuple[np.ndarray, n
     idx = ds.test_idx
     # No name holds a chunk or its trace, so each is freed before the next.
     psi, Psi = zip(*[
-        attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK], params.W1.dtype),
-                                         ds.attributes, params))
+        attrgetter("psi", "Psi")(forward(ds.regions(idx[i:i + EVAL_CHUNK]), ds.attributes,
+                                         params))
         for i in range(0, idx.size, EVAL_CHUNK)])
     return tuple(np.concatenate(e, axis=-1, dtype=np.float64) for e in (psi, Psi))
 

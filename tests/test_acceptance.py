@@ -192,7 +192,7 @@ def test_end_to_end_synthetic_learning(default_dataset):
 
     seen_sorted = np.sort(ds.seen_classes.astype(np.int64))
     train_labels = ds.labels[ds.train_idx]
-    trace = forward(ds.regions(ds.train_idx, np.float64), ds.attributes, full)
+    trace = forward(ds.regions(ds.train_idx), ds.attributes, full)
     fused = (pcfg.alpha1 * trace.psi + pcfg.alpha2 * trace.Psi).T           # (N, K)
     scores = fused @ ds.class_semantics[seen_sorted].T                      # (N, C_s)
     preds = seen_sorted[np.argmax(scores, axis=1)]

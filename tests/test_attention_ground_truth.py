@@ -17,7 +17,7 @@ from msdn.training import TrainConfig, train
 
 def attention_match_rate(ds, params, attention: str) -> float:
     samples = np.arange(0, ds.num_samples, 5)
-    trace = forward(ds.regions(samples, np.float64), ds.attributes, params)
+    trace = forward(ds.regions(samples), ds.attributes, params)
     if attention == "tau":
         chosen = np.argmax(trace.tau, axis=2).T     # (B, R) strongest attribute
     else:

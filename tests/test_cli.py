@@ -494,7 +494,7 @@ class TestBuildsSplitOnce:
 
 
 class TestPrecisionPerCommand:
-    """Features stay float32 in a dataset; each stack the model sees has its weights' dtype.
+    """A dataset holds float32; forward casts each stack and the attributes to its weights' dtype.
 
     Training and ablation compute in float32, the precision the checkpoint
     stores: the model, the embedding gradients that reach the backward,
@@ -511,19 +511,20 @@ class TestPrecisionPerCommand:
 
         def spy(name, real, dtypes):
             def recorded(*args):
-                seen.append((name, *(np.dtype(d) for d in dtypes(*args))))
-                return real(*args)
+                out = real(*args)
+                seen.append((name, *(np.dtype(d) for d in dtypes(out, *args))))
+                return out
             # Every module that holds the function, so a call by any name counts.
             for module_name, module in list(sys.modules.items()):
                 if module_name.split(".")[0] == "msdn" and getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, recorded)
 
-        spy("forward", model.forward,
-            lambda regions, attrs, params: (regions.dtype, params.W1.dtype))
-        spy("backward", model.backward, lambda params, trace, d_psi, d_Psi: (
-            trace.regions.dtype, params.W1.dtype, d_psi.dtype, d_Psi.dtype))
+        spy("forward", model.forward, lambda trace, regions, attrs, params: (
+            trace.regions.dtype, trace.attrs.dtype, params.W1.dtype))
+        spy("backward", model.backward, lambda grads, params, trace, d_psi, d_Psi: (
+            trace.regions.dtype, params.W1.dtype, d_psi.dtype, d_Psi.dtype, grads.flat.dtype))
         spy("rmsprop_step", training.rmsprop_step,
-            lambda *flats_and_cfg: [f.flat.dtype for f in flats_and_cfg[:4]])
+            lambda _, *flats_and_cfg: [f.flat.dtype for f in flats_and_cfg[:4]])
         out = tmp_path / "out"
         argv = {
             "train": ["train", "--data", data_file, "--config", train_cfg_file, "--out", out],
@@ -676,7 +677,7 @@ class TestExportAttention:
                   str(checkpoint_file), "--image", "0", "--out", str(out_dir)])
         ds = load_container(data_file)
         params = load_checkpoint(checkpoint_file).astype(np.float64)  # as export widens them
-        trace = forward(ds.regions([0], np.float64), ds.attributes, params)
+        trace = forward(ds.regions([0]), ds.attributes, params)
         rows = (out_dir / "scores.csv").read_text().strip().splitlines()
         assert rows[0] == "attribute,psi,Psi"
         got = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
@@ -729,6 +730,23 @@ class TestNumericFailure:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["big.cfg", "data.zsld", "spec.cfg"] + (["big.ckpt"] if existing else []))
 
+    def test_overflowing_attention_in_training_names_epoch_and_batch(self, tmp_path, capsys):
+        # Batch 0's step takes the stock weights beyond float32 range, so batch 1's
+        # attention logits overflow; the loss check reports the NaN loss they give.
+        data, cfg, out = tmp_path / "stock.zsld", tmp_path / "lr.cfg", tmp_path / "lr.ckpt"
+        assert cli.main(["gen-data", "--out", str(data)]) == 0
+        cfg.write_text("epochs = 1\nlearning_rate = 1e40\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4, captured.err
+        assert captured.err.splitlines() == [
+            "error: non-finite loss at epoch 0, batch 1: non-finite loss: LossBreakdown("
+            "acec_a2v=nan, acec_v2a=nan, distill=nan, total=nan)"]
+        assert captured.out == "" and not out.exists()
+
     @pytest.fixture()
     def stock_files(self, tmp_path, train_cfg_file, capsys):
         data, ckpt = tmp_path / "stock.zsld", tmp_path / "m.zsld"
@@ -778,6 +796,22 @@ class TestNumericFailure:
         assert rc == 4, err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "not finite" in err and not out.exists()
+
+    @pytest.mark.parametrize("name", ["W1", "W3"])
+    def test_overflowing_attention_fails_the_scoring_check(
+            self, tmp_path, stock_files, capsys, name):
+        # Attention weights at 3e38 overflow the logits; the non-finite maps
+        # reach the class scores, whose check reports them.
+        data, ckpt = stock_files
+        params = load_checkpoint(ckpt)
+        huge = dataclasses.replace(params, **{name: np.full_like(getattr(params, name), 3e38)})
+        save_checkpoint(huge, tmp_path / "huge.zsld")
+        out = tmp_path / "huge.csv"
+        rc = self.eval_rc(data, tmp_path / "huge.zsld", out)
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: class scores are not finite; the model parameters overflow"]
+        assert not out.exists()
 
 
 class TestNonFiniteCheckpoint:

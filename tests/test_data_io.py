@@ -76,16 +76,21 @@ class TestContainerRoundTrip:
         assert not path.exists()
 
     def test_save_rejects_a_finite_value_beyond_float32(self, tiny_dataset, tmp_path):
-        # Attributes are float64 in memory; 1e39 would be stored as an f32 inf
-        # that load_container rejects, so nothing is written.
-        ds = dataclasses.replace(tiny_dataset,
-                                 attributes=patched(tiny_dataset.attributes, (1, 2), 1e39))
+        # A dataset holds its attributes as f32, so 1e39 fails when it is built;
+        # the writer refuses a float64 1e39, which would be stored as an f32 inf,
+        # before it opens the file.
+        big = np.asarray(tiny_dataset.attributes, dtype=np.float64)
+        big[1, 2] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert "non-finite value in attributes at index (1, 2)" in violations_of(
+                tiny_dataset, attributes=big)
         path = tmp_path / "big.zsld"
         path.write_bytes(b"old")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="'attributes' overflows float32"):
-                save_container(ds, path)
+                write_container(path, [("features", tiny_dataset.features), ("attributes", big)])
         assert path.read_bytes() == b"old" and temp_files(tmp_path) == []
         # float64 entries that f32 holds, and non-finite ones, are stored as they are
         wide = np.array([3e38, -np.inf, np.nan])
@@ -148,6 +153,17 @@ class TestOpenOutput:
                 raise RuntimeError("writer failed partway")
         assert path.read_bytes() == old
         assert temp_files(tmp_path) == []
+
+    def test_taken_temporary_name_is_skipped(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        squatter = tmp_path / f".out.csv.{bytes(4).hex()}.tmp"
+        squatter.write_text("squatter\n")
+        draws = iter([bytes(4), b"\x01\x02\x03\x04"])
+        monkeypatch.setattr(data_io.os, "urandom", lambda n: next(draws))
+        with data_io.open_output(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n" and squatter.read_text() == "squatter\n"
+        assert next(draws, None) is None and temp_files(tmp_path) == [squatter.name]
 
     def test_old_handle_and_hard_link_keep_old_bytes(self, tmp_path):
         path, link = tmp_path / "out.csv", tmp_path / "old.csv"
@@ -218,8 +234,11 @@ def same_bits(a: Dataset, b: Dataset) -> bool:
 class TestFeaturesStayFloat32:
     @staticmethod
     def assert_dtypes(ds: Dataset) -> None:
-        assert ds.features.dtype == np.float32 and not ds.features.flags.writeable
-        assert ds.attributes.dtype == ds.class_semantics.dtype == np.float64
+        # Every float tensor is f32, as its container stores it, C-order, aligned
+        # and read-only.
+        for arr in (ds.features, ds.attributes, ds.class_semantics):
+            assert arr.dtype == np.float32 and not arr.flags.writeable
+            assert arr.flags.c_contiguous and arr.flags.aligned
 
     def test_generated(self, tiny_dataset):
         self.assert_dtypes(tiny_dataset)
@@ -227,6 +246,10 @@ class TestFeaturesStayFloat32:
     def test_loaded_features_are_a_view_of_the_file(self, tiny_dataset, tmp_path):
         path = tmp_path / "tiny.zsld"
         save_container(tiny_dataset, path)
+        tensors = dict(read_container(path))
+        # The container packs tensor headers unpadded, so the two vectors' payloads
+        # sit at offsets f32 does not align to; the dataset holds aligned copies.
+        assert not any(tensors[n].flags.aligned for n in ("attributes", "class_semantics"))
         loaded = load_container(path)
         self.assert_dtypes(loaded)
         assert not loaded.features.flags.owndata
@@ -237,6 +260,18 @@ class TestFeaturesStayFloat32:
         ds = dataclasses.replace(tiny_dataset, features=features * 1e3)
         self.assert_dtypes(ds)
         assert ds.features.tobytes() == (features * 1e3).astype(np.float32).tobytes()
+        path = tmp_path / "f64.zsld"
+        save_container(ds, path)
+        assert same_bits(load_container(path), ds)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dataset_of_float64_vectors_equals_its_container(self, tiny_dataset, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        ds = dataclasses.replace(
+            tiny_dataset, features=rng.standard_normal(tiny_dataset.features.shape),
+            attributes=rng.uniform(-1.0, 1.0, tiny_dataset.attributes.shape),
+            class_semantics=rng.random(tiny_dataset.class_semantics.shape))
+        self.assert_dtypes(ds)
         path = tmp_path / "f64.zsld"
         save_container(ds, path)
         assert same_bits(load_container(path), ds)
@@ -312,7 +347,7 @@ class TestContainerErrors:
             warnings.simplefilter("error")
             ((name, arr),) = read_container(path)
             assert name == "x" and arr.dtype == np.float32 and np.isnan(arr).all()
-            # A dataset widens its attribute vectors to float64, then rejects the NaN.
+            # A dataset holds the NaN in its f32 attribute vectors and rejects it.
             assert any("non-finite value in attributes" in m for m in violations_of(
                 tiny_dataset, attributes=np.broadcast_to(arr, tiny_dataset.attributes.shape)))
 
@@ -605,8 +640,7 @@ class TestGenerateSyntheticOracle:
         semantics, features, picks, rng = oracles.synthetic(spec)
         assert ds.features.dtype == np.float32
         assert ds.features.tobytes() == features.astype(np.float32).tobytes()
-        assert ds.class_semantics.tobytes() == (
-            semantics.astype(np.float32).astype(np.float64).tobytes())
+        assert ds.class_semantics.tobytes() == semantics.astype(np.float32).tobytes()
         assert ds.extras[GEN_REGION_ATTRIBUTE].tobytes() == picks.tobytes()
         assert [r.state for r in made] == [rng.state]
 

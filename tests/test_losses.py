@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,9 +96,15 @@ class TestAcecLoss:
         shifted, _ = acec(scores + 7.5, labels, seen, unseen, 0.0)
         assert shifted == pytest.approx(base, abs=1e-10)
 
-    def test_label_outside_seen_rejected(self):
-        with pytest.raises(ArgumentError, match="outside the seen"):
-            acec(np.zeros((1, 4)), np.array([3]), np.arange(3), np.array([3]), 0.1)
+    # An unseen class, a label beyond the C = 4 classes, and negative labels:
+    # -1 wraps to the unseen class 3 and -9 to no class.
+    @pytest.mark.parametrize("labels, bad", [([3], [3]), ([9], [9]), ([-9], [-9]),
+                                             ([0, 9, -1, 2], [-1, 9])],
+                             ids=["unseen", "beyond_classes", "negative", "mixed"])
+    def test_label_outside_seen_rejected(self, labels, bad):
+        scores = np.zeros((len(labels), 4))
+        with pytest.raises(ArgumentError, match=re.escape(f"outside the seen classes: {bad}")):
+            acec(scores, np.array(labels), np.arange(3), np.array([3]), 0.1)
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(24)
@@ -530,19 +537,20 @@ class TestMemoryLayout:
                              ids=["three", "repeats_and_negative", "first", "empty"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_regions_are_region_major(self, tiny_dataset, dtype, idx):
-        ds = tiny_dataset
+        # A dataset built from features of either dtype gathers f32 stacks.
+        ds = dataclasses.replace(tiny_dataset, features=tiny_dataset.features.astype(dtype))
         assert ds.num_samples == 30
         idx = np.array(idx, dtype=np.int32)
-        stack = ds.regions(idx, dtype)
+        stack = ds.regions(idx)
         assert stack.shape == (ds.num_regions, idx.size, ds.visual_dim)
-        assert stack.dtype == dtype
+        assert stack.dtype == np.float32
         assert stack.flags.c_contiguous
         assert np.array_equal(stack, ds.features[idx].swapaxes(0, 1))
 
     @pytest.mark.parametrize("idx", [[30], [-31], [0, 40]])
     def test_regions_reject_images_outside_the_dataset(self, tiny_dataset, idx):
         with pytest.raises(IndexError):
-            tiny_dataset.regions(idx, np.float32)
+            tiny_dataset.regions(idx)
 
     def test_strided_features_are_stored_c_order(self, tiny_dataset):
         ds = tiny_dataset
@@ -550,13 +558,13 @@ class TestMemoryLayout:
         rebuilt = dataclasses.replace(ds, features=strided)
         assert not strided.flags.c_contiguous and rebuilt.features.flags.c_contiguous
         idx = ds.train_idx[::3]
-        assert rebuilt.regions(idx, np.float32).tobytes() == ds.regions(idx, np.float32).tobytes()
+        assert rebuilt.regions(idx).tobytes() == ds.regions(idx).tobytes()
 
     @CONFIGS
     def test_gradients_are_c_contiguous(self, tiny_dataset, terms):
         ds = tiny_dataset
         params, idx = self.batch(ds, terms)
-        _, grads = total_loss_raw(params, ds.regions(idx, np.float64), ds.labels[idx],
+        _, grads = total_loss_raw(params, ds.regions(idx), ds.labels[idx],
                                   ds.attributes, ds.class_semantics, ds.split, terms)
         for name, grad in grads.items():
             assert grad.shape == getattr(params, name).shape
@@ -566,7 +574,7 @@ class TestMemoryLayout:
     def test_c_order_stack_gives_the_same_loss_and_gradients(self, tiny_dataset, terms):
         ds = tiny_dataset
         params, idx = self.batch(ds, terms)
-        c_order = ds.regions(idx, np.float64)
+        c_order = ds.regions(idx)
         strided = np.ascontiguousarray(c_order.swapaxes(0, 1)).swapaxes(0, 1)
         assert c_order.flags.c_contiguous and not strided.flags.c_contiguous
         args = (ds.labels[idx], ds.attributes, ds.class_semantics, ds.split, terms)

@@ -258,13 +258,13 @@ class TestBatchedForward:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_float32_weights_compute_in_float32(self):
-        # float64 attribute vectors are cast to the weights' float32, so no
-        # product widens; float64 weights keep the float64 trace.
+        # forward casts a stack of the other dtype and the float64 attribute
+        # vectors to the weights' dtype, so no product widens or narrows.
         params = init_params_from_rng(DIMS, Rng(5))
         regions, attrs = tiny_inputs(5)
         stack = regions[:, None]
-        for dtype in (np.float32, np.float64):
-            trace = forward(stack.astype(dtype), attrs, params.astype(dtype))
+        for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
+            trace = forward(stack.astype(other), attrs, params.astype(dtype))
             assert {f.dtype for f in vars(trace).values()} == {np.dtype(dtype)}
 
     def test_stack_folds_to_region_major_rows_without_a_copy(self):

@@ -199,7 +199,7 @@ def reference_train(ds, cfg, lcfgs):
         oracles.shuffle(rng, order)
         for start in range(0, len(order), cfg.batch_size):
             idx = ds.train_idx[order[start:start + cfg.batch_size]]
-            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx, np.float32),
+            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx),
                                       ds.labels[idx], ds.attributes, ds.class_semantics,
                                       ds.split, terms)
             params, square_avg, momentum_buf = oracles.rmsprop_step(
@@ -345,7 +345,7 @@ class TestTrain:
         weights = FlatArrays.of(stacked(models).as_dict())
 
         def loss_fn(idx):
-            return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx, np.float64),
+            return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx),
                                   ds.labels[idx], ds.attributes, ds.class_semantics, ds.split,
                                   terms)
 
@@ -370,8 +370,10 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_reports_epoch_and_batch(self, tiny_dataset):
-        # finite attribute vectors (held as float64), but they overflow the scores
-        ds = dataclasses.replace(tiny_dataset, attributes=tiny_dataset.attributes * 1e160)
+        # Attribute vectors finite in float32, but Psi, quadratic in them,
+        # overflows the float32 forward.
+        ds = dataclasses.replace(tiny_dataset, attributes=tiny_dataset.attributes * 1e20)
+        assert np.isfinite(ds.attributes).all()
         with pytest.raises(NumericError, match=r"epoch 0, batch 0"):
             train(ds, FAST)
 

@@ -238,7 +238,7 @@ class TestEvaluate:
         ds = tiny_dataset
         cfg = PredictConfig()
 
-        trace = forward(ds.regions(ds.test_idx, trained.W1.dtype), ds.attributes, trained)
+        trace = forward(ds.regions(ds.test_idx), ds.attributes, trained)
         psi, Psi = (e.astype(np.float64) for e in (trace.psi, trace.Psi))   # fused in float64
         scores = calibrated_scores(cfg.fuse(psi, Psi), ds.class_semantics, ds.split)
         labels = ds.labels[ds.test_idx]
@@ -277,7 +277,7 @@ class TestEvaluate:
         # The unseen split's columns come first, then the seen split's.
         for cols, idx in ((slice(None, n_unseen), ds.test_unseen_idx),
                           (slice(n_unseen, None), ds.test_seen_idx)):
-            trace = forward(ds.regions(idx, trained.W1.dtype), ds.attributes, trained)
+            trace = forward(ds.regions(idx), ds.attributes, trained)
             np.testing.assert_allclose(psi[:, cols], trace.psi, rtol=0, atol=1e-12)
             np.testing.assert_allclose(Psi[:, cols], trace.Psi, rtol=0, atol=1e-12)
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", 10_000)
@@ -302,7 +302,7 @@ class TestEvaluate:
         ds = tiny_dataset
 
         def oracle_preds(idx, mode):
-            traces = [forward(ds.regions([i], trained.W1.dtype), ds.attributes, trained)
+            traces = [forward(ds.regions([i]), ds.attributes, trained)
                       for i in idx]
             return np.asarray([oracles.predict(t.psi[:, 0], t.Psi[:, 0], ds.class_semantics,
                                                ds.seen_classes, ds.unseen_classes,
