@@ -187,7 +187,7 @@ def cmd_grad_check(args) -> int:
     regions = np.stack(images, axis=1)   # (R, B, d_v), as in training
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
-    labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])
+    labels = (rng.uniform(0.0, 1.0, 1, batch)[0] * c_seen).astype(np.intp)
     split = data_io.ClassSplit.of(np.arange(c_seen), np.arange(c_seen, c_seen + c_unseen))
     terms = losses.LossTerms.of((losses.LossConfig(),))
 

@@ -522,14 +522,6 @@ def validate_dataset(ds: Dataset) -> list[str]:
 # Synthetic generation
 # --------------------------------------------------------------------------
 
-def _holdout_per_class(samples_per_class: int) -> int:
-    # A fifth of each seen class is held out for GZSL seen-class testing
-    # (at least one sample once the class has two).
-    if samples_per_class >= 5:
-        return samples_per_class // 5
-    return 1 if samples_per_class >= 2 else 0
-
-
 def _weighted_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """For each uniform in ``u``, an index drawn in proportion to ``weights`` >= 0.
 
@@ -580,30 +572,23 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     n = num_classes * spec.samples_per_class
     attributes = rng.uniform(-1.0, 1.0, spec.num_attributes, spec.attr_dim)
     class_semantics = rng.uniform(0.0, 1.0, num_classes, spec.num_attributes)
-    active = spec.resolved_active_attributes()
-    if active < spec.num_attributes:
-        # Each seen class keeps only its strongest attributes; the rest
-        # drop to zero so region picks concentrate on a small,
-        # class-specific attribute subset.
-        for row in class_semantics[: spec.num_seen]:
-            cutoff = np.sort(row)[-active]
-            row[row < cutoff] = 0.0
+    # Each seen class keeps only its strongest attributes; the rest drop to
+    # zero so region picks concentrate on a small, class-specific subset.
+    seen = class_semantics[: spec.num_seen]
+    cutoff = np.sort(seen, axis=1)[:, -spec.resolved_active_attributes(), None]
+    seen[seen < cutoff] = 0.0
     # Unseen classes blend two seen classes' semantic vectors, with a
-    # random mixing weight in [0.3, 0.7).  The second parent is drawn
-    # distinct from the first whenever two seen classes exist.
-    for j in range(spec.num_seen, num_classes):
-        first = rng.next_below(spec.num_seen)
-        if spec.num_seen > 1:
-            second = rng.next_below(spec.num_seen - 1)
-            if second >= first:
-                second += 1
-        else:
-            second = first
-        weight = 0.3 + 0.4 * rng.next_f64()
-        class_semantics[j] = (
-            weight * class_semantics[first]
-            + (1.0 - weight) * class_semantics[second]
-        )
+    # random mixing weight in [0.3, 0.7).  Row j of the draw is class j's
+    # first parent, its second, drawn distinct from the first whenever two
+    # seen classes exist, and its weight.
+    blend = rng.uniform(0.0, 1.0, spec.num_unseen, 3 if spec.num_seen > 1 else 2)
+    first = (blend[:, 0] * spec.num_seen).astype(np.intp)
+    second = first
+    if spec.num_seen > 1:
+        second = (blend[:, 1] * (spec.num_seen - 1)).astype(np.intp)
+        second += second >= first
+    weight = 0.3 + 0.4 * blend[:, -1:]
+    class_semantics[spec.num_seen:] = weight * seen[first] + (1.0 - weight) * seen[second]
     vis_map = rng.uniform(-1.0, 1.0, spec.visual_dim, spec.attr_dim)
     prototypes = attributes @ vis_map.T  # (K, d_v): image of each attribute
 
@@ -619,15 +604,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         region_attr[c] = picks = _weighted_picks(class_semantics[c], u[:, 0])
         features[c] = prototypes[picks] + spec.noise_std * _box_muller(u[:, 1:], d_v)
 
-    holdout = _holdout_per_class(spc)
-    train, test_seen, test_unseen = [], [], []
-    for c in range(num_classes):
-        block = range(c * spc, (c + 1) * spc)
-        if c < spec.num_seen:
-            train.extend(block[: spc - holdout])
-            test_seen.extend(block[spc - holdout:])
-        else:
-            test_unseen.extend(block)
+    # A fifth of each seen class is held out for GZSL seen-class testing
+    # (at least one sample once the class has two).
+    keep = spc - max(spc // 5, min(spc - 1, 1))
+    blocks = np.arange(n, dtype=np.int32).reshape(num_classes, spc)
 
     return Dataset(
         features=features.reshape(n, spec.num_regions, d_v),
@@ -636,8 +616,8 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         labels=np.repeat(np.arange(num_classes, dtype=np.int32), spc),
         seen_classes=np.arange(spec.num_seen, dtype=np.int32),
         unseen_classes=np.arange(spec.num_seen, num_classes, dtype=np.int32),
-        train_idx=np.asarray(train, dtype=np.int32),
-        test_seen_idx=np.asarray(test_seen, dtype=np.int32),
-        test_unseen_idx=np.asarray(test_unseen, dtype=np.int32),
+        train_idx=blocks[: spec.num_seen, :keep].ravel(),
+        test_seen_idx=blocks[: spec.num_seen, keep:].ravel(),
+        test_unseen_idx=blocks[spec.num_seen:].ravel(),
         extras={GEN_REGION_ATTRIBUTE: region_attr.reshape(n, spec.num_regions)},
     )

@@ -64,8 +64,9 @@ class Rng:
 
     The update is ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` on a 64-bit
     word, and each output is ``x * 0x2545F4914F6CDD1D`` truncated to 64
-    bits.  Doubles take the top 53 bits of an output word, so the stream
-    is identical on every platform for a given seed.
+    bits.  A double takes the top 53 bits of an output word, so the stream
+    is identical on every platform for a given seed.  :meth:`uniform` is
+    the one draw; an integer below n is ``int(u * n)`` of a uniform u.
     """
 
     __slots__ = ("state",)
@@ -76,38 +77,20 @@ class Rng:
             # xorshift has a fixed point at zero.
             self.state = 0x9E3779B97F4A7C15
 
-    def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _U64
-        x ^= x >> 27
-        self.state = x
-        return (x * _XORSHIFT_MULT) & _U64
-
-    def next_f64(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * _TWO_POW_NEG53
-
-    def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ArgumentError(f"next_below requires n >= 1, got {n}")
-        return int(self.next_f64() * n)
-
     def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
         """rows x cols matrix of i.i.d. uniforms in [lo, hi), row-major draw order.
 
-        Element i is ``lo + (hi - lo) * next_f64()`` of the i-th draw, bit
-        for bit, and the generator ends in the state those rows * cols
-        ``next_f64`` calls would leave; the words are drawn in bulk by
-        jump-ahead lanes (see :meth:`_next_u64_array`).
+        Element i is ``lo + (hi - lo) * u_i`` with ``u_i = (w_i >> 11) * 2**-53``
+        for the i-th output word w_i of the stream, and the generator ends
+        in the state after the last; the words are drawn in bulk by
+        jump-ahead lanes (see :meth:`_words`).
         """
         if not lo < hi:
             raise ArgumentError(f"uniform requires lo < hi, got lo={lo}, hi={hi}")
         if rows < 1 or cols < 1:
             raise ArgumentError(f"uniform requires positive shape, got {rows}x{cols}")
         span = hi - lo
-        words = self._next_u64_array(rows * cols)
+        words = self._words(rows * cols)
         words >>= 11
         u = words.astype(np.float64)
         u *= _TWO_POW_NEG53
@@ -115,8 +98,8 @@ class Rng:
         u += lo
         return u.reshape(rows, cols)
 
-    def _next_u64_array(self, n: int) -> np.ndarray:
-        """The next n ``next_u64`` outputs as a uint64 array, in stream order.
+    def _words(self, n: int) -> np.ndarray:
+        """The next n output words as a uint64 array, in stream order.
 
         The xorshift step T is linear over GF(2), so T^m is fixed by the
         images of the 64 one-bit words.  L = 4 isqrt(n) lanes start at the
@@ -125,8 +108,8 @@ class Rng:
         then square it) and step together m = ceil(n / L) times.  An
         n-word draw thus costs O(sqrt(n)) numpy calls instead of n Python
         calls; the factor 4 trades per-step call overhead against the
-        64-wide doubling work.  The words and the state left behind are
-        those of n ``next_u64`` calls.
+        64-wide doubling work.  The state left behind is that of the n-th
+        word.
         """
         lanes = 4 * math.isqrt(n)
         steps = -(-n // lanes)

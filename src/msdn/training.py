@@ -120,8 +120,9 @@ def rmsprop_step(
 def make_batches(n: int, batch_size: int, epochs: int, rng: Rng) -> list[list[np.ndarray]]:
     """Every epoch's shuffle of [0, n), chunked; the final short batch is kept.
 
-    Epoch by epoch, a Python list swaps item i with item ``rng.next_below(i + 1)``
-    for i from n - 1 to 1; one bulk ``rng.uniform`` draw makes every epoch's calls."""
+    Epoch by epoch, a Python list swaps item i with item ``int(u * (i + 1))``
+    for i from n - 1 to 1, u a fresh uniform per swap; one bulk
+    ``rng.uniform`` draw gives every epoch's uniforms."""
     swaps = max(n - 1, 0)
     u = rng.uniform(0.0, 1.0, epochs, swaps) if epochs and swaps else np.zeros((epochs, swaps))
     out = []

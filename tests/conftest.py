@@ -75,7 +75,7 @@ def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, bat
     regions = np.stack([rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)], axis=1)
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
-    labels = np.asarray([rng.next_below(c_seen) for _ in range(batch)])
+    labels = (rng.uniform(0.0, 1.0, 1, batch)[0] * c_seen).astype(np.intp)
     seen = np.arange(c_seen)
     unseen = np.arange(c_seen, c_seen + c_unseen)
     return params, regions, attrs, semantics, labels, seen, unseen

@@ -15,8 +15,47 @@ import math
 import numpy as np
 
 
+_U64 = (1 << 64) - 1
+
+
+class ScalarRng:
+    """The xorshift64* stream of ``ndmath.Rng``, one 64-bit word per call.
+
+    Seeding, the zero-state guard, the step and the output scramble are
+    written out here apart from the library, whose only draw is the bulk
+    ``Rng.uniform``, so that draw is checked against a path that shares
+    no code with it.  ``uniform`` makes this a stand-in for ``Rng`` in
+    library code that only calls that.
+    """
+
+    def __init__(self, seed):
+        x = (int(seed) + 0x9E3779B97F4A7C15) & _U64  # splitmix64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+        self.state = (x ^ (x >> 31)) or 0x9E3779B97F4A7C15  # 0 is xorshift's fixed point
+
+    def next_u64(self):
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & _U64
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & _U64
+
+    def next_f64(self):
+        """Uniform double in [0, 1): the top 53 bits of a word."""
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def next_below(self, n):
+        """Uniform integer in [0, n)."""
+        return int(self.next_f64() * n)
+
+    def uniform(self, lo, hi, rows, cols):
+        return uniform(self, lo, hi, rows, cols)
+
+
 def uniform(rng, lo, hi, rows, cols):
-    """rows x cols uniforms drawn one ``next_f64`` call at a time, row-major."""
+    """rows x cols uniforms drawn one ``rng.next_f64()`` call at a time, row-major."""
     span = hi - lo
     out = np.empty((rows, cols), dtype=np.float64)
     for i in range(rows):
@@ -64,16 +103,15 @@ def choice_weighted(rng, weights):
 
 
 def synthetic(spec):
-    """Scalar-loop ``generate_synthetic``: (class_semantics, features, picks, rng).
+    """Scalar-loop ``generate_synthetic``: (class_semantics, features, picks, splits, rng).
 
     Regions are drawn one at a time, a ``choice_weighted`` pick and then a
     ``normal(d_v)`` draw each; ``rng`` is left where the whole draw ends.
     Float tensors are float64, before the generator's rounding through f32.
     The prototypes are the same ``@`` product the generator forms.
+    ``splits`` holds the int32 train, test-seen and test-unseen indices.
     """
-    from msdn.ndmath import Rng
-
-    rng = Rng(spec.seed)
+    rng = ScalarRng(spec.seed)
     num_classes = spec.num_seen + spec.num_unseen
     attributes = uniform(rng, -1.0, 1.0, spec.num_attributes, spec.attr_dim)
     semantics = uniform(rng, 0.0, 1.0, num_classes, spec.num_attributes)
@@ -103,7 +141,18 @@ def synthetic(spec):
             noise = normal(rng, spec.visual_dim)
             for q in range(spec.visual_dim):
                 features[i, r, q] = prototypes[k, q] + spec.noise_std * noise[q]
-    return semantics, features, picks, rng
+    spc = spec.samples_per_class
+    holdout = spc // 5 if spc >= 5 else (1 if spc >= 2 else 0)
+    train, test_seen, test_unseen = [], [], []
+    for c in range(num_classes):
+        block = range(c * spc, (c + 1) * spc)
+        if c < spec.num_seen:
+            train.extend(block[: spc - holdout])
+            test_seen.extend(block[spc - holdout:])
+        else:
+            test_unseen.extend(block)
+    splits = tuple(np.asarray(s, dtype=np.int32) for s in (train, test_seen, test_unseen))
+    return semantics, features, picks, splits, rng
 
 
 def matmul(a, b):

@@ -119,7 +119,7 @@ def test_oracle_equivalence():
 def test_attention_normalization():
     cases = 0
     for seed in range(250):
-        rng = Rng(seed)
+        rng = oracles.ScalarRng(seed)
         k = 1 + rng.next_below(6)
         r = 1 + rng.next_below(6)
         d_v = 1 + rng.next_below(5)

@@ -611,14 +611,18 @@ class TestDatasetIsImmutable:
 
 
 # Specs whose region draws take each shape path: the stock spec, odd and
-# one-wide visual_dim, one region, one sample per class, an explicit
-# active-attribute count below K and all K, and a single seen class.
+# one-wide visual_dim, one region, one sample per class, two to four
+# samples per class (a holdout of one), an explicit active-attribute count
+# below K and all K, and a single seen class.
 ORACLE_SPECS = {
     "stock": SynthSpec(),
     "odd_visual_dim": SynthSpec(visual_dim=7, samples_per_class=6),
     "visual_dim_1": SynthSpec(visual_dim=1, samples_per_class=6),
     "one_region": SynthSpec(num_regions=1, samples_per_class=6),
     "one_sample_per_class": SynthSpec(samples_per_class=1),
+    "two_samples_per_class": SynthSpec(samples_per_class=2),
+    "three_samples_per_class": SynthSpec(samples_per_class=3),
+    "four_samples_per_class": SynthSpec(samples_per_class=4),
     "active_below_k": SynthSpec(active_attributes=5, samples_per_class=6),
     "active_all_k": SynthSpec(active_attributes=12, samples_per_class=6),
     "one_seen_class": SynthSpec(num_seen=1, num_unseen=3, samples_per_class=6),
@@ -637,18 +641,21 @@ class TestGenerateSyntheticOracle:
 
         monkeypatch.setattr(data_io, "Rng", RecordedRng)
         ds = generate_synthetic(spec)
-        semantics, features, picks, rng = oracles.synthetic(spec)
+        semantics, features, picks, splits, rng = oracles.synthetic(spec)
         assert ds.features.dtype == np.float32
         assert ds.features.tobytes() == features.astype(np.float32).tobytes()
         assert ds.class_semantics.tobytes() == semantics.astype(np.float32).tobytes()
         assert ds.extras[GEN_REGION_ATTRIBUTE].tobytes() == picks.tobytes()
+        for name, want in zip(("train_idx", "test_seen_idx", "test_unseen_idx"), splits):
+            got = getattr(ds, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
         assert [r.state for r in made] == [rng.state]
 
     # 500 x 64 takes 16 000 logs: numpy's log would differ in the last bit on ~30.
     @pytest.mark.parametrize("rows,n", [(1, 1), (1, 16), (3, 7), (5, 1), (4, 2), (2, 9),
                                         (500, 64)])
     def test_box_muller_matches_scalar_normals(self, rows, n):
-        bulk, scalar = Rng(rows * 100 + n), Rng(rows * 100 + n)
+        bulk, scalar = Rng(rows * 100 + n), oracles.ScalarRng(rows * 100 + n)
         got = data_io._box_muller(bulk.uniform(0.0, 1.0, rows, 2 * ((n + 1) // 2)), n)
         want = np.stack([oracles.normal(scalar, n) for _ in range(rows)])
         assert got.tobytes() == want.tobytes()
@@ -658,7 +665,7 @@ class TestGenerateSyntheticOracle:
                                          [0.0, 0.0, 1.0], [2.5]])
     def test_weighted_picks_match_scalar_choices(self, weights):
         weights = np.asarray(weights)
-        bulk, scalar = Rng(len(weights)), Rng(len(weights))
+        bulk, scalar = Rng(len(weights)), oracles.ScalarRng(len(weights))
         got = data_io._weighted_picks(weights, bulk.uniform(0.0, 1.0, 500, 1)[:, 0])
         want = [oracles.choice_weighted(scalar, weights) for _ in range(500)]
         assert got.tolist() == want
@@ -755,7 +762,7 @@ class TestGenerateSynthetic:
         assert datasets_equal(load_container(path), tiny_dataset)
 
     def test_every_valid_spec_generates_clean_datasets(self):
-        rng = Rng(57)
+        rng = oracles.ScalarRng(57)
         for _ in range(15):
             spec = SynthSpec(
                 num_seen=1 + rng.next_below(4),

@@ -25,10 +25,6 @@ class TestRngArguments:
         with pytest.raises(ArgumentError):
             Rng(0).uniform(0.0, 1.0, 0, 3)
 
-    def test_next_below_rejects_zero(self):
-        with pytest.raises(ArgumentError):
-            Rng(0).next_below(0)
-
 
 class TestGradCheckArguments:
     def test_analytic_shape_mismatch(self):

@@ -170,16 +170,24 @@ class TestRng:
 
     def test_stream_pinned(self):
         # Regression pin for the documented xorshift64* stream.
+        words = [0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD, 0xB3C638353C668C91]
+        scalar = oracles.ScalarRng(0)
+        assert [scalar.next_u64() for _ in range(3)] == words
         rng = Rng(0)
-        assert [rng.next_u64() for _ in range(3)] == [
-            0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD, 0xB3C638353C668C91]
+        assert rng.uniform(0.0, 1.0, 1, 3)[0].tolist() == [(w >> 11) * 2.0 ** -53 for w in words]
+        assert rng.state == scalar.state
+
+    # 7046029254386353131 is the one seed splitmix64 scrambles to 0.
+    @pytest.mark.parametrize("seed", [0, 1, 42, 7046029254386353131, 2 ** 63, 2 ** 64 - 1])
+    def test_scalar_oracle_seeds_as_rng_does(self, seed):
+        assert oracles.ScalarRng(seed).state == Rng(seed).state
 
     def test_seed_scrambled_to_zero_gets_a_live_state(self, tmp_path):
         # splitmix64 is a bijection that sends this seed alone,
         # 2^64 - 0x9E3779B97F4A7C15, to 0, the fixed point of xorshift.
         seed = 7046029254386353131
-        rng = Rng(seed)
-        assert rng.state == 0x9E3779B97F4A7C15
+        assert Rng(seed).state == 0x9E3779B97F4A7C15
+        rng = oracles.ScalarRng(seed)
         words = [rng.next_u64() for _ in range(4)]
         assert len(set(words)) == 4 and 0 not in words
         assert len(np.unique(Rng(seed).uniform(0.0, 1.0, 8, 8))) == 64
@@ -188,20 +196,20 @@ class TestRng:
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (3, 7), (17, 1), (10, 16),
                                             (613, 1009)])
     def test_uniform_matches_scalar_oracle(self, rows, cols):
-        # Bulk draws must reproduce the per-element next_f64 stream bit for
-        # bit and leave the generator where the scalar loop leaves it.
-        bulk, scalar = Rng(rows * cols), Rng(rows * cols)
+        # Bulk draws must reproduce the scalar stream, one word per element,
+        # bit for bit and leave the generator where the scalar loop leaves it.
+        bulk, scalar = Rng(rows * cols), oracles.ScalarRng(rows * cols)
         lo, hi = -np.sqrt(6.0 / (rows + cols)), np.sqrt(6.0 / (rows + cols))
         got = bulk.uniform(lo, hi, rows, cols)
         want = oracles.uniform(scalar, lo, hi, rows, cols)
         assert got.shape == (rows, cols)
         assert got.tobytes() == want.tobytes()
-        assert bulk.next_u64() == scalar.next_u64()
+        assert bulk.state == scalar.state
         (batch,), = make_batches(20, 20, 1, bulk)
         order = list(range(20))
         oracles.shuffle(scalar, order)
         assert batch.tolist() == order
-        assert bulk.next_below(1000) == scalar.next_below(1000)
+        assert bulk.state == scalar.state
 
     def test_uniform_mean_law_of_large_numbers(self):
         values = Rng(123).uniform(0.0, 1.0, 100, 100)
@@ -224,14 +232,14 @@ class TestRng:
         a = _box_muller(Rng(5).uniform(0.0, 1.0, 1, 8), 7)
         b = _box_muller(Rng(5).uniform(0.0, 1.0, 1, 8), 7)
         assert np.array_equal(a, b)
-        assert a.tobytes() == oracles.normal(Rng(5), 7).tobytes()
+        assert a.tobytes() == oracles.normal(oracles.ScalarRng(5), 7).tobytes()
 
     def test_choice_weighted_frequencies(self):
         weights = np.array([1.0, 3.0])
         draws = _weighted_picks(weights, Rng(19).uniform(0.0, 1.0, 8000, 1)[:, 0])
         share = sum(draws) / len(draws)
         assert 0.72 <= share <= 0.78
-        rng = Rng(19)
+        rng = oracles.ScalarRng(19)
         assert draws.tolist() == [oracles.choice_weighted(rng, weights) for _ in range(8000)]
 
     def test_choice_weighted_rejects_zero_weights(self):

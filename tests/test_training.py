@@ -155,8 +155,8 @@ class TestMakeBatches:
            epochs=st.sampled_from([0, 1, 3, 50]))
     def test_every_epoch_matches_scalar_shuffle_oracle(self, seed, n, epochs):
         # One bulk draw gives each epoch the permutation, and the run the end
-        # state, of one next_below call per swap, epoch after epoch.
-        fast, scalar = Rng(seed), Rng(seed)
+        # state, of one scalar ``next_below`` call per swap, epoch after epoch.
+        fast, scalar = Rng(seed), oracles.ScalarRng(seed)
         got = make_batches(n, 7, epochs, fast)
         assert len(got) == epochs
         for batches in got:
@@ -181,12 +181,13 @@ class TestMakeBatches:
 def reference_train(ds, cfg, lcfgs):
     """The training loop written out on fresh arrays: the weights it ends with.
 
-    Per-parameter RMSProp through ``oracles.rmsprop_step``, batches from
-    ``oracles.shuffle`` and one ``total_loss_raw`` call per batch.  Like
-    ``train``, it computes in float32 from the float32 rounding of the
-    init, and ``lcfgs`` None trains one unstacked model.
+    Per-parameter RMSProp through ``oracles.rmsprop_step``, the init and
+    the batches drawn one word at a time from ``oracles.ScalarRng`` and one
+    ``total_loss_raw`` call per batch.  Like ``train``, it computes in
+    float32 from the float32 rounding of the init, and ``lcfgs`` None
+    trains one unstacked model.
     """
-    rng = Rng(cfg.seed)
+    rng = oracles.ScalarRng(cfg.seed)
     dims = ModelDims.for_dataset(ds)
     models = () if lcfgs is None else (len(lcfgs),)
     terms = LossTerms.of((cfg.loss_config(),) if lcfgs is None else lcfgs, models)
