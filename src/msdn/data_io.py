@@ -234,11 +234,6 @@ class SynthSpec:
                 f"got {self.active_attributes}"
             )
 
-    def resolved_active_attributes(self) -> int:
-        if self.active_attributes > 0:
-            return self.active_attributes
-        return max(1, self.num_attributes // 4)
-
 
 # --------------------------------------------------------------------------
 # Output files
@@ -572,10 +567,12 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     n = num_classes * spec.samples_per_class
     attributes = rng.uniform(-1.0, 1.0, spec.num_attributes, spec.attr_dim)
     class_semantics = rng.uniform(0.0, 1.0, num_classes, spec.num_attributes)
-    # Each seen class keeps only its strongest attributes; the rest drop to
-    # zero so region picks concentrate on a small, class-specific subset.
+    # Each seen class keeps only its strongest attributes (a quarter, at least
+    # one, when active_attributes is 0); the rest drop to zero so region picks
+    # concentrate on a small, class-specific subset.
     seen = class_semantics[: spec.num_seen]
-    cutoff = np.sort(seen, axis=1)[:, -spec.resolved_active_attributes(), None]
+    active = spec.active_attributes or max(1, spec.num_attributes // 4)
+    cutoff = np.sort(seen, axis=1)[:, -active, None]
     seen[seen < cutoff] = 0.0
     # Unseen classes blend two seen classes' semantic vectors, with a
     # random mixing weight in [0.3, 0.7).  Row j of the draw is class j's

@@ -68,7 +68,8 @@ class LossTerms:
     share the ``lambda_cal`` and ``epsilon_kl`` of ``cfg``, the first
     config.  A distillation term's switch scales its constant by 1 or
     0: a term that is on keeps its bits, and one that is off adds exact
-    zeros.  No term is on at zero distillation weight.
+    zeros, so every batch runs the one distillation pass, whichever
+    terms are on.  No term is on at zero distillation weight.
     """
 
     cfg: LossConfig
@@ -76,7 +77,6 @@ class LossTerms:
     l2: np.ndarray        # (*models, 1, 1): 1.0 where the squared-L2 term is on
     half_jsd: np.ndarray  # (*models, 1, 1): 0.5 where the symmetric-KL term is on
     two_l2: np.ndarray    # (*models, 1, 1): 2.0 where the squared-L2 term is on
-    distills: bool        # some model has a distillation term on
 
     @classmethod
     def of(cls, cfgs: tuple[LossConfig, ...], models: tuple[int, ...] = ()) -> "LossTerms":
@@ -87,7 +87,7 @@ class LossTerms:
         on = np.reshape([(c.distill_jsd, c.distill_l2) if c.lambda_distill > 0
                          else (False, False) for c in cfgs], models + (2,))
         jsd, l2 = (on[..., t, None, None].astype(np.float64) for t in (0, 1))
-        return cls(cfgs[0], lam, l2, 0.5 * jsd, 2.0 * l2, bool(on.any()))
+        return cls(cfgs[0], lam, l2, 0.5 * jsd, 2.0 * l2)
 
 
 def acec_loss(
@@ -112,7 +112,6 @@ def acec_loss(
     compares), both class-major like ``scores``.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     if scores.ndim != 2 or scores.shape[0] != split.indicator.size:
         raise ShapeError(f"scores must be ({split.indicator.size}, rows), got {scores.shape}")
     if labels.ndim != 1 or labels.size == 0 or scores.shape[1] % labels.size:
@@ -228,10 +227,9 @@ def total_loss_raw(
     acec, g_scores, p_seen = acec_loss(scores, labels, split, terms.cfg.lambda_cal)
     acec = acec.reshape(models + (2,))                     # (..., sub-net)
 
-    distill = np.zeros(models)
-    if terms.distills:
-        distill, g = distill_loss(p_seen.reshape((-1, *models, 2, batch)), terms)
-        g_scores.reshape((-1, *models, 2, batch))[split.seen] += terms.lam[..., None, None] * g
+    # A model with no term on adds exact zeros: its loss and gradient are 0 * finite.
+    distill, g = distill_loss(p_seen.reshape((-1, *models, 2, batch)), terms)
+    g_scores.reshape((-1, *models, 2, batch))[split.seen] += terms.lam[..., None, None] * g
 
     a2v, v2a = acec[..., 0], acec[..., 1]
     values = np.array([a2v, v2a, distill, a2v + v2a + terms.lam * distill])

@@ -10,10 +10,10 @@ normalized axis first, and embeddings and scores put their image axis
 last.  The kernels here take any strided view and return results in its
 layout.  A dataset holds its float tensors as ``float32``, the model
 computes in its weights' dtype, and the one softmax kernel,
-:func:`log_sum_exp`, keeps ``float32`` and widens any other dtype to
-``float64``.  Everything here is deterministic: re-running an operation
-on identical inputs yields bit-identical output, and the :class:`Rng`
-stream depends only on its seed, never on the platform.
+:func:`log_sum_exp`, computes in its input's float dtype.  Everything
+here is deterministic: re-running an operation on identical inputs
+yields bit-identical output, and the :class:`Rng` stream depends only
+on its seed, never on the platform.
 """
 
 from __future__ import annotations
@@ -163,12 +163,10 @@ def log_sum_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
 
     With a 2-D input, ``axis=0`` normalizes every column and ``axis=1``
     every row.  The softmax has the memory layout of ``x``, and the
-    reductions are fastest when ``axis`` has the largest stride.  Non-finite
-    values pass through, for the checks on losses and class scores to report.
+    reductions are fastest when ``axis`` has the largest stride.  ``x`` is a
+    float array, and the results take its dtype.  Non-finite values pass
+    through, for the checks on losses and class scores to report.
     """
-    x = np.asarray(x)
-    if x.dtype != np.float32:
-        x = x.astype(np.float64, copy=False)
     m = x.max(axis=axis, keepdims=True)
     e = x - m   # the one temporary: exp and divide in place
     np.exp(e, out=e)
@@ -192,19 +190,17 @@ def grad_check_detail(
     f: Callable[[np.ndarray], float],
     point: np.ndarray,
     analytic: np.ndarray,
-    step: float = DEFAULT_GRAD_STEP,
 ) -> GradCheckResult:
     """Compare an analytic gradient against central differences.
 
     For every coordinate i the relative error is
     ``|analytic_i - numeric_i| / max(1, |analytic_i|, |numeric_i|)`` with
-    ``numeric_i = (f(x + step e_i) - f(x - step e_i)) / (2 step)``; a
-    non-finite ``analytic_i`` counts as an infinite relative error.
+    ``numeric_i = (f(x + h e_i) - f(x - h e_i)) / (2 h)`` and
+    ``h = DEFAULT_GRAD_STEP``; a non-finite ``analytic_i`` counts as an
+    infinite relative error.
     Returns the worst coordinate; raises :class:`NumericError` if ``f``
     evaluates non-finite at any probe point.
     """
-    if step <= 0:
-        raise ArgumentError(f"grad_check requires step > 0, got {step}")
     x = np.array(point, dtype=np.float64).reshape(-1)
     g = np.asarray(analytic, dtype=np.float64).reshape(-1)
     if g.shape != x.shape:
@@ -214,16 +210,16 @@ def grad_check_detail(
     worst = GradCheckResult(0.0, -1, 0.0, 0.0)
     for i in range(x.size):
         orig = x[i]
-        x[i] = orig + step
+        x[i] = orig + DEFAULT_GRAD_STEP
         f_plus = float(f(x))
-        x[i] = orig - step
+        x[i] = orig - DEFAULT_GRAD_STEP
         f_minus = float(f(x))
         x[i] = orig
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise NumericError(
                 f"grad_check: f is non-finite near coordinate {i}"
             )
-        numeric = (f_plus - f_minus) / (2.0 * step)
+        numeric = (f_plus - f_minus) / (2.0 * DEFAULT_GRAD_STEP)
         analytic_i = float(g[i])
         if math.isfinite(analytic_i):
             rel = abs(analytic_i - numeric) / max(1.0, abs(analytic_i), abs(numeric))

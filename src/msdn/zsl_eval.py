@@ -128,9 +128,7 @@ def per_class_accuracy(
     Classes without samples are excluded from the mean, and labels that
     are no class are not counted.  The table lists classes in ascending order.
     """
-    labels = np.asarray(labels)
-    predictions = np.asarray(predictions)
-    ordered = np.sort(np.asarray(classes))
+    ordered = np.sort(classes)
     # A label equal to ordered[pos:end] is a class, counted once at its first place pos.
     pos, end = (np.searchsorted(ordered, labels, side=side) for side in ("left", "right"))
     counted = pos < end

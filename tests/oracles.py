@@ -115,7 +115,11 @@ def synthetic(spec):
     num_classes = spec.num_seen + spec.num_unseen
     attributes = uniform(rng, -1.0, 1.0, spec.num_attributes, spec.attr_dim)
     semantics = uniform(rng, 0.0, 1.0, num_classes, spec.num_attributes)
-    active = spec.resolved_active_attributes()
+    # A seen class keeps its active_attributes strongest draws; 0 means a quarter
+    # of the attributes, and at least one.
+    active = spec.active_attributes
+    if active == 0:
+        active = max(1, spec.num_attributes // 4)
     for c in range(spec.num_seen):
         cutoff = sorted(semantics[c])[-active]
         for k in range(spec.num_attributes):

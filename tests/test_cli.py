@@ -5,7 +5,6 @@ import hashlib
 import io
 import os
 import platform
-import resource
 import struct
 import subprocess
 import sys
@@ -606,25 +605,38 @@ def _must_not_call(*args):
 
 
 class TestAllocatorPolicy:
-    # A later ablate in the same process reuses freed heap: 0-2 minor faults
-    # with the policy.  Since training runs in float32 the stock temporaries
-    # fit under glibc's default mmap threshold, so without it a second run
-    # takes about 70 in a fresh interpreter and 0 in this suite: the bound
-    # no longer tells the policy's absence apart.
-    MAX_FAULTS_PER_RUN = 200
+    # In a fresh process whose ``main`` set the policy, a later load of a 16 MB
+    # container reuses the freed read buffer: 0 minor faults.  Without the
+    # policy glibc maps each buffer afresh, and the second load takes about
+    # 4 900 faults, as many as the first.
+    MAX_FAULTS_PER_LOAD = 200
+    LOADS = """
+import resource, sys
+from msdn import cli
+from msdn.data_io import load_container
+assert cli.main(["gen-data", "--spec", sys.argv[1], "--out", sys.argv[2]]) == 0
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    load_container(sys.argv[3])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
-    def test_repeated_ablate_reuses_freed_memory(self, tmp_path):
-        data, cfg = tmp_path / "stock.zsld", tmp_path / "ab.cfg"
-        assert cli.main(["gen-data", "--out", str(data)]) == 0
-        cfg.write_text("epochs = 2\n")
-        faults = []
-        for _ in range(3):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            assert cli.main(["ablate", "--data", str(data), "--config", str(cfg),
-                             "--out", str(tmp_path / "ablation.csv")]) == 0
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        assert max(faults[1:]) <= self.MAX_FAULTS_PER_RUN, faults
+    def test_repeated_loads_reuse_freed_memory(self, tmp_path, spec_file, data_file):
+        big = tmp_path / "big.zsld"
+        write_container(big, [(name, np.ones((*arr.shape[:2], 44_000), np.float32)
+                                     if name == "features" else arr)
+                              for name, arr in read_container(data_file)])
+        assert 15e6 < big.stat().st_size < 17e6
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        run = subprocess.run([sys.executable, "-c", self.LOADS, str(spec_file),
+                              str(tmp_path / "tiny.zsld"), str(big)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        faults = [int(v) for v in run.stdout.splitlines()[-1].split()]
+        assert max(faults[1:]) <= self.MAX_FAULTS_PER_LOAD, faults
 
     @staticmethod
     def ablate(tmp_path, data_file, train_cfg_file, capsys, name):

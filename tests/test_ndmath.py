@@ -110,15 +110,14 @@ class TestLogSumExp:
 
 
 @pytest.mark.parametrize("kernel", [softmax_stable, log_sum_exp])
-@pytest.mark.parametrize("dtype, result", [(np.float32, np.float32), (np.float64, np.float64),
-                                           (np.float16, np.float64), (np.int64, np.float64)])
-def test_kernels_keep_float32_and_widen_other_dtypes(kernel, dtype, result):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_compute_in_their_inputs_dtype(kernel, dtype):
     x = np.array([[1, 2, 3], [4, 0, -2]], dtype=dtype)
     got, want = (kernel(a, axis=1) for a in (x, x.astype(np.float64)))
     if kernel is softmax_stable:
         got, want = (got,), (want,)
     for out, wide in zip(got, want):   # log_sum_exp returns the log-sum-exp and the softmax
-        assert out.dtype == result
+        assert out.dtype == dtype
         np.testing.assert_allclose(out, wide, rtol=1e-6)
 
 
@@ -138,10 +137,6 @@ class TestGradCheck:
     def test_non_finite_function_raises(self):
         with pytest.raises(NumericError):
             grad_check_detail(lambda x: float("nan"), np.array([1.0]), np.array([0.0]))
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ArgumentError):
-            grad_check_detail(lambda x: 0.0, np.array([1.0]), np.array([0.0]), step=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_analytic_entry_is_infinite_error(self, bad):
