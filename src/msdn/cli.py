@@ -155,8 +155,9 @@ def _check_dims(params: model.ModelParams, ds: data_io.Dataset) -> None:
 
 def cmd_eval(args) -> int:
     cfg = zsl_eval.PredictConfig(alpha1=args.alpha1, alpha2=args.alpha2)
-    ds = data_io.load_container(args.data)
+    # The checkpoint first: its file is unmapped before the dataset's pages are read.
     params = model.load_checkpoint(args.checkpoint)
+    ds = data_io.load_container(args.data)
     _check_dims(params, ds)
     report = zsl_eval.evaluate(params, ds, cfg)
     zsl_eval.write_report_csv(report, args.out)
@@ -234,8 +235,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
-    ds = data_io.load_container(args.data)
     params = model.load_checkpoint(args.checkpoint).astype(np.float64)  # float64 maps
+    ds = data_io.load_container(args.data)
     _check_dims(params, ds)
     if not 0 <= args.image < ds.num_samples:
         raise ArgumentError(

@@ -8,10 +8,10 @@ dataset that exists is a valid one.  On disk everything lives in a
 little endian "ZSLD" container of f32 and i32 tensors, and a dataset
 holds every float tensor as f32 too, so every tensor round-trips
 bit-exactly: one built from f64 arrays holds them rounded to f32, as its
-container will.  A loaded dataset's region features are a view of the
-file's bytes; each batch is gathered, in one copy, as an f32
-(R, B, d_v) stack, images after regions, which the model casts to its
-weights' dtype.
+container will.  A loaded dataset's region features are a read-only
+view of a read-only mapping of its file; each batch is gathered, in one
+copy, as an f32 (R, B, d_v) stack, images after regions, which the model
+casts to its weights' dtype.
 Every output of the package is written through ``open_output`` (every
 CSV through ``write_table``), which replaces a file and never truncates it.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import mmap
 import os
 import stat
 import struct
@@ -41,6 +42,7 @@ from .ndmath import Rng
 _MAGIC = b"ZSLD"
 _VERSION = 1
 _MAX_DIM = 2 ** 32  # each dimension is packed as "<I"
+_FINITE_BLOCK = 1 << 18  # elements per block of the finiteness check
 _DTYPE_F32 = 1
 _DTYPE_I32 = 3
 _STORED_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_I32: "<i4"}
@@ -347,10 +349,15 @@ def write_container(path: str | Path, items: list[tuple[str, np.ndarray]]) -> No
 def read_container(path: str | Path) -> list[tuple[str, np.ndarray]]:
     """Read named tensors in their stored dtype, ``<f4`` or ``<i4``.
 
-    Each tensor is a read-only view of the file's bytes: no payload is
-    copied or widened.
+    Each tensor is a read-only view of a read-only mapping of the file, kept
+    as long as a view is: no payload is copied.  A file that cannot be mapped
+    (empty, a FIFO, a pipe) is read instead.  Truncating it in place meanwhile
+    raises SIGBUS on a view; ``open_output`` replaces files, so no output does.
     """
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        blob = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                if stat.S_ISREG(st.st_mode) and st.st_size else fh.read())
     view = memoryview(blob)  # slices of a view share the file's bytes: no payload copies
     pos = 0
 
@@ -439,6 +446,19 @@ class _Tally(NamedTuple):
         return sorted(both + list(self.others & other.others))
 
 
+def _first_non_finite(arr: np.ndarray) -> tuple[int, ...] | None:
+    """The C-order index of the first non-finite element, or None.  Block by
+    block, with no ``arr``-sized mask: a block is finite if its min and max are
+    (NaN propagates), which is faster than masking it; a failing one is masked."""
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        block = flat[start:start + _FINITE_BLOCK]
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            bad = start + int(np.isfinite(block).argmin())
+            return tuple(int(i) for i in np.unravel_index(bad, arr.shape))
+    return None
+
+
 def validate_dataset(ds: Dataset) -> list[str]:
     """Return a list of invariant violations; empty means the dataset is valid."""
     out: list[str] = []
@@ -466,9 +486,8 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append(f"labels length {ds.labels.shape[0]} != sample count {n}")
 
     for name in ("features", "attributes", "class_semantics"):
-        finite = np.isfinite(getattr(ds, name))
-        if not finite.all():
-            index = tuple(np.argwhere(~finite)[0].tolist())
+        index = _first_non_finite(getattr(ds, name))
+        if index is not None:
             out.append(f"non-finite value in {name} at index {index}")
 
     seen, unseen = _Tally.of(ds.seen_classes, c), _Tally.of(ds.unseen_classes, c)

@@ -98,7 +98,7 @@ def acec_loss(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attribute-based cross-entropy with self-calibration.
 
-    ``scores`` is class-major, (C, rows): its columns stack one or more
+    ``scores`` is float64 and class-major, (C, rows): its columns stack one or more
     batches over all classes, one per sub-net and model, each scored
     against the same ``labels``.  The supervised term is the mean
     negative log softmax over seen-class scores at the true label.  The
@@ -111,7 +111,6 @@ def acec_loss(
     (C_s, rows) seen-class softmax of every column (what distillation
     compares), both class-major like ``scores``.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != split.indicator.size:
         raise ShapeError(f"scores must be ({split.indicator.size}, rows), got {scores.shape}")
     if labels.ndim != 1 or labels.size == 0 or scores.shape[1] % labels.size:

@@ -247,7 +247,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The stored weights, as read-only float32 views of the file's bytes."""
+    """The stored weights, as aligned float32 copies: no view keeps the file mapped."""
     tensors = dict(data_io.read_container(path))
     missing = [n for n in (*PARAM_NAMES, "dims") if n not in tensors]
     if missing:
@@ -267,4 +267,4 @@ def load_checkpoint(path) -> ModelParams:
                 f"checkpoint tensor {name} must have a float dtype, got {tensors[name].dtype}")
         if not np.isfinite(tensors[name]).all():
             raise ContainerFormatError(f"checkpoint tensor {name} has non-finite entries")
-    return ModelParams(dims=dims, **{name: tensors[name] for name in PARAM_NAMES})
+    return ModelParams(dims=dims, **{name: tensors[name].copy() for name in PARAM_NAMES})

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import os
 import stat
 import struct
@@ -11,7 +13,7 @@ import pytest
 
 import oracles
 from conftest import TINY_SPEC, format_kv, patched
-from msdn import data_io
+from msdn import cli, data_io
 from msdn.configfile import load_config
 from msdn.ndmath import Rng
 from msdn.data_io import (
@@ -124,7 +126,8 @@ class TestContainerRoundTrip:
 
 
     def test_read_makes_no_payload_copy(self, tmp_path):
-        # Peak: the file's bytes, which the f32 tensor is a view of; no widened copy.
+        # The f32 tensor is a view of the file's mapping: no copy of the file's
+        # bytes, and no widened one.
         n = 1 << 20
         path = tmp_path / "big.zsld"
         write_container(path, [("x", np.zeros(n, dtype=np.float32))])
@@ -134,7 +137,57 @@ class TestContainerRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 + 1) * n
+        assert peak < n // 16
+
+
+class TestMappedReads:
+    """A loaded dataset's tensors are views of a read-only mapping of its file."""
+
+    @pytest.mark.parametrize("writer", ["save_container", "gen_data"])
+    def test_replacing_the_file_keeps_the_loaded_bytes(self, tiny_dataset, tmp_path, writer):
+        path, spec_path = tmp_path / "data.zsld", tmp_path / "spec.cfg"
+        save_container(tiny_dataset, path)
+        loaded = load_container(path)
+        assert not loaded.features.flags.writeable and not loaded.features.flags.owndata
+        # A smaller dataset at the same path: a file truncated and rewritten in
+        # place would change the loaded bytes or raise SIGBUS on reading them.
+        spec = dataclasses.replace(TINY_SPEC, samples_per_class=3, seed=12)
+        if writer == "save_container":
+            save_container(generate_synthetic(spec), path)
+        else:
+            spec_path.write_text(format_kv(spec))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["gen-data", "--spec", str(spec_path), "--out", str(path)]) == 0
+        assert path.stat().st_size < loaded.features.nbytes
+        assert loaded.features.tobytes() == tiny_dataset.features.tobytes()
+        assert same_bits(loaded, tiny_dataset)
+        assert same_bits(load_container(path), generate_synthetic(spec))
+
+    def test_load_of_a_40mb_container_allocates_under_2mb(self, tiny_dataset, tmp_path):
+        path = tmp_path / "big.zsld"
+        n, r, _ = tiny_dataset.features.shape
+        save_container(dataclasses.replace(
+            tiny_dataset, features=np.ones((n, r, 112_000), np.float32)), path)
+        assert path.stat().st_size >= 40e6
+        tracemalloc.start()
+        try:
+            ds = load_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.nbytes > 40e6 and peak < 2e6, peak
+
+    def test_fifo_loads_equal_to_the_mapped_file(self, tiny_dataset, tmp_path):
+        path, fifo = tmp_path / "data.zsld", tmp_path / "data.fifo"
+        save_container(tiny_dataset, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        piped = load_container(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert same_bits(piped, load_container(path))
 
 
 def temp_files(directory) -> list[str]:
@@ -407,6 +460,24 @@ class TestValidateDataset:
         messages = violations_of(
             tiny_dataset, features=patched(tiny_dataset.features, (2, 1, 3), np.nan))
         assert any("features" in m and "(2, 1, 3)" in m for m in messages)
+
+    # Flat positions at both ends and on both sides of the first boundary of
+    # the check's 2^18-element blocks, alone and with a later second value.
+    BLOCK = 1 << 18
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("positions", [(0,), (BLOCK - 1,), (BLOCK,), (-1,), (BLOCK, -1),
+                                           (BLOCK - 1, BLOCK)],
+                             ids=["first", "block_end", "block_start", "last",
+                                  "block_start_and_last", "both_sides"])
+    def test_non_finite_features_index_is_the_first_in_c_order(self, tiny_dataset, value,
+                                                               positions):
+        n, r, _ = tiny_dataset.features.shape
+        features = np.zeros((n, r, 5000), dtype=np.float32)   # 1.7 blocks
+        features.reshape(-1)[list(positions)] = value
+        expected = tuple(np.argwhere(~np.isfinite(features))[0].tolist())
+        assert violations_of(tiny_dataset, features=features) == [
+            f"non-finite value in features at index {expected}"]
 
     def test_split_overlap_detected(self, tiny_dataset):
         ds = tiny_dataset
