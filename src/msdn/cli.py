@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=zsl_eval.MODES, default="gzsl")
-    p.add_argument("--alpha1", type=float, default=0.9)
-    p.add_argument("--alpha2", type=float, default=0.1)
+    p.add_argument("--alpha1", type=float, default=zsl_eval.PredictConfig.alpha1)
+    p.add_argument("--alpha2", type=float, default=zsl_eval.PredictConfig.alpha2)
     p.add_argument("--out", required=True, help="metric CSV output path")
     p.add_argument("--per-class", dest="per_class", help="per-class accuracy CSV path")
 
@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="variant,acc,H CSV path")
-    p.add_argument("--alpha1", type=float, default=0.9)
-    p.add_argument("--alpha2", type=float, default=0.1)
+    p.add_argument("--alpha1", type=float, default=zsl_eval.PredictConfig.alpha1)
+    p.add_argument("--alpha2", type=float, default=zsl_eval.PredictConfig.alpha2)
 
     p = sub.add_parser("export-attention", help="dump attention weights for one image")
     p.add_argument("--data", required=True)
@@ -145,20 +145,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_dims(params: model.ModelParams, ds: data_io.Dataset) -> None:
+def _load_checkpoint_and_data(args) -> tuple[model.ModelParams, data_io.Dataset]:
+    """``--checkpoint``, then ``--data``, whose dims must match.  The checkpoint
+    comes first: its file is unmapped before the dataset's pages are read."""
+    params = model.load_checkpoint(args.checkpoint)
+    ds = data_io.load_container(args.data)
     expected = model.ModelDims.for_dataset(ds)
     if params.dims != expected:
-        raise ShapeError(
-            f"checkpoint dims {params.dims} do not match dataset dims {expected}"
-        )
+        raise ShapeError(f"checkpoint dims {params.dims} do not match dataset dims {expected}")
+    return params, ds
 
 
 def cmd_eval(args) -> int:
     cfg = zsl_eval.PredictConfig(alpha1=args.alpha1, alpha2=args.alpha2)
-    # The checkpoint first: its file is unmapped before the dataset's pages are read.
-    params = model.load_checkpoint(args.checkpoint)
-    ds = data_io.load_container(args.data)
-    _check_dims(params, ds)
+    params, ds = _load_checkpoint_and_data(args)
     report = zsl_eval.evaluate(params, ds, cfg)
     zsl_eval.write_report_csv(report, args.out)
     if args.per_class:
@@ -235,14 +235,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
-    params = model.load_checkpoint(args.checkpoint).astype(np.float64)  # float64 maps
-    ds = data_io.load_container(args.data)
-    _check_dims(params, ds)
+    params, ds = _load_checkpoint_and_data(args)
     if not 0 <= args.image < ds.num_samples:
-        raise ArgumentError(
-            f"--image {args.image} out of range for {ds.num_samples} samples"
-        )
-    trace = model.forward(ds.regions([args.image]), ds.attributes, params)
+        raise ArgumentError(f"--image {args.image} out of range for {ds.num_samples} samples")
+    trace = model.forward(ds.regions([args.image]), ds.attributes,
+                          params.astype(np.float64))  # float64 maps
     beta, tau, psi, Psi = trace.beta[..., 0], trace.tau[:, 0], trace.psi[:, 0], trace.Psi[:, 0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

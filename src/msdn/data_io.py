@@ -3,8 +3,9 @@
 A dataset bundles per-image region features, attribute word vectors,
 per-class semantic vectors, labels, the seen/unseen class partition, and
 the train/test split index sets.  A ``Dataset`` is validated once, when
-it is built (generated or loaded), and its arrays are read-only, so a
-dataset that exists is a valid one.  On disk everything lives in a
+it is built (generated or loaded), its finiteness by the scan checkpoints
+use too (``ndmath.first_non_finite``), and its arrays are read-only, so
+a dataset that exists is a valid one.  On disk everything lives in a
 little endian "ZSLD" container of f32 and i32 tensors, and a dataset
 holds every float tensor as f32 too, so every tensor round-trips
 bit-exactly: one built from f64 arrays holds them rounded to f32, as its
@@ -37,12 +38,11 @@ import numpy as np
 
 from .configfile import require_finite, require_seed
 from .errors import ArgumentError, ContainerFormatError, DatasetValidationError, NumericError
-from .ndmath import Rng
+from .ndmath import Rng, first_non_finite
 
 _MAGIC = b"ZSLD"
 _VERSION = 1
 _MAX_DIM = 2 ** 32  # each dimension is packed as "<I"
-_FINITE_BLOCK = 1 << 18  # elements per block of the finiteness check
 _DTYPE_F32 = 1
 _DTYPE_I32 = 3
 _STORED_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_I32: "<i4"}
@@ -446,19 +446,6 @@ class _Tally(NamedTuple):
         return sorted(both + list(self.others & other.others))
 
 
-def _first_non_finite(arr: np.ndarray) -> tuple[int, ...] | None:
-    """The C-order index of the first non-finite element, or None.  Block by
-    block, with no ``arr``-sized mask: a block is finite if its min and max are
-    (NaN propagates), which is faster than masking it; a failing one is masked."""
-    flat = arr.reshape(-1)
-    for start in range(0, flat.size, _FINITE_BLOCK):
-        block = flat[start:start + _FINITE_BLOCK]
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            bad = start + int(np.isfinite(block).argmin())
-            return tuple(int(i) for i in np.unravel_index(bad, arr.shape))
-    return None
-
-
 def validate_dataset(ds: Dataset) -> list[str]:
     """Return a list of invariant violations; empty means the dataset is valid."""
     out: list[str] = []
@@ -486,7 +473,7 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append(f"labels length {ds.labels.shape[0]} != sample count {n}")
 
     for name in ("features", "attributes", "class_semantics"):
-        index = _first_non_finite(getattr(ds, name))
+        index = first_non_finite(getattr(ds, name))
         if index is not None:
             out.append(f"non-finite value in {name} at index {index}")
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import data_io
 from .errors import ContainerFormatError, ShapeError
-from .ndmath import FlatArrays, Rng, softmax_stable
+from .ndmath import FlatArrays, Rng, first_non_finite, softmax_stable
 
 PARAM_NAMES = ("W1", "W2", "W3", "W4", "W_att")
 
@@ -247,7 +247,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The stored weights, as aligned float32 copies: no view keeps the file mapped."""
+    """The stored weights, as aligned float32 copies: no view keeps the file mapped.
+    A non-finite weight is a data error naming its first bad index in C order."""
     tensors = dict(data_io.read_container(path))
     missing = [n for n in (*PARAM_NAMES, "dims") if n not in tensors]
     if missing:
@@ -265,6 +266,7 @@ def load_checkpoint(path) -> ModelParams:
         if tensors[name].dtype.kind != "f":
             raise ContainerFormatError(
                 f"checkpoint tensor {name} must have a float dtype, got {tensors[name].dtype}")
-        if not np.isfinite(tensors[name]).all():
-            raise ContainerFormatError(f"checkpoint tensor {name} has non-finite entries")
+        if (index := first_non_finite(tensors[name])) is not None:
+            raise ContainerFormatError(
+                f"checkpoint tensor {name} has a non-finite value at index {index}")
     return ModelParams(dims=dims, **{name: tensors[name].copy() for name in PARAM_NAMES})

@@ -10,10 +10,10 @@ normalized axis first, and embeddings and scores put their image axis
 last.  The kernels here take any strided view and return results in its
 layout.  A dataset holds its float tensors as ``float32``, the model
 computes in its weights' dtype, and the one softmax kernel,
-:func:`log_sum_exp`, computes in its input's float dtype.  Everything
-here is deterministic: re-running an operation on identical inputs
-yields bit-identical output, and the :class:`Rng` stream depends only
-on its seed, never on the platform.
+:func:`log_sum_exp`, computes in its input's float dtype; one scan,
+:func:`first_non_finite`, checks datasets, checkpoints and training
+weights for finiteness.  Identical inputs give bit-identical output, and
+the :class:`Rng` stream depends only on its seed, never on the platform.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _TWO_POW_NEG53 = 2.0 ** -53
 
 DEFAULT_GRAD_STEP = 1e-5
+_FINITE_BLOCK = 1 << 18  # elements per block of first_non_finite
 
 
 def _splitmix64(x: int) -> int:
@@ -156,6 +157,19 @@ class FlatArrays(dict):
     def zeros_like(self) -> "FlatArrays":
         return FlatArrays({name: arr.shape for name, arr in self.items()}, np.zeros,
                           self.flat.dtype)
+
+
+def first_non_finite(arr: np.ndarray) -> tuple[int, ...] | None:
+    """The C-order index of the first non-finite element, or None.  Block by
+    block, with no ``arr``-sized mask: a block is finite if its min and max are
+    (NaN propagates), which is faster than masking it; a failing one is masked."""
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        block = flat[start:start + _FINITE_BLOCK]
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            bad = start + int(np.isfinite(block).argmin())
+            return tuple(int(i) for i in np.unravel_index(bad, arr.shape))
+    return None
 
 
 def log_sum_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import LossBreakdown, LossConfig, LossTerms, total_loss_raw
 from .model import ModelDims, ModelParams, init_params_from_rng
-from .ndmath import FlatArrays, Rng
+from .ndmath import FlatArrays, Rng, first_non_finite
 
 HISTORY_HEADER = ("epoch", *LossBreakdown._fields)
 
@@ -168,8 +168,8 @@ def fit(
             rmsprop_step(weights, grads, square_avg, momentum_buf, cfg)
             del grads  # the next batch's loss runs without these
             rows.append(breakdown)
-        if not np.isfinite(weights.flat).all():
-            name = next(name for name, arr in weights.items() if not np.isfinite(arr).all())
+        if first_non_finite(weights.flat) is not None:
+            name = next(n for n, arr in weights.items() if first_non_finite(arr) is not None)
             raise NumericError(f"parameter {name} became non-finite at epoch {epoch}")
         # 0.0 + size_0 * row_0 + size_1 * row_1 + ..., added in batch order.
         weighted = (np.asarray(rows).T * [len(batch) for batch in batches]).T

@@ -532,7 +532,11 @@ class TestSymmetryRelations:
     # Largest deviation relative to the largest |value| (stock, stock_lockstep,
     # awa2): region order 1.6e-16, 9.7e-17, 8.0e-16; image order, gradients
     # 2.7e-16, 3.0e-16, 4.3e-16 and embeddings 0.  Folding the stack
-    # image-major in model._folded fails all six.
+    # image-major in model._folded fails all six.  Attribute order:
+    # embeddings 1.8e-16, 3.9e-16, 5.8e-16; loss 1.2e-16, 8.8e-17, 1.4e-16;
+    # gradients 8.0e-16, 1.4e-15, 1.3e-15.  Scaling by c = 3.7: psi by W2
+    # 1.5e-16, 2.9e-16, 1.7e-15; Psi by W4 4.3e-16, 3.5e-16, 8.6e-16 and by
+    # W_att 4.3e-16, 2.3e-16, 9.5e-16; beta and tau 3.7e-16, 4.3e-16, 1.0e-14.
     CASES = pytest.mark.parametrize("shape, models", [(STOCK_SHAPE, 0), (STOCK_SHAPE, 4),
                                                       (AWA2_SHAPE, 0)],
                                     ids=["stock", "stock_lockstep", "awa2"])
@@ -571,6 +575,37 @@ class TestSymmetryRelations:
         assert_within(np.array(p_loss), np.array(loss))
         for name in PARAM_NAMES:
             assert_within(p_grads[name], grads[name])
+
+    @CASES
+    def test_permuting_the_attributes_permutes_the_embeddings(self, shape, models):
+        params, regions, labels, (attrs, semantics, *rest) = self.instance(shape, models)
+        order = np.random.default_rng(0).permutation(len(attrs))
+        inputs = ((attrs, semantics), (attrs[order], semantics[:, order]))
+        want, got = (forward(regions, a, params) for a, _ in inputs)
+        for name in ("psi", "Psi"):
+            assert_within(getattr(got, name), getattr(want, name)[..., order, :])
+        (loss, grads), (p_loss, p_grads) = (
+            total_loss_raw(params, regions, labels, a, sem, *rest) for a, sem in inputs)
+        assert_within(np.array(p_loss), np.array(loss))
+        for name in PARAM_NAMES:
+            assert_within(p_grads[name], grads[name])
+
+    @CASES
+    def test_scaling_a_weight_scales_its_embedding(self, shape, models):
+        params, regions, _, (attrs, *_) = self.instance(shape, models)
+        c = 3.7  # not a power of two, so the scaled products round differently
+
+        def scaled(stack=regions, **factors):
+            return forward(stack, attrs, dataclasses.replace(
+                params, **{name: getattr(params, name) * f for name, f in factors.items()}))
+
+        want = scaled()
+        assert_within(scaled(W2=c).psi, c * want.psi)
+        assert_within(scaled(W4=c).Psi, c * want.Psi)
+        assert_within(scaled(W_att=c).Psi, c * want.Psi)
+        got = scaled(c * regions, W1=1 / c, W3=1 / c)
+        assert_within(got.beta, want.beta)
+        assert_within(got.tau, want.tau)
 
 
 class TestMemoryLayout:

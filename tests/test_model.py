@@ -26,6 +26,7 @@ from msdn.ndmath import Rng, grad_check_detail
 from msdn.zsl_eval import calibrated_scores
 
 DIMS = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
+CUB_DIMS = ModelDims(visual_dim=2048, attr_dim=300, num_attributes=312, num_regions=196)
 
 
 def tiny_inputs(seed=1, dims=DIMS):
@@ -343,12 +344,22 @@ class TestCheckpoint:
                            match=r"W3 has shape \(3, 4\), expected \(4, 3\)"):
             load_checkpoint(path)
 
+    # The error names the first bad index in C order, with a later bad value
+    # in the same weight.  In a CUB (300, 2048) W2, flat 2^18 - 1 is
+    # (127, 2047) and flat 2^18 is (128, 0): the two sides of the first block
+    # boundary of the finiteness scan.
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_weight_rejected(self, tmp_path, bad):
-        params = init_params_from_rng(DIMS, Rng(12))
-        w2 = params.W2.copy()
-        w2[1, 2] = bad
+    @pytest.mark.parametrize("dims, name, index", [
+        (DIMS, "W2", (1, 2)), (DIMS, "W_att", (0, 0)), (DIMS, "W_att", (3, 2)),
+        (CUB_DIMS, "W2", (127, 2047)), (CUB_DIMS, "W2", (128, 0)),
+    ], ids=["W2[1,2]", "W_att_first", "W_att_last", "cub_block_end", "cub_next_block"])
+    def test_non_finite_weight_rejected(self, tmp_path, bad, dims, name, index):
+        params = ModelParams(dims, **{n: np.ones(shape, np.float32)
+                                      for n, shape in dims.param_shapes().items()})
+        weight = getattr(params, name)
+        weight[index] = weight[-1, -1] = bad
         path = tmp_path / "nan.ckpt"
-        save_checkpoint(replace(params, W2=w2), path)
-        with pytest.raises(ContainerFormatError, match="W2.*non-finite"):
+        save_checkpoint(params, path)
+        with pytest.raises(ContainerFormatError) as exc:
             load_checkpoint(path)
+        assert str(exc.value) == f"checkpoint tensor {name} has a non-finite value at index {index}"

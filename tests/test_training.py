@@ -378,6 +378,25 @@ class TestTrain:
         with pytest.raises(NumericError, match=r"epoch 0, batch 0"):
             train(ds, FAST)
 
+    # One batch per epoch, so the epoch's check meets the bad weight before
+    # any loss does; the message names the first parameter holding it.
+    @pytest.mark.parametrize("lockstep, name, index", [
+        (False, "W_att", (-1, -1)), (True, "W4", (3, 0, 0))], ids=["single", "lockstep"])
+    def test_non_finite_weight_names_its_parameter(self, tiny_dataset, monkeypatch,
+                                                   lockstep, name, index):
+        real_step = training.rmsprop_step
+
+        def step_then_nan(params, *args):
+            real_step(params, *args)
+            params[name][index] = np.nan
+
+        monkeypatch.setattr(training, "rmsprop_step", step_then_nan)
+        cfg = dataclasses.replace(FAST, batch_size=tiny_dataset.train_idx.size)
+        lcfg = tuple(cfg.loss_config(**o) for o in LOCKSTEP_OVERRIDES) if lockstep else None
+        with pytest.raises(NumericError) as exc:
+            train(tiny_dataset, cfg, lcfg)
+        assert str(exc.value) == f"parameter {name} became non-finite at epoch 0"
+
 
 class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
