@@ -21,7 +21,7 @@ import numpy as np
 from . import ablation, data_io, losses, model, training, zsl_eval
 from .configfile import load_config, require_seed
 from .errors import ArgumentError, GradientCheckError, MsdnError, ShapeError
-from .ndmath import Rng, grad_check_detail
+from .ndmath import Rng, grad_check_matrices
 
 GRAD_TOLERANCE = 1e-5
 # glibc mallopt(3) settings: serve every block under 32 MiB (glibc's 64-bit
@@ -192,27 +192,15 @@ def cmd_grad_check(args) -> int:
     split = data_io.ClassSplit.of(np.arange(c_seen), np.arange(c_seen, c_seen + c_unseen))
     terms = losses.LossTerms.of((losses.LossConfig(),))
 
-    def loss_with(name: str, flat: np.ndarray) -> float:
-        shape = getattr(params, name).shape
-        candidate = dataclasses.replace(params, **{name: flat.reshape(shape)})
-        breakdown, _ = losses.total_loss_raw(
-            candidate, regions, labels, attrs, semantics, split, terms)
-        return breakdown.total
+    def loss(p: model.ModelParams) -> float:
+        return losses.total_loss_raw(p, regions, labels, attrs, semantics, split, terms)[0].total
 
-    _, grads = losses.total_loss_raw(
-        params, regions, labels, attrs, semantics, split, terms)
-    failures = []
-    for name in model.PARAM_NAMES:
-        detail = grad_check_detail(
-            lambda flat, _n=name: loss_with(_n, flat),
-            getattr(params, name).reshape(-1),
-            grads[name].reshape(-1),
-        )
+    _, grads = losses.total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
+    results = grad_check_matrices(loss, params, grads)
+    for name, detail in results.items():
         print(f"{name} max_rel_error={detail.max_rel_error:.3e}")
-        if detail.max_rel_error > GRAD_TOLERANCE:
-            failures.append((name, detail))
-    if failures:
-        name, detail = max(failures, key=lambda item: item[1].max_rel_error)
+    name, detail = max(results.items(), key=lambda item: item[1].max_rel_error)
+    if detail.max_rel_error > GRAD_TOLERANCE:
         raise GradientCheckError(
             f"gradient check failed for {name} at flat coordinate "
             f"{detail.worst_index}: analytic {detail.analytic_at_worst:.6e}, "

@@ -32,7 +32,8 @@ as computed, together with the stack and attributes the backward reads,
 and the gradients are C-contiguous blocks of one flat array, each in
 its parameter's shape.  Weights stacked on a leading model axis run
 every model in one pass, each product a stack of one model's products.
-A forward and its backward compute in their weights' dtype.
+``forward`` checks the stack and the attributes once, for both sub-nets;
+a forward and its backward compute in their weights' dtype.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def init_params_from_rng(dims: ModelDims, rng: Rng) -> ModelParams:
                                      for name, shape in dims.param_shapes().items()})
 
 
-def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Check an (R, B, d_v) stack against the model; return its (R*B, d_v) rows in (r, b) order."""
+def _check_operands(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> None:
+    """Raise :class:`ShapeError` unless the stack and attributes fit the model's widths."""
     if regions.ndim != 3 or attrs.ndim != 2:
         raise ShapeError(
             f"expected a 3-D region stack and a 2-D attribute matrix, "
@@ -132,20 +133,19 @@ def _folded(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> np.n
         raise ShapeError(f"region features have width {regions.shape[2]}, model expects {d_v}")
     if attrs.shape[1] != d_a:
         raise ShapeError(f"attribute vectors have width {attrs.shape[1]}, model expects {d_a}")
-    return regions.reshape(-1, d_v)
 
 
 def a2v_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attribute->visual pass over an (R, B, d_v) stack: (beta, match, psi).
+    """Attribute->visual pass over a stack :func:`forward` checked: (beta, match, psi).
 
     beta[k, r, b] softmax-normalizes the bilinear scores over attributes
     k within region r of image b; match is (K, R, B) too.  psi[k, b] is
     the match of attribute k through W2 with the beta-pooled regions,
     summed over regions so the (B, K, d_v) pooled features never form.
     """
-    V = _folded(regions, attrs, params)
+    V = regions.reshape(-1, regions.shape[-1])
     maps = params.W1.shape[:-2] + (-1, *regions.shape[:2])                 # (…, K, R, B)
     beta = softmax_stable(((attrs @ params.W1) @ V.T).reshape(maps), axis=-3)
     match = ((attrs @ params.W2) @ V.T).reshape(maps)
@@ -155,7 +155,7 @@ def a2v_forward(
 def v2a_forward(
     regions: np.ndarray, attrs: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, ...]:
-    """Visual->attribute pass over an (R, B, d_v) stack: (tau, M, psi_bar, Psi, pooled).
+    """Visual->attribute pass over a stack :func:`forward` checked: (tau, M, psi_bar, Psi, pooled).
 
     tau[r, b, k] softmax-normalizes the bilinear scores over regions r
     within each attribute k; M is (R, B, K) too.  psi_bar[r, b] is the
@@ -165,7 +165,7 @@ def v2a_forward(
     space through W_att, as the bilinear match of the psi_bar-pooled
     (B, d_v) regions with every attribute vector.
     """
-    V = _folded(regions, attrs, params)
+    V = regions.reshape(-1, regions.shape[-1])
     maps = params.W3.shape[:-2] + regions.shape[:2] + (-1,)                # (…, R, B, K)
     tau = softmax_stable((V @ (params.W3 @ attrs.T)).reshape(maps), axis=-3)
     M = (V @ (params.W4 @ attrs.T)).reshape(maps)
@@ -178,10 +178,11 @@ def v2a_forward(
 def forward(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> ForwardTrace:
     """Run both sub-nets on an (R, B, d_v) stack of images.
 
-    Stacked weights run every model in the same pass.  One image is a
-    stack of one.  Here, and only here, the stack and ``attrs`` are cast
-    to the weights' dtype; the trace keeps both for the backward.
+    Stacked weights run every model in one pass; one image is a stack of
+    one.  Here, and only here, the stack and ``attrs`` are checked, once
+    per call, and cast to the weights' dtype: the sub-nets rely on both.
     """
+    _check_operands(regions, attrs, params)
     regions, attrs = (x.astype(params.W1.dtype, copy=False) for x in (regions, attrs))
     return ForwardTrace(regions, attrs, *a2v_forward(regions, attrs, params),
                         *v2a_forward(regions, attrs, params))

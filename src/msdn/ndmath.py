@@ -12,12 +12,14 @@ layout.  A dataset holds its float tensors as ``float32``, the model
 computes in its weights' dtype, and the one softmax kernel,
 :func:`log_sum_exp`, computes in its input's float dtype; one scan,
 :func:`first_non_finite`, checks datasets, checkpoints and training
-weights for finiteness.  Identical inputs give bit-identical output, and
-the :class:`Rng` stream depends only on its seed, never on the platform.
+weights for finiteness, and one per-matrix check serves ``grad-check`` and
+the gradient tests.  Identical inputs give bit-identical output, and the
+:class:`Rng` stream depends only on its seed, never on the platform.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -243,3 +245,10 @@ def grad_check_detail(
             worst = GradCheckResult(rel, i, analytic_i, numeric)
     return worst
 
+
+def grad_check_matrices(loss: Callable, params, grads) -> dict[str, GradCheckResult]:
+    """:func:`grad_check_detail` on each matrix of ``params.as_dict()`` in turn, the
+    others held fixed; ``loss`` maps a parameter dataclass to a scalar."""
+    return {name: grad_check_detail(
+        lambda flat, n=name, s=w.shape: loss(dataclasses.replace(params, **{n: flat.reshape(s)})),
+        w, grads[name]) for name, w in params.as_dict().items()}

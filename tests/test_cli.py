@@ -609,8 +609,8 @@ class TestAllocatorPolicy:
     # training run at K=312, R=196, d_v=512 reuse the heap the first run freed:
     # 0 minor faults each.  Without the policy glibc returns the freed heap to
     # the kernel and maps the runs' megabyte temporaries afresh: about 4 300
-    # faults a run.  (Within one run, the steps after the first take no faults
-    # either way: glibc's mmap threshold rises to the size of the blocks freed.)
+    # faults a run.  (Without the policy the steps after the first fault too:
+    # at paper shape every step faults about 6.7k pages afresh; ROADMAP item 5.)
     MAX_FAULTS_PER_RUN = 1000
     RUNS = """
 import resource, sys
@@ -856,10 +856,16 @@ class TestNonFiniteCheckpoint:
         assert captured.out == "" and not out.exists()
 
 
+def _edited(src, out, edit):
+    """Copy a container, passing a writable name -> tensor dict of it through ``edit``."""
+    tensors = {name: arr.copy() for name, arr in read_container(src)}
+    edit(tensors)
+    write_container(out, list(tensors.items()))
+
+
 def _retyped(blob_path, out_path, name, convert):
     """Copy a container with tensor ``name`` replaced by ``convert(tensor)``."""
-    write_container(out_path, [(n, convert(a) if n == name else a)
-                               for n, a in read_container(blob_path)])
+    _edited(blob_path, out_path, lambda t: t.update({name: convert(t[name])}))
 
 
 def _rank_65(data_file, out_path):
@@ -914,6 +920,104 @@ class TestMalformedData:
         assert rc == 3, captured.err
         assert captured.err.splitlines() == ["error: file ends inside magic bytes"]
         assert not out.exists()
+
+
+def _swap_first_train_and_unseen(t):
+    t["train_idx"][0], t["test_unseen_idx"][0] = t["test_unseen_idx"][0], t["train_idx"][0]
+
+
+# Each input rule as a command meets it: (input, its text or container edit,
+# exit code, message fragment).  A "config" goes to train --config, a "spec"
+# to gen-data --spec, "data" to train --data, "eval_data" to eval --data and
+# a "checkpoint" to eval --checkpoint.
+_EDGE_RULES = {
+    "no_equals": ("config", "epochs\n", 2, "expected key=value, got 'epochs'"),
+    "empty_key": ("config", "= 3\n", 2, ":1: empty key"),
+    "duplicate_key": ("config", "epochs = 2\nepochs = 3\n", 2, ":2: duplicate key 'epochs'"),
+    "unparsable_int": ("config", "epochs = many\n", 2,
+                       "config key 'epochs': cannot parse 'many' as int"),
+    "zero_learning_rate": ("config", "learning_rate = 0\n", 2, "learning_rate must be > 0"),
+    "momentum_one": ("config", "momentum = 1\n", 2, "momentum must lie in [0, 1)"),
+    "rms_decay_one": ("config", "rms_decay = 1\n", 2, "rms_decay must lie in [0, 1)"),
+    "zero_batch_size": ("config", "batch_size = 0\n", 2, "batch_size must be >= 1"),
+    "negative_epochs": ("config", "epochs = -1\n", 2, "epochs must be >= 0"),
+    "negative_weight_decay": ("config", "weight_decay = -1\n", 2, "weight_decay must be >= 0"),
+    "zero_epsilon_opt": ("config", "epsilon_opt = 0\n", 2, "epsilon_opt must be > 0"),
+    "negative_lambda_cal": ("config", "lambda_cal = -0.1\n", 2,
+                            "loss weights must be non-negative"),
+    "large_epsilon_kl": ("config", "epsilon_kl = 0.01\n", 2,
+                         "epsilon_kl must lie in (0, 1e-3], got 0.01"),
+    "negative_noise": ("spec", "noise_std = -1\n", 2, "SynthSpec.noise_std must be >= 0"),
+    "too_many_active": ("spec", "active_attributes = 13\n", 2,
+                        "SynthSpec.active_attributes must lie in [0, 12], got 13"),
+    "no_labels": ("data", lambda t: t.pop("labels"), 3, "missing required tensors: labels"),
+    "labels_2d": ("data", lambda t: t.update(labels=t["labels"][:, None]), 3,
+                  "labels must have rank 1"),
+    "semantics_k_plus_1": ("data", lambda t: t.update(class_semantics=np.hstack(
+        [t["class_semantics"], t["class_semantics"][:, :1]])), 3,
+        "class_semantics columns must match attribute count: 5 vs 4"),
+    "class_seen_and_unseen": ("data", lambda t: t.update(unseen_classes=np.append(
+        t["unseen_classes"], t["seen_classes"][0])), 3, "seen/unseen classes overlap: [0]"),
+    "index_in_train_and_test_seen": ("data", lambda t: t.update(test_seen_idx=np.append(
+        t["test_seen_idx"], t["train_idx"][0])), 3,
+        "train_idx and test_seen_idx share indices: [0]"),
+    "train_and_unseen_swapped": ("data", _swap_first_train_and_unseen, 3,
+                                 "dataset invalid: train_idx contains samples of non-seen "
+                                 "classes: [3]; test_unseen_idx contains samples of non-unseen "
+                                 "classes: [0]"),
+    "short_labels": ("data", lambda t: t.update(labels=t["labels"][:-1]), 3,
+                     "labels length 29 != sample count 30"),
+    "nan_feature": ("data", lambda t: t["features"].__setitem__((0, 1, 2), np.nan), 3,
+                    "non-finite value in features at index (0, 1, 2)"),
+    "seen_class_twice": ("data", lambda t: t.update(seen_classes=np.append(
+        t["seen_classes"], t["seen_classes"][0])), 3, "seen_classes contains duplicates"),
+    "no_unseen_test_samples": ("eval_data", lambda t: t.update(
+        test_unseen_idx=t["test_unseen_idx"][:0]), 2, "test_unseen_idx is empty"),
+    "transposed_weight": ("checkpoint", lambda t: t.update(W1=t["W1"].T), 3,
+                          "checkpoint tensor W1 has shape (5, 3), expected (3, 5)"),
+    "three_dims": ("checkpoint", lambda t: t.update(dims=t["dims"][:3]), 3,
+                   "checkpoint dims must be 4 integers, got int32 (3,)"),
+    "integer_weights": ("checkpoint", lambda t: t.update(W1=np.rint(t["W1"]).astype(np.int32)),
+                        3, "checkpoint tensor W1 must have a float dtype, got int32"),
+}
+
+
+class TestEdgeRulesThroughMain:
+    """Each rule on a command's input ends it with its exit code, a single
+    ``error:`` line and no output file."""
+
+    @pytest.mark.parametrize("case", sorted(_EDGE_RULES))
+    def test_exits_with_one_error_line_and_no_output(self, tmp_path, data_file, train_cfg_file,
+                                                     request, capsys, case):
+        kind, edit, code, fragment = _EDGE_RULES[case]
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        checkpoint = (request.getfixturevalue("checkpoint_file")
+                      if kind in ("eval_data", "checkpoint") else None)
+        if kind in ("config", "spec"):
+            bad.write_text(edit)
+        else:
+            _edited(checkpoint if kind == "checkpoint" else data_file, bad, edit)
+        argv = {"config": ["train", "--data", data_file, "--config", bad],
+                "spec": ["gen-data", "--spec", bad],
+                "data": ["train", "--data", bad, "--config", train_cfg_file],
+                "eval_data": ["eval", "--data", bad, "--checkpoint", checkpoint],
+                "checkpoint": ["eval", "--data", data_file, "--checkpoint", bad]}[kind]
+        capsys.readouterr()
+        rc = cli.main([*map(str, argv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and fragment in err, err
+        assert not out.exists()
+
+    def test_comments_and_blank_lines_change_nothing(self, tmp_path, data_file, train_cfg_file):
+        commented = tmp_path / "commented.cfg"
+        lines = train_cfg_file.read_text().splitlines()
+        commented.write_text("# fast training\n\n" + "".join(
+            f"{line}   # a note\n  \n# {line}\n" for line in lines))
+        for cfg, out in ((train_cfg_file, "plain.zsld"), (commented, "commented.zsld")):
+            assert cli.main(["train", "--data", str(data_file), "--config", str(cfg),
+                             "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "plain.zsld").read_bytes() == (tmp_path / "commented.zsld").read_bytes()
 
 
 @pytest.fixture(scope="module")

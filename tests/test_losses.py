@@ -15,7 +15,7 @@ from msdn.data_io import ClassSplit
 from msdn.errors import ArgumentError, NumericError, ShapeError
 from msdn.losses import LossConfig, LossTerms, acec_loss, distill_loss, total_loss_raw
 from msdn.model import PARAM_NAMES, ModelDims, forward, init_params_from_rng
-from msdn.ndmath import Rng, grad_check_detail, softmax_stable
+from msdn.ndmath import Rng, grad_check_detail, grad_check_matrices, softmax_stable
 
 # The ablation grid's four models: no distillation, full, JSD only, L2 only.
 LOCKSTEP = (LossConfig(lambda_distill=0.0), LossConfig(), LossConfig(distill_l2=False),
@@ -310,16 +310,11 @@ class TestTotalLoss:
         terms = LossTerms.of((LossConfig(),))
         split = ClassSplit.of(seen, unseen)
         _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
-        for name in PARAM_NAMES:
-            def f(flat, _n=name):
-                candidate = dataclasses.replace(
-                    params, **{_n: flat.reshape(getattr(params, _n).shape)})
-                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split,
-                                        terms)
-                return out.total
-            err = grad_check_detail(f, getattr(params, name).reshape(-1),
-                                    grads[name].reshape(-1)).max_rel_error
-            assert err <= 1e-5, f"{name}: {err}"
+        results = grad_check_matrices(
+            lambda p: total_loss_raw(p, regions, labels, attrs, semantics, split, terms)[0].total,
+            params, grads)
+        for name, detail in results.items():
+            assert detail.max_rel_error <= 1e-5, f"{name}: {detail}"
 
     def test_batched_gradients_pass_grad_check_with_distinct_labels(self):
         params, regions, attrs, semantics, _, seen, unseen = random_instance(
@@ -329,16 +324,11 @@ class TestTotalLoss:
         terms = LossTerms.of((LossConfig(lambda_distill=0.5),))
         split = ClassSplit.of(seen, unseen)
         _, grads = total_loss_raw(params, regions, labels, attrs, semantics, split, terms)
-        for name in PARAM_NAMES:
-            def f(flat, _n=name):
-                candidate = dataclasses.replace(
-                    params, **{_n: flat.reshape(getattr(params, _n).shape)})
-                out, _ = total_loss_raw(candidate, regions, labels, attrs, semantics, split,
-                                        terms)
-                return out.total
-            err = grad_check_detail(f, getattr(params, name).reshape(-1),
-                                    grads[name].reshape(-1)).max_rel_error
-            assert err <= 1e-5, f"{name}: {err}"
+        results = grad_check_matrices(
+            lambda p: total_loss_raw(p, regions, labels, attrs, semantics, split, terms)[0].total,
+            params, grads)
+        for name, detail in results.items():
+            assert detail.max_rel_error <= 1e-5, f"{name}: {detail}"
 
     @pytest.mark.parametrize("overrides,rows", [({}, 4)])
     def test_one_acec_pass_over_the_active_subnets(self, monkeypatch, overrides, rows):

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_instance
+from conftest import random_instance, stacked
+from msdn import model
 from msdn.data_io import ClassSplit
 from msdn.errors import ContainerFormatError, ShapeError
 from msdn.model import (
     PARAM_NAMES,
     ModelDims,
     ModelParams,
-    _folded,
     a2v_forward,
     backward,
     forward,
@@ -22,7 +22,7 @@ from msdn.model import (
     save_checkpoint,
     v2a_forward,
 )
-from msdn.ndmath import Rng, grad_check_detail
+from msdn.ndmath import Rng, grad_check_matrices
 from msdn.zsl_eval import calibrated_scores
 
 DIMS = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
@@ -103,11 +103,12 @@ class TestA2VForward:
             np.testing.assert_allclose(psi[:, 0], op, atol=1e-12)
 
     def test_shape_mismatch(self):
+        # forward checks the operands for both sub-nets
         regions, attrs = tiny_inputs()
         with pytest.raises(ShapeError):
-            a2v_forward(regions[:, None, :2], attrs, init_params_from_rng(DIMS, Rng(0)))
+            forward(regions[:, None, :2], attrs, init_params_from_rng(DIMS, Rng(0)))
         with pytest.raises(ShapeError):
-            a2v_forward(regions, attrs, init_params_from_rng(DIMS, Rng(0)))
+            forward(regions, attrs, init_params_from_rng(DIMS, Rng(0)))
 
 
 class TestV2AForward:
@@ -227,13 +228,9 @@ class TestBackward:
             return float((w_psi * trace.psi).sum() + (w_big * trace.Psi).sum())
 
         trace = forward(regions, attrs, params)
-        grads = backward(params, trace, w_psi, w_big)
-        for name, grad in grads.items():
-            def f(flat, _n=name):
-                return value(replace(params, **{_n: flat.reshape(grad.shape)}))
-            err = grad_check_detail(f, getattr(params, name).reshape(-1),
-                                    grad.reshape(-1)).max_rel_error
-            assert err <= 1e-6, f"{name}: {err}"
+        results = grad_check_matrices(value, params, backward(params, trace, w_psi, w_big))
+        for name, detail in results.items():
+            assert detail.max_rel_error <= 1e-6, f"{name}: {detail}"
 
 
 class TestBatchedForward:
@@ -272,11 +269,16 @@ class TestBatchedForward:
         regions, attrs = tiny_inputs(4)
         params = init_params_from_rng(DIMS, Rng(4))
         stack = np.stack([regions, 2.0 * regions], axis=1)          # (R, B, d_v)
-        rows = _folded(stack, attrs, params)
-        assert rows.shape == (DIMS.num_regions * 2, DIMS.visual_dim)
+        trace = forward(stack, attrs, params)
+        # the trace holds the stack itself, and a C-order stack folds to a view
+        assert trace.regions is stack and stack.flags.c_contiguous
+        rows = stack.reshape(-1, DIMS.visual_dim)
         assert np.shares_memory(rows, stack)
-        # row r*B + b is region r of image b
+        # row r*B + b is region r of image b, as both sub-nets read it
         assert np.array_equal(rows[1], 2.0 * regions[0])
+        match_rows = (attrs @ params.W2) @ rows.T                   # (K, R*B)
+        np.testing.assert_array_equal(trace.match.reshape(DIMS.num_attributes, -1), match_rows)
+        np.testing.assert_allclose(trace.M[0, 1], rows[1] @ params.W4 @ attrs.T, atol=1e-12)
 
     def test_single_image_must_be_a_stack(self):
         # One image is an (R, 1, d_v) stack; a bare (R, d_v) image is refused.
@@ -284,6 +286,23 @@ class TestBatchedForward:
         params = init_params_from_rng(DIMS, Rng(4))
         with pytest.raises(ShapeError, match="3-D region stack"):
             forward(regions, attrs, params)
+
+    @pytest.mark.parametrize("models", [1, 4])
+    def test_operands_checked_once_per_forward(self, monkeypatch, models):
+        # forward checks for both sub-nets, which do not check again
+        calls = []
+        exact = model._check_operands
+
+        def counted(regions, attrs, params):
+            calls.append(params.W1.shape)
+            exact(regions, attrs, params)
+
+        monkeypatch.setattr(model, "_check_operands", counted)
+        params = [init_params_from_rng(DIMS, Rng(60 + m)) for m in range(models)]
+        params = params[0] if models == 1 else stacked(params)
+        regions, attrs = tiny_inputs(6)
+        forward(np.stack([regions, -regions], axis=1), attrs, params)
+        assert calls == [params.W1.shape]
 
 
 class TestTraceLayout:

@@ -9,10 +9,11 @@ import oracles
 from msdn import cli
 from msdn.data_io import _box_muller, _weighted_picks
 from msdn.errors import ArgumentError, NumericError, ShapeError
-from msdn.model import ModelDims, forward, init_params_from_rng
+from msdn.model import PARAM_NAMES, ModelDims, forward, init_params_from_rng
 from msdn.ndmath import (
     Rng,
     grad_check_detail,
+    grad_check_matrices,
     log_sum_exp,
     softmax_stable,
 )
@@ -157,6 +158,26 @@ class TestGradCheck:
         )
         assert detail.worst_index == 1
         assert detail.analytic_at_worst == 100.0
+
+    def test_matrices_in_param_order_each_with_the_others_fixed(self):
+        dims = ModelDims(visual_dim=3, attr_dim=2, num_attributes=2, num_regions=2)
+        params = init_params_from_rng(dims, Rng(7))
+        scale = dict(zip(PARAM_NAMES, (1.0, 2.0, 3.0, 4.0, 5.0)))
+        probed = []
+
+        def loss(p):
+            moved = [n for n in PARAM_NAMES
+                     if not np.array_equal(getattr(p, n), getattr(params, n))]
+            assert len(moved) == 1
+            probed.append(moved[0])
+            return sum(c * float(np.sum(getattr(p, n) ** 2)) for n, c in scale.items())
+
+        grads = {n: 2.0 * c * getattr(params, n) for n, c in scale.items()}
+        grads["W3"] = grads["W3"] + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        results = grad_check_matrices(loss, params, grads)
+        assert list(results) == list(dict.fromkeys(probed)) == list(PARAM_NAMES)
+        assert results["W3"].worst_index == 2 and results["W3"].max_rel_error > 0.05
+        assert all(results[n].max_rel_error < 1e-8 for n in PARAM_NAMES if n != "W3")
 
 
 class TestRng:
