@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
     cfg = load_config(training.TrainConfig, args.config)
     ds = data_io.load_container(args.data)
     params, history = training.train(ds, cfg)
-    model.save_checkpoint(params, args.out)
+    model.save_checkpoint(params, args.out, ds.num_attributes, ds.num_regions)
     if args.history:
         training.write_history_csv(history, args.history)
     if history:
@@ -148,11 +148,12 @@ def cmd_train(args) -> int:
 def _load_checkpoint_and_data(args) -> tuple[model.ModelParams, data_io.Dataset]:
     """``--checkpoint``, then ``--data``, whose dims must match.  The checkpoint
     comes first: its file is unmapped before the dataset's pages are read."""
-    params = model.load_checkpoint(args.checkpoint)
+    params, dims = model.load_checkpoint(args.checkpoint)
     ds = data_io.load_container(args.data)
-    expected = model.ModelDims.for_dataset(ds)
-    if params.dims != expected:
-        raise ShapeError(f"checkpoint dims {params.dims} do not match dataset dims {expected}")
+    expected = (ds.visual_dim, ds.attr_dim, ds.num_attributes, ds.num_regions)
+    if dims != expected:
+        raise ShapeError(
+            f"checkpoint dims (d_v, d_a, K, R) {dims} do not match dataset dims {expected}")
     return params, ds
 
 
@@ -180,9 +181,7 @@ def cmd_grad_check(args) -> int:
             f"--dims needs k, r, d_v, d_a, c_seen >= 1 and c_unseen >= 0, got {args.dims!r}")
     seed = _resolve_seed(args.seed, 0)
     rng = Rng(seed)
-    dims = model.ModelDims(visual_dim=d_v, attr_dim=d_a,
-                           num_attributes=k, num_regions=r)
-    params = model.init_params_from_rng(dims, rng)
+    params = model.init_params_from_rng(d_v, d_a, rng)
     batch = 2
     images = [rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)]
     regions = np.stack(images, axis=1)   # (R, B, d_v), as in training

@@ -38,7 +38,7 @@ a forward and its backward compute in their weights' dtype.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,33 +49,16 @@ from .ndmath import FlatArrays, Rng, first_non_finite, softmax_stable
 PARAM_NAMES = ("W1", "W2", "W3", "W4", "W_att")
 
 
-@dataclass(frozen=True)
-class ModelDims:
-    visual_dim: int     # d_v, per-region feature width
-    attr_dim: int       # d_a, attribute word-vector width
-    num_attributes: int  # K
-    num_regions: int    # R
-
-    @staticmethod
-    def for_dataset(ds: data_io.Dataset) -> "ModelDims":
-        return ModelDims(
-            visual_dim=ds.visual_dim,
-            attr_dim=ds.attr_dim,
-            num_attributes=ds.num_attributes,
-            num_regions=ds.num_regions,
-        )
-
-    def param_shapes(self) -> dict[str, tuple[int, int]]:
-        """Shape of each weight matrix, in ``PARAM_NAMES`` order."""
-        d_v, d_a = self.visual_dim, self.attr_dim
-        return dict(zip(PARAM_NAMES, [(d_a, d_v)] * 2 + [(d_v, d_a)] * 3))
+def param_shapes(visual_dim: int, attr_dim: int) -> dict[str, tuple[int, int]]:
+    """Shape of each weight matrix, in ``PARAM_NAMES`` order."""
+    return dict(zip(PARAM_NAMES, [(attr_dim, visual_dim)] * 2 + [(visual_dim, attr_dim)] * 3))
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The five learnable matrices plus the dims they were built for."""
+    """The five learnable matrices: bilinear forms between d_a-wide attribute
+    vectors and d_v-wide regions, which fit any K and R.  W1's shape gives d_a, d_v."""
 
-    dims: ModelDims
     W1: np.ndarray      # (d_a, d_v) attribute->visual attention bilinear form
     W2: np.ndarray      # (d_a, d_v) embedding for psi
     W3: np.ndarray      # (d_v, d_a) visual->attribute attention bilinear form
@@ -86,7 +69,7 @@ class ModelParams:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.dims, **{n: w.astype(dtype) for n, w in self.as_dict().items()})
+        return ModelParams(**{n: w.astype(dtype) for n, w in self.as_dict().items()})
 
 
 @dataclass(frozen=True)
@@ -115,10 +98,10 @@ def _glorot(rng: Rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, rows, cols)
 
 
-def init_params_from_rng(dims: ModelDims, rng: Rng) -> ModelParams:
-    """Glorot-uniform initialization, drawing W1, W2, W3, W4, W_att in order."""
-    return ModelParams(dims=dims, **{name: _glorot(rng, *shape)
-                                     for name, shape in dims.param_shapes().items()})
+def init_params_from_rng(visual_dim: int, attr_dim: int, rng: Rng) -> ModelParams:
+    """Glorot-uniform weights of widths d_v, d_a, drawing W1, W2, W3, W4, W_att in order."""
+    return ModelParams(**{name: _glorot(rng, *shape)
+                          for name, shape in param_shapes(visual_dim, attr_dim).items()})
 
 
 def _check_operands(regions: np.ndarray, attrs: np.ndarray, params: ModelParams) -> None:
@@ -128,7 +111,7 @@ def _check_operands(regions: np.ndarray, attrs: np.ndarray, params: ModelParams)
             f"expected a 3-D region stack and a 2-D attribute matrix, "
             f"got {regions.shape} and {attrs.shape}"
         )
-    d_v, d_a = params.dims.visual_dim, params.dims.attr_dim
+    d_a, d_v = params.W1.shape[-2:]
     if regions.shape[2] != d_v:
         raise ShapeError(f"region features have width {regions.shape[2]}, model expects {d_v}")
     if attrs.shape[1] != d_a:
@@ -241,14 +224,17 @@ def backward(
 # Checkpoints
 # --------------------------------------------------------------------------
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write the five matrices plus a dims vector (d_v, d_a, K, R)."""
-    dims = np.asarray(astuple(params.dims), dtype=np.int32)   # the order load_checkpoint reads
+def save_checkpoint(params: ModelParams, path, num_attributes: int, num_regions: int) -> None:
+    """Write the five matrices plus a dims vector (d_v, d_a, K, R): the weights'
+    own widths, then the K and R of the dataset they were trained on."""
+    d_a, d_v = params.W1.shape[-2:]
+    dims = np.asarray((d_v, d_a, num_attributes, num_regions), dtype=np.int32)
     data_io.write_container(path, [*params.as_dict().items(), ("dims", dims)])
 
 
-def load_checkpoint(path) -> ModelParams:
-    """The stored weights, as aligned float32 copies: no view keeps the file mapped.
+def load_checkpoint(path) -> tuple[ModelParams, tuple[int, int, int, int]]:
+    """The stored weights, as aligned float32 copies (no view keeps the file mapped)
+    of the widths its dims vector gives, and that vector (d_v, d_a, K, R).
     A non-finite weight is a data error naming its first bad index in C order."""
     tensors = dict(data_io.read_container(path))
     missing = [n for n in (*PARAM_NAMES, "dims") if n not in tensors]
@@ -258,8 +244,8 @@ def load_checkpoint(path) -> ModelParams:
     if dims_vec.shape != (4,) or dims_vec.dtype.kind not in "iu":
         raise ContainerFormatError(
             f"checkpoint dims must be 4 integers, got {dims_vec.dtype} {dims_vec.shape}")
-    dims = ModelDims(*(int(v) for v in dims_vec))
-    for name, shape in dims.param_shapes().items():
+    dims = tuple(int(v) for v in dims_vec)
+    for name, shape in param_shapes(*dims[:2]).items():
         if tensors[name].shape != shape:
             raise ContainerFormatError(
                 f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {shape}"
@@ -270,4 +256,4 @@ def load_checkpoint(path) -> ModelParams:
         if (index := first_non_finite(tensors[name])) is not None:
             raise ContainerFormatError(
                 f"checkpoint tensor {name} has a non-finite value at index {index}")
-    return ModelParams(dims=dims, **{name: tensors[name].copy() for name in PARAM_NAMES})
+    return ModelParams(**{name: tensors[name].copy() for name in PARAM_NAMES}), dims

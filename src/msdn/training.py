@@ -31,7 +31,7 @@ from .configfile import require_finite, require_seed
 from .data_io import Dataset, write_table
 from .errors import ArgumentError, NumericError, ShapeError
 from .losses import LossBreakdown, LossConfig, LossTerms, total_loss_raw
-from .model import ModelDims, ModelParams, init_params_from_rng
+from .model import ModelParams, init_params_from_rng
 from .ndmath import FlatArrays, Rng, first_non_finite
 
 HISTORY_HEADER = ("epoch", *LossBreakdown._fields)
@@ -193,11 +193,10 @@ def train(
     terms = LossTerms.of((cfg.loss_config(),) if loss_cfg is None else loss_cfg, models)
 
     rng = Rng(cfg.seed)
-    dims = ModelDims.for_dataset(ds)
-    init = init_params_from_rng(dims, rng).astype(np.float32)   # the checkpoint's precision
+    init = init_params_from_rng(ds.visual_dim, ds.attr_dim, rng).astype(np.float32)
     weights = FlatArrays.of({name: np.broadcast_to(w, models + w.shape)
                              for name, w in init.as_dict().items()})
-    params = ModelParams(dims=dims, **weights)
+    params = ModelParams(**weights)
 
     def loss_fn(idx: np.ndarray):
         return total_loss_raw(params, ds.regions(idx), ds.labels[idx],

@@ -66,12 +66,11 @@ def random_instance(seed: int, k=3, r=2, d_v=4, d_a=3, c_seen=3, c_unseen=2, bat
 
     Image b's (r, d_v) regions are ``regions[:, b]`` of the (r, batch, d_v) stack.
     """
-    from msdn.model import ModelDims, init_params_from_rng
+    from msdn.model import init_params_from_rng
     from msdn.ndmath import Rng
 
     rng = Rng(seed)
-    dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
-    params = init_params_from_rng(dims, rng)
+    params = init_params_from_rng(d_v, d_a, rng)
     regions = np.stack([rng.uniform(-1.0, 1.0, r, d_v) for _ in range(batch)], axis=1)
     attrs = rng.uniform(-1.0, 1.0, k, d_a)
     semantics = rng.uniform(0.0, 1.0, c_seen + c_unseen, k)
@@ -85,8 +84,8 @@ def stacked(models):
     """The weights of several models stacked on a leading model axis."""
     from msdn.model import ModelParams
 
-    return ModelParams(models[0].dims, **{name: np.stack([m.as_dict()[name] for m in models])
-                                          for name in models[0].as_dict()})
+    return ModelParams(**{name: np.stack([m.as_dict()[name] for m in models])
+                          for name in models[0].as_dict()})
 
 
 def directional_errors(loss, params, grads, seed, directions=3):

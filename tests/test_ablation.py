@@ -5,8 +5,7 @@ import numpy as np
 from msdn import ablation, zsl_eval
 from msdn.ablation import run_ablation
 from msdn.data_io import SynthSpec, generate_synthetic
-from msdn.model import (ModelDims, ModelParams, init_params_from_rng, load_checkpoint,
-                        save_checkpoint)
+from msdn.model import ModelParams, init_params_from_rng, load_checkpoint, save_checkpoint
 from msdn.ndmath import Rng
 from msdn.training import TrainConfig, train
 from msdn.zsl_eval import PredictConfig, evaluate, forward_test_splits
@@ -45,7 +44,7 @@ def test_each_trained_model_forwards_each_test_split_once(tiny_dataset, monkeypa
     def alone(overrides):
         """The weights of one model trained on its own, as a stack of one."""
         params, _ = train(ds, cfg, loss_cfg=(cfg.loss_config(**overrides),))
-        return ModelParams(params.dims, **{name: w[0] for name, w in params.as_dict().items()})
+        return ModelParams(**{name: w[0] for name, w in params.as_dict().items()})
 
     full, no_distill, jsd_only, l2_only = (
         alone(o) for o in ({}, {"lambda_distill": 0.0}, {"distill_l2": False},
@@ -75,7 +74,7 @@ def test_each_embedding_is_scored_once(monkeypatch):
         return real_scores(embedding, class_semantics, split)
 
     monkeypatch.setattr(zsl_eval, "calibrated_scores", counted_scores)
-    evaluate(init_params_from_rng(ModelDims.for_dataset(ds), Rng(1)), ds, PredictConfig())
+    evaluate(init_params_from_rng(ds.visual_dim, ds.attr_dim, Rng(1)), ds, PredictConfig())
     assert calls == [(ds.num_attributes, ds.test_idx.size)]
     calls.clear()
     run_ablation(ds, TrainConfig(epochs=1, seed=1))
@@ -110,8 +109,8 @@ def test_full_model_embeds_as_its_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(ablation, "forward_test_splits", recorded)
     run_ablation(ds, cfg)
     assert ablation.MODELS[1] == {} and ("full", 1, None) in ablation.ROWS
-    save_checkpoint(train(ds, cfg)[0], tmp_path / "model.zsld")
-    checkpoint = forward_test_splits(load_checkpoint(tmp_path / "model.zsld"), ds)
+    save_checkpoint(train(ds, cfg)[0], tmp_path / "model.zsld", ds.num_attributes, ds.num_regions)
+    checkpoint = forward_test_splits(load_checkpoint(tmp_path / "model.zsld")[0], ds)
     (lockstep,) = grid
     for got, want in zip(lockstep, checkpoint):
         assert got[1].tobytes() == want.tobytes()

@@ -17,7 +17,6 @@ from msdn.data_io import (ClassSplit, SynthSpec, generate_synthetic, load_contai
                           save_container)
 from msdn.losses import LossConfig, LossTerms, total_loss_raw
 from msdn.model import (
-    ModelDims,
     forward,
     init_params_from_rng,
     save_checkpoint,
@@ -118,9 +117,7 @@ def test_attention_normalization():
         r = 1 + rng.next_below(6)
         d_v = 1 + rng.next_below(5)
         d_a = 1 + rng.next_below(5)
-        dims = ModelDims(visual_dim=d_v, attr_dim=d_a,
-                         num_attributes=k, num_regions=r)
-        params = init_params_from_rng(dims, rng)
+        params = init_params_from_rng(d_v, d_a, rng)
         for _ in range(4):
             regions = rng.uniform(-5.0, 5.0, r, d_v)
             attrs = rng.uniform(-5.0, 5.0, k, d_a)
@@ -219,8 +216,9 @@ def test_determinism(default_dataset, tmp_path):
     cfg = TrainConfig(epochs=4, batch_size=64, seed=9)
     first = tmp_path / "run1.ckpt"
     second = tmp_path / "run2.ckpt"
-    save_checkpoint(train(default_dataset, cfg)[0], first)
-    save_checkpoint(train(default_dataset, cfg)[0], second)
+    k, r = default_dataset.num_attributes, default_dataset.num_regions
+    save_checkpoint(train(default_dataset, cfg)[0], first, k, r)
+    save_checkpoint(train(default_dataset, cfg)[0], second, k, r)
     assert first.read_bytes() == second.read_bytes()
 
     container_a = tmp_path / "ds_a.zsld"

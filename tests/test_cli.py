@@ -97,9 +97,9 @@ class TestGenData:
 
 class TestTrain:
     def test_checkpoint_round_trips(self, checkpoint_file, data_file):
-        params = load_checkpoint(checkpoint_file)
+        _, dims = load_checkpoint(checkpoint_file)
         ds = load_container(data_file)
-        assert params.dims.num_attributes == ds.num_attributes
+        assert dims == (ds.visual_dim, ds.attr_dim, ds.num_attributes, ds.num_regions)
 
     def test_identical_inputs_identical_checkpoints(
         self, tmp_path, data_file, train_cfg_file
@@ -149,7 +149,8 @@ class TestTrain:
                          "--out", str(ckpt), "--history", str(history)]) == 0
         assert capsys.readouterr().out == "trained 0 epochs (parameters left at initialization)\n"
         assert history.read_bytes() == b"epoch,acec_a2v,acec_v2a,distill,total\r\n"
-        assert load_checkpoint(ckpt).dims.num_attributes == TINY_SPEC.num_attributes
+        assert load_checkpoint(ckpt)[1] == (TINY_SPEC.visual_dim, TINY_SPEC.attr_dim,
+                                            TINY_SPEC.num_attributes, TINY_SPEC.num_regions)
 
 
 class TestEval:
@@ -696,7 +697,7 @@ class TestExportAttention:
         cli.main(["export-attention", "--data", str(data_file), "--checkpoint",
                   str(checkpoint_file), "--image", "0", "--out", str(out_dir)])
         ds = load_container(data_file)
-        params = load_checkpoint(checkpoint_file).astype(np.float64)  # as export widens them
+        params = load_checkpoint(checkpoint_file)[0].astype(np.float64)  # as export widens them
         trace = forward(ds.regions([0]), ds.attributes, params)
         rows = (out_dir / "scores.csv").read_text().strip().splitlines()
         assert rows[0] == "attribute,psi,Psi"
@@ -803,11 +804,11 @@ class TestNumericFailure:
     def test_float32_forward_overflow_exits_4(self, tmp_path, stock_files, capsys):
         # Finite f32 weights whose float32 forward overflows Psi; in float64 it stays finite.
         data, ckpt = stock_files
-        params = load_checkpoint(ckpt)
+        params, dims = load_checkpoint(ckpt)
         huge = dataclasses.replace(params, W4=params.W4 * np.float32(1e30),
                                    W_att=params.W_att * np.float32(1e30))
         assert all(np.isfinite(w).all() for w in huge.as_dict().values())
-        save_checkpoint(huge, tmp_path / "huge.zsld")
+        save_checkpoint(huge, tmp_path / "huge.zsld", *dims[2:])
         assert np.isfinite(evaluate(huge.astype(np.float64), load_container(data),
                                     PredictConfig()).H)
         out = tmp_path / "huge.csv"
@@ -823,9 +824,9 @@ class TestNumericFailure:
         # Attention weights at 3e38 overflow the logits; the non-finite maps
         # reach the class scores, whose check reports them.
         data, ckpt = stock_files
-        params = load_checkpoint(ckpt)
+        params, dims = load_checkpoint(ckpt)
         huge = dataclasses.replace(params, **{name: np.full_like(getattr(params, name), 3e38)})
-        save_checkpoint(huge, tmp_path / "huge.zsld")
+        save_checkpoint(huge, tmp_path / "huge.zsld", *dims[2:])
         out = tmp_path / "huge.csv"
         rc = self.eval_rc(data, tmp_path / "huge.zsld", out)
         assert rc == 4
@@ -837,9 +838,10 @@ class TestNumericFailure:
 class TestNonFiniteCheckpoint:
     @pytest.fixture()
     def nan_checkpoint(self, tmp_path, checkpoint_file):
-        params = load_checkpoint(checkpoint_file)
+        params, dims = load_checkpoint(checkpoint_file)
         path = tmp_path / "nan.zsld"
-        save_checkpoint(dataclasses.replace(params, W2=np.full_like(params.W2, np.nan)), path)
+        save_checkpoint(dataclasses.replace(params, W2=np.full_like(params.W2, np.nan)), path,
+                        *dims[2:])
         return path
 
     @pytest.mark.parametrize("command", ["eval", "export-attention"])
@@ -926,10 +928,20 @@ def _swap_first_train_and_unseen(t):
     t["train_idx"][0], t["test_unseen_idx"][0] = t["test_unseen_idx"][0], t["train_idx"][0]
 
 
+def _one_more_attribute(t):
+    t.update(attributes=np.vstack([t["attributes"], t["attributes"][:1]]),
+             class_semantics=np.hstack([t["class_semantics"], t["class_semantics"][:, :1]]))
+
+
+# The tiny checkpoint's header; the weights would run on any K and R.
+_TINY_HEADER = "checkpoint dims (d_v, d_a, K, R) (5, 3, 4, 3) do not match dataset dims"
+
+
 # Each input rule as a command meets it: (input, its text or container edit,
 # exit code, message fragment).  A "config" goes to train --config, a "spec"
-# to gen-data --spec, "data" to train --data, "eval_data" to eval --data and
-# a "checkpoint" to eval --checkpoint.
+# to gen-data --spec, "data" to train --data, "eval_data" to eval --data,
+# "attention_data" to export-attention --data and a "checkpoint" to eval
+# --checkpoint.
 _EDGE_RULES = {
     "no_equals": ("config", "epochs\n", 2, "expected key=value, got 'epochs'"),
     "empty_key": ("config", "= 3\n", 2, ":1: empty key"),
@@ -973,6 +985,11 @@ _EDGE_RULES = {
         t["seen_classes"], t["seen_classes"][0])), 3, "seen_classes contains duplicates"),
     "no_unseen_test_samples": ("eval_data", lambda t: t.update(
         test_unseen_idx=t["test_unseen_idx"][:0]), 2, "test_unseen_idx is empty"),
+    "eval_k_plus_1": ("eval_data", _one_more_attribute, 5, f"{_TINY_HEADER} (5, 3, 5, 3)"),
+    "eval_r_minus_1": ("eval_data", lambda t: t.update(features=t["features"][:, :-1]), 5,
+                       f"{_TINY_HEADER} (5, 3, 4, 2)"),
+    "attention_k_plus_1": ("attention_data", _one_more_attribute, 5,
+                           f"{_TINY_HEADER} (5, 3, 5, 3)"),
     "transposed_weight": ("checkpoint", lambda t: t.update(W1=t["W1"].T), 3,
                           "checkpoint tensor W1 has shape (5, 3), expected (3, 5)"),
     "three_dims": ("checkpoint", lambda t: t.update(dims=t["dims"][:3]), 3,
@@ -992,7 +1009,7 @@ class TestEdgeRulesThroughMain:
         kind, edit, code, fragment = _EDGE_RULES[case]
         bad, out = tmp_path / "bad", tmp_path / "out"
         checkpoint = (request.getfixturevalue("checkpoint_file")
-                      if kind in ("eval_data", "checkpoint") else None)
+                      if kind in ("eval_data", "attention_data", "checkpoint") else None)
         if kind in ("config", "spec"):
             bad.write_text(edit)
         else:
@@ -1001,6 +1018,8 @@ class TestEdgeRulesThroughMain:
                 "spec": ["gen-data", "--spec", bad],
                 "data": ["train", "--data", bad, "--config", train_cfg_file],
                 "eval_data": ["eval", "--data", bad, "--checkpoint", checkpoint],
+                "attention_data": ["export-attention", "--data", bad, "--checkpoint", checkpoint,
+                                   "--image", 0],
                 "checkpoint": ["eval", "--data", data_file, "--checkpoint", bad]}[kind]
         capsys.readouterr()
         rc = cli.main([*map(str, argv), "--out", str(out)])

@@ -14,7 +14,7 @@ from msdn.configfile import load_config
 from msdn.data_io import SynthSpec, write_container
 from msdn.errors import ArgumentError, ContainerFormatError, ShapeError
 from msdn.losses import LossConfig
-from msdn.model import ModelDims, init_params_from_rng, save_checkpoint, load_checkpoint
+from msdn.model import init_params_from_rng, save_checkpoint, load_checkpoint
 from msdn.ndmath import Rng, grad_check_detail
 from msdn.training import TrainConfig, train
 from msdn.zsl_eval import PredictConfig
@@ -34,10 +34,9 @@ class TestGradCheckArguments:
 
 class TestCheckpointValidation:
     def test_wrong_tensor_shape_rejected(self, tmp_path):
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
-        params = init_params_from_rng(dims, Rng(1))
+        params = init_params_from_rng(4, 3, Rng(1))
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(params, path)
+        save_checkpoint(params, path, 5, 2)
         # corrupt: swap W1's declared payload with a wrong-shaped tensor
         from msdn.data_io import read_container
 
@@ -53,9 +52,8 @@ class TestCheckpointValidation:
     def test_bad_dims_vector_rejected(self, tmp_path):
         from msdn.data_io import read_container
 
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(init_params_from_rng(dims, Rng(1)), path)
+        save_checkpoint(init_params_from_rng(4, 3, Rng(1)), path, 5, 2)
         items = [(n, (np.arange(3, dtype=np.int32) if n == "dims" else a))
                  for n, a in read_container(path)]
         write_container(path, items)
@@ -65,9 +63,8 @@ class TestCheckpointValidation:
     def test_float_dims_vector_rejected(self, tmp_path):
         from msdn.data_io import read_container
 
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(init_params_from_rng(dims, Rng(1)), path)
+        save_checkpoint(init_params_from_rng(4, 3, Rng(1)), path, 5, 2)
         items = [(n, (np.array([4.0, 3.0, np.nan, 2.0]) if n == "dims" else a))
                  for n, a in read_container(path)]
         write_container(path, items)
@@ -77,9 +74,8 @@ class TestCheckpointValidation:
     def test_integer_weight_rejected(self, tmp_path):
         from msdn.data_io import read_container
 
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=5, num_regions=2)
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(init_params_from_rng(dims, Rng(1)), path)
+        save_checkpoint(init_params_from_rng(4, 3, Rng(1)), path, 5, 2)
         items = [(n, (a if n == "dims" else a.astype(np.int32)))
                  for n, a in read_container(path)]
         write_container(path, items)

@@ -14,7 +14,7 @@ from msdn.ablation import MODELS
 from msdn.data_io import ClassSplit
 from msdn.errors import ArgumentError, NumericError, ShapeError
 from msdn.losses import LossConfig, LossTerms, acec_loss, distill_loss, total_loss_raw
-from msdn.model import PARAM_NAMES, ModelDims, forward, init_params_from_rng
+from msdn.model import PARAM_NAMES, forward, init_params_from_rng
 from msdn.ndmath import Rng, grad_check_detail, grad_check_matrices, softmax_stable
 
 # The ablation grid's four models: no distillation, full, JSD only, L2 only.
@@ -349,7 +349,8 @@ class TestTotalLoss:
     def test_lockstep_models_equal_their_separate_passes(self):
         params, regions, attrs, semantics, labels, seen, unseen = random_instance(50, batch=3)
         split = ClassSplit.of(seen, unseen)
-        models = [init_params_from_rng(params.dims, Rng(60 + p)) for p in range(len(LOCKSTEP))]
+        models = [init_params_from_rng(regions.shape[-1], attrs.shape[-1], Rng(60 + p))
+                  for p in range(len(LOCKSTEP))]
         breakdown, grads = total_loss_raw(stacked(models), regions, labels, attrs, semantics,
                                           split, LOCKSTEP_TERMS)
         assert all(len(field) == len(LOCKSTEP) for field in breakdown)
@@ -609,7 +610,7 @@ class TestMemoryLayout:
     @staticmethod
     def batch(ds, terms):
         idx = ds.train_idx[::2]
-        params = init_params_from_rng(ModelDims.for_dataset(ds), Rng(7))
+        params = init_params_from_rng(ds.visual_dim, ds.attr_dim, Rng(7))
         if terms.lam.shape:
             params = stacked([params] * terms.lam.size)
         return params, idx

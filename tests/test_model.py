@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,49 +13,60 @@ from msdn.data_io import ClassSplit
 from msdn.errors import ContainerFormatError, ShapeError
 from msdn.model import (
     PARAM_NAMES,
-    ModelDims,
     ModelParams,
     a2v_forward,
     backward,
     forward,
     init_params_from_rng,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     v2a_forward,
 )
 from msdn.ndmath import Rng, grad_check_matrices
 from msdn.zsl_eval import calibrated_scores
 
-DIMS = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
-CUB_DIMS = ModelDims(visual_dim=2048, attr_dim=300, num_attributes=312, num_regions=196)
+
+class Dims(NamedTuple):
+    """A problem's shape: the weights' two widths first, then the inputs' K and R."""
+
+    visual_dim: int
+    attr_dim: int
+    num_attributes: int
+    num_regions: int
 
 
-def tiny_inputs(seed=1, dims=DIMS):
+DIMS = Dims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
+CUB_DIMS = Dims(visual_dim=2048, attr_dim=300, num_attributes=312, num_regions=196)
+
+
+def tiny_inputs(seed=1):
     rng = Rng(seed)
-    regions = rng.uniform(-1.0, 1.0, dims.num_regions, dims.visual_dim)
-    attrs = rng.uniform(-1.0, 1.0, dims.num_attributes, dims.attr_dim)
+    regions = rng.uniform(-1.0, 1.0, DIMS.num_regions, DIMS.visual_dim)
+    attrs = rng.uniform(-1.0, 1.0, DIMS.num_attributes, DIMS.attr_dim)
     return regions, attrs
 
 
 class TestInit:
     def test_same_seed_identical(self):
-        a, b = init_params_from_rng(DIMS, Rng(4)), init_params_from_rng(DIMS, Rng(4))
+        a, b = init_params_from_rng(*DIMS[:2], Rng(4)), init_params_from_rng(*DIMS[:2], Rng(4))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seeds_differ(self):
-        a, b = init_params_from_rng(DIMS, Rng(4)), init_params_from_rng(DIMS, Rng(5))
+        a, b = init_params_from_rng(*DIMS[:2], Rng(4)), init_params_from_rng(*DIMS[:2], Rng(5))
         assert not np.array_equal(a.W1, b.W1)
 
     def test_entries_bounded_by_glorot_limit(self):
-        params = init_params_from_rng(DIMS, Rng(9))
+        params = init_params_from_rng(*DIMS[:2], Rng(9))
         limit = np.sqrt(6.0 / (DIMS.visual_dim + DIMS.attr_dim))
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             arr = getattr(params, name)
             assert np.abs(arr).max() <= limit
 
     def test_shapes(self):
-        params = init_params_from_rng(DIMS, Rng(0))
+        params = init_params_from_rng(*DIMS[:2], Rng(0))
+        assert [f.name for f in fields(ModelParams)] == list(PARAM_NAMES)
         assert params.W1.shape == (3, 4)
         assert params.W2.shape == (3, 4)
         assert params.W3.shape == (4, 3)
@@ -62,7 +74,7 @@ class TestInit:
         assert params.W_att.shape == (4, 3)
 
     def test_draws_glorot_matrices_in_param_order(self):
-        params = init_params_from_rng(DIMS, Rng(6))
+        params = init_params_from_rng(*DIMS[:2], Rng(6))
         rng = Rng(6)
         d_v, d_a = DIMS.visual_dim, DIMS.attr_dim
         limit = np.sqrt(6.0 / (d_v + d_a))
@@ -74,7 +86,7 @@ class TestInit:
 class TestA2VForward:
     def test_zero_w1_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
-        params = replace(init_params_from_rng(DIMS, Rng(2)), W1=np.zeros((3, 4)))
+        params = replace(init_params_from_rng(*DIMS[:2], Rng(2)), W1=np.zeros((3, 4)))
         beta, _, _ = a2v_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(beta[..., 0], 1.0 / DIMS.num_attributes, atol=1e-15)
         expected = np.tile(regions.mean(axis=0) * DIMS.num_regions / DIMS.num_attributes,
@@ -82,19 +94,17 @@ class TestA2VForward:
         np.testing.assert_allclose(beta[..., 0] @ regions, expected, atol=1e-12)
 
     def test_single_attribute_sums_regions(self):
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=1, num_regions=3)
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 3, 4)
         attrs = rng.uniform(-1, 1, 1, 3)
-        beta, _, _ = a2v_forward(regions[:, None], attrs, init_params_from_rng(dims, Rng(0)))
+        beta, _, _ = a2v_forward(regions[:, None], attrs, init_params_from_rng(4, 3, Rng(0)))
         np.testing.assert_allclose(beta, 1.0)
         np.testing.assert_allclose((beta[..., 0] @ regions)[0], regions.sum(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=2)
         for seed in range(5):
-            params = init_params_from_rng(dims, Rng(seed))
-            regions, attrs = tiny_inputs(seed + 100, dims)
+            params = init_params_from_rng(*DIMS[:2], Rng(seed))
+            regions, attrs = tiny_inputs(seed + 100)
             beta, _, psi = a2v_forward(regions[:, None], attrs, params)
             ob, of, op = oracles.a2v_forward(regions, attrs, params.W1, params.W2)
             np.testing.assert_allclose(beta[..., 0], ob, atol=1e-12)
@@ -106,15 +116,23 @@ class TestA2VForward:
         # forward checks the operands for both sub-nets
         regions, attrs = tiny_inputs()
         with pytest.raises(ShapeError):
-            forward(regions[:, None, :2], attrs, init_params_from_rng(DIMS, Rng(0)))
+            forward(regions[:, None, :2], attrs, init_params_from_rng(*DIMS[:2], Rng(0)))
         with pytest.raises(ShapeError):
-            forward(regions, attrs, init_params_from_rng(DIMS, Rng(0)))
+            forward(regions, attrs, init_params_from_rng(*DIMS[:2], Rng(0)))
+
+    def test_shape_mismatch_names_both_shapes(self):
+        # the model checks its operands before any product is formed
+        params = init_params_from_rng(2, 3, Rng(0))
+        with pytest.raises(ShapeError, match=r"width 3, model expects 2"):
+            forward(np.zeros((1, 1, 3)), np.zeros((4, 3)), params)
+        with pytest.raises(ShapeError, match=r"width 2, model expects 3"):
+            forward(np.zeros((1, 1, 2)), np.zeros((4, 2)), params)
 
 
 class TestV2AForward:
     def test_zero_w3_gives_uniform_attention(self):
         regions, attrs = tiny_inputs()
-        params = replace(init_params_from_rng(DIMS, Rng(2)), W3=np.zeros((4, 3)))
+        params = replace(init_params_from_rng(*DIMS[:2], Rng(2)), W3=np.zeros((4, 3)))
         tau, _, psi_bar, *_ = v2a_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(tau, 1.0 / DIMS.num_regions, atol=1e-15)
         expected = np.tile(attrs.sum(axis=0) / DIMS.num_regions, (DIMS.num_regions, 1))
@@ -123,11 +141,10 @@ class TestV2AForward:
         np.testing.assert_allclose(psi_bar[:, 0], regions @ params.W4 @ expected[0], atol=1e-12)
 
     def test_single_region_sums_attributes(self):
-        dims = ModelDims(visual_dim=4, attr_dim=3, num_attributes=3, num_regions=1)
         rng = Rng(8)
         regions = rng.uniform(-1, 1, 1, 4)
         attrs = rng.uniform(-1, 1, 3, 3)
-        params = init_params_from_rng(dims, Rng(0))
+        params = init_params_from_rng(4, 3, Rng(0))
         tau, _, psi_bar, *_ = v2a_forward(regions[:, None], attrs, params)
         np.testing.assert_allclose(tau, 1.0)
         # psi_bar = v^T W4 sum_k a_k
@@ -136,7 +153,7 @@ class TestV2AForward:
 
     def test_matches_scalar_oracle(self):
         for seed in range(5):
-            params = init_params_from_rng(DIMS, Rng(seed))
+            params = init_params_from_rng(*DIMS[:2], Rng(seed))
             regions, attrs = tiny_inputs(seed + 200)
             tau, M, psi_bar, big_psi, _ = v2a_forward(regions[:, None], attrs, params)
             ot, os_, om, ob, op = oracles.v2a_forward(
@@ -190,9 +207,8 @@ class TestAttentionInvariants:
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6),
            st.integers(1, 5), st.integers(1, 5))
     def test_normalization(self, seed, k, r, d_v, d_a):
-        dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
         rng = Rng(seed)
-        params = init_params_from_rng(dims, Rng(seed + 1))
+        params = init_params_from_rng(d_v, d_a, Rng(seed + 1))
         regions = rng.uniform(-3, 3, r, d_v)
         attrs = rng.uniform(-3, 3, k, d_a)
         trace = forward(regions[:, None], attrs, params)
@@ -201,14 +217,14 @@ class TestAttentionInvariants:
 
     def test_forward_deterministic(self):
         regions, attrs = tiny_inputs(3)
-        params = init_params_from_rng(DIMS, Rng(3))
+        params = init_params_from_rng(*DIMS[:2], Rng(3))
         a = forward(regions[:, None], attrs, params)
         b = forward(regions[:, None], attrs, params)
         assert np.array_equal(a.psi, b.psi) and np.array_equal(a.Psi, b.Psi)
 
     def test_region_scaling_changes_beta(self):
         regions, attrs = tiny_inputs(5)
-        params = init_params_from_rng(DIMS, Rng(5))
+        params = init_params_from_rng(*DIMS[:2], Rng(5))
         beta1, _, _ = a2v_forward(regions[:, None], attrs, params)
         beta2, _, _ = a2v_forward(2.0 * regions[:, None], attrs, params)
         assert not np.allclose(beta1, beta2)
@@ -220,8 +236,8 @@ class TestBackward:
         # gradients for all five matrices must agree with central differences
         params, regions, attrs, _, _, _, _ = random_instance(31, batch=3)
         rng = Rng(99)
-        w_psi = rng.uniform(-1, 1, params.dims.num_attributes, 3)
-        w_big = rng.uniform(-1, 1, params.dims.num_attributes, 3)
+        w_psi = rng.uniform(-1, 1, attrs.shape[0], 3)
+        w_big = rng.uniform(-1, 1, attrs.shape[0], 3)
 
         def value(p: ModelParams) -> float:
             trace = forward(regions, attrs, p)
@@ -237,8 +253,7 @@ class TestBatchedForward:
     def test_each_row_matches_scalar_oracle(self):
         # three distinct images in one stack; every row of the batch trace
         # must equal the scalar-loop oracle run on that image alone
-        dims = ModelDims(visual_dim=5, attr_dim=4, num_attributes=3, num_regions=4)
-        params = init_params_from_rng(dims, Rng(17))
+        params = init_params_from_rng(5, 4, Rng(17))
         rng = Rng(170)
         regions = np.stack([rng.uniform(-1.0, 1.0, 4, 5) for _ in range(3)], axis=1)
         attrs = rng.uniform(-1.0, 1.0, 3, 4)
@@ -258,7 +273,7 @@ class TestBatchedForward:
     def test_float32_weights_compute_in_float32(self):
         # forward casts a stack of the other dtype and the float64 attribute
         # vectors to the weights' dtype, so no product widens or narrows.
-        params = init_params_from_rng(DIMS, Rng(5))
+        params = init_params_from_rng(*DIMS[:2], Rng(5))
         regions, attrs = tiny_inputs(5)
         stack = regions[:, None]
         for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
@@ -267,7 +282,7 @@ class TestBatchedForward:
 
     def test_stack_folds_to_region_major_rows_without_a_copy(self):
         regions, attrs = tiny_inputs(4)
-        params = init_params_from_rng(DIMS, Rng(4))
+        params = init_params_from_rng(*DIMS[:2], Rng(4))
         stack = np.stack([regions, 2.0 * regions], axis=1)          # (R, B, d_v)
         trace = forward(stack, attrs, params)
         # the trace holds the stack itself, and a C-order stack folds to a view
@@ -283,7 +298,7 @@ class TestBatchedForward:
     def test_single_image_must_be_a_stack(self):
         # One image is an (R, 1, d_v) stack; a bare (R, d_v) image is refused.
         regions, attrs = tiny_inputs(4)
-        params = init_params_from_rng(DIMS, Rng(4))
+        params = init_params_from_rng(*DIMS[:2], Rng(4))
         with pytest.raises(ShapeError, match="3-D region stack"):
             forward(regions, attrs, params)
 
@@ -298,7 +313,7 @@ class TestBatchedForward:
             exact(regions, attrs, params)
 
         monkeypatch.setattr(model, "_check_operands", counted)
-        params = [init_params_from_rng(DIMS, Rng(60 + m)) for m in range(models)]
+        params = [init_params_from_rng(*DIMS[:2], Rng(60 + m)) for m in range(models)]
         params = params[0] if models == 1 else stacked(params)
         regions, attrs = tiny_inputs(6)
         forward(np.stack([regions, -regions], axis=1), attrs, params)
@@ -310,9 +325,8 @@ class TestTraceLayout:
     def test_fields_keep_the_computed_layout(self, models):
         # Distinct sizes, so a swapped axis changes the shape.
         k, r, b, d_v, d_a = 3, 5, 2, 7, 4
-        dims = ModelDims(visual_dim=d_v, attr_dim=d_a, num_attributes=k, num_regions=r)
-        stack = [init_params_from_rng(dims, Rng(40 + m)) for m in range(models)]
-        params = stack[0] if models == 1 else ModelParams(dims, **{
+        stack = [init_params_from_rng(d_v, d_a, Rng(40 + m)) for m in range(models)]
+        params = stack[0] if models == 1 else ModelParams(**{
             name: np.stack([getattr(p, name) for p in stack]) for name in PARAM_NAMES})
         rng = Rng(41)
         regions = np.stack([rng.uniform(-2.0, 2.0, r, d_v) for _ in range(b)], axis=1)
@@ -329,11 +343,11 @@ class TestTraceLayout:
 
 class TestCheckpoint:
     def test_round_trip_values(self, tmp_path):
-        params = init_params_from_rng(DIMS, Rng(12))
+        params = init_params_from_rng(*DIMS[:2], Rng(12))
         path = tmp_path / "ckpt.zsld"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        assert loaded.dims == params.dims
+        save_checkpoint(params, path, DIMS.num_attributes, DIMS.num_regions)
+        loaded, header = load_checkpoint(path)
+        assert header == DIMS
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             # The stored float32 weights, unwidened: eval computes in them.
             expected = getattr(params, name).astype(np.float32)
@@ -341,10 +355,11 @@ class TestCheckpoint:
             assert getattr(loaded, name).tobytes() == expected.tobytes()
 
     def test_resave_byte_exact(self, tmp_path):
-        params = init_params_from_rng(DIMS, Rng(12))
+        params = init_params_from_rng(*DIMS[:2], Rng(12))
         a, b = tmp_path / "a.zsld", tmp_path / "b.zsld"
-        save_checkpoint(params, a)
-        save_checkpoint(load_checkpoint(a), b)
+        save_checkpoint(params, a, DIMS.num_attributes, DIMS.num_regions)
+        loaded, (_, _, k, r) = load_checkpoint(a)
+        save_checkpoint(loaded, b, k, r)
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_tensor_rejected(self, tmp_path):
@@ -356,9 +371,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_transposed_weight_rejected(self, tmp_path):
-        params = init_params_from_rng(DIMS, Rng(12))
+        params = init_params_from_rng(*DIMS[:2], Rng(12))
         path = tmp_path / "transposed.ckpt"
-        save_checkpoint(replace(params, W3=params.W3.T), path)
+        save_checkpoint(replace(params, W3=params.W3.T), path, DIMS.num_attributes,
+                        DIMS.num_regions)
         with pytest.raises(ContainerFormatError,
                            match=r"W3 has shape \(3, 4\), expected \(4, 3\)"):
             load_checkpoint(path)
@@ -373,12 +389,12 @@ class TestCheckpoint:
         (CUB_DIMS, "W2", (127, 2047)), (CUB_DIMS, "W2", (128, 0)),
     ], ids=["W2[1,2]", "W_att_first", "W_att_last", "cub_block_end", "cub_next_block"])
     def test_non_finite_weight_rejected(self, tmp_path, bad, dims, name, index):
-        params = ModelParams(dims, **{n: np.ones(shape, np.float32)
-                                      for n, shape in dims.param_shapes().items()})
+        params = ModelParams(**{n: np.ones(shape, np.float32)
+                                for n, shape in param_shapes(*dims[:2]).items()})
         weight = getattr(params, name)
         weight[index] = weight[-1, -1] = bad
         path = tmp_path / "nan.ckpt"
-        save_checkpoint(params, path)
+        save_checkpoint(params, path, *dims[2:])
         with pytest.raises(ContainerFormatError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == f"checkpoint tensor {name} has a non-finite value at index {index}"

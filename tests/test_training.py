@@ -17,7 +17,7 @@ from msdn import training
 from msdn.configfile import load_config
 from msdn.data_io import SynthSpec
 from msdn.losses import LossTerms, total_loss_raw
-from msdn.model import ModelDims, ModelParams, init_params_from_rng
+from msdn.model import ModelParams, init_params_from_rng
 from msdn.ndmath import FlatArrays, Rng
 from msdn.training import (
     TrainConfig,
@@ -188,11 +188,11 @@ def reference_train(ds, cfg, lcfgs):
     trains one unstacked model.
     """
     rng = oracles.ScalarRng(cfg.seed)
-    dims = ModelDims.for_dataset(ds)
     models = () if lcfgs is None else (len(lcfgs),)
     terms = LossTerms.of((cfg.loss_config(),) if lcfgs is None else lcfgs, models)
+    init = init_params_from_rng(ds.visual_dim, ds.attr_dim, rng).astype(np.float32)
     params = {name: np.array(np.broadcast_to(w, models + w.shape))
-              for name, w in init_params_from_rng(dims, rng).astype(np.float32).as_dict().items()}
+              for name, w in init.as_dict().items()}
     square_avg = {name: np.zeros_like(w) for name, w in params.items()}
     momentum_buf = {name: np.zeros_like(w) for name, w in params.items()}
     for _ in range(cfg.epochs):
@@ -200,7 +200,7 @@ def reference_train(ds, cfg, lcfgs):
         oracles.shuffle(rng, order)
         for start in range(0, len(order), cfg.batch_size):
             idx = ds.train_idx[order[start:start + cfg.batch_size]]
-            _, grads = total_loss_raw(ModelParams(dims, **params), ds.regions(idx),
+            _, grads = total_loss_raw(ModelParams(**params), ds.regions(idx),
                                       ds.labels[idx], ds.attributes, ds.class_semantics,
                                       ds.split, terms)
             params, square_avg, momentum_buf = oracles.rmsprop_step(
@@ -271,7 +271,8 @@ class TestTrain:
     def test_zero_epochs_returns_initial_params(self, tiny_dataset):
         cfg = dataclasses.replace(FAST, epochs=0)
         params, history = train(tiny_dataset, cfg)
-        reference = init_params_from_rng(ModelDims.for_dataset(tiny_dataset), Rng(cfg.seed))
+        reference = init_params_from_rng(tiny_dataset.visual_dim, tiny_dataset.attr_dim,
+                                         Rng(cfg.seed))
         reference = reference.astype(np.float32)   # the precision training computes in
         for name in ("W1", "W2", "W3", "W4", "W_att"):
             assert np.array_equal(getattr(params, name), getattr(reference, name))
@@ -333,9 +334,8 @@ class TestTrain:
         # This is what lets one no-distill model stand in for both single-branch runs.
         ds = tiny_dataset
         cfg = dataclasses.replace(FAST, lambda_distill=0.5)
-        dims = ModelDims.for_dataset(ds)
-        base = init_params_from_rng(dims, Rng(1))
-        other = init_params_from_rng(dims, Rng(2))
+        base = init_params_from_rng(ds.visual_dim, ds.attr_dim, Rng(1))
+        other = init_params_from_rng(ds.visual_dim, ds.attr_dim, Rng(2))
         a2v, v2a = ("W1", "W2"), ("W3", "W4", "W_att")
         models = [base, dataclasses.replace(base, **{n: getattr(other, n) for n in v2a}),
                   dataclasses.replace(base, **{n: getattr(other, n) for n in a2v}), base]
@@ -346,7 +346,7 @@ class TestTrain:
         weights = FlatArrays.of(stacked(models).as_dict())
 
         def loss_fn(idx):
-            return total_loss_raw(ModelParams(dims, **weights), ds.regions(idx),
+            return total_loss_raw(ModelParams(**weights), ds.regions(idx),
                                   ds.labels[idx], ds.attributes, ds.class_semantics, ds.split,
                                   terms)
 

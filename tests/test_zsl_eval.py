@@ -288,8 +288,9 @@ class TestEvaluate:
         # Chunks join on the image axis, behind the model axis of stacked weights.
         monkeypatch.setattr(zsl_eval, "EVAL_CHUNK", chunk)
         ds = tiny_dataset
-        models = [trained, init_params_from_rng(trained.dims, Rng(9)).astype(trained.W1.dtype)]
-        stacked = ModelParams(trained.dims, **{
+        models = [trained, init_params_from_rng(ds.visual_dim, ds.attr_dim, Rng(9)).astype(
+            trained.W1.dtype)]
+        stacked = ModelParams(**{
             name: np.stack([getattr(m, name) for m in models]) for name in PARAM_NAMES})
         together = zsl_eval.forward_test_splits(stacked, ds)
         assert all(e.shape == (2, ds.num_attributes, ds.test_idx.size) for e in together)
